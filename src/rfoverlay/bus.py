@@ -5,18 +5,17 @@ logical stream per node for the per-node topics), durability and history
 policies, reliable in-order delivery, and deterministic dispatch. It is the
 only communication path between nodes; everything above it is event-driven.
 
-Single-owner object: no internal locks. A bus and the node state wired to it
-can be handed to another thread as a unit, which is how independent scenarios
-run in parallel.
+Single-owner object with no internal locks: one bus serves one scenario, and
+scenarios run one after another.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable
 
 NodeId = int
 
@@ -127,50 +126,17 @@ class KeepN:
 History = KeepLast | KeepN
 
 
-class Reliability(Enum):
-    RELIABLE = "reliable"
-
-
-class DestinationOrder(Enum):
-    BY_SOURCE = "by_source"
-
-
-class Lifespan(Enum):
-    SHORT = "short"
-    LONG = "long"
-
-
-class Liveliness(Enum):
-    AUTOMATIC = "automatic"
-
-
-class TransportPriority(Enum):
-    HIGHEST = "highest"
-
-
-class Distribution(Enum):
-    ONE_TO_ONE = "one_to_one"
-    ONE_TO_MANY = "one_to_many"
-
-
 @dataclass(frozen=True, slots=True)
 class QosProfile:
     """Per-topic quality-of-service settings.
 
-    Durability and history are enforced (retention and late-joiner replay);
-    reliability and destination order are enforced by construction (exactly
-    once, per-publisher in-order). Lifespan, liveliness, transport priority
-    and distribution are recorded but perform no work in-process.
+    Durability and history are enforced (retention and late-joiner replay).
+    Delivery is reliable and per-publisher in order by construction: every
+    subscriber sees each sample exactly once, in publication order.
     """
 
     durability: Durability
     history: History
-    reliability: Reliability = Reliability.RELIABLE
-    destination_order: DestinationOrder = DestinationOrder.BY_SOURCE
-    lifespan: Lifespan = Lifespan.SHORT
-    liveliness: Liveliness = Liveliness.AUTOMATIC
-    transport_priority: TransportPriority = TransportPriority.HIGHEST
-    distribution: Distribution = Distribution.ONE_TO_MANY
 
     @property
     def depth(self) -> int:
@@ -178,30 +144,17 @@ class QosProfile:
 
 
 def arrivals_qos(depth: int = 64) -> QosProfile:
-    return QosProfile(
-        durability=Durability.PERSISTENT,
-        history=KeepN(depth),
-        lifespan=Lifespan.LONG,
-        distribution=Distribution.ONE_TO_MANY,
-    )
+    return QosProfile(durability=Durability.PERSISTENT, history=KeepN(depth))
 
 
 def control_qos() -> QosProfile:
     """Profile for the point-to-point reconfiguration topics (ORe, OSe)."""
-    return QosProfile(
-        durability=Durability.VOLATILE,
-        history=KeepLast(),
-        distribution=Distribution.ONE_TO_ONE,
-    )
+    return QosProfile(durability=Durability.VOLATILE, history=KeepLast())
 
 
 def status_qos() -> QosProfile:
     """Profile for the availability topics (MyBox, OneBack)."""
-    return QosProfile(
-        durability=Durability.VOLATILE,
-        history=KeepLast(),
-        distribution=Distribution.ONE_TO_MANY,
-    )
+    return QosProfile(durability=Durability.VOLATILE, history=KeepLast())
 
 
 def standard_qos(name: TopicName, arrivals_depth: int = 64) -> QosProfile:
@@ -415,7 +368,7 @@ class VirtualBus:
             raise SubscriptionError(f"subscription to {handle.key} already cancelled")
         handle.active = False
         del self._subs[handle.key][handle.subscriber]
-        # Reliability covers samples published while subscribed, unless the
+        # Delivery covers samples published while subscribed, unless the
         # subscription is cancelled first: drop anything still in flight.
         survivors = [e for e in self._pending if e[5] is not handle]
         if len(survivors) != len(self._pending):

@@ -5,7 +5,7 @@ Subcommands:
   simulate   run a scenario from a config file; write trace and metrics
   verify     check a previously written trace against the oracles
   oracle     print the all-seeing assignment for one availability vector
-  sweep      run and verify a scenario across a seed range
+  sweep      run and verify a scenario across a seed range, one seed at a time
   pmf        print the event-count distribution used by the workload
 
 Exit codes: 0 on success, 1 when verification finds mismatches or a trace is
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import IO
 
 from .oracle import RingModel, basic_tst, brf_tst, sbrf_tst
@@ -24,7 +23,6 @@ from .protocol import Hint, TrustOre
 from .scenario import (
     ConfigError,
     ScenarioConfig,
-    Topology,
     config_with_seed,
     load_config,
     run_scenario,
@@ -118,8 +116,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ConfigError("--count must be >= 1")
     down = _parse_down(args.down, args.count)
     ring = RingModel.of(args.count, down)
-    topology = Topology(args.topology)
-    if topology is Topology.BASIC:
+    if args.topology == "basic":
         for node, entry in sorted(basic_tst(ring).items()):
             if isinstance(entry, TrustOre):
                 text = "trust-ore"
@@ -128,7 +125,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             else:
                 text = "system-empty"
             print(f"n{node}: {text}")
-    elif topology is Topology.BRF:
+    elif args.topology == "brf":
         for node, (cw, ccw) in sorted(brf_tst(ring).items()):
             print(f"n{node}: cw={_node_str(cw)} ccw={_node_str(ccw)}")
     else:
@@ -151,25 +148,20 @@ def _parse_seed_range(raw: str) -> range:
     return range(start, end)
 
 
-def _sweep_one(cfg: ScenarioConfig, seed: int) -> tuple[int, int, int]:
-    seeded = config_with_seed(cfg, seed)
-    trace, _ = run_scenario(seeded)
-    report = verify_trace(trace, seeded)
-    return len(trace), report.intervals_checked, len(report.mismatches)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
     seeds = _parse_seed_range(args.seeds)
-    jobs = args.jobs if args.jobs is not None else min(8, len(seeds))
-    if jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(lambda s: _sweep_one(cfg, s), seeds))
     failures = 0
-    for seed, (events, intervals, mismatches) in zip(seeds, results):
+    for seed in seeds:
+        seeded = config_with_seed(cfg, seed)
+        trace, _ = run_scenario(seeded)
+        report = verify_trace(trace, seeded)
+        mismatches = len(report.mismatches)
         status = "PASSED" if mismatches == 0 else f"FAILED ({mismatches} mismatches)"
-        print(f"seed={seed} events={events} intervals={intervals} verification={status}")
+        print(
+            f"seed={seed} events={len(trace)} intervals={report.intervals_checked} "
+            f"verification={status}"
+        )
         if mismatches:
             failures += 1
     print(f"sweep: {len(seeds) - failures}/{len(seeds)} passed")
@@ -211,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="print the assignment for one availability vector")
-    p.add_argument("--topology", choices=[t.value for t in Topology], default="basic")
+    p.add_argument("--topology", choices=["basic", "brf", "sbrf"], default="basic")
     p.add_argument("--count", type=int, required=True, help="ring size")
     p.add_argument("--down", default="", help="comma separated unavailable nodes")
     p.set_defaults(func=cmd_oracle)
@@ -219,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run and verify a scenario across seeds")
     p.add_argument("--config", required=True, help="scenario config (JSON)")
     p.add_argument("--seeds", required=True, help="seed range START:END (half open)")
-    p.add_argument("--jobs", type=int, default=None, help="worker threads")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pmf", help="print the workload event-count distribution")

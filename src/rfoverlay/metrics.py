@@ -20,6 +20,7 @@ from .trace import (
     KIND_UNSUBSCRIBE,
     Trace,
     TraceError,
+    parse_toggle,
 )
 
 SETUP_INTERVAL = -1  # join phase, before the first interval
@@ -93,16 +94,9 @@ def compute_metrics(trace: Trace, intervals: int | None = None) -> Metrics:
     for event in trace:
         kind = event.kind
         if kind == KIND_TOGGLE:
-            try:
-                interval = int(event.detail["interval"])
-                to_state = str(event.detail["to"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceError(f"bad toggle detail {event.detail!r}") from exc
-            if interval < current_interval:
-                raise TraceError("toggle intervals must not go backwards")
-            current_interval = interval
+            current_interval, to_state = parse_toggle(event, current_interval)
             current_toggle = ToggleStats(
-                interval=interval, node=event.node, to_state=to_state
+                interval=current_interval, node=event.node, to_state=to_state.value
             )
             toggles.append(current_toggle)
             interval_stats().toggles += 1

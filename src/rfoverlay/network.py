@@ -8,7 +8,7 @@ turns any non-terminating propagation into a hard failure instead of a hang.
 
 from __future__ import annotations
 
-from .bus import DeliveryRecord, NodeId, Payload, TopicKey, TopicName, VirtualBus, mybox_key
+from .bus import DeliveryRecord, NodeId, Payload, TopicKey, VirtualBus, mybox_key
 from . import protocol
 from .protocol import Availability, Effects, NodeView
 
@@ -31,12 +31,9 @@ class Network:
         arrivals_depth: int = 64,
         delivery_delay: int = 0,
         recorder=None,
-        bus: VirtualBus | None = None,
     ) -> None:
-        if bus is None:
-            bus = VirtualBus(delivery_delay)
-            bus.declare_standard_topics(arrivals_depth)
-        self.bus = bus
+        self.bus = VirtualBus(delivery_delay)
+        self.bus.declare_standard_topics(arrivals_depth)
         self.recorder = recorder
         self.views: dict[NodeId, NodeView] = {}
         self._handles: dict[tuple[NodeId, TopicKey], object] = {}
@@ -112,16 +109,9 @@ class Network:
 
     # -- inspection -----------------------------------------------------------
 
-    @property
-    def node_ids(self) -> tuple[NodeId, ...]:
-        return tuple(self.views)
-
     def last_mybox_value(self, node: NodeId) -> Payload | None:
         store = self.bus.retained(mybox_key(node))
         return store[-1].payload if store else None
-
-    def availability(self) -> dict[NodeId, Availability]:
-        return {node: view.state for node, view in self.views.items()}
 
     def check_subscription_invariant(self) -> None:
         """Bus-side subscriptions must equal each view's derived set."""

@@ -2,9 +2,8 @@
 
 A scenario joins every node serially, then walks the availability schedule
 interval by interval, applying each state change as a toggle driven to
-quiescence (ascending node order). The basic topology runs the full event
-protocol; the two variant topologies have no event protocol, so their runs
-record per-interval oracle snapshots instead.
+quiescence (ascending node order). Runs use the basic topology; the
+bidirectional and shortest-path variants exist only as oracles.
 
 Verification replays a trace against the oracles: at every interval's
 quiescent point, each node's next-available knowledge and the last value on
@@ -16,13 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import IO, Any
 
 from .bus import Identity, NodeId, Payload, TopicName
 from .metrics import Metrics, compute_metrics
 from .network import JoinError, Network
-from .oracle import RingModel, basic_tst, brf_tst, mybox_fixpoint, sbrf_tst
+from .oracle import RingModel, basic_tst, mybox_fixpoint
 from .protocol import Availability, NextAvailable
 from .trace import (
     KIND_JOIN,
@@ -32,6 +30,7 @@ from .trace import (
     Trace,
     TraceError,
     TraceRecorder,
+    parse_toggle,
     payload_from_obj,
     tre_from_obj,
 )
@@ -46,16 +45,9 @@ class VerificationError(RuntimeError):
     """Raised by in-run verification when a quiescent point disagrees."""
 
 
-class Topology(str, Enum):
-    BASIC = "basic"
-    BRF = "brf"
-    SBRF = "sbrf"
-
-
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     node_count: int
-    topology: Topology = Topology.BASIC
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     arrivals_depth: int | None = None  # None resolves to max(64, node_count)
     delivery_delay: int = 0
@@ -82,7 +74,6 @@ class ScenarioConfig:
 _WORKLOAD_KEYS = ("lambda", "threshold", "intervals", "seed")
 _TOP_KEYS = (
     "node_count",
-    "topology",
     "workload",
     "arrivals_depth",
     "delivery_delay",
@@ -111,12 +102,6 @@ def parse_config(obj: Any) -> ScenarioConfig:
     node_count = _as_int(obj["node_count"], "node_count")
     seed = _as_int(obj.get("seed", 0), "seed")
 
-    topology_raw = obj.get("topology", Topology.BASIC.value)
-    try:
-        topology = Topology(topology_raw)
-    except ValueError:
-        raise ConfigError(f"unknown topology {topology_raw!r}") from None
-
     workload_obj = obj.get("workload", {})
     _require(isinstance(workload_obj, dict), "workload must be a mapping")
     unknown = set(workload_obj) - set(_WORKLOAD_KEYS)
@@ -140,7 +125,6 @@ def parse_config(obj: Any) -> ScenarioConfig:
     try:
         return ScenarioConfig(
             node_count=node_count,
-            topology=topology,
             workload=workload,
             arrivals_depth=None if depth is None else _as_int(depth, "arrivals_depth"),
             delivery_delay=_as_int(obj.get("delivery_delay", 0), "delivery_delay"),
@@ -201,24 +185,6 @@ def oracle_mismatches(net: Network) -> list[tuple[NodeId, str, str, str]]:
 # Run loop
 
 
-def _brf_entry_obj(entry: tuple[NodeId | None, NodeId | None]) -> dict:
-    return {"pair": [entry[0], entry[1]]}
-
-
-def _sbrf_entry_obj(entry: tuple[NodeId | None, NodeId | None] | NodeId | None) -> dict:
-    if isinstance(entry, tuple):
-        return {"pair": [entry[0], entry[1]]}
-    return {"candidate": entry}
-
-
-def _variant_assignment_objs(
-    topology: Topology, ring: RingModel
-) -> dict[NodeId, dict]:
-    if topology is Topology.BRF:
-        return {n: _brf_entry_obj(e) for n, e in brf_tst(ring).items()}
-    return {n: _sbrf_entry_obj(e) for n, e in sbrf_tst(ring).items()}
-
-
 def _resolve_schedule(
     cfg: ScenarioConfig, schedule: AvailabilitySchedule | None
 ) -> AvailabilitySchedule:
@@ -244,17 +210,6 @@ def run_scenario(
     propagation waves race each other.
     """
     schedule = _resolve_schedule(cfg, schedule)
-    if cfg.topology is Topology.BASIC:
-        return _run_basic(cfg, schedule, interleaved_toggles, record)
-    return _run_snapshots(cfg, schedule, record)
-
-
-def _run_basic(
-    cfg: ScenarioConfig,
-    schedule: AvailabilitySchedule,
-    interleaved_toggles: bool,
-    record: bool,
-) -> tuple[Trace, Metrics]:
     recorder = TraceRecorder() if record else None
     net = Network(
         arrivals_depth=cfg.arrivals_depth,
@@ -303,37 +258,6 @@ def _run_basic(
     return trace, compute_metrics(trace, intervals=schedule.intervals)
 
 
-def _run_snapshots(
-    cfg: ScenarioConfig, schedule: AvailabilitySchedule, record: bool
-) -> tuple[Trace, Metrics]:
-    recorder = TraceRecorder() if record else None
-    now = 0
-    nodes = tuple(range(cfg.node_count))
-    for node in nodes:
-        now += 1
-        if recorder is not None:
-            recorder.join(now, node)
-    current = {node: Availability.AVAILABLE for node in nodes}
-    last_entries: dict[NodeId, dict] = {}
-    for interval in range(schedule.intervals):
-        now += 1
-        for node in nodes:
-            to_state = schedule.state(node, interval)
-            if to_state is not current[node]:
-                now += 1
-                if recorder is not None:
-                    recorder.toggle(now, node, to_state, interval)
-                current[node] = to_state
-        ring = RingModel.from_states(nodes, current)
-        for node, entry in _variant_assignment_objs(cfg.topology, ring).items():
-            if last_entries.get(node) != entry:
-                last_entries[node] = entry
-                if recorder is not None:
-                    recorder.assignment(now, node, entry)
-    trace = recorder.events if recorder is not None else []
-    return trace, compute_metrics(trace, intervals=schedule.intervals)
-
-
 # ---------------------------------------------------------------------------
 # Verification
 
@@ -342,7 +266,7 @@ def _run_snapshots(
 class Mismatch:
     interval: int
     node: NodeId
-    field: str  # "tre" | "mybox" | "assignment"
+    field: str  # "tre" | "mybox"
     expected: str
     observed: str
 
@@ -358,55 +282,40 @@ class VerifyReport:
 
 
 class _Replay:
-    """Streaming reconstruction of a run from its trace."""
+    """Streaming reconstruction of a run from its trace (toggles excepted)."""
 
-    def __init__(self, cfg: ScenarioConfig):
-        self.cfg = cfg
+    def __init__(self) -> None:
         self.joined: list[NodeId] = []
         self.avail: dict[NodeId, Availability] = {}
         self.tre: dict[NodeId, NextAvailable] = {}
         self.mybox: dict[NodeId, Payload] = {}
-        self.entries: dict[NodeId, dict] = {}
-        self.last_time = 0
 
     def apply(self, event) -> None:
-        if event.time < self.last_time:
-            raise TraceError(f"time went backwards at {event}")
-        self.last_time = event.time
         if event.kind == KIND_JOIN:
             node = self._node(event)
             if node in self.avail:
                 raise TraceError(f"{node} joined twice")
             self.joined.append(node)
             self.avail[node] = Availability.AVAILABLE
-        elif event.kind == KIND_TOGGLE:
-            node = self._node(event)
-            try:
-                self.avail[node] = Availability(event.detail["to"])
-            except (KeyError, ValueError) as exc:
-                raise TraceError(f"bad toggle detail {event.detail!r}") from exc
         elif event.kind == KIND_VIEW_CHANGE:
             node = self._node(event)
-            detail = event.detail
-            if "view" in detail:
-                view_obj = detail["view"]
-                try:
-                    self.tre[node] = tre_from_obj(view_obj["tre"])
-                    self.avail[node] = Availability(view_obj["state"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise TraceError(f"bad view object {view_obj!r}") from exc
-            elif "assignment" in detail:
-                self.entries[node] = detail["assignment"]
-            else:
-                raise TraceError(f"view change without content: {detail!r}")
+            if "view" not in event.detail:
+                raise TraceError(f"view change without content: {event.detail!r}")
+            view_obj = event.detail["view"]
+            try:
+                self.tre[node] = tre_from_obj(view_obj["tre"])
+                self.avail[node] = Availability(view_obj["state"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TraceError(f"bad view object {view_obj!r}") from exc
         elif event.kind == KIND_PUBLISH:
             node = self._node(event)
             try:
                 topic = event.detail["key"]["topic"]
+                payload_obj = event.detail["payload"]
             except (KeyError, TypeError) as exc:
                 raise TraceError(f"bad publish detail {event.detail!r}") from exc
             if topic == TopicName.MYBOX.value:
-                self.mybox[node] = payload_from_obj(event.detail["payload"])
+                self.mybox[node] = payload_from_obj(payload_obj)
 
     def _node(self, event) -> NodeId:
         if event.node is None:
@@ -428,7 +337,7 @@ def verify_trace(
     records) raise TraceError; oracle disagreement lands in the report.
     """
     schedule = _resolve_schedule(cfg, schedule)
-    replay = _Replay(cfg)
+    replay = _Replay()
     mismatches: list[Mismatch] = []
 
     # Interval k's quiescent point is right before the first toggle of any
@@ -441,60 +350,41 @@ def verify_trace(
                 f"interval {interval}: trace availability diverges from the schedule"
             )
         ring = replay.ring(vector)
-        if cfg.topology is Topology.BASIC:
-            expected = basic_tst(ring)
-            for node in ring.nodes:
-                seen = replay.tre.get(node)
-                if seen != expected[node]:
-                    mismatches.append(
-                        Mismatch(interval, node, "tre", repr(expected[node]), repr(seen))
-                    )
-                want = mybox_fixpoint(ring, node)
-                got = replay.mybox.get(node, Identity(node))
-                if got != want:
-                    mismatches.append(
-                        Mismatch(interval, node, "mybox", repr(want), repr(got))
-                    )
-        else:
-            expected_entries = _variant_assignment_objs(cfg.topology, ring)
-            for node in ring.nodes:
-                want_obj = expected_entries[node]
-                got_obj = replay.entries.get(node)
-                if got_obj != want_obj:
-                    mismatches.append(
-                        Mismatch(
-                            interval,
-                            node,
-                            "assignment",
-                            json.dumps(want_obj, sort_keys=True),
-                            json.dumps(got_obj, sort_keys=True),
-                        )
-                    )
+        expected = basic_tst(ring)
+        for node in ring.nodes:
+            seen = replay.tre.get(node)
+            if seen != expected[node]:
+                mismatches.append(
+                    Mismatch(interval, node, "tre", repr(expected[node]), repr(seen))
+                )
+            want = mybox_fixpoint(ring, node)
+            got = replay.mybox.get(node, Identity(node))
+            if got != want:
+                mismatches.append(Mismatch(interval, node, "mybox", repr(want), repr(got)))
 
+    last_time = 0
     current_interval = -1
     for event in trace:
-        if event.kind == KIND_TOGGLE:
-            try:
-                interval = int(event.detail["interval"])
-                to_state = Availability(event.detail["to"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceError(f"bad toggle detail {event.detail!r}") from exc
-            if interval < current_interval:
-                raise TraceError("toggle intervals must not go backwards")
-            if not 0 <= interval < schedule.intervals:
-                raise TraceError(f"toggle interval {interval} outside the schedule")
-            if event.node is None or event.node not in schedule.states:
-                raise TraceError(f"toggle of unknown node {event.node!r}")
-            if to_state is not schedule.state(event.node, interval):
-                raise TraceError(
-                    f"toggle of {event.node} at interval {interval} "
-                    "diverges from the schedule"
-                )
-            if interval > current_interval:
-                for pending in range(max(current_interval, 0), interval):
-                    check_interval(pending)
-                current_interval = interval
-        replay.apply(event)
+        if event.time < last_time:
+            raise TraceError(f"time went backwards at {event}")
+        last_time = event.time
+        if event.kind != KIND_TOGGLE:
+            replay.apply(event)
+            continue
+        interval, to_state = parse_toggle(event, current_interval)
+        if not 0 <= interval < schedule.intervals:
+            raise TraceError(f"toggle interval {interval} outside the schedule")
+        if event.node is None or event.node not in schedule.states:
+            raise TraceError(f"toggle of unknown node {event.node!r}")
+        if to_state is not schedule.state(event.node, interval):
+            raise TraceError(
+                f"toggle of {event.node} at interval {interval} "
+                "diverges from the schedule"
+            )
+        for pending in range(max(current_interval, 0), interval):
+            check_interval(pending)
+        current_interval = interval
+        replay.avail[event.node] = to_state
     if len(replay.joined) != cfg.node_count:
         raise TraceError(
             f"trace joined {len(replay.joined)} nodes, config says {cfg.node_count}"

@@ -23,7 +23,6 @@ from .bus import (
     Payload,
     Sample,
     TopicKey,
-    TopicName,
 )
 from .protocol import (
     SYSTEM_EMPTY,
@@ -99,7 +98,7 @@ def payload_from_obj(obj: dict) -> Payload:
             return OStUpdate(OStRole(obj["role"]), int(obj["who"]))
         if kind == "null":
             return NULL
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceError(f"bad payload object {obj!r}") from exc
     raise TraceError(f"bad payload object {obj!r}")
 
@@ -109,13 +108,6 @@ def key_to_obj(key: TopicKey) -> dict:
     if key.instance is not None:
         obj["instance"] = key.instance
     return obj
-
-
-def key_from_obj(obj: dict) -> TopicKey:
-    try:
-        return TopicKey(TopicName(obj["topic"]), obj.get("instance"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"bad key object {obj!r}") from exc
 
 
 def tre_to_obj(tre: NextAvailable) -> dict:
@@ -135,7 +127,7 @@ def tre_from_obj(obj: dict) -> NextAvailable:
             return TRUST_ORE
         if kind == "system_empty":
             return SYSTEM_EMPTY
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceError(f"bad tre object {obj!r}") from exc
     raise TraceError(f"bad tre object {obj!r}")
 
@@ -149,6 +141,22 @@ def view_to_obj(view: NodeView) -> dict:
         "state": view.state.value,
         "joining": view.joining,
     }
+
+
+def parse_toggle(event: TraceEvent, last_interval: int) -> tuple[int, Availability]:
+    """The interval and target state of a toggle event.
+
+    `last_interval` is the interval of the previous toggle (-1 before the
+    first); toggle intervals must not go backwards.
+    """
+    try:
+        interval = int(event.detail["interval"])
+        to_state = Availability(event.detail["to"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise TraceError(f"bad toggle detail {event.detail!r}") from exc
+    if interval < last_interval:
+        raise TraceError("toggle intervals must not go backwards")
+    return interval, to_state
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +209,6 @@ class TraceRecorder:
     def view_change(self, time: int, node: NodeId, view: NodeView) -> None:
         self.record(time, KIND_VIEW_CHANGE, node, {"view": view_to_obj(view)})
 
-    def assignment(self, time: int, node: NodeId, entry: dict) -> None:
-        """Oracle snapshot entry for the variant topologies."""
-        self.record(time, KIND_VIEW_CHANGE, node, {"assignment": entry})
-
 
 # ---------------------------------------------------------------------------
 # Serialization
@@ -225,12 +229,14 @@ def event_from_json(line: str) -> TraceEvent:
     missing = {"time", "kind", "node", "detail"} - obj.keys()
     if missing:
         raise TraceError(f"trace line missing fields {sorted(missing)}: {line!r}")
-    return TraceEvent(
-        time=int(obj["time"]),
-        kind=obj["kind"],
-        node=obj["node"] if obj["node"] is None else int(obj["node"]),
-        detail=obj["detail"],
-    )
+    if not isinstance(obj["detail"], dict):
+        raise TraceError(f"trace line detail is not a record: {line!r}")
+    try:
+        time = int(obj["time"])
+        node = obj["node"] if obj["node"] is None else int(obj["node"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TraceError(f"bad time or node in trace line: {line!r}") from exc
+    return TraceEvent(time=time, kind=obj["kind"], node=node, detail=obj["detail"])
 
 
 def dump_trace(events: Iterable[TraceEvent], stream: IO[str]) -> None:

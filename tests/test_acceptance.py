@@ -23,7 +23,7 @@ from rfoverlay.bus import TopicName, oneback_key
 from rfoverlay.network import Network
 from rfoverlay.oracle import RingModel, basic_tst, brf_tst, sbrf_tst
 from rfoverlay.protocol import SYSTEM_EMPTY, Availability
-from rfoverlay.scenario import ScenarioConfig, Topology, oracle_mismatches, run_scenario
+from rfoverlay.scenario import ScenarioConfig, oracle_mismatches, run_scenario
 from rfoverlay.trace import TraceRecorder, dumps_trace
 from rfoverlay.workload import WorkloadConfig, poisson_pmf, sample_k
 
@@ -326,23 +326,15 @@ def test_criterion_7_determinism():
             node_count=6, delivery_delay=2,
             workload=WorkloadConfig(lam=1.0, threshold=0, intervals=30, seed=11), seed=11,
         ),
-        ScenarioConfig(
-            node_count=12, topology=Topology.BRF,
-            workload=WorkloadConfig(intervals=25, seed=2), seed=2,
-        ),
-        ScenarioConfig(
-            node_count=5, topology=Topology.SBRF,
-            workload=WorkloadConfig(lam=4.0, threshold=3, intervals=50, seed=7), seed=7,
-        ),
     ]
     problems = []
     for cfg in configs:
         first, _ = run_scenario(cfg)
         second, _ = run_scenario(cfg)
         if not first:
-            problems.append(f"{cfg.topology.value} seed={cfg.seed}: empty trace")
+            problems.append(f"seed={cfg.seed}: empty trace")
         if dumps_trace(first) != dumps_trace(second):
-            problems.append(f"{cfg.topology.value} seed={cfg.seed}: traces differ")
+            problems.append(f"seed={cfg.seed}: traces differ")
     elapsed = time.perf_counter() - started
     ok = not problems
     print(f"[criterion 7] equal seeds give byte-identical traces: "

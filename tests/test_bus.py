@@ -89,7 +89,7 @@ def test_topic_qos_is_pinned():
     with pytest.raises(QosError):
         bus.declare_topic(TopicName.MYBOX, arrivals_qos(4))
     with pytest.raises(QosError):
-        bus.declare_topic(TopicName.ORE, status_qos())
+        bus.declare_topic(TopicName.ORE, arrivals_qos(4))
     volatile_deep = QosProfile(durability=Durability.VOLATILE, history=KeepLast())
     assert standard_qos(TopicName.MYBOX) == volatile_deep
 

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, deterministic output."""
 
+import hashlib
 import json
 
 import pytest
@@ -57,6 +58,19 @@ def test_simulate_output_is_reproducible(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_simulate_trace_is_pinned_across_commits(tmp_path, capsys):
+    # The README demo config; the digest changes only when the trace does.
+    config = write_config(tmp_path)
+    trace_path = tmp_path / "run.jsonl"
+    assert main(["simulate", "--config", config, "--trace", str(trace_path)]) == EXIT_OK
+    assert "wrote trace: " + str(trace_path) + " (387 events)" in capsys.readouterr().out
+    data = trace_path.read_bytes()
+    assert data.count(b"\n") == 387
+    assert hashlib.sha256(data).hexdigest() == (
+        "d07e7c2bb377af5b5ee408bfc9cb1eeb8a78456edd1de84a4ed82fade59aa826"
+    )
+
+
 def test_verify_flags_a_corrupted_trace(tmp_path, capsys):
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
@@ -80,10 +94,22 @@ def test_verify_flags_a_corrupted_trace(tmp_path, capsys):
     assert "mismatch" in out
 
 
-def test_verify_rejects_garbage(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "line",
+    [
+        "this is not a trace",
+        '{"time":"abc","kind":"Join","node":0,"detail":{}}',
+        '{"time":Infinity,"kind":"Join","node":0,"detail":{}}',
+        '{"time":1,"kind":"Join","node":[1],"detail":{}}',
+        '{"time":1,"kind":"ViewChange","node":0,"detail":5}',
+        '{"time":1,"kind":"Publish","node":0,"detail":{"key":{"topic":"MyBox","instance":0},"seq":1}}',
+    ],
+    ids=["not-json", "bad-time", "infinite-time", "bad-node", "bad-detail", "no-payload"],
+)
+def test_verify_rejects_garbage(tmp_path, capsys, line):
     config = write_config(tmp_path)
     trace_path = tmp_path / "junk.jsonl"
-    trace_path.write_text("this is not a trace\n")
+    trace_path.write_text(line + "\n")
     code = main(["verify", "--config", config, "--trace", str(trace_path)])
     assert code == EXIT_MISMATCH
     assert "malformed trace" in capsys.readouterr().err
@@ -115,9 +141,10 @@ def test_missing_files_exit_3(tmp_path, capsys):
 
 def test_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text('{"node_count": 3, "mystery": true}')
-    assert main(["simulate", "--config", str(path)]) == EXIT_USAGE
-    assert "unknown config keys" in capsys.readouterr().err
+    for text in ('{"node_count": 3, "mystery": true}', '{"node_count": 3, "topology": "basic"}'):
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path)]) == EXIT_USAGE
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 # -- oracle -------------------------------------------------------------------------
@@ -162,7 +189,7 @@ def test_oracle_rejects_bad_down_lists(capsys):
 
 def test_sweep_reports_each_seed_in_order(tmp_path, capsys):
     config = write_config(tmp_path, workload={"lambda": 2.0, "threshold": 2, "intervals": 6})
-    assert main(["sweep", "--config", config, "--seeds", "3:7", "--jobs", "2"]) == EXIT_OK
+    assert main(["sweep", "--config", config, "--seeds", "3:7"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[:-1]] == [
         "seed=3", "seed=4", "seed=5", "seed=6",
