@@ -1,9 +1,12 @@
 """In-process publish/subscribe bus with data-centric QoS semantics.
 
 The bus models a software data bus: named topics, keyed instances (one
-logical stream per node for the per-node topics), durability and history
-policies, reliable in-order delivery, and deterministic dispatch. It is the
+logical stream per node for the per-node topics), reliable in-order delivery,
+and deterministic dispatch. Each topic runs one fixed QoS profile (see
+standard_qos): the arrival log is durable and keeps the last `arrivals_depth`
+samples, every other topic is volatile and keeps the last one. The bus is the
 only communication path between nodes; everything above it is event-driven.
+A subscription is named by its (subscriber, key) pair.
 
 Single-owner object with no internal locks: one bus serves one scenario, and
 scenarios run one after another.
@@ -22,18 +25,6 @@ NodeId = int
 
 class BusError(Exception):
     """Base class for bus misuse."""
-
-
-class DuplicateTopicError(BusError):
-    pass
-
-
-class UndeclaredTopicError(BusError):
-    pass
-
-
-class QosError(BusError):
-    pass
 
 
 class PayloadKindError(BusError):
@@ -108,61 +99,28 @@ class Durability(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class KeepLast:
-    """Retain the single most recent sample per key."""
-
-
-@dataclass(frozen=True, slots=True)
-class KeepN:
-    """Retain the most recent `depth` samples per key, oldest evicted."""
-
-    depth: int
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise QosError("KeepN depth must be >= 1")
-
-
-History = KeepLast | KeepN
-
-
-@dataclass(frozen=True, slots=True)
 class QosProfile:
-    """Per-topic quality-of-service settings.
+    """A topic's durability plus history KEEP_LAST(depth).
 
-    Durability and history are enforced (retention and late-joiner replay).
-    Delivery is reliable and per-publisher in order by construction: every
-    subscriber sees each sample exactly once, in publication order.
+    Each key retains its `depth` most recent samples, oldest evicted; a
+    persistent topic replays them to late subscribers, a volatile one does
+    not. Delivery is reliable and per-publisher in order by construction:
+    every subscriber sees each sample exactly once, in publication order.
     """
 
     durability: Durability
-    history: History
-
-    @property
-    def depth(self) -> int:
-        return self.history.depth if isinstance(self.history, KeepN) else 1
-
-
-def arrivals_qos(depth: int = 64) -> QosProfile:
-    return QosProfile(durability=Durability.PERSISTENT, history=KeepN(depth))
-
-
-def control_qos() -> QosProfile:
-    """Profile for the point-to-point reconfiguration topics (ORe, OSe)."""
-    return QosProfile(durability=Durability.VOLATILE, history=KeepLast())
-
-
-def status_qos() -> QosProfile:
-    """Profile for the availability topics (MyBox, OneBack)."""
-    return QosProfile(durability=Durability.VOLATILE, history=KeepLast())
+    depth: int
 
 
 def standard_qos(name: TopicName, arrivals_depth: int = 64) -> QosProfile:
+    """The one profile each topic runs.
+
+    The arrival log is durable so joiners can read it back; every other topic
+    carries current state only, so its last sample is all there is to keep.
+    """
     if name is TopicName.ARRIVALS:
-        return arrivals_qos(arrivals_depth)
-    if name in (TopicName.ORE, TopicName.OSE):
-        return control_qos()
-    return status_qos()
+        return QosProfile(Durability.PERSISTENT, arrivals_depth)
+    return QosProfile(Durability.VOLATILE, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +186,6 @@ class Sample:
     time: int  # publish tick
 
 
-@dataclass(slots=True, eq=False)
-class SubscriptionHandle:
-    subscriber: NodeId
-    key: TopicKey
-    active: bool = True
-
-
 @dataclass(frozen=True, slots=True)
 class DeliveryRecord:
     time: int
@@ -242,21 +193,11 @@ class DeliveryRecord:
     sample: Sample
 
 
-@dataclass(frozen=True, slots=True)
-class TopicDescriptor:
-    name: TopicName
-    qos: QosProfile
-
-    @property
-    def replay_enabled(self) -> bool:
-        return self.qos.durability is Durability.PERSISTENT
-
-
 Handler = Callable[[DeliveryRecord], None]
 
 
 class VirtualBus:
-    """Topic registry, retention store, and deterministic delivery queue.
+    """Fixed QoS table, retention store, and deterministic delivery queue.
 
     Dispatch removes the earliest pending delivery; ties at one tick resolve
     by (publisher, seq, subscriber), with the enqueue index as a final total
@@ -264,17 +205,19 @@ class VirtualBus:
     advance(); it never moves backwards.
     """
 
-    def __init__(self, delivery_delay: int = 0) -> None:
+    def __init__(self, delivery_delay: int = 0, arrivals_depth: int = 64) -> None:
         if delivery_delay < 0:
             raise BusError("delivery delay must be >= 0")
+        if arrivals_depth < 1:
+            raise BusError("arrivals depth must be >= 1")
         self.delivery_delay = delivery_delay
         self._now = 0
-        self._topics: dict[TopicName, TopicDescriptor] = {}
+        self._qos = {name: standard_qos(name, arrivals_depth) for name in TopicName}
         self._retained: dict[TopicKey, deque[Sample]] = {}
         self._seq: dict[tuple[NodeId, TopicKey], int] = {}
-        self._subs: dict[TopicKey, dict[NodeId, SubscriptionHandle]] = {}
+        self._subs: dict[TopicKey, set[NodeId]] = {}
         self._handlers: dict[NodeId, Handler] = {}
-        # heap entries: (due, publisher, seq, subscriber, enq, handle, sample)
+        # heap entries: (due, publisher, seq, subscriber, enq, sample)
         self._pending: list[tuple] = []
         self._enq = 0
         self.publish_counts: dict[TopicName, int] = {n: 0 for n in TopicName}
@@ -291,36 +234,9 @@ class VirtualBus:
         self._now += ticks
         return self._now
 
-    # -- topics -------------------------------------------------------------
-
-    def declare_topic(self, name: TopicName, qos: QosProfile) -> TopicDescriptor:
-        if name in self._topics:
-            raise DuplicateTopicError(f"{name.value} already declared")
-        self._check_qos(name, qos)
-        descriptor = TopicDescriptor(name, qos)
-        self._topics[name] = descriptor
-        return descriptor
-
-    def declare_standard_topics(self, arrivals_depth: int = 64) -> None:
-        for name in TopicName:
-            self.declare_topic(name, standard_qos(name, arrivals_depth))
-
-    @staticmethod
-    def _check_qos(name: TopicName, qos: QosProfile) -> None:
-        reference = standard_qos(name, arrivals_depth=qos.depth)
-        if qos != reference:
-            raise QosError(f"{name.value} does not admit QoS {qos}")
-
-    def descriptor(self, name: TopicName) -> TopicDescriptor:
-        try:
-            return self._topics[name]
-        except KeyError:
-            raise UndeclaredTopicError(f"{name.value} not declared") from None
-
     # -- publish / retention --------------------------------------------------
 
     def publish(self, publisher: NodeId, key: TopicKey, payload: Payload) -> Sample:
-        descriptor = self.descriptor(key.topic)
         if not isinstance(payload, _ALLOWED_PAYLOADS[key.topic]):
             raise PayloadKindError(
                 f"{type(payload).__name__} not allowed on {key.topic.value}"
@@ -331,60 +247,49 @@ class VirtualBus:
 
         store = self._retained.get(key)
         if store is None:
-            store = deque(maxlen=descriptor.qos.depth)
+            store = deque(maxlen=self._qos[key.topic].depth)
             self._retained[key] = store
         store.append(sample)
 
         due = self._now + self.delivery_delay
         for subscriber in sorted(self._subs.get(key, ())):
-            handle = self._subs[key][subscriber]
-            self._enqueue(due, handle, sample)
+            self._enqueue(due, subscriber, sample)
         self.publish_counts[key.topic] += 1
         return sample
 
     def retained(self, key: TopicKey) -> tuple[Sample, ...]:
-        self.descriptor(key.topic)
         return tuple(self._retained.get(key, ()))
 
     # -- subscriptions --------------------------------------------------------
 
-    def subscribe(self, subscriber: NodeId, key: TopicKey) -> SubscriptionHandle:
-        descriptor = self.descriptor(key.topic)
-        per_key = self._subs.setdefault(key, {})
-        if subscriber in per_key:
+    def subscribe(self, subscriber: NodeId, key: TopicKey) -> None:
+        subscribers = self._subs.setdefault(key, set())
+        if subscriber in subscribers:
             raise SubscriptionError(f"{subscriber} already subscribed to {key}")
-        handle = SubscriptionHandle(subscriber=subscriber, key=key)
-        per_key[subscriber] = handle
-        if descriptor.replay_enabled:
+        subscribers.add(subscriber)
+        if self._qos[key.topic].durability is Durability.PERSISTENT:
             # Late-joiner replay: the retained history, in publication order.
             # Entries keep their original publish tick as the due component,
             # so history from several publishers replays as published.
             for sample in self._retained.get(key, ()):
-                self._enqueue(sample.time, handle, sample)
-        return handle
+                self._enqueue(sample.time, subscriber, sample)
 
-    def cancel_subscription(self, handle: SubscriptionHandle) -> None:
-        if not handle.active:
-            raise SubscriptionError(f"subscription to {handle.key} already cancelled")
-        handle.active = False
-        del self._subs[handle.key][handle.subscriber]
+    def cancel_subscription(self, subscriber: NodeId, key: TopicKey) -> None:
+        try:
+            self._subs[key].remove(subscriber)
+        except KeyError:
+            raise SubscriptionError(f"{subscriber} not subscribed to {key}") from None
         # Delivery covers samples published while subscribed, unless the
         # subscription is cancelled first: drop anything still in flight.
-        survivors = [e for e in self._pending if e[5] is not handle]
+        survivors = [e for e in self._pending if e[3] != subscriber or e[5].key != key]
         if len(survivors) != len(self._pending):
             heapq.heapify(survivors)
             self._pending = survivors
 
     def subscriptions_of(self, subscriber: NodeId) -> frozenset[TopicKey]:
         return frozenset(
-            key for key, per_key in self._subs.items() if subscriber in per_key
+            key for key, subscribers in self._subs.items() if subscriber in subscribers
         )
-
-    def handle_of(self, subscriber: NodeId, key: TopicKey) -> SubscriptionHandle:
-        try:
-            return self._subs[key][subscriber]
-        except KeyError:
-            raise SubscriptionError(f"{subscriber} not subscribed to {key}") from None
 
     # -- dispatch -------------------------------------------------------------
 
@@ -406,8 +311,8 @@ class VirtualBus:
         """Deliver the earliest pending sample; None once quiescent."""
         if not self._pending:
             return None
-        due, _pub, _seq, subscriber, _enq, handle, sample = heapq.heappop(self._pending)
-        assert handle.active  # cancelled entries are purged eagerly
+        due, _pub, _seq, subscriber, _enq, sample = heapq.heappop(self._pending)
+        assert subscriber in self._subs[sample.key]  # cancelled entries are purged eagerly
         self._now = max(self._now, due)
         record = DeliveryRecord(time=self._now, subscriber=subscriber, sample=sample)
         handler = self._handlers.get(subscriber)
@@ -415,33 +320,32 @@ class VirtualBus:
             handler(record)
         return record
 
-    def _enqueue(self, due: int, handle: SubscriptionHandle, sample: Sample) -> None:
+    def _enqueue(self, due: int, subscriber: NodeId, sample: Sample) -> None:
         self._enq += 1
         heapq.heappush(
             self._pending,
-            (due, sample.publisher, sample.seq, handle.subscriber, self._enq, handle, sample),
+            (due, sample.publisher, sample.seq, subscriber, self._enq, sample),
         )
 
     # -- duplication ----------------------------------------------------------
 
     def clone(self) -> "VirtualBus":
-        """Copy of this bus at a quiescent point. Handlers are not carried."""
+        """Copy of this bus at a quiescent point. Handlers are not carried.
+
+        The QoS table is shared (it never changes); retention, sequence
+        numbers and subscriber sets are copied, so the two buses evolve
+        independently.
+        """
         if self._pending:
             raise BusError("clone requires a quiescent bus")
         other = VirtualBus(self.delivery_delay)
         other._now = self._now
         other._enq = self._enq
-        other._topics = dict(self._topics)
+        other._qos = self._qos
         other._retained = {
             key: deque(store, maxlen=store.maxlen) for key, store in self._retained.items()
         }
         other._seq = dict(self._seq)
-        other._subs = {
-            key: {
-                sub: SubscriptionHandle(subscriber=sub, key=key)
-                for sub in per_key
-            }
-            for key, per_key in self._subs.items()
-        }
+        other._subs = {key: set(subscribers) for key, subscribers in self._subs.items()}
         other.publish_counts = dict(self.publish_counts)
         return other

@@ -8,7 +8,7 @@ turns any non-terminating propagation into a hard failure instead of a hang.
 
 from __future__ import annotations
 
-from .bus import DeliveryRecord, NodeId, Payload, TopicKey, VirtualBus, mybox_key
+from .bus import DeliveryRecord, NodeId, Payload, VirtualBus, mybox_key
 from . import protocol
 from .protocol import Availability, Effects, NodeView
 
@@ -32,11 +32,9 @@ class Network:
         delivery_delay: int = 0,
         recorder=None,
     ) -> None:
-        self.bus = VirtualBus(delivery_delay)
-        self.bus.declare_standard_topics(arrivals_depth)
+        self.bus = VirtualBus(delivery_delay, arrivals_depth)
         self.recorder = recorder
         self.views: dict[NodeId, NodeView] = {}
-        self._handles: dict[tuple[NodeId, TopicKey], object] = {}
 
     # -- membership -----------------------------------------------------------
 
@@ -95,12 +93,11 @@ class Network:
             if self.recorder is not None:
                 self.recorder.publish(sample)
         for key in effects.unsubscribe:
-            handle = self._handles.pop((node, key))
-            self.bus.cancel_subscription(handle)
+            self.bus.cancel_subscription(node, key)
             if self.recorder is not None:
                 self.recorder.unsubscribe(self.bus.now, node, key)
         for key in effects.subscribe:
-            self._handles[(node, key)] = self.bus.subscribe(node, key)
+            self.bus.subscribe(node, key)
             if self.recorder is not None:
                 self.recorder.subscribe(self.bus.now, node, key)
         self.views[node] = effects.view
@@ -132,10 +129,6 @@ class Network:
         other.bus = self.bus.clone()
         other.recorder = recorder
         other.views = dict(self.views)
-        other._handles = {
-            (node, key): other.bus.handle_of(node, key)
-            for (node, key) in self._handles
-        }
         for node in other.views:
             other.bus.attach_handler(node, other._on_delivery)
         return other

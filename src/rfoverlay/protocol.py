@@ -274,6 +274,13 @@ def set_available(view: NodeView) -> Effects:
     return _effects(view, up, [(me_key, Identity(view.me))])
 
 
+def _next_available(view: NodeView, msg: Payload) -> NextAvailable:
+    """The next-available value a status message implies for its reader."""
+    if isinstance(msg, Identity):
+        return TRUST_ORE if msg.node == view.ore else Hint(msg.node)
+    return SYSTEM_EMPTY
+
+
 def on_mybox_from_ore(view: NodeView, msg: Payload) -> Effects:
     """News on the receiver's status stream: retarget, and propagate it
     backwards if we are down ourselves, so our own readers stay current.
@@ -283,14 +290,7 @@ def on_mybox_from_ore(view: NodeView, msg: Payload) -> Effects:
     never forwarded (a full wrap of the ring, or a stale claim about us).
     """
     me = view.me
-    if isinstance(msg, Identity):
-        if msg.node == view.ore:
-            new_tre: NextAvailable = TRUST_ORE
-        else:
-            new_tre = Hint(msg.node)
-    else:
-        new_tre = SYSTEM_EMPTY
-    new = replace(view, tre=new_tre)
+    new = replace(view, tre=_next_available(view, msg))
     publications: list[tuple[TopicKey, Payload]] = []
     if view.state is Availability.UNAVAILABLE and msg != Identity(me):
         value = published_hint(new)
@@ -307,11 +307,7 @@ def on_mybox_from_hint(view: NodeView, msg: Payload) -> Effects:
     """
     if not isinstance(view.tre, Hint):
         raise ProtocolError("no hint subscription in this view")
-    if isinstance(msg, Identity):
-        new_tre: NextAvailable = TRUST_ORE if msg.node == view.ore else Hint(msg.node)
-    else:
-        new_tre = SYSTEM_EMPTY
-    return _effects(view, replace(view, tre=new_tre))
+    return _effects(view, replace(view, tre=_next_available(view, msg)))
 
 
 def on_oneback(view: NodeView, msg: Payload) -> Effects:
@@ -323,8 +319,7 @@ def on_oneback(view: NodeView, msg: Payload) -> Effects:
     if msg.node == view.me:
         # Own echo; the system-empty wait continues.
         return _effects(view, view)
-    new_tre: NextAvailable = TRUST_ORE if msg.node == view.ore else Hint(msg.node)
-    new = replace(view, tre=new_tre)
+    new = replace(view, tre=_next_available(view, msg))
     publications: list[tuple[TopicKey, Payload]] = []
     if view.state is Availability.UNAVAILABLE:
         value = published_hint(new)

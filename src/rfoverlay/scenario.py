@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import IO, Any
+from typing import IO, Any, Mapping
 
 from .bus import Identity, NodeId, Payload, TopicName
 from .metrics import Metrics, compute_metrics
@@ -159,26 +159,37 @@ def ring_of(net: Network) -> RingModel:
     return RingModel.from_states(nodes, {n: net.views[n].state for n in nodes})
 
 
-def oracle_mismatches(net: Network) -> list[tuple[NodeId, str, str, str]]:
-    """Compare a quiescent network against the all-seeing computation.
+def _oracle_compare(
+    ring: RingModel,
+    tre: Mapping[NodeId, NextAvailable],
+    mybox: Mapping[NodeId, Payload | None],
+) -> list[tuple[NodeId, str, str, str]]:
+    """Every (node, field, expected, observed) where observed state on `ring`
+    disagrees with the all-seeing computation.
 
-    A node that never published on its status stream has never toggled, so
-    its settled value is its own identity.
+    A node with no `mybox` value never published on its status stream: it
+    has never toggled, so its settled value is its own identity.
     """
-    ring = ring_of(net)
     expected = basic_tst(ring)
     mismatches: list[tuple[NodeId, str, str, str]] = []
     for node in ring.nodes:
-        observed: NextAvailable = net.views[node].tre
-        if observed != expected[node]:
-            mismatches.append((node, "tre", repr(expected[node]), repr(observed)))
+        seen = tre.get(node)
+        if seen != expected[node]:
+            mismatches.append((node, "tre", repr(expected[node]), repr(seen)))
         want = mybox_fixpoint(ring, node)
-        got: Payload | None = net.last_mybox_value(node)
+        got = mybox.get(node)
         if got is None:
             got = Identity(node)
         if got != want:
             mismatches.append((node, "mybox", repr(want), repr(got)))
     return mismatches
+
+
+def oracle_mismatches(net: Network) -> list[tuple[NodeId, str, str, str]]:
+    """Compare a quiescent network against the all-seeing computation."""
+    tre = {node: view.tre for node, view in net.views.items()}
+    mybox = {node: net.last_mybox_value(node) for node in net.views}
+    return _oracle_compare(ring_of(net), tre, mybox)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +292,9 @@ class VerifyReport:
         return not self.mismatches
 
 
+_TOPICS = frozenset(name.value for name in TopicName)
+
+
 class _Replay:
     """Streaming reconstruction of a run from its trace (toggles excepted)."""
 
@@ -314,6 +328,8 @@ class _Replay:
                 payload_obj = event.detail["payload"]
             except (KeyError, TypeError) as exc:
                 raise TraceError(f"bad publish detail {event.detail!r}") from exc
+            if not (isinstance(topic, str) and topic in _TOPICS):
+                raise TraceError(f"unknown topic {topic!r} in trace")
             if topic == TopicName.MYBOX.value:
                 self.mybox[node] = payload_from_obj(payload_obj)
 
@@ -349,18 +365,8 @@ def verify_trace(
             raise TraceError(
                 f"interval {interval}: trace availability diverges from the schedule"
             )
-        ring = replay.ring(vector)
-        expected = basic_tst(ring)
-        for node in ring.nodes:
-            seen = replay.tre.get(node)
-            if seen != expected[node]:
-                mismatches.append(
-                    Mismatch(interval, node, "tre", repr(expected[node]), repr(seen))
-                )
-            want = mybox_fixpoint(ring, node)
-            got = replay.mybox.get(node, Identity(node))
-            if got != want:
-                mismatches.append(Mismatch(interval, node, "mybox", repr(want), repr(got)))
+        for found in _oracle_compare(replay.ring(vector), replay.tre, replay.mybox):
+            mismatches.append(Mismatch(interval, *found))
 
     last_time = 0
     current_interval = -1

@@ -87,18 +87,25 @@ def payload_to_obj(payload: Payload) -> dict:
     return {"type": "null"}
 
 
+def _int(value: object) -> int:
+    """A JSON integer as it stands: no coercion of bools, floats or strings."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
 def payload_from_obj(obj: dict) -> Payload:
     try:
         kind = obj["type"]
         if kind == "identity":
-            return Identity(int(obj["node"]))
+            return Identity(_int(obj["node"]))
         if kind == "join_record":
-            return JoinRecord(int(obj["node"]))
+            return JoinRecord(_int(obj["node"]))
         if kind == "ost_update":
-            return OStUpdate(OStRole(obj["role"]), int(obj["who"]))
+            return OStUpdate(OStRole(obj["role"]), _int(obj["who"]))
         if kind == "null":
             return NULL
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"bad payload object {obj!r}") from exc
     raise TraceError(f"bad payload object {obj!r}")
 
@@ -122,12 +129,12 @@ def tre_from_obj(obj: dict) -> NextAvailable:
     try:
         kind = obj["kind"]
         if kind == "hint":
-            return Hint(int(obj["node"]))
+            return Hint(_int(obj["node"]))
         if kind == "trust_ore":
             return TRUST_ORE
         if kind == "system_empty":
             return SYSTEM_EMPTY
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"bad tre object {obj!r}") from exc
     raise TraceError(f"bad tre object {obj!r}")
 
@@ -150,9 +157,9 @@ def parse_toggle(event: TraceEvent, last_interval: int) -> tuple[int, Availabili
     first); toggle intervals must not go backwards.
     """
     try:
-        interval = int(event.detail["interval"])
+        interval = _int(event.detail["interval"])
         to_state = Availability(event.detail["to"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"bad toggle detail {event.detail!r}") from exc
     if interval < last_interval:
         raise TraceError("toggle intervals must not go backwards")
@@ -232,9 +239,9 @@ def event_from_json(line: str) -> TraceEvent:
     if not isinstance(obj["detail"], dict):
         raise TraceError(f"trace line detail is not a record: {line!r}")
     try:
-        time = int(obj["time"])
-        node = obj["node"] if obj["node"] is None else int(obj["node"])
-    except (TypeError, ValueError, OverflowError) as exc:
+        time = _int(obj["time"])
+        node = obj["node"] if obj["node"] is None else _int(obj["node"])
+    except TypeError as exc:
         raise TraceError(f"bad time or node in trace line: {line!r}") from exc
     return TraceEvent(time=time, kind=obj["kind"], node=node, detail=obj["detail"])
 

@@ -1,4 +1,4 @@
-"""Bus behavior: declaration, retention, replay, ordering, cancellation."""
+"""Bus behavior: the QoS table, retention, replay, ordering, cancellation."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,35 +6,26 @@ from hypothesis import strategies as st
 
 from rfoverlay.bus import (
     NULL,
-    DuplicateTopicError,
     Identity,
     JoinRecord,
-    KeepLast,
     PayloadKindError,
-    QosError,
     QosProfile,
     SubscriptionError,
     TopicKey,
     TopicName,
-    UndeclaredTopicError,
     VirtualBus,
     arrivals_key,
-    arrivals_qos,
-    control_qos,
     mybox_key,
     oneback_key,
     ore_key,
     standard_qos,
-    status_qos,
     BusError,
     Durability,
 )
 
 
 def fresh_bus(arrivals_depth: int = 8, delay: int = 0) -> VirtualBus:
-    bus = VirtualBus(delivery_delay=delay)
-    bus.declare_standard_topics(arrivals_depth=arrivals_depth)
-    return bus
+    return VirtualBus(delivery_delay=delay, arrivals_depth=arrivals_depth)
 
 
 def drain(bus: VirtualBus) -> list:
@@ -63,35 +54,21 @@ def test_keyed_topics_require_instances():
     assert str(arrivals_key()) == "Arrivals"
 
 
-# -- declaration ---------------------------------------------------------
+# -- QoS table -------------------------------------------------------------
 
 
-def test_declare_twice_is_an_error():
-    bus = VirtualBus()
-    bus.declare_topic(TopicName.MYBOX, status_qos())
-    with pytest.raises(DuplicateTopicError):
-        bus.declare_topic(TopicName.MYBOX, status_qos())
-
-
-def test_publish_requires_declaration():
-    bus = VirtualBus()
-    with pytest.raises(UndeclaredTopicError):
-        bus.publish(0, mybox_key(0), Identity(0))
-    with pytest.raises(UndeclaredTopicError):
-        bus.subscribe(0, mybox_key(0))
-
-
-def test_topic_qos_is_pinned():
-    """Each topic admits exactly one profile shape."""
-    bus = VirtualBus()
-    with pytest.raises(QosError):
-        bus.declare_topic(TopicName.ARRIVALS, status_qos())
-    with pytest.raises(QosError):
-        bus.declare_topic(TopicName.MYBOX, arrivals_qos(4))
-    with pytest.raises(QosError):
-        bus.declare_topic(TopicName.ORE, arrivals_qos(4))
-    volatile_deep = QosProfile(durability=Durability.VOLATILE, history=KeepLast())
-    assert standard_qos(TopicName.MYBOX) == volatile_deep
+def test_standard_qos_table():
+    """The arrival log alone is durable and deep; the rest keep one sample."""
+    assert {name: standard_qos(name, arrivals_depth=5) for name in TopicName} == {
+        TopicName.ARRIVALS: QosProfile(Durability.PERSISTENT, 5),
+        TopicName.ORE: QosProfile(Durability.VOLATILE, 1),
+        TopicName.OSE: QosProfile(Durability.VOLATILE, 1),
+        TopicName.MYBOX: QosProfile(Durability.VOLATILE, 1),
+        TopicName.ONEBACK: QosProfile(Durability.VOLATILE, 1),
+    }
+    assert standard_qos(TopicName.ARRIVALS) == QosProfile(Durability.PERSISTENT, 64)
+    with pytest.raises(BusError):
+        VirtualBus(arrivals_depth=0)
 
 
 def test_payload_kinds_are_checked():
@@ -250,21 +227,24 @@ def test_duplicate_subscription_is_an_error():
 
 def test_cancel_purges_in_flight_deliveries():
     bus = fresh_bus()
-    handle = bus.subscribe(1, mybox_key(0))
+    bus.subscribe(1, mybox_key(0))
+    bus.subscribe(1, mybox_key(3))
     bus.subscribe(2, mybox_key(0))
     bus.publish(0, mybox_key(0), Identity(0))
-    bus.cancel_subscription(handle)
-    assert [r.subscriber for r in drain(bus)] == [2]
+    bus.publish(3, mybox_key(3), Identity(3))
+    bus.cancel_subscription(1, mybox_key(0))
+    delivered = [(r.subscriber, r.sample.key) for r in drain(bus)]
+    assert delivered == [(2, mybox_key(0)), (1, mybox_key(3))]
     with pytest.raises(SubscriptionError):
-        bus.cancel_subscription(handle)
+        bus.cancel_subscription(1, mybox_key(0))
 
 
 def test_subscriptions_of_reports_the_live_set():
     bus = fresh_bus()
     bus.subscribe(1, mybox_key(0))
-    handle = bus.subscribe(1, oneback_key())
+    bus.subscribe(1, oneback_key())
     assert bus.subscriptions_of(1) == frozenset({mybox_key(0), oneback_key()})
-    bus.cancel_subscription(handle)
+    bus.cancel_subscription(1, oneback_key())
     assert bus.subscriptions_of(1) == frozenset({mybox_key(0)})
 
 
@@ -309,15 +289,18 @@ def test_clone_requires_quiescence():
         bus.clone()
 
 
-def test_clone_carries_state_but_not_handles():
+def test_clone_carries_state():
     bus = fresh_bus()
-    handle = bus.subscribe(1, mybox_key(0))
+    bus.subscribe(1, mybox_key(0))
     bus.publish(0, mybox_key(0), Identity(0))
     drain(bus)
     twin = bus.clone()
     assert twin.retained(mybox_key(0)) == bus.retained(mybox_key(0))
     assert twin.subscriptions_of(1) == bus.subscriptions_of(1)
-    assert twin.handle_of(1, mybox_key(0)) is not handle
+    # the twin's subscriber sets are its own
+    twin.cancel_subscription(1, mybox_key(0))
+    assert twin.subscriptions_of(1) == frozenset()
+    assert bus.subscriptions_of(1) == frozenset({mybox_key(0)})
     # sequence numbering continues rather than restarting
     sample = twin.publish(0, mybox_key(0), NULL)
     assert sample.seq == 2

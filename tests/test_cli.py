@@ -115,6 +115,62 @@ def test_verify_rejects_garbage(tmp_path, capsys, line):
     assert "malformed trace" in capsys.readouterr().err
 
 
+def _first(events, kind, match=lambda event: True):
+    return next(e for e in events if e["kind"] == kind and match(e))
+
+
+def _hint_view(event):
+    return event["detail"]["view"]["tre"]["kind"] == "hint"
+
+
+def _identity_publish(event):
+    return event["detail"]["payload"]["type"] == "identity"
+
+
+def _ose_publish(event):
+    return event["detail"]["key"]["topic"] == "OSe"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda events: events[0].update(time=True),
+        lambda events: events[0].update(time="1"),
+        lambda events: events[0].update(time=1.9),
+        lambda events: events[0].update(node=0.0),
+        lambda events: _first(events, "ViewChange", _hint_view)["detail"]["view"]["tre"].update(
+            node="2"
+        ),
+        lambda events: _first(events, "Toggle")["detail"].update(interval="1"),
+        lambda events: _first(events, "Publish", _identity_publish)["detail"]["payload"].update(
+            node="2"
+        ),
+        lambda events: _first(events, "Publish", _ose_publish)["detail"]["key"].update(
+            topic="Bogus"
+        ),
+    ],
+    ids=[
+        "time-bool", "time-string", "time-float", "node-float",
+        "hint-node-string", "toggle-interval-string", "identity-node-string", "unknown-topic",
+    ],
+)
+def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
+    # A full trace with one field edited: JSON values are taken as they stand,
+    # never coerced, and every Publish names a real topic.
+    config = write_config(tmp_path)
+    trace_path = tmp_path / "run.jsonl"
+    main(["simulate", "--config", config, "--trace", str(trace_path)])
+    capsys.readouterr()
+
+    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    edit(events)
+    trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
+
+    code = main(["verify", "--config", config, "--trace", str(trace_path)])
+    assert code == EXIT_MISMATCH
+    assert "malformed trace:" in capsys.readouterr().err
+
+
 # -- exit codes -------------------------------------------------------------------
 
 
