@@ -82,8 +82,10 @@ class NodeView:
 
     last_mybox is the most recent value published on this node's own status
     stream (None before the first publication); it backs the republication
-    guard. join_seen buffers the arrival log during the insertion handshake
-    and is None once the node holds its ring position.
+    guard. joining is True from the arrival announcement until the node holds
+    its ring position. predecessor is the node of the latest arrival record
+    replayed before our own, the insertion point; it is None before the first
+    such record and once the join completes.
     """
 
     me: NodeId
@@ -92,11 +94,8 @@ class NodeView:
     tre: NextAvailable
     state: Availability
     last_mybox: Payload | None = None
-    join_seen: tuple[NodeId, ...] | None = None
-
-    @property
-    def joining(self) -> bool:
-        return self.join_seen is not None
+    joining: bool = False
+    predecessor: NodeId | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,6 +152,9 @@ def _effects(
     for key, payload in pubs:
         if key.topic is TopicName.MYBOX and key.instance == old.me:
             new = replace(new, last_mybox=payload)
+    if old.joining == new.joining and old.ore == new.ore and old.tre == new.tre:
+        # subscriptions() reads only these fields and `me`, which never changes.
+        return Effects(view=new, publications=pubs)
     before = subscriptions(old)
     after = subscriptions(new)
     return Effects(
@@ -172,7 +174,8 @@ def join(me: NodeId) -> Effects:
 
     The announcement precedes the subscription on purpose: the durable
     arrival history then replays including our own record, and the record
-    right before ours names the insertion point.
+    right before ours names the insertion point. The view keeps only that
+    one record's node (`predecessor`), never the replayed log.
     """
     if me < 0:
         raise ProtocolError("node ids are non-negative")
@@ -182,7 +185,7 @@ def join(me: NodeId) -> Effects:
         ore=me,
         tre=TRUST_ORE,
         state=Availability.AVAILABLE,
-        join_seen=(),
+        joining=True,
     )
     return Effects(
         view=view,
@@ -196,11 +199,16 @@ def _on_arrivals(view: NodeView, payload: JoinRecord) -> Effects:
         return _effects(view, view)
     who = payload.node
     if who != view.me:
-        return _effects(view, replace(view, join_seen=view.join_seen + (who,)))
-    if not view.join_seen:
+        # The replayed log is O(m) records long, so each record costs O(1):
+        # it only moves the insertion point, the view is built by its
+        # constructor (dataclasses.replace takes about twice as long), and
+        # _effects skips the subscription diff.
+        new = NodeView(view.me, view.ose, view.ore, view.tre, view.state, view.last_mybox, True, who)
+        return _effects(view, new)
+    predecessor = view.predecessor
+    if predecessor is None:
         # First node in: a ring of one.
-        return _effects(view, replace(view, ose=view.me, ore=view.me, join_seen=None))
-    predecessor = view.join_seen[-1]
+        return _effects(view, replace(view, ose=view.me, ore=view.me, joining=False))
     # The predecessor is our sender; its answer on OSe_me completes the join.
     new = replace(view, ose=predecessor)
     return _effects(view, new, [(ore_key(predecessor), OStUpdate(OStRole.NEW_ORE, view.me))])
@@ -229,7 +237,7 @@ def handle_new_ore(view: NodeView, msg: OStUpdate) -> Effects:
 def handle_ose_update(view: NodeView, msg: OStUpdate) -> Effects:
     """Ring rewiring addressed to us: adopt the new receiver or sender."""
     if msg.role is OStRole.NEW_ORE:
-        new = replace(view, ore=msg.who, tre=TRUST_ORE, join_seen=None)
+        new = replace(view, ore=msg.who, tre=TRUST_ORE, joining=False, predecessor=None)
         return _effects(view, new)
     return _effects(view, replace(view, ose=msg.who))
 

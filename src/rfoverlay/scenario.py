@@ -324,13 +324,18 @@ class _Replay:
         elif event.kind == KIND_PUBLISH:
             node = self._node(event)
             try:
-                topic = event.detail["key"]["topic"]
+                key = event.detail["key"]
+                topic = key["topic"]
                 payload_obj = event.detail["payload"]
             except (KeyError, TypeError) as exc:
                 raise TraceError(f"bad publish detail {event.detail!r}") from exc
             if not (isinstance(topic, str) and topic in _TOPICS):
                 raise TraceError(f"unknown topic {topic!r} in trace")
             if topic == TopicName.MYBOX.value:
+                # A node publishes only on its own status stream.
+                instance = key.get("instance")
+                if not (type(instance) is int and instance == node):
+                    raise TraceError(f"{node} published on MyBox instance {instance!r}")
                 self.mybox[node] = payload_from_obj(payload_obj)
 
     def _node(self, event) -> NodeId:

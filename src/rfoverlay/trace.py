@@ -221,9 +221,14 @@ class TraceRecorder:
 # Serialization
 
 
+# One encoder for every line: json.dumps with non-default separators builds a
+# new JSONEncoder on each call.
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def event_to_json(event: TraceEvent) -> str:
     obj = {"time": event.time, "kind": event.kind, "node": event.node, "detail": event.detail}
-    return json.dumps(obj, separators=(",", ":"))
+    return _LINE_ENCODER.encode(obj)
 
 
 def event_from_json(line: str) -> TraceEvent:

@@ -131,6 +131,11 @@ def _ose_publish(event):
     return event["detail"]["key"]["topic"] == "OSe"
 
 
+def _move_first_mybox_publish(events):
+    event = _first(events, "Publish", lambda e: e["detail"]["key"]["topic"] == "MyBox")
+    event["detail"]["key"]["instance"] = event["node"] + 1
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -148,15 +153,18 @@ def _ose_publish(event):
         lambda events: _first(events, "Publish", _ose_publish)["detail"]["key"].update(
             topic="Bogus"
         ),
+        _move_first_mybox_publish,
     ],
     ids=[
         "time-bool", "time-string", "time-float", "node-float",
         "hint-node-string", "toggle-interval-string", "identity-node-string", "unknown-topic",
+        "mybox-instance-not-publisher",
     ],
 )
 def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
     # A full trace with one field edited: JSON values are taken as they stand,
-    # never coerced, and every Publish names a real topic.
+    # never coerced, every Publish names a real topic, and a MyBox publish is
+    # on its publisher's own instance.
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
     main(["simulate", "--config", config, "--trace", str(trace_path)])

@@ -2,10 +2,16 @@
 
 import io
 import json
+from collections.abc import Sized
+from dataclasses import fields
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rfoverlay
+from rfoverlay import protocol
 from rfoverlay.bus import NULL, Identity, TopicName
 from rfoverlay.metrics import SETUP_INTERVAL, compute_metrics, render_metrics
 from rfoverlay.network import DISPATCH_BUDGET_FACTOR, JoinError, Network, QuiescenceError
@@ -101,6 +107,87 @@ def test_rejoining_is_an_error():
 
 def test_subscription_invariant_after_joins():
     joined_network(7).check_subscription_invariant()
+
+
+def test_join_phase_work_is_linear_in_the_node_count():
+    """Replaying the arrival log costs O(1) per record: joining m nodes calls
+    subscriptions() O(m) times, not once or twice per replayed record
+    (about m^2), and a joiner's view holds nothing that grows per record."""
+    size = 64
+    calls = 0
+    joiner_views = []
+    subscriptions = protocol.subscriptions
+    handle_delivery = protocol.handle_delivery
+
+    def counting_subscriptions(view):
+        nonlocal calls
+        calls += 1
+        return subscriptions(view)
+
+    def keeping_joiner_views(view, sample):
+        effects = handle_delivery(view, sample)
+        if effects.view.joining:
+            joiner_views.append(effects.view)
+        return effects
+
+    with (
+        mock.patch.object(protocol, "subscriptions", counting_subscriptions),
+        mock.patch.object(protocol, "handle_delivery", keeping_joiner_views),
+    ):
+        joined_network(size)
+    assert calls <= 8 * size
+    assert len(joiner_views) >= size * (size - 1) // 2  # every replayed record
+    for view in joiner_views:
+        assert not [f.name for f in fields(view) if isinstance(getattr(view, f.name), Sized)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 7),
+    delay=st.integers(0, 3),
+    batches=st.lists(
+        st.tuples(st.booleans(), st.sets(st.integers(0, 6), min_size=1)), max_size=6
+    ),
+)
+def test_subscription_changes_are_the_exact_diff(size, delay, batches):
+    """Every handler's subscribe/unsubscribe lists are exactly the difference
+    of the derived subscription sets, also where _effects skips computing it;
+    joins, serialized and interleaved toggle batches, with delivery delays."""
+
+    def exact(handler):
+        def checked(view, *args):
+            effects = handler(view, *args)
+            before = protocol.subscriptions(view)
+            after = protocol.subscriptions(effects.view)
+            assert sorted(map(str, effects.subscribe)) == sorted(map(str, after - before))
+            assert sorted(map(str, effects.unsubscribe)) == sorted(map(str, before - after))
+            return effects
+
+        return checked
+
+    with (
+        mock.patch.object(protocol, "handle_delivery", exact(protocol.handle_delivery)),
+        mock.patch.object(protocol, "set_available", exact(protocol.set_available)),
+        mock.patch.object(protocol, "set_unavailable", exact(protocol.set_unavailable)),
+    ):
+        net = Network(delivery_delay=delay)
+        for node in range(size):
+            net.bus.advance()
+            net.add_node(node)
+            net.dispatch_to_quiescence()
+            net.check_subscription_invariant()
+        for serialized, flips in batches:
+            net.bus.advance()
+            for node in sorted(n for n in flips if n < size):
+                flip = AVAILABLE if net.views[node].state is UNAVAILABLE else UNAVAILABLE
+                if serialized:
+                    net.bus.advance()
+                net.toggle(node, flip)
+                if serialized:
+                    net.dispatch_to_quiescence()
+                    net.check_subscription_invariant()
+            net.dispatch_to_quiescence()
+            net.check_subscription_invariant()
 
 
 # -- serialized toggles ------------------------------------------------------------
