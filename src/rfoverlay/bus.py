@@ -3,10 +3,11 @@
 The bus models a software data bus: named topics, keyed instances (one
 logical stream per node for the per-node topics), reliable in-order delivery,
 and deterministic dispatch. Each topic runs one fixed QoS profile (see
-standard_qos): the arrival log is durable and keeps the last `arrivals_depth`
-samples, every other topic is volatile and keeps the last one. The bus is the
-only communication path between nodes; everything above it is event-driven.
-A subscription is named by its (subscriber, key) pair.
+standard_qos): the arrival log is durable, keeps the last `arrivals_depth`
+samples and replays the last two of them to a late subscriber; every other
+topic is volatile and keeps the last one. The bus is the only communication
+path between nodes; everything above it is event-driven. A subscription is
+named by its (subscriber, key) pair.
 
 Single-owner object with no internal locks: one bus serves one scenario, and
 scenarios run one after another.
@@ -100,26 +101,30 @@ class Durability(Enum):
 
 @dataclass(frozen=True, slots=True)
 class QosProfile:
-    """A topic's durability plus history KEEP_LAST(depth).
+    """A topic's durability plus writer- and reader-side history KEEP_LAST.
 
     Each key retains its `depth` most recent samples, oldest evicted; a
-    persistent topic replays them to late subscribers, a volatile one does
-    not. Delivery is reliable and per-publisher in order by construction:
-    every subscriber sees each sample exactly once, in publication order.
+    persistent topic replays the last `reader_depth` of them to a late
+    subscriber, a volatile one replays nothing. Delivery is reliable and
+    per-publisher in order by construction: every subscriber sees each sample
+    published while it is subscribed exactly once, in publication order.
     """
 
     durability: Durability
     depth: int
+    reader_depth: int = 1
 
 
 def standard_qos(name: TopicName, arrivals_depth: int = 64) -> QosProfile:
     """The one profile each topic runs.
 
-    The arrival log is durable so joiners can read it back; every other topic
-    carries current state only, so its last sample is all there is to keep.
+    The arrival log is durable so joiners can read it back. A joiner reads
+    only the last two records, its predecessor's and its own, so that is all
+    it is replayed. Every other topic carries current state only, so its last
+    sample is all there is to keep.
     """
     if name is TopicName.ARRIVALS:
-        return QosProfile(Durability.PERSISTENT, arrivals_depth)
+        return QosProfile(Durability.PERSISTENT, arrivals_depth, reader_depth=2)
     return QosProfile(Durability.VOLATILE, 1)
 
 
@@ -267,11 +272,15 @@ class VirtualBus:
         if subscriber in subscribers:
             raise SubscriptionError(f"{subscriber} already subscribed to {key}")
         subscribers.add(subscriber)
-        if self._qos[key.topic].durability is Durability.PERSISTENT:
-            # Late-joiner replay: the retained history, in publication order.
-            # Entries keep their original publish tick as the due component,
-            # so history from several publishers replays as published.
-            for sample in self._retained.get(key, ()):
+        qos = self._qos[key.topic]
+        if qos.durability is Durability.PERSISTENT:
+            # Late-joiner replay: the last reader_depth retained samples, in
+            # publication order. Entries keep their original publish tick as
+            # the due component, so history from several publishers replays
+            # as published. Indexing from the end keeps this O(reader_depth).
+            store = self._retained.get(key, ())
+            for index in range(-min(len(store), qos.reader_depth), 0):
+                sample = store[index]
                 self._enqueue(sample.time, subscriber, sample)
 
     def cancel_subscription(self, subscriber: NodeId, key: TopicKey) -> None:

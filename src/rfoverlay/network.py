@@ -11,6 +11,7 @@ from __future__ import annotations
 from .bus import DeliveryRecord, NodeId, Payload, VirtualBus, mybox_key
 from . import protocol
 from .protocol import Availability, Effects, NodeView
+from .trace import traced_view_fields
 
 DISPATCH_BUDGET_FACTOR = 64
 
@@ -20,7 +21,7 @@ class QuiescenceError(RuntimeError):
 
 
 class JoinError(RuntimeError):
-    """A node's insertion handshake did not complete."""
+    """A node's insertion handshake did not complete, or could not start."""
 
 
 class Network:
@@ -35,13 +36,27 @@ class Network:
         self.bus = VirtualBus(delivery_delay, arrivals_depth)
         self.recorder = recorder
         self.views: dict[NodeId, NodeView] = {}
+        self._last_join: tuple[NodeId, int] | None = None  # (joiner, tick)
 
     # -- membership -----------------------------------------------------------
 
     def add_node(self, node: NodeId) -> None:
-        """Start a join. Dispatch to quiescence to let the handshake finish."""
+        """Start a join. Dispatch to quiescence to let the handshake finish.
+
+        Joins are serialized: a joiner is replayed only the last two arrival
+        records, which are its predecessor's and its own only if the previous
+        join has completed and was announced at an earlier tick (replay ties
+        at one tick resolve by publisher id, not by arrival order).
+        """
         if node in self.views:
             raise JoinError(f"{node} already joined")
+        if self._last_join is not None:
+            last, tick = self._last_join
+            if self.views[last].joining:
+                raise JoinError(f"{node} cannot join while {last} is still joining")
+            if tick == self.bus.now:
+                raise JoinError(f"{node} cannot join at tick {tick}: {last} arrived then")
+        self._last_join = (node, self.bus.now)
         self.bus.attach_handler(node, self._on_delivery)
         self.views[node] = None  # placeholder until the join effects land
         self._apply(node, protocol.join(node))
@@ -100,9 +115,14 @@ class Network:
             self.bus.subscribe(node, key)
             if self.recorder is not None:
                 self.recorder.subscribe(self.bus.now, node, key)
-        self.views[node] = effects.view
-        if effects.view != old and self.recorder is not None:
-            self.recorder.view_change(self.bus.now, node, effects.view)
+        new = effects.view
+        self.views[node] = new
+        # A change to a field the trace does not write (predecessor,
+        # last_mybox) would give a line equal to the node's previous one.
+        if self.recorder is not None and (
+            old is None or traced_view_fields(new) != traced_view_fields(old)
+        ):
+            self.recorder.view_change(self.bus.now, node, new)
 
     # -- inspection -----------------------------------------------------------
 
@@ -129,6 +149,7 @@ class Network:
         other.bus = self.bus.clone()
         other.recorder = recorder
         other.views = dict(self.views)
+        other._last_join = self._last_join
         for node in other.views:
             other.bus.attach_handler(node, other._on_delivery)
         return other

@@ -199,10 +199,11 @@ def _on_arrivals(view: NodeView, payload: JoinRecord) -> Effects:
         return _effects(view, view)
     who = payload.node
     if who != view.me:
-        # The replayed log is O(m) records long, so each record costs O(1):
-        # it only moves the insertion point, the view is built by its
-        # constructor (dataclasses.replace takes about twice as long), and
-        # _effects skips the subscription diff.
+        # A record before our own costs O(1): it only moves the insertion
+        # point, the view is built by its constructor (dataclasses.replace
+        # takes about twice as long), and _effects skips the subscription
+        # diff. The bus replays the last two records, so under serialized
+        # joins this runs once per join.
         new = NodeView(view.me, view.ose, view.ore, view.tre, view.state, view.last_mybox, True, who)
         return _effects(view, new)
     predecessor = view.predecessor

@@ -155,7 +155,8 @@ def config_with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
 
 
 def ring_of(net: Network) -> RingModel:
-    nodes = tuple(sorted(net.views))
+    """The arrival-order ring: `views` keeps add_node order."""
+    nodes = tuple(net.views)
     return RingModel.from_states(nodes, {n: net.views[n].state for n in nodes})
 
 

@@ -150,6 +150,11 @@ def view_to_obj(view: NodeView) -> dict:
     }
 
 
+def traced_view_fields(view: NodeView) -> tuple:
+    """The fields view_to_obj writes, but `me`, which never changes."""
+    return (view.ose, view.ore, view.tre, view.state, view.joining)
+
+
 def parse_toggle(event: TraceEvent, last_interval: int) -> tuple[int, Availability]:
     """The interval and target state of a toggle event.
 

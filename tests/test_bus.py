@@ -58,15 +58,16 @@ def test_keyed_topics_require_instances():
 
 
 def test_standard_qos_table():
-    """The arrival log alone is durable and deep; the rest keep one sample."""
+    """The arrival log alone is durable and deep, and replays its last two
+    samples (a joiner's predecessor and itself); the rest keep one sample."""
     assert {name: standard_qos(name, arrivals_depth=5) for name in TopicName} == {
-        TopicName.ARRIVALS: QosProfile(Durability.PERSISTENT, 5),
+        TopicName.ARRIVALS: QosProfile(Durability.PERSISTENT, 5, reader_depth=2),
         TopicName.ORE: QosProfile(Durability.VOLATILE, 1),
         TopicName.OSE: QosProfile(Durability.VOLATILE, 1),
         TopicName.MYBOX: QosProfile(Durability.VOLATILE, 1),
         TopicName.ONEBACK: QosProfile(Durability.VOLATILE, 1),
     }
-    assert standard_qos(TopicName.ARRIVALS) == QosProfile(Durability.PERSISTENT, 64)
+    assert standard_qos(TopicName.ARRIVALS) == QosProfile(Durability.PERSISTENT, 64, reader_depth=2)
     with pytest.raises(BusError):
         VirtualBus(arrivals_depth=0)
 
@@ -119,7 +120,8 @@ def test_durable_history_replays_to_late_joiners():
         bus.publish(node, arrivals_key(), JoinRecord(node))
     bus.subscribe(9, arrivals_key())
     got = [r.sample.payload.node for r in drain(bus)]
-    assert got == [0, 1, 2]
+    assert got == [1, 2]  # the reader keeps the last two
+    assert [s.payload.node for s in bus.retained(arrivals_key())] == [0, 1, 2]
 
 
 def test_replay_preserves_publication_order_across_publishers():
@@ -148,7 +150,8 @@ def test_replay_length_is_min_of_history_and_depth(published, depth):
         bus.publish(node, arrivals_key(), JoinRecord(node))
     bus.subscribe(99, arrivals_key())
     got = [r.sample.payload.node for r in drain(bus)]
-    assert got == list(range(published))[-depth:]
+    # The writer keeps `depth` records; the reader keeps the last two of them.
+    assert got == list(range(published))[-min(depth, 2):]
 
 
 # -- dispatch order ------------------------------------------------------------

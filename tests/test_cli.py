@@ -63,11 +63,11 @@ def test_simulate_trace_is_pinned_across_commits(tmp_path, capsys):
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
     assert main(["simulate", "--config", config, "--trace", str(trace_path)]) == EXIT_OK
-    assert "wrote trace: " + str(trace_path) + " (387 events)" in capsys.readouterr().out
+    assert "wrote trace: " + str(trace_path) + " (359 events)" in capsys.readouterr().out
     data = trace_path.read_bytes()
-    assert data.count(b"\n") == 387
+    assert data.count(b"\n") == 359
     assert hashlib.sha256(data).hexdigest() == (
-        "d07e7c2bb377af5b5ee408bfc9cb1eeb8a78456edd1de84a4ed82fade59aa826"
+        "1c1c64e1aebbb3e014eafca38c7dd3e0044096323c6588fb31d33a906b32f75c"
     )
 
 

@@ -28,6 +28,8 @@ from rfoverlay.scenario import (
     verify_trace,
 )
 from rfoverlay.trace import (
+    KIND_DELIVER,
+    KIND_VIEW_CHANGE,
     TraceError,
     TraceEvent,
     TraceRecorder,
@@ -105,16 +107,113 @@ def test_rejoining_is_an_error():
         net.add_node(1)
 
 
+def test_overlapping_joins_are_refused():
+    """A joiner is replayed the last two arrival records, which are
+    [predecessor, self] only if the previous join has completed."""
+    net = joined_network(3)
+    net.bus.advance()
+    net.add_node(7)
+    net.bus.advance()
+    with pytest.raises(JoinError, match="still joining"):
+        net.add_node(3)
+    assert list(net.views) == [0, 1, 2, 7]
+    net.dispatch_to_quiescence()
+    net.bus.advance()
+    net.add_node(3)
+    net.dispatch_to_quiescence()
+    assert ring_order(net) == [0, 1, 2, 7, 3]
+    assert oracle_mismatches(net) == []
+
+
+def test_same_tick_joins_are_refused():
+    """Replay ties at one tick resolve by publisher id, not by arrival order,
+    so a second arrival at the tick of the previous one is refused; a clone
+    remembers the last arrival too."""
+    net = joined_network(2)
+    net.bus.advance()
+    net.add_node(5)
+    net.dispatch_to_quiescence()
+    for candidate in (net, net.clone()):
+        with pytest.raises(JoinError, match="arrived then"):
+            candidate.add_node(4)
+        assert list(candidate.views) == [0, 1, 5]
+    net.bus.advance()
+    net.add_node(4)
+    net.dispatch_to_quiescence()
+    assert ring_order(net) == [0, 1, 5, 4]
+
+
+def test_oracle_judges_the_arrival_order_ring():
+    net = Network()
+    for node in (0, 1, 2, 5, 4):
+        net.bus.advance()
+        net.add_node(node)
+        net.dispatch_to_quiescence()
+    toggle_settled(net, 4, UNAVAILABLE)
+    assert net.views[5].tre == Hint(0)
+    assert oracle_mismatches(net) == []
+
+
+def ring_order(net: Network) -> list[int]:
+    """The first len(views) nodes in receiver order from the first joiner,
+    then that node again if the ring closes."""
+    node = next(iter(net.views))
+    order = []
+    for _ in net.views:
+        order.append(node)
+        node = net.views[node].ore
+    return order if node == order[0] else order + [node]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.lists(st.integers(0, 15), min_size=1, max_size=8, unique=True),
+    batches=st.lists(st.sets(st.integers(0, 7), min_size=1), max_size=5),
+)
+def test_serialized_joins_in_any_order_build_the_arrival_ring(order, batches):
+    recorder = TraceRecorder()
+    net = Network(recorder=recorder)
+    for node in order:
+        net.bus.advance()
+        net.add_node(node)
+        net.dispatch_to_quiescence()
+        net.check_subscription_invariant()
+    assert [net.views[node].ore for node in order] == [*order[1:], order[0]]
+    assert [net.views[node].ose for node in order] == [order[-1], *order[:-1]]
+    arrivals = [
+        e.node for e in recorder.events
+        if e.kind == KIND_DELIVER and e.detail["key"]["topic"] == TopicName.ARRIVALS.value
+    ]
+    assert [arrivals.count(node) for node in order] == [min(k, 1) + 1 for k in range(len(order))]
+    assert oracle_mismatches(net) == []
+
+    for batch in batches:
+        for index in sorted(i for i in batch if i < len(order)):
+            node = order[index]
+            flipped = UNAVAILABLE if net.views[node].state is AVAILABLE else AVAILABLE
+            toggle_settled(net, node, flipped)
+            net.check_subscription_invariant()
+        assert oracle_mismatches(net) == []
+
+    last_line = {}
+    for event in recorder.events:
+        if event.kind == KIND_VIEW_CHANGE:
+            line = event_to_json(event)
+            assert last_line.get(event.node) != line, line
+            last_line[event.node] = line
+
+
 def test_subscription_invariant_after_joins():
     joined_network(7).check_subscription_invariant()
 
 
 def test_join_phase_work_is_linear_in_the_node_count():
-    """Replaying the arrival log costs O(1) per record: joining m nodes calls
-    subscriptions() O(m) times, not once or twice per replayed record
-    (about m^2), and a joiner's view holds nothing that grows per record."""
+    """A joiner is replayed only [predecessor, self]: joining m nodes makes
+    2m - 1 arrival deliveries and O(m) subscriptions() calls, and a joiner's
+    view holds nothing that grows per record."""
     size = 64
     calls = 0
+    arrivals = 0
     joiner_views = []
     subscriptions = protocol.subscriptions
     handle_delivery = protocol.handle_delivery
@@ -125,6 +224,8 @@ def test_join_phase_work_is_linear_in_the_node_count():
         return subscriptions(view)
 
     def keeping_joiner_views(view, sample):
+        nonlocal arrivals
+        arrivals += sample.key.topic is TopicName.ARRIVALS
         effects = handle_delivery(view, sample)
         if effects.view.joining:
             joiner_views.append(effects.view)
@@ -136,7 +237,8 @@ def test_join_phase_work_is_linear_in_the_node_count():
     ):
         joined_network(size)
     assert calls <= 8 * size
-    assert len(joiner_views) >= size * (size - 1) // 2  # every replayed record
+    assert arrivals == 2 * size - 1
+    assert joiner_views
     for view in joiner_views:
         assert not [f.name for f in fields(view) if isinstance(getattr(view, f.name), Sized)]
 
