@@ -3,11 +3,11 @@
 The bus models a software data bus: named topics, keyed instances (one
 logical stream per node for the per-node topics), reliable in-order delivery,
 and deterministic dispatch. Each topic runs one fixed QoS profile (see
-standard_qos): the arrival log is durable, keeps the last `arrivals_depth`
-samples and replays the last two of them to a late subscriber; every other
-topic is volatile and keeps the last one. The bus is the only communication
-path between nodes; everything above it is event-driven. A subscription is
-named by its (subscriber, key) pair.
+standard_qos): the arrival log is durable, keeps its last two samples and
+replays them to a late subscriber; every other topic is volatile and keeps
+the last one. The bus is the only communication path between nodes;
+everything above it is event-driven. A subscription is named by its
+(subscriber, key) pair.
 
 Single-owner object with no internal locks: one bus serves one scenario, and
 scenarios run one after another.
@@ -70,24 +70,44 @@ class TopicKey:
         return f"{self.topic.value}[{self.instance}]"
 
 
+# One key object per (topic, node), built and validated once: the protocol
+# names the same few keys on every delivery, and an interned key is found in a
+# set or dict by identity before any field comparison. Keys are immutable, so
+# the tables may be shared by every bus in the process; they grow by one
+# entry per node id seen.
+ARRIVALS_KEY = TopicKey(TopicName.ARRIVALS)
+ONEBACK_KEY = TopicKey(TopicName.ONEBACK)
+_MYBOX_KEYS: dict[NodeId, TopicKey] = {}
+_ORE_KEYS: dict[NodeId, TopicKey] = {}
+_OSE_KEYS: dict[NodeId, TopicKey] = {}
+
+
+def _interned(keys: dict[NodeId, TopicKey], topic: TopicName, node: NodeId) -> TopicKey:
+    key = keys[node] = TopicKey(topic, node)
+    return key
+
+
 def arrivals_key() -> TopicKey:
-    return TopicKey(TopicName.ARRIVALS)
+    return ARRIVALS_KEY
 
 
 def oneback_key() -> TopicKey:
-    return TopicKey(TopicName.ONEBACK)
+    return ONEBACK_KEY
 
 
 def mybox_key(node: NodeId) -> TopicKey:
-    return TopicKey(TopicName.MYBOX, node)
+    key = _MYBOX_KEYS.get(node)
+    return key if key is not None else _interned(_MYBOX_KEYS, TopicName.MYBOX, node)
 
 
 def ore_key(node: NodeId) -> TopicKey:
-    return TopicKey(TopicName.ORE, node)
+    key = _ORE_KEYS.get(node)
+    return key if key is not None else _interned(_ORE_KEYS, TopicName.ORE, node)
 
 
 def ose_key(node: NodeId) -> TopicKey:
-    return TopicKey(TopicName.OSE, node)
+    key = _OSE_KEYS.get(node)
+    return key if key is not None else _interned(_OSE_KEYS, TopicName.OSE, node)
 
 
 # ---------------------------------------------------------------------------
@@ -101,30 +121,29 @@ class Durability(Enum):
 
 @dataclass(frozen=True, slots=True)
 class QosProfile:
-    """A topic's durability plus writer- and reader-side history KEEP_LAST.
+    """A topic's durability plus its history KEEP_LAST, writer and reader alike.
 
     Each key retains its `depth` most recent samples, oldest evicted; a
-    persistent topic replays the last `reader_depth` of them to a late
-    subscriber, a volatile one replays nothing. Delivery is reliable and
-    per-publisher in order by construction: every subscriber sees each sample
-    published while it is subscribed exactly once, in publication order.
+    persistent topic replays all of them to a late subscriber, a volatile one
+    replays nothing. Delivery is reliable and per-publisher in order by
+    construction: every subscriber sees each sample published while it is
+    subscribed exactly once, in publication order.
     """
 
     durability: Durability
     depth: int
-    reader_depth: int = 1
 
 
-def standard_qos(name: TopicName, arrivals_depth: int = 64) -> QosProfile:
+def standard_qos(name: TopicName) -> QosProfile:
     """The one profile each topic runs.
 
     The arrival log is durable so joiners can read it back. A joiner reads
-    only the last two records, its predecessor's and its own, so that is all
-    it is replayed. Every other topic carries current state only, so its last
-    sample is all there is to keep.
+    only the last two records, its predecessor's and its own, so those two
+    are all the log keeps and replays. Every other topic carries current
+    state only, so its last sample is all there is to keep.
     """
     if name is TopicName.ARRIVALS:
-        return QosProfile(Durability.PERSISTENT, arrivals_depth, reader_depth=2)
+        return QosProfile(Durability.PERSISTENT, 2)
     return QosProfile(Durability.VOLATILE, 1)
 
 
@@ -210,14 +229,12 @@ class VirtualBus:
     advance(); it never moves backwards.
     """
 
-    def __init__(self, delivery_delay: int = 0, arrivals_depth: int = 64) -> None:
+    def __init__(self, delivery_delay: int = 0) -> None:
         if delivery_delay < 0:
             raise BusError("delivery delay must be >= 0")
-        if arrivals_depth < 1:
-            raise BusError("arrivals depth must be >= 1")
         self.delivery_delay = delivery_delay
         self._now = 0
-        self._qos = {name: standard_qos(name, arrivals_depth) for name in TopicName}
+        self._qos = {name: standard_qos(name) for name in TopicName}
         self._retained: dict[TopicKey, deque[Sample]] = {}
         self._seq: dict[tuple[NodeId, TopicKey], int] = {}
         self._subs: dict[TopicKey, set[NodeId]] = {}
@@ -274,13 +291,11 @@ class VirtualBus:
         subscribers.add(subscriber)
         qos = self._qos[key.topic]
         if qos.durability is Durability.PERSISTENT:
-            # Late-joiner replay: the last reader_depth retained samples, in
-            # publication order. Entries keep their original publish tick as
-            # the due component, so history from several publishers replays
-            # as published. Indexing from the end keeps this O(reader_depth).
-            store = self._retained.get(key, ())
-            for index in range(-min(len(store), qos.reader_depth), 0):
-                sample = store[index]
+            # Late-joiner replay: every retained sample, in publication
+            # order. Entries keep their original publish tick as the due
+            # component, so history from several publishers replays as
+            # published.
+            for sample in self._retained.get(key, ()):
                 self._enqueue(sample.time, subscriber, sample)
 
     def cancel_subscription(self, subscriber: NodeId, key: TopicKey) -> None:

@@ -8,8 +8,9 @@ Subcommands:
   sweep      run and verify a scenario across a seed range, one seed at a time
   pmf        print the event-count distribution used by the workload
 
-Exit codes: 0 on success, 1 when verification finds mismatches or a trace is
-malformed, 2 for bad usage or configuration, 3 for I/O failures.
+Exit codes: 0 on success, 1 when verification finds mismatches, a trace is
+malformed or a run fails (in-run verification, a join, or quiescence), 2 for
+bad usage or configuration, 3 for I/O failures.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from .protocol import Hint, TrustOre
 from .scenario import (
     ConfigError,
     ScenarioConfig,
+    VerificationError,
     config_with_seed,
     load_config,
     run_scenario,
     verify_trace,
 )
 from .metrics import render_metrics
+from .network import JoinError, QuiescenceError
 from .trace import TraceError, dump_trace, load_trace
 from .workload import MAX_RATE, poisson_pmf
 
@@ -237,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except TraceError as exc:
         print(f"malformed trace: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
+    except (VerificationError, JoinError, QuiescenceError) as exc:
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

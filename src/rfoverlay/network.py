@@ -27,13 +27,8 @@ class JoinError(RuntimeError):
 class Network:
     """All nodes of one scenario plus the bus between them."""
 
-    def __init__(
-        self,
-        arrivals_depth: int = 64,
-        delivery_delay: int = 0,
-        recorder=None,
-    ) -> None:
-        self.bus = VirtualBus(delivery_delay, arrivals_depth)
+    def __init__(self, delivery_delay: int = 0, recorder=None) -> None:
+        self.bus = VirtualBus(delivery_delay)
         self.recorder = recorder
         self.views: dict[NodeId, NodeView] = {}
         self._last_join: tuple[NodeId, int] | None = None  # (joiner, tick)

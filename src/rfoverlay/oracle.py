@@ -2,9 +2,14 @@
 
 These compute, from a bird's-eye snapshot of the ring and an availability
 vector, what every node's next-available knowledge must be once the event
-protocol settles. They are defined by direct brute-force scans on purpose:
-the event-driven machinery is verified against them, never the other way
-around.
+protocol settles. The event-driven machinery is verified against them, never
+the other way around.
+
+The tables that scenario verification reads at every interval, basic_tst and
+mybox_table, are O(m): one backward sweep over two laps of the ring finds the
+first Available node at or after every position. Their definitions as direct
+brute-force scans live in tests/test_oracle.py, which checks the sweeps
+against them.
 
 Three structures are covered: the basic single-successor form that the event
 protocol realizes, and the two variants that keep a candidate in each ring
@@ -14,7 +19,7 @@ that are down).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .bus import NULL, Identity, NodeId, Payload
@@ -31,14 +36,17 @@ class RingModel:
 
     nodes: tuple[NodeId, ...]
     avail: tuple[Availability, ...]
+    _positions: dict[NodeId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.nodes:
             raise RingError("a ring has at least one node")
-        if len(set(self.nodes)) != len(self.nodes):
+        positions = {node: index for index, node in enumerate(self.nodes)}
+        if len(positions) != len(self.nodes):
             raise RingError("node ids must be distinct")
         if len(self.avail) != len(self.nodes):
             raise RingError("availability vector must align with the nodes")
+        object.__setattr__(self, "_positions", positions)
 
     @classmethod
     def of(cls, count: int, down: Iterable[NodeId] = ()) -> "RingModel":
@@ -68,8 +76,8 @@ class RingModel:
 
     def position(self, node: NodeId) -> int:
         try:
-            return self.nodes.index(node)
-        except ValueError:
+            return self._positions[node]
+        except KeyError:
             raise RingError(f"{node} is not on the ring") from None
 
     def at(self, position: int) -> NodeId:
@@ -89,18 +97,43 @@ class RingModel:
         return sum(1 for a in self.avail if a is Availability.AVAILABLE)
 
 
-def mybox_fixpoint(ring: RingModel, node: NodeId) -> Payload:
-    """The settled value of a node's status stream.
+def _first_available(ring: RingModel) -> list[NodeId | None]:
+    """For every position, the first Available node scanning ring-forward
+    from it (itself included); None everywhere when nothing is Available.
+
+    One backward sweep over two laps: the second lap seeds the wrap-around,
+    the first records the answers.
+    """
+    size = ring.size
+    nodes = ring.nodes
+    up = [state is Availability.AVAILABLE for state in ring.avail]
+    first: list[NodeId | None] = [None] * size
+    found: NodeId | None = None
+    for index in range(2 * size - 1, -1, -1):
+        position = index % size
+        if up[position]:
+            found = nodes[position]
+        if index < size:
+            first[index] = found
+    return first
+
+
+def mybox_table(ring: RingModel) -> dict[NodeId, Payload]:
+    """The settled value of every node's status stream.
 
     The first Available node scanning ring-forward from the node itself
     (self included), or the no-node value when nothing is Available.
     """
-    start = ring.position(node)
-    for step in range(ring.size):
-        candidate = ring.at(start + step)
-        if ring.is_available(candidate):
-            return Identity(candidate)
-    return NULL
+    return {
+        node: NULL if found is None else Identity(found)
+        for node, found in zip(ring.nodes, _first_available(ring))
+    }
+
+
+def mybox_fixpoint(ring: RingModel, node: NodeId) -> Payload:
+    """The settled value of one node's status stream (see mybox_table)."""
+    found = _first_available(ring)[ring.position(node)]
+    return NULL if found is None else Identity(found)
 
 
 def basic_tst(ring: RingModel) -> dict[NodeId, NextAvailable]:
@@ -108,22 +141,21 @@ def basic_tst(ring: RingModel) -> dict[NodeId, NextAvailable]:
 
     Trust the receiver while it is Available; otherwise hint at the first
     Available node strictly past it (the scan may wrap all the way back to
-    the node itself); system-empty when nothing is Available.
+    the node itself); system-empty when nothing is Available. A receiver
+    that is down is skipped by the scan from it anyway, so the hint is the
+    first Available node at or after the receiver's position.
     """
+    size = ring.size
+    first = _first_available(ring)
     assignment: dict[NodeId, NextAvailable] = {}
-    for node in ring.nodes:
-        successor = ring.successor(node)
-        if ring.is_available(successor):
+    for position, node in enumerate(ring.nodes):
+        successor = (position + 1) % size
+        if ring.avail[successor] is Availability.AVAILABLE:
             assignment[node] = TRUST_ORE
-            continue
-        found: NextAvailable = SYSTEM_EMPTY
-        start = ring.position(successor)
-        for step in range(1, ring.size):
-            candidate = ring.at(start + step)
-            if ring.is_available(candidate):
-                found = Hint(candidate)
-                break
-        assignment[node] = found
+        elif first[successor] is None:
+            assignment[node] = SYSTEM_EMPTY
+        else:
+            assignment[node] = Hint(first[successor])
     return assignment
 
 

@@ -20,7 +20,10 @@ from typing import IO, Any, Mapping
 from .bus import Identity, NodeId, Payload, TopicName
 from .metrics import Metrics, compute_metrics
 from .network import JoinError, Network
-from .oracle import RingModel, basic_tst, mybox_fixpoint
+# mybox_fixpoint is not called here: _oracle_compare reads the whole table at
+# once. The name stays bound in this module because perfbench/probes.py wraps
+# scenario.mybox_fixpoint.
+from .oracle import RingModel, basic_tst, mybox_fixpoint, mybox_table  # noqa: F401
 from .protocol import Availability, NextAvailable
 from .trace import (
     KIND_JOIN,
@@ -49,7 +52,6 @@ class VerificationError(RuntimeError):
 class ScenarioConfig:
     node_count: int
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    arrivals_depth: int | None = None  # None resolves to max(64, node_count)
     delivery_delay: int = 0
     verify_each_interval: bool = False
     seed: int = 0
@@ -57,13 +59,6 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise ConfigError("node_count must be >= 1")
-        if self.arrivals_depth is None:
-            object.__setattr__(self, "arrivals_depth", max(64, self.node_count))
-        if self.arrivals_depth < self.node_count:
-            raise ConfigError(
-                "arrivals_depth must cover every join "
-                f"({self.arrivals_depth} < {self.node_count})"
-            )
         if self.delivery_delay < 0:
             raise ConfigError("delivery_delay must be >= 0")
 
@@ -75,7 +70,6 @@ _WORKLOAD_KEYS = ("lambda", "threshold", "intervals", "seed")
 _TOP_KEYS = (
     "node_count",
     "workload",
-    "arrivals_depth",
     "delivery_delay",
     "verify_each_interval",
     "seed",
@@ -121,12 +115,10 @@ def parse_config(obj: Any) -> ScenarioConfig:
     verify_flag = obj.get("verify_each_interval", False)
     _require(isinstance(verify_flag, bool), "verify_each_interval must be a boolean")
 
-    depth = obj.get("arrivals_depth")
     try:
         return ScenarioConfig(
             node_count=node_count,
             workload=workload,
-            arrivals_depth=None if depth is None else _as_int(depth, "arrivals_depth"),
             delivery_delay=_as_int(obj.get("delivery_delay", 0), "delivery_delay"),
             verify_each_interval=verify_flag,
             seed=seed,
@@ -172,12 +164,13 @@ def _oracle_compare(
     has never toggled, so its settled value is its own identity.
     """
     expected = basic_tst(ring)
+    settled = mybox_table(ring)
     mismatches: list[tuple[NodeId, str, str, str]] = []
     for node in ring.nodes:
         seen = tre.get(node)
         if seen != expected[node]:
             mismatches.append((node, "tre", repr(expected[node]), repr(seen)))
-        want = mybox_fixpoint(ring, node)
+        want = settled[node]
         got = mybox.get(node)
         if got is None:
             got = Identity(node)
@@ -223,11 +216,7 @@ def run_scenario(
     """
     schedule = _resolve_schedule(cfg, schedule)
     recorder = TraceRecorder() if record else None
-    net = Network(
-        arrivals_depth=cfg.arrivals_depth,
-        delivery_delay=cfg.delivery_delay,
-        recorder=recorder,
-    )
+    net = Network(delivery_delay=cfg.delivery_delay, recorder=recorder)
     for node in range(cfg.node_count):
         net.bus.advance()
         if recorder is not None:

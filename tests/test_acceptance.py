@@ -36,7 +36,7 @@ SWEEP_MAX_RING = 8
 
 
 def joined_network(count: int, recorder=None) -> Network:
-    net = Network(arrivals_depth=max(64, count), recorder=recorder)
+    net = Network(recorder=recorder)
     for node in range(count):
         net.bus.advance()
         net.add_node(node)
@@ -111,7 +111,7 @@ def test_criterion_1_ring_construction():
     started = time.perf_counter()
     problems = []
     for size in range(1, 33):
-        net = Network(arrivals_depth=max(64, size))
+        net = Network()
         costs = []
         for node in range(size):
             before = sum(net.bus.publish_counts.values())

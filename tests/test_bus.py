@@ -24,8 +24,8 @@ from rfoverlay.bus import (
 )
 
 
-def fresh_bus(arrivals_depth: int = 8, delay: int = 0) -> VirtualBus:
-    return VirtualBus(delivery_delay=delay, arrivals_depth=arrivals_depth)
+def fresh_bus(delay: int = 0) -> VirtualBus:
+    return VirtualBus(delivery_delay=delay)
 
 
 def drain(bus: VirtualBus) -> list:
@@ -58,18 +58,15 @@ def test_keyed_topics_require_instances():
 
 
 def test_standard_qos_table():
-    """The arrival log alone is durable and deep, and replays its last two
+    """The arrival log alone is durable, and keeps and replays its last two
     samples (a joiner's predecessor and itself); the rest keep one sample."""
-    assert {name: standard_qos(name, arrivals_depth=5) for name in TopicName} == {
-        TopicName.ARRIVALS: QosProfile(Durability.PERSISTENT, 5, reader_depth=2),
+    assert {name: standard_qos(name) for name in TopicName} == {
+        TopicName.ARRIVALS: QosProfile(Durability.PERSISTENT, 2),
         TopicName.ORE: QosProfile(Durability.VOLATILE, 1),
         TopicName.OSE: QosProfile(Durability.VOLATILE, 1),
         TopicName.MYBOX: QosProfile(Durability.VOLATILE, 1),
         TopicName.ONEBACK: QosProfile(Durability.VOLATILE, 1),
     }
-    assert standard_qos(TopicName.ARRIVALS) == QosProfile(Durability.PERSISTENT, 64, reader_depth=2)
-    with pytest.raises(BusError):
-        VirtualBus(arrivals_depth=0)
 
 
 def test_payload_kinds_are_checked():
@@ -86,11 +83,11 @@ def test_payload_kinds_are_checked():
 
 
 def test_keep_n_retains_the_last_n():
-    bus = fresh_bus(arrivals_depth=3)
+    bus = fresh_bus()
     for node in range(5):
         bus.publish(node, arrivals_key(), JoinRecord(node))
     kept = [s.payload.node for s in bus.retained(arrivals_key())]
-    assert kept == [2, 3, 4]
+    assert kept == [3, 4]
 
 
 def test_keep_last_retains_one_per_key():
@@ -114,18 +111,18 @@ def test_sequence_numbers_count_per_publisher_and_key():
 
 
 def test_durable_history_replays_to_late_joiners():
-    bus = fresh_bus(arrivals_depth=8)
+    bus = fresh_bus()
     for node in range(3):
         bus.advance()
         bus.publish(node, arrivals_key(), JoinRecord(node))
     bus.subscribe(9, arrivals_key())
     got = [r.sample.payload.node for r in drain(bus)]
-    assert got == [1, 2]  # the reader keeps the last two
-    assert [s.payload.node for s in bus.retained(arrivals_key())] == [0, 1, 2]
+    assert got == [1, 2]  # writer and reader keep the last two
+    assert [s.payload.node for s in bus.retained(arrivals_key())] == [1, 2]
 
 
 def test_replay_preserves_publication_order_across_publishers():
-    bus = fresh_bus(arrivals_depth=8)
+    bus = fresh_bus()
     bus.publish(5, arrivals_key(), JoinRecord(5))
     bus.advance()
     bus.publish(1, arrivals_key(), JoinRecord(1))
@@ -143,15 +140,15 @@ def test_volatile_topics_do_not_replay():
 
 
 @settings(max_examples=60, deadline=None)
-@given(published=st.integers(0, 12), depth=st.integers(1, 8))
-def test_replay_length_is_min_of_history_and_depth(published, depth):
-    bus = fresh_bus(arrivals_depth=depth)
+@given(published=st.integers(0, 12))
+def test_replay_length_is_min_of_history_and_depth(published):
+    bus = fresh_bus()
     for node in range(published):
         bus.publish(node, arrivals_key(), JoinRecord(node))
     bus.subscribe(99, arrivals_key())
     got = [r.sample.payload.node for r in drain(bus)]
-    # The writer keeps `depth` records; the reader keeps the last two of them.
-    assert got == list(range(published))[-min(depth, 2):]
+    # The arrival log keeps, and replays, its last two records.
+    assert got == list(range(published))[-2:]
 
 
 # -- dispatch order ------------------------------------------------------------
@@ -265,7 +262,7 @@ def test_handlers_run_on_dispatch():
 
 
 def _scripted_run() -> list[tuple]:
-    bus = fresh_bus(arrivals_depth=4)
+    bus = fresh_bus()
     bus.subscribe(3, mybox_key(0))
     bus.subscribe(1, mybox_key(0))
     for node in (2, 0, 1):

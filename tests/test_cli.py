@@ -191,6 +191,24 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_failed_in_run_verification_exits_1_without_a_traceback(tmp_path, capsys):
+    """Interleaved toggles that take every Available node down together can
+    miss the system-empty state (the known defect); with in-run verification
+    that run fails, and the CLI reports it on one line."""
+    config = write_config(
+        tmp_path,
+        node_count=6,
+        seed=5,
+        workload={"lambda": 3.0, "intervals": 20},
+        verify_each_interval=True,
+    )
+    assert main(["simulate", "--config", config, "--interleaved-toggles"]) == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: VerificationError: interval ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "simulate" in capsys.readouterr().out

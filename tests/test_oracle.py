@@ -3,6 +3,8 @@
 The reference scenario (ten nodes, 2/5/6 down) is worked out by hand below
 and pinned; the property tests then tie the oracles to each other and to
 independent brute-force recomputations over every small availability vector.
+The brute-force scans below are the reference definitions of the O(m) sweeps
+that the oracle module runs.
 """
 
 import itertools
@@ -12,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfoverlay.bus import NULL, Identity
-from rfoverlay.oracle import RingError, RingModel, basic_tst, brf_tst, mybox_fixpoint, sbrf_tst
+from rfoverlay.oracle import (
+    RingError,
+    RingModel,
+    basic_tst,
+    brf_tst,
+    mybox_fixpoint,
+    mybox_table,
+    sbrf_tst,
+)
 from rfoverlay.protocol import SYSTEM_EMPTY, TRUST_ORE, Availability, Hint
 
 AVAILABLE = Availability.AVAILABLE
@@ -23,6 +33,67 @@ def every_vector(size):
     """All availability vectors for a ring of `size` nodes."""
     for bits in itertools.product((AVAILABLE, UNAVAILABLE), repeat=size):
         yield RingModel(tuple(range(size)), bits)
+
+
+# -- brute-force reference definitions ---------------------------------------------
+#
+# Direct scans over the raw node and availability tuples, O(m) per node: they
+# share no code with the oracle module's sweeps, nor with RingModel.position.
+
+
+def reference_mybox_fixpoint(ring, node):
+    """The first Available node scanning ring-forward from the node itself
+    (self included), or the no-node value when nothing is Available."""
+    size = len(ring.nodes)
+    start = ring.nodes.index(node)
+    for step in range(size):
+        index = (start + step) % size
+        if ring.avail[index] is AVAILABLE:
+            return Identity(ring.nodes[index])
+    return NULL
+
+
+def reference_basic_tst(ring):
+    """Trust the receiver while it is Available; otherwise hint at the first
+    Available node strictly past it (the scan may wrap all the way back to
+    the node itself); system-empty when nothing is Available."""
+    size = len(ring.nodes)
+    assignment = {}
+    for position, node in enumerate(ring.nodes):
+        successor = (position + 1) % size
+        if ring.avail[successor] is AVAILABLE:
+            assignment[node] = TRUST_ORE
+            continue
+        found = SYSTEM_EMPTY
+        for step in range(1, size):
+            index = (successor + step) % size
+            if ring.avail[index] is AVAILABLE:
+                found = Hint(ring.nodes[index])
+                break
+        assignment[node] = found
+    return assignment
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rings=st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True).flatmap(
+        lambda nodes: st.tuples(
+            st.just(tuple(nodes)),
+            st.lists(
+                st.sampled_from((AVAILABLE, UNAVAILABLE)),
+                min_size=len(nodes),
+                max_size=len(nodes),
+            ).map(tuple),
+        )
+    )
+)
+def test_sweeps_equal_the_brute_force_scans(rings):
+    """Rings of 1-12 distinct arbitrary ids in any order, any availability."""
+    ring = RingModel(*rings)
+    assert basic_tst(ring) == reference_basic_tst(ring)
+    assert mybox_table(ring) == {n: reference_mybox_fixpoint(ring, n) for n in ring.nodes}
+    assert all(mybox_fixpoint(ring, n) == reference_mybox_fixpoint(ring, n) for n in ring.nodes)
+    assert [ring.position(n) for n in ring.nodes] == list(range(ring.size))
 
 
 # -- ring model ----------------------------------------------------------------
@@ -45,6 +116,17 @@ def test_ring_rejects_bad_shapes():
         RingModel((0, 1), (AVAILABLE,))
     with pytest.raises(RingError):
         RingModel.of(3).position(9)
+    with pytest.raises(RingError):
+        mybox_fixpoint(RingModel.of(3), 9)
+
+
+def test_rings_compare_by_nodes_and_states_only():
+    """The position index is derived, so it takes no part in equality."""
+    ring = RingModel.of(4, down={1})
+    twin = RingModel.from_states(ring.nodes, dict(zip(ring.nodes, ring.avail)))
+    assert ring == twin and hash(ring) == hash(twin)
+    assert ring != RingModel.of(4, down={2})
+    assert "_positions" not in repr(ring)
 
 
 def test_down_set_builds_the_right_states():

@@ -1,5 +1,6 @@
 """End-to-end behavior: joins, propagation, traces, verification, metrics."""
 
+import hashlib
 import io
 import json
 from collections.abc import Sized
@@ -46,7 +47,7 @@ UNAVAILABLE = Availability.UNAVAILABLE
 
 
 def joined_network(count: int, recorder=None, delivery_delay: int = 0) -> Network:
-    net = Network(arrivals_depth=max(64, count), delivery_delay=delivery_delay, recorder=recorder)
+    net = Network(delivery_delay=delivery_delay, recorder=recorder)
     for node in range(count):
         net.bus.advance()
         net.add_node(node)
@@ -243,6 +244,51 @@ def test_join_phase_work_is_linear_in_the_node_count():
         assert not [f.name for f in fields(view) if isinstance(getattr(view, f.name), Sized)]
 
 
+def test_toggle_phase_work_is_constant_per_delivery():
+    """A toggle and every status-wave delivery it causes cost O(1): on the
+    toggle path no handler calls subscriptions() or dataclasses.replace, and
+    verifying a trace makes no RingModel.position lookup."""
+    import random as stdlib_random
+
+    size = 32
+    calls = {"subscriptions": 0, "replace": 0, "position": 0, "deliveries": 0}
+    subscriptions = protocol.subscriptions
+    replace = protocol.replace
+    handle_delivery = protocol.handle_delivery
+    position = RingModel.position
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    net = joined_network(size)
+    rng = stdlib_random.Random(11)
+    with (
+        mock.patch.object(protocol, "subscriptions", counting("subscriptions", subscriptions)),
+        mock.patch.object(protocol, "replace", counting("replace", replace)),
+        mock.patch.object(protocol, "handle_delivery", counting("deliveries", handle_delivery)),
+    ):
+        for _ in range(60):
+            for node in sorted(rng.sample(range(size), rng.randrange(1, 8))):
+                flip = AVAILABLE if net.views[node].state is UNAVAILABLE else UNAVAILABLE
+                toggle_settled(net, node, flip)
+    assert calls["deliveries"] > 10 * size
+    assert (calls["subscriptions"], calls["replace"]) == (0, 0)
+    net.check_subscription_invariant()
+    assert oracle_mismatches(net) == []
+
+    cfg = ScenarioConfig(
+        node_count=16, workload=WorkloadConfig(lam=3.0, intervals=40, seed=5), seed=5
+    )
+    trace, _ = run_scenario(cfg)
+    with mock.patch.object(RingModel, "position", counting("position", position)):
+        assert verify_trace(trace, cfg).passed
+    assert calls["position"] == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     size=st.integers(1, 7),
@@ -253,7 +299,8 @@ def test_join_phase_work_is_linear_in_the_node_count():
 )
 def test_subscription_changes_are_the_exact_diff(size, delay, batches):
     """Every handler's subscribe/unsubscribe lists are exactly the difference
-    of the derived subscription sets, also where _effects skips computing it;
+    of the derived subscription sets, in trace order (MyBox by ascending
+    instance, then OneBack), also where _effects skips or narrows the diff;
     joins, serialized and interleaved toggle batches, with delivery delays."""
 
     def exact(handler):
@@ -261,8 +308,9 @@ def test_subscription_changes_are_the_exact_diff(size, delay, batches):
             effects = handler(view, *args)
             before = protocol.subscriptions(view)
             after = protocol.subscriptions(effects.view)
-            assert sorted(map(str, effects.subscribe)) == sorted(map(str, after - before))
-            assert sorted(map(str, effects.unsubscribe)) == sorted(map(str, before - after))
+            order = protocol._key_order
+            assert effects.subscribe == tuple(sorted(after - before, key=order))
+            assert effects.unsubscribe == tuple(sorted(before - after, key=order))
             return effects
 
         return checked
@@ -473,6 +521,24 @@ def test_scenario_is_deterministic():
     assert dumps_trace(first) == dumps_trace(second)
 
 
+def test_toggle_heavy_trace_is_pinned_across_commits():
+    """A 32-node, 100-interval run whose trace is mostly toggle-phase work:
+    its 2,979 Subscribe and 2,867 Unsubscribe lines pin the order in which
+    handlers list subscription changes. The digest changes only when the
+    trace does."""
+    cfg = ScenarioConfig(
+        node_count=32,
+        workload=WorkloadConfig(lam=3.0, threshold=2, intervals=100, seed=3),
+        seed=3,
+    )
+    trace, _ = run_scenario(cfg)
+    data = dumps_trace(trace).encode()
+    assert len(trace) == data.count(b"\n") == 21252
+    assert hashlib.sha256(data).hexdigest() == (
+        "a28f82785c0b947ba3ad2c2023f3fbdaac420eb56d13e1000d12ffce977e1ef2"
+    )
+
+
 def test_scenario_with_delivery_delay_still_verifies():
     cfg = ScenarioConfig(
         node_count=6, delivery_delay=3,
@@ -638,7 +704,7 @@ def test_metrics_reject_backwards_intervals():
 
 def test_config_minimal_defaults():
     cfg = parse_config({"node_count": 3})
-    assert cfg.arrivals_depth == 64
+    assert cfg.delivery_delay == 0
     assert cfg.workload.lam == 2.0
     assert cfg.workload.seed == 0
 
@@ -656,11 +722,12 @@ def test_config_seed_flows_into_the_workload():
     assert explicit.workload.seed == 7
 
 
-def test_config_depth_defaults_to_cover_all_joins():
-    assert parse_config({"node_count": 100}).arrivals_depth == 100
-    assert parse_config({"node_count": 3}).arrivals_depth == 64
-    with pytest.raises(ConfigError):
-        parse_config({"node_count": 5, "arrivals_depth": 3})
+def test_config_refuses_the_removed_arrivals_depth_key():
+    """The arrival log keeps a fixed two records, so its depth is no longer
+    configurable; a config that still names it is refused."""
+    for depth in (3, 64):
+        with pytest.raises(ConfigError, match="arrivals_depth"):
+            parse_config({"node_count": 5, "arrivals_depth": depth})
 
 
 def test_config_rejects_unknown_keys():
