@@ -19,7 +19,6 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 NodeId = int
 
@@ -217,9 +216,6 @@ class DeliveryRecord:
     sample: Sample
 
 
-Handler = Callable[[DeliveryRecord], None]
-
-
 class VirtualBus:
     """Fixed QoS table, retention store, and deterministic delivery queue.
 
@@ -227,6 +223,9 @@ class VirtualBus:
     by (publisher, seq, subscriber), with the enqueue index as a final total
     tie-break. The clock advances to each delivery as it dispatches and via
     advance(); it never moves backwards.
+
+    The bus keeps the run's running totals: publications per topic,
+    deliveries, subscribes and unsubscribes.
     """
 
     def __init__(self, delivery_delay: int = 0) -> None:
@@ -238,11 +237,13 @@ class VirtualBus:
         self._retained: dict[TopicKey, deque[Sample]] = {}
         self._seq: dict[tuple[NodeId, TopicKey], int] = {}
         self._subs: dict[TopicKey, set[NodeId]] = {}
-        self._handlers: dict[NodeId, Handler] = {}
         # heap entries: (due, publisher, seq, subscriber, enq, sample)
         self._pending: list[tuple] = []
         self._enq = 0
         self.publish_counts: dict[TopicName, int] = {n: 0 for n in TopicName}
+        self.deliveries = 0
+        self.subscribes = 0
+        self.unsubscribes = 0
 
     # -- clock --------------------------------------------------------------
 
@@ -289,6 +290,7 @@ class VirtualBus:
         if subscriber in subscribers:
             raise SubscriptionError(f"{subscriber} already subscribed to {key}")
         subscribers.add(subscriber)
+        self.subscribes += 1
         qos = self._qos[key.topic]
         if qos.durability is Durability.PERSISTENT:
             # Late-joiner replay: every retained sample, in publication
@@ -303,6 +305,7 @@ class VirtualBus:
             self._subs[key].remove(subscriber)
         except KeyError:
             raise SubscriptionError(f"{subscriber} not subscribed to {key}") from None
+        self.unsubscribes += 1
         # Delivery covers samples published while subscribed, unless the
         # subscription is cancelled first: drop anything still in flight.
         survivors = [e for e in self._pending if e[3] != subscriber or e[5].key != key]
@@ -316,12 +319,6 @@ class VirtualBus:
         )
 
     # -- dispatch -------------------------------------------------------------
-
-    def attach_handler(self, node: NodeId, handler: Handler | None) -> None:
-        if handler is None:
-            self._handlers.pop(node, None)
-        else:
-            self._handlers[node] = handler
 
     @property
     def quiescent(self) -> bool:
@@ -338,11 +335,8 @@ class VirtualBus:
         due, _pub, _seq, subscriber, _enq, sample = heapq.heappop(self._pending)
         assert subscriber in self._subs[sample.key]  # cancelled entries are purged eagerly
         self._now = max(self._now, due)
-        record = DeliveryRecord(time=self._now, subscriber=subscriber, sample=sample)
-        handler = self._handlers.get(subscriber)
-        if handler is not None:
-            handler(record)
-        return record
+        self.deliveries += 1
+        return DeliveryRecord(time=self._now, subscriber=subscriber, sample=sample)
 
     def _enqueue(self, due: int, subscriber: NodeId, sample: Sample) -> None:
         self._enq += 1
@@ -354,7 +348,7 @@ class VirtualBus:
     # -- duplication ----------------------------------------------------------
 
     def clone(self) -> "VirtualBus":
-        """Copy of this bus at a quiescent point. Handlers are not carried.
+        """Copy of this bus at a quiescent point, running totals included.
 
         The QoS table is shared (it never changes); retention, sequence
         numbers and subscriber sets are copied, so the two buses evolve
@@ -372,4 +366,7 @@ class VirtualBus:
         other._seq = dict(self._seq)
         other._subs = {key: set(subscribers) for key, subscribers in self._subs.items()}
         other.publish_counts = dict(self.publish_counts)
+        other.deliveries = self.deliveries
+        other.subscribes = self.subscribes
+        other.unsubscribes = self.unsubscribes
         return other

@@ -66,7 +66,11 @@ def _print_report(report, out: IO[str]) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
-    trace, metrics = run_scenario(cfg, interleaved_toggles=args.interleaved_toggles)
+    trace, metrics = run_scenario(
+        cfg,
+        interleaved_toggles=args.interleaved_toggles,
+        record=args.trace is not None or args.verify,
+    )
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as stream:
             dump_trace(trace, stream)

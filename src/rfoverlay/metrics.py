@@ -1,31 +1,46 @@
-"""Metrics derived from a trace: publication counts, churn, latency.
+"""Metrics of a run: publication counts, churn, latency.
 
-Everything here is a pure fold over the event list. Toggle attribution
-assumes serialized toggles (each driven to quiescence before the next), which
-is how scenarios run; events between one toggle and the next belong to the
-former. The rendered form is a fixed-width table with one row per interval,
-a setup row for the join phase, and a totals row.
+A run tallies the bus's running totals after the join phase, before each
+toggle and at each interval's end; the metrics are differences of those
+tallies. A toggle owns everything up to the next toggle of its interval or
+the interval's end, so in interleaved mode the last toggle of an interval
+owns the whole drain. The rendered form is a fixed-width table with one row
+per interval, a setup row for the join phase, and a totals row.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
-from .bus import TopicName
-from .trace import (
-    KIND_DELIVER,
-    KIND_PUBLISH,
-    KIND_SUBSCRIBE,
-    KIND_TOGGLE,
-    KIND_UNSUBSCRIBE,
-    Trace,
-    TraceError,
-    parse_toggle,
-)
+from .bus import NodeId, TopicName, VirtualBus
+from .protocol import Availability
 
 SETUP_INTERVAL = -1  # join phase, before the first interval
 
 _TOPIC_ORDER = tuple(name.value for name in TopicName)
+
+# A bus's running totals at one instant: publications per topic, in TopicName
+# order, then deliveries, subscribes and unsubscribes.
+Tally = tuple[int, ...]
+_MYBOX = list(TopicName).index(TopicName.MYBOX)  # positions in a tally
+_DELIVERIES = len(TopicName)
+
+
+def tally(bus: VirtualBus) -> Tally:
+    """The bus's running totals now."""
+    # publish_counts is built in TopicName order and never re-keyed.
+    return (*bus.publish_counts.values(), bus.deliveries, bus.subscribes, bus.unsubscribes)
+
+
+class ToggleMark(NamedTuple):
+    """One applied toggle and the tally taken just before it."""
+
+    interval: int
+    node: NodeId
+    to_state: Availability
+    before: Tally
 
 
 @dataclass(slots=True)
@@ -71,76 +86,52 @@ class Metrics:
         return sum(self.publications_per_topic.values())
 
 
-def compute_metrics(trace: Trace, intervals: int | None = None) -> Metrics:
-    """Fold a trace into per-interval and per-toggle statistics.
+def _work(interval: int, start: Tally, end: Tally) -> IntervalStats:
+    """The work between two tallies, as an interval row without toggles."""
+    *published, delivered, subscribed, unsubscribed = map(operator.sub, end, start)
+    return IntervalStats(
+        interval, 0, dict(zip(_TOPIC_ORDER, published)), delivered, subscribed, unsubscribed
+    )
 
-    `intervals` pads the result out to a known interval count, so quiet
-    trailing intervals still get (empty) rows; without it the fold stops at
-    the last interval the trace mentions.
+
+def compute_metrics(
+    joined: Tally, toggles: Sequence[ToggleMark], ends: Sequence[Tally]
+) -> Metrics:
+    """Per-interval and per-toggle statistics of a run on a fresh bus.
+
+    `joined` is the tally after the join phase, `toggles` the toggles in the
+    order applied and `ends` the tally at each interval's end.
     """
-    per_interval: dict[int, IntervalStats] = {}
-    toggles: list[ToggleStats] = []
-    current_interval = SETUP_INTERVAL
-    current_toggle: ToggleStats | None = None
-
-    def interval_stats() -> IntervalStats:
-        stats = per_interval.get(current_interval)
-        if stats is None:
-            stats = IntervalStats(interval=current_interval)
-            per_interval[current_interval] = stats
-        return stats
-
-    interval_stats()  # the setup row always exists
-    for event in trace:
-        kind = event.kind
-        if kind == KIND_TOGGLE:
-            current_interval, to_state = parse_toggle(event, current_interval)
-            current_toggle = ToggleStats(
-                interval=current_interval, node=event.node, to_state=to_state.value
+    starts = (joined, *ends)
+    rows = [_work(interval, starts[interval], end) for interval, end in enumerate(ends)]
+    stats: list[ToggleStats] = []
+    for i, (interval, node, to_state, before) in enumerate(toggles):
+        following = toggles[i + 1] if i + 1 < len(toggles) else None
+        if following is not None and following.interval == interval:
+            after = following.before
+        else:
+            after = ends[interval]
+        rows[interval].toggles += 1
+        stats.append(
+            ToggleStats(
+                interval,
+                node,
+                to_state.value,
+                after[_MYBOX] - before[_MYBOX],
+                sum(after[:_DELIVERIES]) - sum(before[:_DELIVERIES]),
+                after[_DELIVERIES] - before[_DELIVERIES],
             )
-            toggles.append(current_toggle)
-            interval_stats().toggles += 1
-        elif kind == KIND_PUBLISH:
-            topic = str(event.detail["key"]["topic"])
-            stats = interval_stats()
-            if topic not in stats.publications_per_topic:
-                raise TraceError(f"unknown topic {topic!r} in trace")
-            stats.publications_per_topic[topic] += 1
-            if current_toggle is not None:
-                current_toggle.publications += 1
-                if topic == TopicName.MYBOX.value:
-                    current_toggle.mybox_publications += 1
-        elif kind == KIND_DELIVER:
-            interval_stats().deliveries += 1
-            if current_toggle is not None:
-                current_toggle.deliveries += 1
-        elif kind == KIND_SUBSCRIBE:
-            interval_stats().subscribes += 1
-        elif kind == KIND_UNSUBSCRIBE:
-            interval_stats().unsubscribes += 1
-
-    setup = per_interval.pop(SETUP_INTERVAL)
-    last = max(per_interval) if per_interval else -1
-    if intervals is not None:
-        if last >= intervals:
-            raise TraceError(f"trace mentions interval {last}, expected < {intervals}")
-        last = intervals - 1
-    filled: list[IntervalStats] = [
-        per_interval.get(i) or IntervalStats(interval=i) for i in range(last + 1)
-    ]
-
-    per_topic = {t: 0 for t in _TOPIC_ORDER}
-    for stats in (setup, *filled):
-        for topic, count in stats.publications_per_topic.items():
-            per_topic[topic] += count
+        )
+    fresh = (0,) * len(joined)
+    total = _work(SETUP_INTERVAL, fresh, starts[-1])
     return Metrics(
-        publications_per_topic=per_topic,
-        subscribes=setup.subscribes + sum(s.subscribes for s in filled),
-        unsubscribes=setup.unsubscribes + sum(s.unsubscribes for s in filled),
-        deliveries=setup.deliveries + sum(s.deliveries for s in filled),
-        setup=setup,
-        intervals=tuple(filled),
-        toggles=tuple(toggles),
+        publications_per_topic=total.publications_per_topic,
+        subscribes=total.subscribes,
+        unsubscribes=total.unsubscribes,
+        deliveries=total.deliveries,
+        setup=_work(SETUP_INTERVAL, fresh, joined),
+        intervals=tuple(rows),
+        toggles=tuple(stats),
     )
 
 

@@ -52,7 +52,6 @@ class Network:
             if tick == self.bus.now:
                 raise JoinError(f"{node} cannot join at tick {tick}: {last} arrived then")
         self._last_join = (node, self.bus.now)
-        self.bus.attach_handler(node, self._on_delivery)
         self.views[node] = None  # placeholder until the join effects land
         self._apply(node, protocol.join(node))
 
@@ -83,16 +82,21 @@ class Network:
                     f"no quiescence within {budget} deliveries "
                     f"({self.bus.pending_count} still pending)"
                 )
-            self.bus.dispatch_next()
+            self.step()
             delivered += 1
         return delivered
 
-    def _on_delivery(self, record: DeliveryRecord) -> None:
+    def step(self) -> DeliveryRecord | None:
+        """Dispatch one delivery, record it and apply its subscriber's
+        handler; None once quiescent."""
+        record = self.bus.dispatch_next()
+        if record is None:
+            return None
         if self.recorder is not None:
             self.recorder.deliver(record)
         node = record.subscriber
-        effects = protocol.handle_delivery(self.views[node], record.sample)
-        self._apply(node, effects)
+        self._apply(node, protocol.handle_delivery(self.views[node], record.sample))
+        return record
 
     # -- effects -----------------------------------------------------------
 
@@ -145,6 +149,4 @@ class Network:
         other.recorder = recorder
         other.views = dict(self.views)
         other._last_join = self._last_join
-        for node in other.views:
-            other.bus.attach_handler(node, other._on_delivery)
         return other

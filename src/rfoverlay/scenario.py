@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Any, Mapping
 
 from .bus import Identity, NodeId, Payload, TopicName
-from .metrics import Metrics, compute_metrics
+from .metrics import Metrics, Tally, ToggleMark, compute_metrics, tally
 from .network import JoinError, Network
 # mybox_fixpoint is not called here: _oracle_compare reads the whole table at
 # once. The name stays bound in this module because perfbench/probes.py wraps
@@ -134,6 +134,10 @@ def load_config(stream: IO[str]) -> ScenarioConfig:
         obj = json.load(stream)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise ConfigError("config is nested too deeply") from None
     return parse_config(obj)
 
 
@@ -227,6 +231,9 @@ def run_scenario(
             raise JoinError(f"{node} never completed its join")
 
     current = {node: Availability.AVAILABLE for node in range(cfg.node_count)}
+    joined = tally(net.bus)
+    marks: list[ToggleMark] = []
+    ends: list[Tally] = []
     for interval in range(schedule.intervals):
         net.bus.advance()
         changes = [
@@ -234,21 +241,19 @@ def run_scenario(
             for node in range(cfg.node_count)
             if schedule.state(node, interval) is not current[node]
         ]
-        if interleaved_toggles:
-            for node, to_state in changes:
-                if recorder is not None:
-                    recorder.toggle(net.bus.now, node, to_state, interval)
-                net.toggle(node, to_state)
-                current[node] = to_state
-            net.dispatch_to_quiescence()
-        else:
-            for node, to_state in changes:
+        for node, to_state in changes:
+            if not interleaved_toggles:
                 net.bus.advance()
-                if recorder is not None:
-                    recorder.toggle(net.bus.now, node, to_state, interval)
-                net.toggle(node, to_state)
-                current[node] = to_state
+            marks.append(ToggleMark(interval, node, to_state, tally(net.bus)))
+            if recorder is not None:
+                recorder.toggle(net.bus.now, node, to_state, interval)
+            net.toggle(node, to_state)
+            current[node] = to_state
+            if not interleaved_toggles:
                 net.dispatch_to_quiescence()
+        if interleaved_toggles:
+            net.dispatch_to_quiescence()
+        ends.append(tally(net.bus))
         if cfg.verify_each_interval:
             mismatches = oracle_mismatches(net)
             if mismatches:
@@ -256,7 +261,7 @@ def run_scenario(
                     f"interval {interval} disagrees with the oracle: {mismatches}"
                 )
     trace = recorder.events if recorder is not None else []
-    return trace, compute_metrics(trace, intervals=schedule.intervals)
+    return trace, compute_metrics(joined, marks, ends)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,8 @@ def event_from_json(line: str) -> TraceEvent:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TraceError(f"unparsable trace line: {line!r}") from exc
+    except RecursionError:
+        raise TraceError(f"trace line nested too deeply: {line[:80]!r}") from None
     if not isinstance(obj, dict):
         raise TraceError(f"trace line is not a record: {line!r}")
     missing = {"time", "kind", "node", "detail"} - obj.keys()
@@ -268,8 +270,11 @@ def dumps_trace(events: Iterable[TraceEvent]) -> str:
 
 def load_trace(stream: IO[str]) -> Trace:
     events: Trace = []
-    for line in stream:
-        line = line.strip()
-        if line:
-            events.append(event_from_json(line))
+    try:
+        for line in stream:
+            line = line.strip()
+            if line:
+                events.append(event_from_json(line))
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"trace is not UTF-8 text: {exc}") from None
     return events

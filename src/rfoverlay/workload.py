@@ -8,9 +8,11 @@ or shrinking the node set never perturbs the draws of the others.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .bus import NodeId
@@ -99,8 +101,18 @@ def _substream_seed(master: int, node: NodeId) -> int:
 
 
 def build_schedule(cfg: WorkloadConfig, nodes: Iterable[NodeId]) -> AvailabilitySchedule:
-    """Draw the full availability schedule for the given nodes."""
-    nodes = tuple(nodes)
+    """Draw the full availability schedule for the given nodes.
+
+    The draw is a pure function of its inputs, so a run and the verification
+    of its trace share one schedule; its states are handed out read-only.
+    """
+    return _draw_schedule(cfg, tuple(nodes))
+
+
+# A run and the verification of its trace ask for the same schedule back to
+# back; a few entries cover that without growing over a seed sweep.
+@functools.lru_cache(maxsize=8)
+def _draw_schedule(cfg: WorkloadConfig, nodes: tuple[NodeId, ...]) -> AvailabilitySchedule:
     if len(set(nodes)) != len(nodes):
         raise ValueError("node ids must be distinct")
     states: dict[NodeId, tuple[Availability, ...]] = {}
@@ -112,4 +124,4 @@ def build_schedule(cfg: WorkloadConfig, nodes: Iterable[NodeId]) -> Availability
             else Availability.UNAVAILABLE
             for _ in range(cfg.intervals)
         )
-    return AvailabilitySchedule(intervals=cfg.intervals, states=states)
+    return AvailabilitySchedule(intervals=cfg.intervals, states=MappingProxyType(states))

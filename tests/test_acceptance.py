@@ -161,7 +161,7 @@ def test_criterion_3_total_outage_recovery():
         net.bus.advance()
         net.toggle(recoverer, AVAILABLE)
         while not net.bus.quiescent:
-            record = net.bus.dispatch_next()
+            record = net.step()
             node = record.subscriber
             if node in sleepers and node not in woke_by:
                 seen[node] += 1

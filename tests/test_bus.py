@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfoverlay import protocol
 from rfoverlay.bus import (
     NULL,
     Identity,
@@ -22,6 +23,8 @@ from rfoverlay.bus import (
     BusError,
     Durability,
 )
+from rfoverlay.network import Network
+from rfoverlay.trace import TraceRecorder
 
 
 def fresh_bus(delay: int = 0) -> VirtualBus:
@@ -249,13 +252,42 @@ def test_subscriptions_of_reports_the_live_set():
 
 
 def test_handlers_run_on_dispatch():
+    """The bus only hands a delivery back; Network.step dispatches it,
+    records it and applies the subscriber's handler."""
+    recorder = TraceRecorder()
+    net = Network(recorder=recorder)
+    net.bus.advance()
+    net.add_node(0)
+    net.dispatch_to_quiescence()
+    net.bus.advance()
+    net.add_node(1)
+    views = dict(net.views)
+    recorded = len(recorder.events)
+    record = net.step()
+    node = record.subscriber
+    assert net.views[node] == protocol.handle_delivery(views[node], record.sample).view
+    delivered = [e for e in recorder.events[recorded:] if e.kind == "Deliver"]
+    assert [(e.time, e.node) for e in delivered] == [(record.time, node)]
+    while net.step() is not None:
+        pass
+    assert net.bus.quiescent and net.join_completed(1)
+    assert net.step() is None
+
+
+def test_running_totals_count_every_operation():
     bus = fresh_bus()
-    seen = []
-    bus.attach_handler(1, lambda record: seen.append(record.sample.payload))
     bus.subscribe(1, mybox_key(0))
+    bus.subscribe(2, mybox_key(0))
     bus.publish(0, mybox_key(0), Identity(0))
+    bus.publish(0, arrivals_key(), JoinRecord(0))
+    bus.cancel_subscription(2, mybox_key(0))
     drain(bus)
-    assert seen == [Identity(0)]
+    assert (bus.deliveries, bus.subscribes, bus.unsubscribes) == (1, 2, 1)
+    assert bus.publish_counts[TopicName.MYBOX] == bus.publish_counts[TopicName.ARRIVALS] == 1
+    twin = bus.clone()
+    twin.subscribe(3, mybox_key(0))
+    assert (twin.deliveries, twin.subscribes, twin.unsubscribes) == (1, 3, 1)
+    assert bus.subscribes == 2
 
 
 # -- determinism and duplication -----------------------------------------------

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from rfoverlay import scenario
 from rfoverlay.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -38,6 +39,19 @@ def test_simulate_writes_trace_and_metrics(tmp_path, capsys):
     table = metrics_path.read_text()
     assert table.startswith("interval")
     assert "total" in table
+
+
+def test_simulate_without_a_trace_records_none(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path)
+    assert main(["simulate", "--config", config, "--trace", str(tmp_path / "run.jsonl")]) == EXIT_OK
+    traced = capsys.readouterr().out.splitlines()[1:]
+
+    def no_recorder():
+        raise AssertionError("simulate recorded a trace it does not write")
+
+    monkeypatch.setattr(scenario, "TraceRecorder", no_recorder)
+    assert main(["simulate", "--config", config]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == traced
 
 
 def test_simulate_and_verify_roundtrip(tmp_path, capsys):
@@ -97,22 +111,28 @@ def test_verify_flags_a_corrupted_trace(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line",
     [
-        "this is not a trace",
-        '{"time":"abc","kind":"Join","node":0,"detail":{}}',
-        '{"time":Infinity,"kind":"Join","node":0,"detail":{}}',
-        '{"time":1,"kind":"Join","node":[1],"detail":{}}',
-        '{"time":1,"kind":"ViewChange","node":0,"detail":5}',
-        '{"time":1,"kind":"Publish","node":0,"detail":{"key":{"topic":"MyBox","instance":0},"seq":1}}',
+        b"this is not a trace",
+        b'{"time":"abc","kind":"Join","node":0,"detail":{}}',
+        b'{"time":Infinity,"kind":"Join","node":0,"detail":{}}',
+        b'{"time":1,"kind":"Join","node":[1],"detail":{}}',
+        b'{"time":1,"kind":"ViewChange","node":0,"detail":5}',
+        b'{"time":1,"kind":"Publish","node":0,"detail":{"key":{"topic":"MyBox","instance":0},"seq":1}}',
+        b'{"time":1,"kind":"Join","node":0,"detail":{}}\xff',
+        b"[" * 200_000,
     ],
-    ids=["not-json", "bad-time", "infinite-time", "bad-node", "bad-detail", "no-payload"],
+    ids=[
+        "not-json", "bad-time", "infinite-time", "bad-node", "bad-detail", "no-payload",
+        "not-utf8", "deeply-nested",
+    ],
 )
 def test_verify_rejects_garbage(tmp_path, capsys, line):
     config = write_config(tmp_path)
     trace_path = tmp_path / "junk.jsonl"
-    trace_path.write_text(line + "\n")
+    trace_path.write_bytes(line + b"\n")
     code = main(["verify", "--config", config, "--trace", str(trace_path)])
     assert code == EXIT_MISMATCH
-    assert "malformed trace" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace") and err.count("\n") == 1
 
 
 def _first(events, kind, match=lambda event: True):
@@ -223,10 +243,16 @@ def test_missing_files_exit_3(tmp_path, capsys):
 
 def test_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for text in ('{"node_count": 3, "mystery": true}', '{"node_count": 3, "topology": "basic"}'):
-        path.write_text(text)
+    for data, message in (
+        (b'{"node_count": 3, "mystery": true}', "unknown config keys"),
+        (b'{"node_count": 3, "topology": "basic"}', "unknown config keys"),
+        (b'{"node_count": 3}\xff', "config is not UTF-8 text"),
+        (b"[" * 200_000, "config is nested too deeply"),
+    ):
+        path.write_bytes(data)
         assert main(["simulate", "--config", str(path)]) == EXIT_USAGE
-        assert "unknown config keys" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
 
 
 # -- oracle -------------------------------------------------------------------------

@@ -12,9 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfoverlay
-from rfoverlay import protocol
-from rfoverlay.bus import NULL, Identity, TopicName
-from rfoverlay.metrics import SETUP_INTERVAL, compute_metrics, render_metrics
+from rfoverlay import protocol, workload
+from rfoverlay.bus import NULL, Identity, TopicName, VirtualBus
+from rfoverlay.metrics import (
+    SETUP_INTERVAL,
+    IntervalStats,
+    Metrics,
+    ToggleStats,
+    compute_metrics,
+    render_metrics,
+    tally,
+)
 from rfoverlay.network import DISPATCH_BUDGET_FACTOR, JoinError, Network, QuiescenceError
 from rfoverlay.oracle import RingModel, basic_tst
 from rfoverlay.protocol import SYSTEM_EMPTY, TRUST_ORE, Availability, Hint
@@ -40,7 +48,7 @@ from rfoverlay.trace import (
     event_to_json,
     load_trace,
 )
-from rfoverlay.workload import AvailabilitySchedule, WorkloadConfig
+from rfoverlay.workload import AvailabilitySchedule, WorkloadConfig, sample_k
 
 AVAILABLE = Availability.AVAILABLE
 UNAVAILABLE = Availability.UNAVAILABLE
@@ -514,6 +522,21 @@ def test_scenario_traces_verify():
     assert metrics.publications == sum(metrics.publications_per_topic.values())
 
 
+def test_verification_reuses_the_run_schedule():
+    cfg = ScenarioConfig(node_count=5, workload=WorkloadConfig(intervals=20, seed=33), seed=33)
+    draws = []
+
+    def counted(rng, lam):
+        draws.append(lam)
+        return sample_k(rng, lam)
+
+    workload._draw_schedule.cache_clear()
+    with mock.patch.object(workload, "sample_k", counted):
+        trace, _ = run_scenario(cfg)
+        assert verify_trace(trace, cfg).passed
+    assert len(draws) == 5 * 20
+
+
 def test_scenario_is_deterministic():
     cfg = ScenarioConfig(node_count=7, workload=WorkloadConfig(intervals=25, seed=3), seed=3)
     first, _ = run_scenario(cfg)
@@ -568,7 +591,8 @@ def test_unrecorded_runs_return_an_empty_trace():
     cfg = ScenarioConfig(node_count=4, workload=WorkloadConfig(intervals=6, seed=2), seed=2)
     trace, metrics = run_scenario(cfg, record=False)
     assert trace == []
-    assert metrics.publications == 0 and metrics.deliveries == 0
+    assert metrics == run_scenario(cfg)[1]
+    assert metrics.deliveries > 0
 
 
 def test_corrupted_view_fails_verification():
@@ -600,6 +624,19 @@ def test_diverging_toggles_are_a_structural_error():
     corrupted[index] = TraceEvent(event.time, event.kind, event.node, flipped)
     with pytest.raises(TraceError):
         verify_trace(corrupted, cfg)
+
+
+def test_backwards_toggle_intervals_are_a_structural_error():
+    cfg = ScenarioConfig(node_count=4, workload=WorkloadConfig(intervals=3, seed=0))
+    schedule = forced_schedule(4, set(), {1}, {1, 2})
+    trace, _ = run_scenario(cfg, schedule=schedule)
+    index = [i for i, e in enumerate(trace) if e.kind == "Toggle"][-1]
+    event = trace[index]
+    assert event.detail["interval"] == 2
+    corrupted = list(trace)
+    corrupted[index] = TraceEvent(event.time, event.kind, event.node, {**event.detail, "interval": 0})
+    with pytest.raises(TraceError, match="intervals must not go backwards"):
+        verify_trace(corrupted, cfg, schedule=schedule)
 
 
 def test_wrong_node_count_is_a_structural_error():
@@ -644,8 +681,91 @@ def test_malformed_trace_lines_are_rejected():
 # -- metrics ---------------------------------------------------------------------
 
 
-def test_metrics_of_an_empty_trace():
-    metrics = compute_metrics([])
+def fold_trace(trace, intervals: int) -> Metrics:
+    """Reference metrics: Publish lines by topic, plus Deliver, Subscribe
+    and Unsubscribe lines, per interval and per toggle. A toggle owns every
+    line up to the next toggle."""
+    rows = {i: IntervalStats(i) for i in range(SETUP_INTERVAL, intervals)}
+    row, toggle = rows[SETUP_INTERVAL], None
+    toggles = []
+    for event in trace:
+        if event.kind == "Toggle":
+            row = rows[event.detail["interval"]]
+            row.toggles += 1
+            toggle = ToggleStats(row.interval, event.node, event.detail["to"])
+            toggles.append(toggle)
+        elif event.kind == "Publish":
+            topic = event.detail["key"]["topic"]
+            row.publications_per_topic[topic] += 1
+            if toggle is not None:
+                toggle.publications += 1
+                toggle.mybox_publications += topic == TopicName.MYBOX.value
+        elif event.kind == "Deliver":
+            row.deliveries += 1
+            if toggle is not None:
+                toggle.deliveries += 1
+        elif event.kind == "Subscribe":
+            row.subscribes += 1
+        elif event.kind == "Unsubscribe":
+            row.unsubscribes += 1
+    everything = tuple(rows.values())
+    return Metrics(
+        publications_per_topic={
+            topic: sum(r.publications_per_topic[topic] for r in everything)
+            for topic in everything[0].publications_per_topic
+        },
+        subscribes=sum(r.subscribes for r in everything),
+        unsubscribes=sum(r.unsubscribes for r in everything),
+        deliveries=sum(r.deliveries for r in everything),
+        setup=everything[0],
+        intervals=everything[1:],
+        toggles=tuple(toggles),
+    )
+
+
+def assert_counters_equal_the_fold(cfg: ScenarioConfig, interleaved: bool) -> None:
+    trace, metrics = run_scenario(cfg, interleaved_toggles=interleaved)
+    assert metrics == fold_trace(trace, cfg.workload.intervals)
+    assert run_scenario(cfg, interleaved_toggles=interleaved, record=False) == ([], metrics)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(1, 8),
+    delay=st.integers(0, 3),
+    interleaved=st.booleans(),
+    lam=st.sampled_from([1.0, 2.0, 3.0]),
+    intervals=st.integers(0, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_counters_equal_the_fold_over_the_trace(size, delay, interleaved, lam, intervals, seed):
+    cfg = ScenarioConfig(
+        node_count=size,
+        delivery_delay=delay,
+        workload=WorkloadConfig(lam=lam, intervals=intervals, seed=seed),
+        seed=seed,
+    )
+    assert_counters_equal_the_fold(cfg, interleaved)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # the README demo
+        ScenarioConfig(node_count=6, workload=WorkloadConfig(intervals=12, seed=9), seed=9),
+        # toggle-heavy, as churn128 at a quarter of the ring
+        ScenarioConfig(
+            node_count=32, workload=WorkloadConfig(lam=3.0, intervals=100, seed=3), seed=3
+        ),
+    ],
+    ids=["demo", "churn32"],
+)
+def test_counters_equal_the_fold_on_reference_configs(cfg):
+    assert_counters_equal_the_fold(cfg, interleaved=False)
+
+
+def test_metrics_of_an_empty_run():
+    metrics = compute_metrics(tally(VirtualBus()), (), ())
     assert metrics.publications == 0
     assert metrics.deliveries == 0
     assert metrics.intervals == ()
@@ -653,14 +773,15 @@ def test_metrics_of_an_empty_trace():
 
 
 def test_metrics_count_join_costs():
-    recorder = TraceRecorder()
-    joined_network(3, recorder=recorder)
-    metrics = compute_metrics(recorder.events)
+    net = joined_network(3)
+    metrics = compute_metrics(tally(net.bus), (), ())
     per_topic = metrics.publications_per_topic
     assert per_topic[TopicName.ARRIVALS.value] == 3
     assert per_topic[TopicName.ORE.value] == 2
     assert per_topic[TopicName.OSE.value] == 4
     assert per_topic[TopicName.MYBOX.value] == 0
+    assert metrics.setup.publications_per_topic == per_topic
+    assert metrics.setup.deliveries == metrics.deliveries == net.bus.deliveries > 0
 
 
 def test_metrics_attribute_toggles_to_intervals():
@@ -688,15 +809,6 @@ def test_metrics_table_shape():
     assert lines[1].split()[0] == "setup"
     assert lines[-1].split()[0] == "total"
     assert len(lines) == 2 + 2 + 1  # header, setup, two intervals, total
-
-
-def test_metrics_reject_backwards_intervals():
-    events = [
-        TraceEvent(1, "Toggle", 0, {"to": "unavailable", "interval": 1}),
-        TraceEvent(2, "Toggle", 0, {"to": "available", "interval": 0}),
-    ]
-    with pytest.raises(TraceError):
-        compute_metrics(events)
 
 
 # -- configuration parsing ----------------------------------------------------------

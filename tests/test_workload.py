@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from rfoverlay import workload
 from rfoverlay.protocol import Availability
 from rfoverlay.workload import (
     MAX_RATE,
@@ -123,6 +124,23 @@ def test_schedule_is_reproducible():
     first = build_schedule(cfg, range(6))
     second = build_schedule(cfg, range(6))
     assert first.states == second.states
+
+
+def test_schedule_is_drawn_once_and_handed_out_read_only(monkeypatch):
+    draws = []
+
+    def counted(rng, lam):
+        draws.append(lam)
+        return sample_k(rng, lam)
+
+    monkeypatch.setattr(workload, "sample_k", counted)
+    workload._draw_schedule.cache_clear()
+    cfg = WorkloadConfig(lam=2.0, threshold=2, intervals=20, seed=11)
+    first = build_schedule(cfg, range(6))
+    assert build_schedule(cfg, iter(range(6))) is first
+    assert len(draws) == 6 * 20
+    with pytest.raises(TypeError):
+        first.states[0] = ()
 
 
 def test_schedule_changes_with_the_seed():
