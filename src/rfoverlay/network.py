@@ -116,12 +116,12 @@ class Network:
                 self.recorder.subscribe(self.bus.now, node, key)
         new = effects.view
         self.views[node] = new
-        # A change to a field the trace does not write (predecessor,
-        # last_mybox) would give a line equal to the node's previous one.
-        if self.recorder is not None and (
-            old is None or traced_view_fields(new) != traced_view_fields(old)
-        ):
-            self.recorder.view_change(self.bus.now, node, new)
+        if self.recorder is not None:
+            # A change to a field the trace does not write (predecessor,
+            # last_mybox) would give a line equal to the node's previous one.
+            fields = traced_view_fields(new)
+            if old is None or fields != traced_view_fields(old):
+                self.recorder.view_change(self.bus.now, node, fields)
 
     # -- inspection -----------------------------------------------------------
 

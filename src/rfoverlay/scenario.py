@@ -33,9 +33,6 @@ from .trace import (
     Trace,
     TraceError,
     TraceRecorder,
-    parse_toggle,
-    payload_from_obj,
-    tre_from_obj,
 )
 from .workload import AvailabilitySchedule, WorkloadConfig, build_schedule
 
@@ -132,12 +129,12 @@ def parse_config(obj: Any) -> ScenarioConfig:
 def load_config(stream: IO[str]) -> ScenarioConfig:
     try:
         obj = json.load(stream)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise ConfigError("config is nested too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
     return parse_config(obj)
 
 
@@ -287,61 +284,6 @@ class VerifyReport:
         return not self.mismatches
 
 
-_TOPICS = frozenset(name.value for name in TopicName)
-
-
-class _Replay:
-    """Streaming reconstruction of a run from its trace (toggles excepted)."""
-
-    def __init__(self) -> None:
-        self.joined: list[NodeId] = []
-        self.avail: dict[NodeId, Availability] = {}
-        self.tre: dict[NodeId, NextAvailable] = {}
-        self.mybox: dict[NodeId, Payload] = {}
-
-    def apply(self, event) -> None:
-        if event.kind == KIND_JOIN:
-            node = self._node(event)
-            if node in self.avail:
-                raise TraceError(f"{node} joined twice")
-            self.joined.append(node)
-            self.avail[node] = Availability.AVAILABLE
-        elif event.kind == KIND_VIEW_CHANGE:
-            node = self._node(event)
-            if "view" not in event.detail:
-                raise TraceError(f"view change without content: {event.detail!r}")
-            view_obj = event.detail["view"]
-            try:
-                self.tre[node] = tre_from_obj(view_obj["tre"])
-                self.avail[node] = Availability(view_obj["state"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceError(f"bad view object {view_obj!r}") from exc
-        elif event.kind == KIND_PUBLISH:
-            node = self._node(event)
-            try:
-                key = event.detail["key"]
-                topic = key["topic"]
-                payload_obj = event.detail["payload"]
-            except (KeyError, TypeError) as exc:
-                raise TraceError(f"bad publish detail {event.detail!r}") from exc
-            if not (isinstance(topic, str) and topic in _TOPICS):
-                raise TraceError(f"unknown topic {topic!r} in trace")
-            if topic == TopicName.MYBOX.value:
-                # A node publishes only on its own status stream.
-                instance = key.get("instance")
-                if not (type(instance) is int and instance == node):
-                    raise TraceError(f"{node} published on MyBox instance {instance!r}")
-                self.mybox[node] = payload_from_obj(payload_obj)
-
-    def _node(self, event) -> NodeId:
-        if event.node is None:
-            raise TraceError(f"{event.kind} event without a node")
-        return event.node
-
-    def ring(self, vector: dict[NodeId, Availability]) -> RingModel:
-        return RingModel.from_states(self.joined, vector)
-
-
 def verify_trace(
     trace: Trace,
     cfg: ScenarioConfig,
@@ -353,48 +295,65 @@ def verify_trace(
     records) raise TraceError; oracle disagreement lands in the report.
     """
     schedule = _resolve_schedule(cfg, schedule)
-    replay = _Replay()
+    # The run as the trace shows it: only Join, Toggle, ViewChange and MyBox
+    # Publish lines carry state that the oracles check.
+    joined: list[NodeId] = []
+    avail: dict[NodeId, Availability] = {}
+    tre: dict[NodeId, NextAvailable] = {}
+    mybox: dict[NodeId, Payload] = {}
     mismatches: list[Mismatch] = []
 
     # Interval k's quiescent point is right before the first toggle of any
     # later interval (or the end of the trace). Toggles carry their interval.
     def check_interval(interval: int) -> None:
         vector = schedule.vector(interval)
-        observed_vector = {n: replay.avail[n] for n in replay.joined}
-        if observed_vector != vector:
+        if {n: avail[n] for n in joined} != vector:
             raise TraceError(
                 f"interval {interval}: trace availability diverges from the schedule"
             )
-        for found in _oracle_compare(replay.ring(vector), replay.tre, replay.mybox):
+        ring = RingModel.from_states(joined, vector)
+        for found in _oracle_compare(ring, tre, mybox):
             mismatches.append(Mismatch(interval, *found))
 
     last_time = 0
     current_interval = -1
     for event in trace:
-        if event.time < last_time:
+        time, kind, node, value = event
+        if time < last_time:
             raise TraceError(f"time went backwards at {event}")
-        last_time = event.time
-        if event.kind != KIND_TOGGLE:
-            replay.apply(event)
-            continue
-        interval, to_state = parse_toggle(event, current_interval)
-        if not 0 <= interval < schedule.intervals:
-            raise TraceError(f"toggle interval {interval} outside the schedule")
-        if event.node is None or event.node not in schedule.states:
-            raise TraceError(f"toggle of unknown node {event.node!r}")
-        if to_state is not schedule.state(event.node, interval):
-            raise TraceError(
-                f"toggle of {event.node} at interval {interval} "
-                "diverges from the schedule"
-            )
-        for pending in range(max(current_interval, 0), interval):
-            check_interval(pending)
-        current_interval = interval
-        replay.avail[event.node] = to_state
-    if len(replay.joined) != cfg.node_count:
-        raise TraceError(
-            f"trace joined {len(replay.joined)} nodes, config says {cfg.node_count}"
-        )
+        last_time = time
+        if kind == KIND_VIEW_CHANGE:
+            _ose, _ore, tre[node], avail[node], _joining = value
+        elif kind == KIND_PUBLISH:
+            key, payload, _publisher, _seq = value
+            if key.topic is TopicName.MYBOX:
+                # A node publishes only on its own status stream.
+                if key.instance != node:
+                    raise TraceError(f"{node} published on MyBox instance {key.instance}")
+                mybox[node] = payload
+        elif kind == KIND_JOIN:
+            if node in avail:
+                raise TraceError(f"{node} joined twice")
+            joined.append(node)
+            avail[node] = Availability.AVAILABLE
+        elif kind == KIND_TOGGLE:
+            to_state, interval = value
+            if interval < current_interval:
+                raise TraceError("toggle intervals must not go backwards")
+            if not 0 <= interval < schedule.intervals:
+                raise TraceError(f"toggle interval {interval} outside the schedule")
+            if node not in schedule.states:
+                raise TraceError(f"toggle of unknown node {node}")
+            if to_state is not schedule.state(node, interval):
+                raise TraceError(
+                    f"toggle of {node} at interval {interval} diverges from the schedule"
+                )
+            for pending in range(max(current_interval, 0), interval):
+                check_interval(pending)
+            current_interval = interval
+            avail[node] = to_state
+    if len(joined) != cfg.node_count:
+        raise TraceError(f"trace joined {len(joined)} nodes, config says {cfg.node_count}")
     for pending in range(max(current_interval, 0), schedule.intervals):
         check_interval(pending)
 

@@ -1,19 +1,26 @@
-"""Trace records: one structured line per event, machine-diffable.
+"""Trace records: typed events in memory, one JSON line per event on file.
 
 A trace is the ordered record of everything observable in a run: joins,
 availability toggles, publications, deliveries, subscription changes, and
-node view changes. Serialization is line-oriented JSON with a fixed field
+node view changes. Each TraceEvent holds the engine's own values for its kind
+(see TraceEvent), so recording builds no dict and verification reads the
+values as they are.
+
+JSON exists only in the codec. event_to_json writes a line with a fixed field
 order (time, kind, node, detail), so equal runs produce byte-equal files.
+event_from_json checks every field of a line and decodes it into the same
+values, so a line the engine could not have written is a TraceError.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Any, Iterable, NamedTuple
 
 from .bus import (
     NULL,
+    BusError,
     DeliveryRecord,
     Identity,
     JoinRecord,
@@ -23,6 +30,7 @@ from .bus import (
     Payload,
     Sample,
     TopicKey,
+    TopicName,
 )
 from .protocol import (
     SYSTEM_EMPTY,
@@ -47,128 +55,35 @@ KIND_SUBSCRIBE = "Subscribe"
 KIND_UNSUBSCRIBE = "Unsubscribe"
 KIND_VIEW_CHANGE = "ViewChange"
 
-KINDS = (
-    KIND_JOIN,
-    KIND_TOGGLE,
-    KIND_PUBLISH,
-    KIND_DELIVER,
-    KIND_SUBSCRIBE,
-    KIND_UNSUBSCRIBE,
-    KIND_VIEW_CHANGE,
-)
 
+class TraceEvent(NamedTuple):
+    """One trace line. `value` holds exactly what the kind's detail writes:
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+    - Join: None
+    - Toggle: (Availability, interval)
+    - Publish, Deliver: (TopicKey, Payload, publisher, seq); a Publish line
+      does not write the publisher, which is its node
+    - Subscribe, Unsubscribe: the TopicKey
+    - ViewChange: traced_view_fields(view); the view's `me` is the node
+    """
+
     time: int
     kind: str
-    node: NodeId | None
-    detail: dict
+    node: NodeId
+    value: Any
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise TraceError(f"unknown event kind {self.kind!r}")
+    @property
+    def detail(self) -> dict:
+        """The line's detail as JSON values, decoded from its text."""
+        return json.loads(_detail_json(self))
 
 
 Trace = list[TraceEvent]
 
 
-# ---------------------------------------------------------------------------
-# Value codecs
-
-
-def payload_to_obj(payload: Payload) -> dict:
-    if isinstance(payload, Identity):
-        return {"type": "identity", "node": payload.node}
-    if isinstance(payload, JoinRecord):
-        return {"type": "join_record", "node": payload.node}
-    if isinstance(payload, OStUpdate):
-        return {"type": "ost_update", "role": payload.role.value, "who": payload.who}
-    return {"type": "null"}
-
-
-def _int(value: object) -> int:
-    """A JSON integer as it stands: no coercion of bools, floats or strings."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise TypeError(f"expected an integer, got {value!r}")
-
-
-def payload_from_obj(obj: dict) -> Payload:
-    try:
-        kind = obj["type"]
-        if kind == "identity":
-            return Identity(_int(obj["node"]))
-        if kind == "join_record":
-            return JoinRecord(_int(obj["node"]))
-        if kind == "ost_update":
-            return OStUpdate(OStRole(obj["role"]), _int(obj["who"]))
-        if kind == "null":
-            return NULL
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"bad payload object {obj!r}") from exc
-    raise TraceError(f"bad payload object {obj!r}")
-
-
-def key_to_obj(key: TopicKey) -> dict:
-    obj: dict = {"topic": key.topic.value}
-    if key.instance is not None:
-        obj["instance"] = key.instance
-    return obj
-
-
-def tre_to_obj(tre: NextAvailable) -> dict:
-    if isinstance(tre, Hint):
-        return {"kind": "hint", "node": tre.node}
-    if isinstance(tre, TrustOre):
-        return {"kind": "trust_ore"}
-    return {"kind": "system_empty"}
-
-
-def tre_from_obj(obj: dict) -> NextAvailable:
-    try:
-        kind = obj["kind"]
-        if kind == "hint":
-            return Hint(_int(obj["node"]))
-        if kind == "trust_ore":
-            return TRUST_ORE
-        if kind == "system_empty":
-            return SYSTEM_EMPTY
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"bad tre object {obj!r}") from exc
-    raise TraceError(f"bad tre object {obj!r}")
-
-
-def view_to_obj(view: NodeView) -> dict:
-    return {
-        "me": view.me,
-        "ose": view.ose,
-        "ore": view.ore,
-        "tre": tre_to_obj(view.tre),
-        "state": view.state.value,
-        "joining": view.joining,
-    }
-
-
 def traced_view_fields(view: NodeView) -> tuple:
-    """The fields view_to_obj writes, but `me`, which never changes."""
+    """The view fields a ViewChange line writes, but `me`, which never changes."""
     return (view.ose, view.ore, view.tre, view.state, view.joining)
-
-
-def parse_toggle(event: TraceEvent, last_interval: int) -> tuple[int, Availability]:
-    """The interval and target state of a toggle event.
-
-    `last_interval` is the interval of the previous toggle (-1 before the
-    first); toggle intervals must not go backwards.
-    """
-    try:
-        interval = _int(event.detail["interval"])
-        to_state = Availability(event.detail["to"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"bad toggle detail {event.detail!r}") from exc
-    if interval < last_interval:
-        raise TraceError("toggle intervals must not go backwards")
-    return interval, to_state
 
 
 # ---------------------------------------------------------------------------
@@ -177,85 +92,201 @@ def parse_toggle(event: TraceEvent, last_interval: int) -> tuple[int, Availabili
 
 @dataclass
 class TraceRecorder:
-    """Accumulates trace events as a run progresses."""
+    """Accumulates trace events as a run progresses, one per call."""
 
     events: Trace = field(default_factory=list)
 
-    def record(self, time: int, kind: str, node: NodeId | None, detail: dict) -> None:
-        self.events.append(TraceEvent(time=time, kind=kind, node=node, detail=detail))
-
     def join(self, time: int, node: NodeId) -> None:
-        self.record(time, KIND_JOIN, node, {})
+        self.events.append(TraceEvent(time, KIND_JOIN, node, None))
 
     def toggle(self, time: int, node: NodeId, to: Availability, interval: int) -> None:
-        self.record(time, KIND_TOGGLE, node, {"to": to.value, "interval": interval})
+        self.events.append(TraceEvent(time, KIND_TOGGLE, node, (to, interval)))
 
     def publish(self, sample: Sample) -> None:
-        self.record(
-            sample.time,
-            KIND_PUBLISH,
-            sample.publisher,
-            {"key": key_to_obj(sample.key), "payload": payload_to_obj(sample.payload), "seq": sample.seq},
-        )
+        value = (sample.key, sample.payload, sample.publisher, sample.seq)
+        self.events.append(TraceEvent(sample.time, KIND_PUBLISH, sample.publisher, value))
 
     def deliver(self, record: DeliveryRecord) -> None:
         sample = record.sample
-        self.record(
-            record.time,
-            KIND_DELIVER,
-            record.subscriber,
-            {
-                "key": key_to_obj(sample.key),
-                "payload": payload_to_obj(sample.payload),
-                "publisher": sample.publisher,
-                "seq": sample.seq,
-            },
-        )
+        value = (sample.key, sample.payload, sample.publisher, sample.seq)
+        self.events.append(TraceEvent(record.time, KIND_DELIVER, record.subscriber, value))
 
     def subscribe(self, time: int, node: NodeId, key: TopicKey) -> None:
-        self.record(time, KIND_SUBSCRIBE, node, {"key": key_to_obj(key)})
+        self.events.append(TraceEvent(time, KIND_SUBSCRIBE, node, key))
 
     def unsubscribe(self, time: int, node: NodeId, key: TopicKey) -> None:
-        self.record(time, KIND_UNSUBSCRIBE, node, {"key": key_to_obj(key)})
+        self.events.append(TraceEvent(time, KIND_UNSUBSCRIBE, node, key))
 
-    def view_change(self, time: int, node: NodeId, view: NodeView) -> None:
-        self.record(time, KIND_VIEW_CHANGE, node, {"view": view_to_obj(view)})
+    def view_change(self, time: int, node: NodeId, fields: tuple) -> None:
+        """`fields` is traced_view_fields of the node's new view."""
+        self.events.append(TraceEvent(time, KIND_VIEW_CHANGE, node, fields))
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Encoding: every value is an int, a bool or a fixed enum string, so lines are
+# written as text with nothing to escape. json.dumps with separators
+# (",", ":") is the reference (tests/test_sim.py checks it).
+
+# A key's fragment is written once: a run names the same few keys per node.
+_KEY_JSON: dict[TopicKey, str] = {}
 
 
-# One encoder for every line: json.dumps with non-default separators builds a
-# new JSONEncoder on each call.
-_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+def _key_json(key: TopicKey) -> str:
+    text = _KEY_JSON.get(key)
+    if text is None:
+        instance = "" if key.instance is None else f',"instance":{key.instance}'
+        text = _KEY_JSON[key] = f'{{"topic":"{key.topic.value}"{instance}}}'
+    return text
+
+
+def _payload_json(payload: Payload) -> str:
+    if isinstance(payload, Identity):
+        return f'{{"type":"identity","node":{payload.node}}}'
+    if isinstance(payload, JoinRecord):
+        return f'{{"type":"join_record","node":{payload.node}}}'
+    if isinstance(payload, OStUpdate):
+        return f'{{"type":"ost_update","role":"{payload.role.value}","who":{payload.who}}}'
+    return '{"type":"null"}'
+
+
+def _tre_json(tre: NextAvailable) -> str:
+    if isinstance(tre, Hint):
+        return f'{{"kind":"hint","node":{tre.node}}}'
+    if isinstance(tre, TrustOre):
+        return '{"kind":"trust_ore"}'
+    return '{"kind":"system_empty"}'
+
+
+def _detail_json(event: TraceEvent) -> str:
+    kind, value = event.kind, event.value
+    if kind == KIND_VIEW_CHANGE:
+        ose, ore, tre, state, joining = value
+        return (
+            f'{{"view":{{"me":{event.node},"ose":{ose},"ore":{ore},"tre":{_tre_json(tre)},'
+            f'"state":"{state.value}","joining":{"true" if joining else "false"}}}}}'
+        )
+    if kind == KIND_DELIVER or kind == KIND_PUBLISH:
+        key, payload, publisher, seq = value
+        head = f'{{"key":{_key_json(key)},"payload":{_payload_json(payload)},'
+        if kind == KIND_PUBLISH:
+            return f'{head}"seq":{seq}}}'
+        return f'{head}"publisher":{publisher},"seq":{seq}}}'
+    if kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
+        return f'{{"key":{_key_json(value)}}}'
+    if kind == KIND_TOGGLE:
+        to, interval = value
+        return f'{{"to":"{to.value}","interval":{interval}}}'
+    if kind == KIND_JOIN:
+        return "{}"
+    raise TraceError(f"unknown event kind {kind!r}")
 
 
 def event_to_json(event: TraceEvent) -> str:
-    obj = {"time": event.time, "kind": event.kind, "node": event.node, "detail": event.detail}
-    return _LINE_ENCODER.encode(obj)
+    return (
+        f'{{"time":{event.time},"kind":"{event.kind}","node":{event.node},'
+        f'"detail":{_detail_json(event)}}}'
+    )
+
+
+# ---------------------------------------------------------------------------
+# Decoding: JSON values are taken as they stand, never coerced, and each
+# object must hold exactly the fields the encoder writes. A bad value raises
+# KeyError, TypeError, ValueError or BusError, which event_from_json turns
+# into one TraceError showing the line.
+
+
+def _int(value: object) -> int:
+    """A JSON integer as it stands: no coercion of bools, floats or strings."""
+    if type(value) is int:
+        return value
+    raise TypeError("expected an integer")
+
+
+def _fields(obj: object, *names: str) -> list:
+    """The values of a JSON object that holds exactly `names`, in that order."""
+    if type(obj) is not dict or len(obj) != len(names):
+        raise TypeError(f"expected an object of {names}")
+    return [obj[name] for name in names]
+
+
+def _key(obj: object) -> TopicKey:
+    if type(obj) is dict and len(obj) == 1:
+        return TopicKey(TopicName(_fields(obj, "topic")[0]))
+    topic, instance = _fields(obj, "topic", "instance")
+    return TopicKey(TopicName(topic), _int(instance))
+
+
+def _payload(obj: object) -> Payload:
+    kind = obj["type"] if type(obj) is dict else None
+    if kind == "identity":
+        return Identity(_int(_fields(obj, "type", "node")[1]))
+    if kind == "join_record":
+        return JoinRecord(_int(_fields(obj, "type", "node")[1]))
+    if kind == "ost_update":
+        _, role, who = _fields(obj, "type", "role", "who")
+        return OStUpdate(OStRole(role), _int(who))
+    if _fields(obj, "type") == ["null"]:
+        return NULL
+    raise ValueError("unknown payload type")
+
+
+def _tre(obj: object) -> NextAvailable:
+    if type(obj) is dict and obj.get("kind") == "hint":
+        return Hint(_int(_fields(obj, "kind", "node")[1]))
+    (kind,) = _fields(obj, "kind")
+    if kind == "trust_ore":
+        return TRUST_ORE
+    if kind == "system_empty":
+        return SYSTEM_EMPTY
+    raise ValueError("unknown tre kind")
+
+
+def _detail_value(kind: str, node: NodeId, detail: object) -> Any:
+    """The value of a line of `kind` by `node` from its detail."""
+    if kind == KIND_VIEW_CHANGE:
+        (view,) = _fields(detail, "view")
+        me, ose, ore, tre, state, joining = _fields(
+            view, "me", "ose", "ore", "tre", "state", "joining"
+        )
+        if _int(me) != node or type(joining) is not bool:
+            raise ValueError("a view's me is its node, and joining is a bool")
+        return _int(ose), _int(ore), _tre(tre), Availability(state), joining
+    if kind == KIND_DELIVER:
+        key, payload, publisher, seq = _fields(detail, "key", "payload", "publisher", "seq")
+        return _key(key), _payload(payload), _int(publisher), _int(seq)
+    if kind == KIND_PUBLISH:
+        key, payload, seq = _fields(detail, "key", "payload", "seq")
+        return _key(key), _payload(payload), node, _int(seq)
+    if kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
+        return _key(_fields(detail, "key")[0])
+    if kind == KIND_TOGGLE:
+        to, interval = _fields(detail, "to", "interval")
+        return Availability(to), _int(interval)
+    if kind == KIND_JOIN:
+        _fields(detail)
+        return None
+    raise ValueError("unknown event kind")
+
+
+def _bad_line(reason: str, line: str) -> TraceError:
+    """A TraceError that shows at most 80 characters of the line."""
+    clipped = repr(line[:80]) + ("..." if len(line) > 80 else "")
+    return TraceError(f"{reason}: {clipped}")
 
 
 def event_from_json(line: str) -> TraceEvent:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"unparsable trace line: {line!r}") from exc
     except RecursionError:
-        raise TraceError(f"trace line nested too deeply: {line[:80]!r}") from None
-    if not isinstance(obj, dict):
-        raise TraceError(f"trace line is not a record: {line!r}")
-    missing = {"time", "kind", "node", "detail"} - obj.keys()
-    if missing:
-        raise TraceError(f"trace line missing fields {sorted(missing)}: {line!r}")
-    if not isinstance(obj["detail"], dict):
-        raise TraceError(f"trace line detail is not a record: {line!r}")
+        raise _bad_line("trace line nested too deeply", line) from None
+    except ValueError:  # JSONDecodeError, or an integer too long to convert
+        raise _bad_line("unparsable trace line", line) from None
     try:
-        time = _int(obj["time"])
-        node = obj["node"] if obj["node"] is None else _int(obj["node"])
-    except TypeError as exc:
-        raise TraceError(f"bad time or node in trace line: {line!r}") from exc
-    return TraceEvent(time=time, kind=obj["kind"], node=node, detail=obj["detail"])
+        time, kind, node, detail = _fields(obj, "time", "kind", "node", "detail")
+        node = _int(node)
+        return TraceEvent(_int(time), kind, node, _detail_value(kind, node, detail))
+    except (KeyError, TypeError, ValueError, BusError):
+        raise _bad_line("not a valid trace event", line) from None
 
 
 def dump_trace(events: Iterable[TraceEvent], stream: IO[str]) -> None:

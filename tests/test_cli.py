@@ -119,10 +119,11 @@ def test_verify_flags_a_corrupted_trace(tmp_path, capsys):
         b'{"time":1,"kind":"Publish","node":0,"detail":{"key":{"topic":"MyBox","instance":0},"seq":1}}',
         b'{"time":1,"kind":"Join","node":0,"detail":{}}\xff',
         b"[" * 200_000,
+        b'{"time":' + b"1" * 5000 + b',"kind":"Join","node":0,"detail":{}}',
     ],
     ids=[
         "not-json", "bad-time", "infinite-time", "bad-node", "bad-detail", "no-payload",
-        "not-utf8", "deeply-nested",
+        "not-utf8", "deeply-nested", "integer-too-long",
     ],
 )
 def test_verify_rejects_garbage(tmp_path, capsys, line):
@@ -174,17 +175,27 @@ def _move_first_mybox_publish(events):
             topic="Bogus"
         ),
         _move_first_mybox_publish,
+        lambda events: events.append({"time": 42, "kind": "Deliver", "node": None, "detail": {}}),
+        lambda events: _first(events, "Subscribe")["detail"].update(key="junk"),
+        lambda events: _first(events, "ViewChange")["detail"]["view"].update(me=99),
+        lambda events: _first(events, "ViewChange")["detail"]["view"].update(ose="x"),
+        lambda events: _first(events, "ViewChange")["detail"]["view"].update(joining=1),
+        lambda events: _first(events, "Deliver")["detail"]["key"].update(instance=-1),
+        lambda events: _first(events, "Toggle")["detail"].update(cause=1),
     ],
     ids=[
         "time-bool", "time-string", "time-float", "node-float",
         "hint-node-string", "toggle-interval-string", "identity-node-string", "unknown-topic",
-        "mybox-instance-not-publisher",
+        "mybox-instance-not-publisher", "deliver-node-null", "subscribe-key-junk",
+        "view-me-not-node", "view-ose-string", "view-joining-int", "key-instance-negative",
+        "toggle-extra-field",
     ],
 )
 def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
     # A full trace with one field edited: JSON values are taken as they stand,
-    # never coerced, every Publish names a real topic, and a MyBox publish is
-    # on its publisher's own instance.
+    # never coerced, every line holds exactly the fields of its kind, keys are
+    # valid topic keys, a view's `me` is its node, and a MyBox publish is on
+    # its publisher's own instance.
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
     main(["simulate", "--config", config, "--trace", str(trace_path)])
@@ -196,7 +207,27 @@ def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
 
     code = main(["verify", "--config", config, "--trace", str(trace_path)])
     assert code == EXIT_MISMATCH
-    assert "malformed trace:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"x" * 1_000_000,
+        json.dumps("x" * 1_000_000).encode(),
+        b'{"time":1,"kind":"Toggle","node":0,"detail":{"to":"' + b"x" * 1_000_000 + b'"}}',
+    ],
+    ids=["not-json", "not-a-record", "bad-detail"],
+)
+def test_trace_errors_show_a_clipped_line(tmp_path, capsys, line):
+    config = write_config(tmp_path)
+    trace_path = tmp_path / "junk.jsonl"
+    trace_path.write_bytes(line + b"\n")
+    assert main(["verify", "--config", config, "--trace", str(trace_path)]) == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace") and err.count("\n") == 1
+    assert len(err.encode()) < 200
 
 
 # -- exit codes -------------------------------------------------------------------
@@ -248,6 +279,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
         (b'{"node_count": 3, "topology": "basic"}', "unknown config keys"),
         (b'{"node_count": 3}\xff', "config is not UTF-8 text"),
         (b"[" * 200_000, "config is nested too deeply"),
+        (b'{"node_count": ' + b"1" * 5000 + b"}", "config is not valid JSON"),
     ):
         path.write_bytes(data)
         assert main(["simulate", "--config", str(path)]) == EXIT_USAGE

@@ -4,7 +4,7 @@ import hashlib
 import io
 import json
 from collections.abc import Sized
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from unittest import mock
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import rfoverlay
 from rfoverlay import protocol, workload
-from rfoverlay.bus import NULL, Identity, TopicName, VirtualBus
+from rfoverlay.bus import NULL, Identity, TopicKey, TopicName, VirtualBus
 from rfoverlay.metrics import (
     SETUP_INTERVAL,
     IntervalStats,
@@ -598,14 +598,13 @@ def test_unrecorded_runs_return_an_empty_trace():
 def test_corrupted_view_fails_verification():
     cfg = ScenarioConfig(node_count=6, workload=WorkloadConfig(intervals=10, seed=13), seed=13)
     trace, _ = run_scenario(cfg)
-    index = max(
-        i for i, e in enumerate(trace) if e.kind == "ViewChange" and "view" in e.detail
-    )
+    index = max(i for i, e in enumerate(trace) if e.kind == "ViewChange")
     event = trace[index]
-    bad_view = dict(event.detail["view"])
-    bad_view["tre"] = {"kind": "hint", "node": 999}
+    ose, ore, _tre, state, joining = event.value
     corrupted = list(trace)
-    corrupted[index] = TraceEvent(event.time, event.kind, event.node, {"view": bad_view})
+    corrupted[index] = TraceEvent(
+        event.time, event.kind, event.node, (ose, ore, Hint(999), state, joining)
+    )
     report = verify_trace(corrupted, cfg)
     assert not report.passed
     assert any(m.node == event.node for m in report.mismatches)
@@ -616,12 +615,10 @@ def test_diverging_toggles_are_a_structural_error():
     trace, _ = run_scenario(cfg)
     index = next(i for i, e in enumerate(trace) if e.kind == "Toggle")
     event = trace[index]
-    flipped = dict(event.detail)
-    flipped["to"] = (
-        AVAILABLE.value if flipped["to"] == UNAVAILABLE.value else UNAVAILABLE.value
-    )
+    to_state, interval = event.value
+    flipped = AVAILABLE if to_state is UNAVAILABLE else UNAVAILABLE
     corrupted = list(trace)
-    corrupted[index] = TraceEvent(event.time, event.kind, event.node, flipped)
+    corrupted[index] = TraceEvent(event.time, event.kind, event.node, (flipped, interval))
     with pytest.raises(TraceError):
         verify_trace(corrupted, cfg)
 
@@ -632,9 +629,10 @@ def test_backwards_toggle_intervals_are_a_structural_error():
     trace, _ = run_scenario(cfg, schedule=schedule)
     index = [i for i, e in enumerate(trace) if e.kind == "Toggle"][-1]
     event = trace[index]
-    assert event.detail["interval"] == 2
+    to_state, interval = event.value
+    assert interval == 2
     corrupted = list(trace)
-    corrupted[index] = TraceEvent(event.time, event.kind, event.node, {**event.detail, "interval": 0})
+    corrupted[index] = TraceEvent(event.time, event.kind, event.node, (to_state, 0))
     with pytest.raises(TraceError, match="intervals must not go backwards"):
         verify_trace(corrupted, cfg, schedule=schedule)
 
@@ -676,6 +674,61 @@ def test_malformed_trace_lines_are_rejected():
         event_from_json('{"time": 1, "kind": "Nonsense", "node": 0, "detail": {}}')
     with pytest.raises(TraceError):
         event_from_json('{"time": 1, "kind": "Join"}')
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(1, 8),
+    delay=st.integers(0, 3),
+    interleaved=st.booleans(),
+    lam=st.sampled_from([1.0, 2.0, 3.0]),
+    intervals=st.integers(0, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_codec_agrees_with_the_standard_encoder(size, delay, interleaved, lam, intervals, seed):
+    """Each line is what json.dumps writes for it, and decodes back into the
+    recorded event; `detail` is the line's detail."""
+    cfg = ScenarioConfig(
+        node_count=size,
+        delivery_delay=delay,
+        workload=WorkloadConfig(lam=lam, intervals=intervals, seed=seed),
+        seed=seed,
+    )
+    trace, _ = run_scenario(cfg, interleaved_toggles=interleaved)
+    for event in trace:
+        line = event_to_json(event)
+        obj = json.loads(line)
+        assert line == json.dumps(obj, separators=(",", ":"))
+        assert event_from_json(line) == event
+        assert event.detail == obj["detail"]
+
+
+def _values_within(value):
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _values_within(item)
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from _values_within(getattr(value, f.name))
+
+
+def test_recorded_events_hold_the_engine_values():
+    cfg = ScenarioConfig(node_count=6, workload=WorkloadConfig(intervals=12, seed=9), seed=9)
+    trace, _ = run_scenario(cfg)
+    shapes = {
+        "Join": type(None),
+        "Toggle": tuple,
+        "Publish": tuple,
+        "Deliver": tuple,
+        "Subscribe": TopicKey,
+        "Unsubscribe": TopicKey,
+        "ViewChange": tuple,
+    }
+    assert {event.kind for event in trace} == set(shapes)
+    for event in trace:
+        assert isinstance(event.value, shapes[event.kind])
+        assert not any(isinstance(v, dict) for v in _values_within(event))
 
 
 # -- metrics ---------------------------------------------------------------------
