@@ -51,9 +51,9 @@ class Network:
                 raise JoinError(f"{node} cannot join while {last} is still joining")
             if tick == self.bus.now:
                 raise JoinError(f"{node} cannot join at tick {tick}: {last} arrived then")
+        effects = protocol.join(node)
         self._last_join = (node, self.bus.now)
-        self.views[node] = None  # placeholder until the join effects land
-        self._apply(node, protocol.join(node))
+        self._apply(node, effects)
 
     def join_completed(self, node: NodeId) -> bool:
         view = self.views.get(node)
@@ -71,10 +71,9 @@ class Network:
 
     # -- dispatch -----------------------------------------------------------
 
-    def dispatch_to_quiescence(self, budget: int | None = None) -> int:
+    def dispatch_to_quiescence(self) -> int:
         """Drain the delivery queue; returns the number of deliveries."""
-        if budget is None:
-            budget = DISPATCH_BUDGET_FACTOR * max(1, len(self.views)) ** 2
+        budget = DISPATCH_BUDGET_FACTOR * max(1, len(self.views)) ** 2
         delivered = 0
         while not self.bus.quiescent:
             if delivered >= budget:
@@ -101,7 +100,7 @@ class Network:
     # -- effects -----------------------------------------------------------
 
     def _apply(self, node: NodeId, effects: Effects) -> None:
-        old = self.views[node]
+        old = self.views.get(node)
         for key, payload in effects.publications:
             sample = self.bus.publish(node, key, payload)
             if self.recorder is not None:

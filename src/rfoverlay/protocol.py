@@ -19,17 +19,18 @@ hint while down, Null when the whole system is down. Two stop rules keep the
 ring quiescent: a value equal to the last one published is never republished,
 and news that names the reader itself is never propagated further.
 
-Availability news reaches a node on every hop of a status wave, so that path
-costs O(1) per delivery: views are built by the NodeView constructor, keys
-are interned by the bus, and a settled view's subscription delta is computed
-from its at most three variable keys (the receiver's status stream, the
-hint's status stream, the wake-up channel). subscriptions() stays the
-reference definition of the full set; joins diff against it.
+A node's subscriptions are its own ORe/OSe streams, which never change, plus
+what _watched() names: the status streams it reads and the one global
+stream it holds (the arrival log while joining, the wake-up channel while
+nothing is Available). Every handler's subscription changes are the
+difference of _watched() before and after, so each transition costs O(1),
+joins and status-wave hops alike. subscriptions() stays the reference
+definition of the full set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .bus import (
@@ -115,6 +116,19 @@ class Effects:
     unsubscribe: tuple[TopicKey, ...] = ()
 
 
+def _watched(view: NodeView) -> tuple[tuple[NodeId, ...], TopicKey | None]:
+    """The nodes whose status streams the view reads, ascending, and the one
+    global stream it holds, if any: the arrival log while joining, the
+    wake-up channel iff nothing is Available."""
+    if view.joining:
+        return (), arrivals_key()
+    ore = view.ore
+    tre = view.tre
+    if isinstance(tre, Hint) and tre.node != view.me and tre.node != ore:
+        return ((ore, tre.node) if ore < tre.node else (tre.node, ore)), None
+    return (ore,), oneback_key() if isinstance(tre, SystemEmpty) else None
+
+
 def subscriptions(view: NodeView) -> frozenset[TopicKey]:
     """The exact subscription set a node holds in a given view.
 
@@ -124,14 +138,10 @@ def subscriptions(view: NodeView) -> frozenset[TopicKey]:
     which is already covered), and the wake-up channel iff nothing is
     Available.
     """
-    me = view.me
-    if view.joining:
-        return frozenset({arrivals_key(), ore_key(me), ose_key(me)})
-    keys = {ore_key(me), ose_key(me), mybox_key(view.ore)}
-    if isinstance(view.tre, Hint) and view.tre.node not in (me, view.ore):
-        keys.add(mybox_key(view.tre.node))
-    if isinstance(view.tre, SystemEmpty):
-        keys.add(oneback_key())
+    boxes, channel = _watched(view)
+    keys = {ore_key(view.me), ose_key(view.me), *map(mybox_key, boxes)}
+    if channel is not None:
+        keys.add(channel)
     return frozenset(keys)
 
 
@@ -146,12 +156,6 @@ def published_hint(view: NodeView) -> Payload:
     return NULL
 
 
-def _key_order(key: TopicKey) -> tuple[str, int]:
-    return (key.topic.value, -1 if key.instance is None else key.instance)
-
-
-# The toggle path builds views with the NodeView constructor: it takes about
-# half as long as dataclasses.replace, which stays on the O(m) join path.
 def _with_tre(
     view: NodeView, tre: NextAvailable, state: Availability | None = None
 ) -> NodeView:
@@ -168,36 +172,6 @@ def _with_last_mybox(view: NodeView, last_mybox: Payload) -> NodeView:
     )
 
 
-def _watched_boxes(view: NodeView) -> tuple[NodeId, ...]:
-    """The status streams a settled view reads, by ascending instance."""
-    ore = view.ore
-    tre = view.tre
-    if isinstance(tre, Hint) and tre.node != view.me and tre.node != ore:
-        return (ore, tre.node) if ore < tre.node else (tre.node, ore)
-    return (ore,)
-
-
-def _settled_delta(
-    old: NodeView, new: NodeView
-) -> tuple[tuple[TopicKey, ...], tuple[TopicKey, ...]]:
-    """(subscribe, unsubscribe) between two settled views, in _key_order.
-
-    Only the variable keys of subscriptions() can differ: the receiver's and
-    the hint's status streams, and the wake-up channel.
-    """
-    old_boxes = _watched_boxes(old)
-    new_boxes = _watched_boxes(new)
-    subscribe = [mybox_key(n) for n in new_boxes if n not in old_boxes]
-    unsubscribe = [mybox_key(n) for n in old_boxes if n not in new_boxes]
-    was_empty = isinstance(old.tre, SystemEmpty)
-    is_empty = isinstance(new.tre, SystemEmpty)
-    if is_empty and not was_empty:
-        subscribe.append(oneback_key())
-    elif was_empty and not is_empty:
-        unsubscribe.append(oneback_key())
-    return tuple(subscribe), tuple(unsubscribe)
-
-
 def _effects(
     old: NodeView,
     new: NodeView,
@@ -210,19 +184,20 @@ def _effects(
             if key is own or key == own:
                 new = _with_last_mybox(new, payload)
     if old.joining == new.joining and old.ore == new.ore and old.tre == new.tre:
-        # subscriptions() reads only these fields and `me`, which never changes.
+        # _watched() reads only these fields and `me`, which never changes.
         return Effects(new, pubs)
-    if not (old.joining or new.joining):
-        subscribe, unsubscribe = _settled_delta(old, new)
-        return Effects(new, pubs, subscribe, unsubscribe)
-    before = subscriptions(old)
-    after = subscriptions(new)
-    return Effects(
-        view=new,
-        publications=pubs,
-        subscribe=tuple(sorted(after - before, key=_key_order)),
-        unsubscribe=tuple(sorted(before - after, key=_key_order)),
-    )
+    # Trace order: status streams by ascending instance, then the global
+    # stream. Node ids compare in C; TopicKeys would compare in Python.
+    old_boxes, old_channel = _watched(old)
+    new_boxes, new_channel = _watched(new)
+    subscribe = [mybox_key(n) for n in new_boxes if n not in old_boxes]
+    unsubscribe = [mybox_key(n) for n in old_boxes if n not in new_boxes]
+    if new_channel is not old_channel:
+        if new_channel is not None:
+            subscribe.append(new_channel)
+        if old_channel is not None:
+            unsubscribe.append(old_channel)
+    return Effects(new, pubs, tuple(subscribe), tuple(unsubscribe))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +225,7 @@ def join(me: NodeId) -> Effects:
     return Effects(
         view=view,
         publications=((arrivals_key(), JoinRecord(me)),),
-        subscribe=tuple(sorted(subscriptions(view), key=_key_order)),
+        subscribe=(arrivals_key(), ore_key(me), ose_key(me)),
     )
 
 
@@ -258,21 +233,20 @@ def _on_arrivals(view: NodeView, payload: JoinRecord) -> Effects:
     if not view.joining:
         return _effects(view, view)
     who = payload.node
-    if who != view.me:
-        # A record before our own costs O(1): it only moves the insertion
-        # point, the view is built by its constructor (dataclasses.replace
-        # takes about twice as long), and _effects skips the subscription
-        # diff. The bus replays the last two records, so under serialized
-        # joins this runs once per join.
-        new = NodeView(view.me, view.ose, view.ore, view.tre, view.state, view.last_mybox, True, who)
+    me = view.me
+    if who != me:
+        # A record before our own only moves the insertion point. The bus
+        # replays the last two records, so under serialized joins this runs
+        # once per join.
+        new = NodeView(me, view.ose, view.ore, view.tre, view.state, view.last_mybox, True, who)
         return _effects(view, new)
     predecessor = view.predecessor
     if predecessor is None:
         # First node in: a ring of one.
-        return _effects(view, replace(view, ose=view.me, ore=view.me, joining=False))
+        return _effects(view, NodeView(me, me, me, view.tre, view.state, view.last_mybox))
     # The predecessor is our sender; its answer on OSe_me completes the join.
-    new = replace(view, ose=predecessor)
-    return _effects(view, new, [(ore_key(predecessor), OStUpdate(OStRole.NEW_ORE, view.me))])
+    new = NodeView(me, predecessor, view.ore, view.tre, view.state, view.last_mybox, True, predecessor)
+    return _effects(view, new, [(ore_key(predecessor), OStUpdate(OStRole.NEW_ORE, me))])
 
 
 def handle_new_ore(view: NodeView, msg: OStUpdate) -> Effects:
@@ -291,16 +265,23 @@ def handle_new_ore(view: NodeView, msg: OStUpdate) -> Effects:
         (ose_key(joiner), OStUpdate(OStRole.NEW_ORE, old_ore)),
         (ose_key(old_ore), OStUpdate(OStRole.NEW_OSE, joiner)),
     ]
-    new = replace(view, ore=joiner, tre=TRUST_ORE)
+    new = NodeView(
+        view.me, view.ose, joiner, TRUST_ORE, view.state, view.last_mybox, view.joining,
+        view.predecessor,
+    )
     return _effects(view, new, publications)
 
 
 def handle_ose_update(view: NodeView, msg: OStUpdate) -> Effects:
     """Ring rewiring addressed to us: adopt the new receiver or sender."""
     if msg.role is OStRole.NEW_ORE:
-        new = replace(view, ore=msg.who, tre=TRUST_ORE, joining=False, predecessor=None)
+        new = NodeView(view.me, view.ose, msg.who, TRUST_ORE, view.state, view.last_mybox)
         return _effects(view, new)
-    return _effects(view, replace(view, ose=msg.who))
+    new = NodeView(
+        view.me, msg.who, view.ore, view.tre, view.state, view.last_mybox, view.joining,
+        view.predecessor,
+    )
+    return _effects(view, new)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +369,9 @@ def on_oneback(view: NodeView, msg: Payload) -> Effects:
     if msg.node == view.me:
         # Own echo; the system-empty wait continues.
         return _effects(view, view)
-    new = _with_tre(view, _next_available(view, msg))
-    publications: list[tuple[TopicKey, Payload]] = []
-    if view.state is Availability.UNAVAILABLE:
-        value = published_hint(new)
-        if value != view.last_mybox:
-            publications.append((mybox_key(view.me), value))
-    return _effects(view, new, publications)
+    # Adopting the recoverer, and republishing while down, follow the rule
+    # for news on the receiver's stream.
+    return on_mybox_from_ore(view, msg)
 
 
 # ---------------------------------------------------------------------------

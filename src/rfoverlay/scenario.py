@@ -227,7 +227,6 @@ def run_scenario(
         if not net.join_completed(node):
             raise JoinError(f"{node} never completed its join")
 
-    current = {node: Availability.AVAILABLE for node in range(cfg.node_count)}
     joined = tally(net.bus)
     marks: list[ToggleMark] = []
     ends: list[Tally] = []
@@ -236,7 +235,7 @@ def run_scenario(
         changes = [
             (node, schedule.state(node, interval))
             for node in range(cfg.node_count)
-            if schedule.state(node, interval) is not current[node]
+            if schedule.state(node, interval) is not net.views[node].state
         ]
         for node, to_state in changes:
             if not interleaved_toggles:
@@ -245,7 +244,6 @@ def run_scenario(
             if recorder is not None:
                 recorder.toggle(net.bus.now, node, to_state, interval)
             net.toggle(node, to_state)
-            current[node] = to_state
             if not interleaved_toggles:
                 net.dispatch_to_quiescence()
         if interleaved_toggles:
@@ -322,7 +320,12 @@ def verify_trace(
         if time < last_time:
             raise TraceError(f"time went backwards at {event}")
         last_time = time
-        if kind == KIND_VIEW_CHANGE:
+        if node not in avail:
+            if kind != KIND_JOIN:
+                raise TraceError(f"{kind} line for {node} before its Join")
+            joined.append(node)
+            avail[node] = Availability.AVAILABLE
+        elif kind == KIND_VIEW_CHANGE:
             _ose, _ore, tre[node], avail[node], _joining = value
         elif kind == KIND_PUBLISH:
             key, payload, _publisher, _seq = value
@@ -332,10 +335,7 @@ def verify_trace(
                     raise TraceError(f"{node} published on MyBox instance {key.instance}")
                 mybox[node] = payload
         elif kind == KIND_JOIN:
-            if node in avail:
-                raise TraceError(f"{node} joined twice")
-            joined.append(node)
-            avail[node] = Availability.AVAILABLE
+            raise TraceError(f"{node} joined twice")
         elif kind == KIND_TOGGLE:
             to_state, interval = value
             if interval < current_interval:

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, deterministic output."""
 
+import copy
 import hashlib
 import json
 
@@ -152,9 +153,30 @@ def _ose_publish(event):
     return event["detail"]["key"]["topic"] == "OSe"
 
 
+def _mybox_publish(event):
+    return event["detail"]["key"]["topic"] == "MyBox"
+
+
 def _move_first_mybox_publish(events):
-    event = _first(events, "Publish", lambda e: e["detail"]["key"]["topic"] == "MyBox")
+    event = _first(events, "Publish", _mybox_publish)
     event["detail"]["key"]["instance"] = event["node"] + 1
+
+
+def _append_about(node, kind, match=lambda event: True):
+    """An edit that appends a well-formed copy of the first `kind` line, at
+    the last line's time, about `node`, which never joined. A view's `me`
+    and a publish's instance follow the node."""
+
+    def edit(events):
+        event = copy.deepcopy(_first(events, kind, match))
+        event.update(time=events[-1]["time"], node=node)
+        if kind == "ViewChange":
+            event["detail"]["view"]["me"] = node
+        if kind == "Publish":
+            event["detail"]["key"]["instance"] = node
+        events.append(event)
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -182,13 +204,17 @@ def _move_first_mybox_publish(events):
         lambda events: _first(events, "ViewChange")["detail"]["view"].update(joining=1),
         lambda events: _first(events, "Deliver")["detail"]["key"].update(instance=-1),
         lambda events: _first(events, "Toggle")["detail"].update(cause=1),
+        _append_about(42, "ViewChange"),
+        _append_about(42, "Publish", _mybox_publish),
+        _append_about(77, "Deliver"),
     ],
     ids=[
         "time-bool", "time-string", "time-float", "node-float",
         "hint-node-string", "toggle-interval-string", "identity-node-string", "unknown-topic",
         "mybox-instance-not-publisher", "deliver-node-null", "subscribe-key-junk",
         "view-me-not-node", "view-ose-string", "view-joining-int", "key-instance-negative",
-        "toggle-extra-field",
+        "toggle-extra-field", "view-of-unjoined-node", "publish-by-unjoined-node",
+        "deliver-to-unjoined-node",
     ],
 )
 def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):

@@ -21,6 +21,7 @@ from rfoverlay.bus import (
     ore_key,
     ose_key,
 )
+from rfoverlay import protocol
 from rfoverlay.protocol import (
     SYSTEM_EMPTY,
     TRUST_ORE,
@@ -359,6 +360,43 @@ def settled_views(draw):
         state=draw(states),
         last_mybox=draw(mybox_values),
     )
+
+
+@st.composite
+def views_of(draw, me):
+    """Any view of node `me`: joining or settled, any receiver, any
+    next-available value (a hint on itself or its receiver included), any
+    state."""
+    ore = draw(node_ids)
+    tre = draw(st.one_of(tres, st.just(Hint(me)), st.just(Hint(ore))))
+    return NodeView(
+        me=me, ose=draw(node_ids), ore=ore, tre=tre, state=draw(states),
+        last_mybox=draw(mybox_values), joining=draw(st.booleans()),
+    )
+
+
+def trace_order(keys):
+    """Subscription keys as the trace lists them: by topic name, then by
+    instance."""
+    return tuple(
+        sorted(keys, key=lambda k: (k.topic.value, -1 if k.instance is None else k.instance))
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), me=node_ids)
+def test_effects_diff_is_the_subscription_set_difference(data, me):
+    """For any two views of one node, the subscription changes are exactly
+    the set differences of subscriptions(), in trace order; a join
+    subscribes to exactly its joining view's set."""
+    old = data.draw(views_of(me))
+    new = data.draw(views_of(me))
+    effects = protocol._effects(old, new)
+    before, after = subscriptions(old), subscriptions(new)
+    assert effects.subscribe == trace_order(after - before)
+    assert effects.unsubscribe == trace_order(before - after)
+    joined = join(me)
+    assert joined.subscribe == trace_order(subscriptions(joined.view))
 
 
 @settings(max_examples=300, deadline=None)
