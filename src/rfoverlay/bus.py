@@ -196,6 +196,12 @@ _ALLOWED_PAYLOADS: dict[TopicName, tuple[type, ...]] = {
 }
 
 
+def check_payload(key: TopicKey, payload: Payload) -> None:
+    """Raise PayloadKindError unless `payload` may travel on `key`'s topic."""
+    if not isinstance(payload, _ALLOWED_PAYLOADS[key.topic]):
+        raise PayloadKindError(f"{type(payload).__name__} not allowed on {key.topic.value}")
+
+
 # ---------------------------------------------------------------------------
 # Samples, subscriptions, deliveries
 
@@ -260,10 +266,7 @@ class VirtualBus:
     # -- publish / retention --------------------------------------------------
 
     def publish(self, publisher: NodeId, key: TopicKey, payload: Payload) -> Sample:
-        if not isinstance(payload, _ALLOWED_PAYLOADS[key.topic]):
-            raise PayloadKindError(
-                f"{type(payload).__name__} not allowed on {key.topic.value}"
-            )
+        check_payload(key, payload)
         seq = self._seq.get((publisher, key), 0) + 1
         self._seq[(publisher, key)] = seq
         sample = Sample(key=key, payload=payload, publisher=publisher, seq=seq, time=self._now)
@@ -348,14 +351,12 @@ class VirtualBus:
     # -- duplication ----------------------------------------------------------
 
     def clone(self) -> "VirtualBus":
-        """Copy of this bus at a quiescent point, running totals included.
+        """Copy of this bus at any point, running totals included.
 
         The QoS table is shared (it never changes); retention, sequence
-        numbers and subscriber sets are copied, so the two buses evolve
-        independently.
+        numbers, subscriber sets and the pending queue are copied, so the two
+        buses evolve independently. Queue entries are immutable values.
         """
-        if self._pending:
-            raise BusError("clone requires a quiescent bus")
         other = VirtualBus(self.delivery_delay)
         other._now = self._now
         other._enq = self._enq
@@ -365,6 +366,7 @@ class VirtualBus:
         }
         other._seq = dict(self._seq)
         other._subs = {key: set(subscribers) for key, subscribers in self._subs.items()}
+        other._pending = list(self._pending)
         other.publish_counts = dict(self.publish_counts)
         other.deliveries = self.deliveries
         other.subscribes = self.subscribes

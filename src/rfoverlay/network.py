@@ -2,13 +2,16 @@
 
 The engine owns all sequencing. Handlers stay pure; this layer applies their
 Effects (publications first, then subscription changes), keeps the per-node
-views, and drains the delivery queue. A dispatch budget of 64 * m^2 per drain
-turns any non-terminating propagation into a hard failure instead of a hang.
+views, and drains the delivery queue. A join is one call, add_node, which
+drains until the handshake completes; a toggle only applies its transition,
+so a caller may land a batch of toggles before dispatching any of them. A
+dispatch budget of 64 * m^2 per drain turns any non-terminating propagation
+into a hard failure instead of a hang.
 """
 
 from __future__ import annotations
 
-from .bus import DeliveryRecord, NodeId, Payload, VirtualBus, mybox_key
+from .bus import DeliveryRecord, NodeId, VirtualBus
 from . import protocol
 from .protocol import Availability, Effects, NodeView
 from .trace import traced_view_fields
@@ -31,33 +34,32 @@ class Network:
         self.bus = VirtualBus(delivery_delay)
         self.recorder = recorder
         self.views: dict[NodeId, NodeView] = {}
-        self._last_join: tuple[NodeId, int] | None = None  # (joiner, tick)
 
     # -- membership -----------------------------------------------------------
 
     def add_node(self, node: NodeId) -> None:
-        """Start a join. Dispatch to quiescence to let the handshake finish.
+        """Join `node`: announce it at the next tick, record the Join and
+        dispatch to quiescence, which also drains any deliveries already
+        pending. Raises JoinError if the handshake did not complete; a join
+        refused up front (a known node, or one the protocol rejects) changes
+        nothing.
 
-        Joins are serialized: a joiner is replayed only the last two arrival
-        records, which are its predecessor's and its own only if the previous
-        join has completed and was announced at an earlier tick (replay ties
-        at one tick resolve by publisher id, not by arrival order).
+        Joins therefore never overlap: a joiner is replayed the last two
+        arrival records, which are its predecessor's and its own because the
+        previous join has completed and was announced at an earlier tick
+        (replay ties at one tick resolve by publisher id, not by arrival
+        order).
         """
         if node in self.views:
             raise JoinError(f"{node} already joined")
-        if self._last_join is not None:
-            last, tick = self._last_join
-            if self.views[last].joining:
-                raise JoinError(f"{node} cannot join while {last} is still joining")
-            if tick == self.bus.now:
-                raise JoinError(f"{node} cannot join at tick {tick}: {last} arrived then")
         effects = protocol.join(node)
-        self._last_join = (node, self.bus.now)
+        self.bus.advance()
+        if self.recorder is not None:
+            self.recorder.join(self.bus.now, node)
         self._apply(node, effects)
-
-    def join_completed(self, node: NodeId) -> bool:
-        view = self.views.get(node)
-        return view is not None and not view.joining
+        self.dispatch_to_quiescence()
+        if self.views[node].joining:
+            raise JoinError(f"{node} never completed its join")
 
     # -- availability -----------------------------------------------------------
 
@@ -124,10 +126,6 @@ class Network:
 
     # -- inspection -----------------------------------------------------------
 
-    def last_mybox_value(self, node: NodeId) -> Payload | None:
-        store = self.bus.retained(mybox_key(node))
-        return store[-1].payload if store else None
-
     def check_subscription_invariant(self) -> None:
         """Bus-side subscriptions must equal each view's derived set."""
         for node, view in self.views.items():
@@ -141,11 +139,11 @@ class Network:
 
     # -- duplication -----------------------------------------------------------
 
-    def clone(self, recorder=None) -> "Network":
-        """Independent copy at a quiescent point (views are immutable)."""
+    def clone(self) -> "Network":
+        """Independent copy at any point, deliveries in flight included
+        (views are immutable). The copy records nothing."""
         other = Network.__new__(Network)
         other.bus = self.bus.clone()
-        other.recorder = recorder
+        other.recorder = None
         other.views = dict(self.views)
-        other._last_join = self._last_join
         return other

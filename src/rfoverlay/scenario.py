@@ -19,7 +19,7 @@ from typing import IO, Any, Mapping
 
 from .bus import Identity, NodeId, Payload, TopicName
 from .metrics import Metrics, Tally, ToggleMark, compute_metrics, tally
-from .network import JoinError, Network
+from .network import Network
 # mybox_fixpoint is not called here: _oracle_compare reads the whole table at
 # once. The name stays bound in this module because perfbench/probes.py wraps
 # scenario.mybox_fixpoint.
@@ -108,22 +108,19 @@ def parse_config(obj: Any) -> ScenarioConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    except OverflowError:  # float() of an integer beyond the float range
+        raise ConfigError("lambda is too large") from None
 
     verify_flag = obj.get("verify_each_interval", False)
     _require(isinstance(verify_flag, bool), "verify_each_interval must be a boolean")
 
-    try:
-        return ScenarioConfig(
-            node_count=node_count,
-            workload=workload,
-            delivery_delay=_as_int(obj.get("delivery_delay", 0), "delivery_delay"),
-            verify_each_interval=verify_flag,
-            seed=seed,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ScenarioConfig(
+        node_count=node_count,
+        workload=workload,
+        delivery_delay=_as_int(obj.get("delivery_delay", 0), "delivery_delay"),
+        verify_each_interval=verify_flag,
+        seed=seed,
+    )
 
 
 def load_config(stream: IO[str]) -> ScenarioConfig:
@@ -183,7 +180,7 @@ def _oracle_compare(
 def oracle_mismatches(net: Network) -> list[tuple[NodeId, str, str, str]]:
     """Compare a quiescent network against the all-seeing computation."""
     tre = {node: view.tre for node, view in net.views.items()}
-    mybox = {node: net.last_mybox_value(node) for node in net.views}
+    mybox = {node: view.last_mybox for node, view in net.views.items()}
     return _oracle_compare(ring_of(net), tre, mybox)
 
 
@@ -219,13 +216,7 @@ def run_scenario(
     recorder = TraceRecorder() if record else None
     net = Network(delivery_delay=cfg.delivery_delay, recorder=recorder)
     for node in range(cfg.node_count):
-        net.bus.advance()
-        if recorder is not None:
-            recorder.join(net.bus.now, node)
         net.add_node(node)
-        net.dispatch_to_quiescence()
-        if not net.join_completed(node):
-            raise JoinError(f"{node} never completed its join")
 
     joined = tally(net.bus)
     marks: list[ToggleMark] = []
@@ -295,8 +286,7 @@ def verify_trace(
     schedule = _resolve_schedule(cfg, schedule)
     # The run as the trace shows it: only Join, Toggle, ViewChange and MyBox
     # Publish lines carry state that the oracles check.
-    joined: list[NodeId] = []
-    avail: dict[NodeId, Availability] = {}
+    avail: dict[NodeId, Availability] = {}  # in arrival order, the ring's
     tre: dict[NodeId, NextAvailable] = {}
     mybox: dict[NodeId, Payload] = {}
     mismatches: list[Mismatch] = []
@@ -305,11 +295,11 @@ def verify_trace(
     # later interval (or the end of the trace). Toggles carry their interval.
     def check_interval(interval: int) -> None:
         vector = schedule.vector(interval)
-        if {n: avail[n] for n in joined} != vector:
+        if avail != vector:
             raise TraceError(
                 f"interval {interval}: trace availability diverges from the schedule"
             )
-        ring = RingModel.from_states(joined, vector)
+        ring = RingModel.from_states(avail, vector)
         for found in _oracle_compare(ring, tre, mybox):
             mismatches.append(Mismatch(interval, *found))
 
@@ -323,7 +313,6 @@ def verify_trace(
         if node not in avail:
             if kind != KIND_JOIN:
                 raise TraceError(f"{kind} line for {node} before its Join")
-            joined.append(node)
             avail[node] = Availability.AVAILABLE
         elif kind == KIND_VIEW_CHANGE:
             _ose, _ore, tre[node], avail[node], _joining = value
@@ -352,8 +341,8 @@ def verify_trace(
                 check_interval(pending)
             current_interval = interval
             avail[node] = to_state
-    if len(joined) != cfg.node_count:
-        raise TraceError(f"trace joined {len(joined)} nodes, config says {cfg.node_count}")
+    if len(avail) != cfg.node_count:
+        raise TraceError(f"trace joined {len(avail)} nodes, config says {cfg.node_count}")
     for pending in range(max(current_interval, 0), schedule.intervals):
         check_interval(pending)
 

@@ -31,6 +31,7 @@ from .bus import (
     Sample,
     TopicKey,
     TopicName,
+    check_payload,
 )
 from .protocol import (
     SYSTEM_EMPTY,
@@ -230,6 +231,13 @@ def _payload(obj: object) -> Payload:
     raise ValueError("unknown payload type")
 
 
+def _keyed_payload(key_obj: object, payload_obj: object) -> tuple[TopicKey, Payload]:
+    """A key and a payload its topic can carry (the rule the bus enforces)."""
+    key, payload = _key(key_obj), _payload(payload_obj)
+    check_payload(key, payload)
+    return key, payload
+
+
 def _tre(obj: object) -> NextAvailable:
     if type(obj) is dict and obj.get("kind") == "hint":
         return Hint(_int(_fields(obj, "kind", "node")[1]))
@@ -253,10 +261,10 @@ def _detail_value(kind: str, node: NodeId, detail: object) -> Any:
         return _int(ose), _int(ore), _tre(tre), Availability(state), joining
     if kind == KIND_DELIVER:
         key, payload, publisher, seq = _fields(detail, "key", "payload", "publisher", "seq")
-        return _key(key), _payload(payload), _int(publisher), _int(seq)
+        return *_keyed_payload(key, payload), _int(publisher), _int(seq)
     if kind == KIND_PUBLISH:
         key, payload, seq = _fields(detail, "key", "payload", "seq")
-        return _key(key), _payload(payload), node, _int(seq)
+        return *_keyed_payload(key, payload), node, _int(seq)
     if kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
         return _key(_fields(detail, "key")[0])
     if kind == KIND_TOGGLE:

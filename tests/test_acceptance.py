@@ -38,9 +38,7 @@ SWEEP_MAX_RING = 8
 def joined_network(count: int, recorder=None) -> Network:
     net = Network(recorder=recorder)
     for node in range(count):
-        net.bus.advance()
         net.add_node(node)
-        net.dispatch_to_quiescence()
     return net
 
 
@@ -115,9 +113,7 @@ def test_criterion_1_ring_construction():
         costs = []
         for node in range(size):
             before = sum(net.bus.publish_counts.values())
-            net.bus.advance()
             net.add_node(node)
-            net.dispatch_to_quiescence()
             costs.append(sum(net.bus.publish_counts.values()) - before)
         for node in range(size):
             view = net.views[node]

@@ -24,6 +24,7 @@ from rfoverlay.bus import (
     Durability,
 )
 from rfoverlay.network import Network
+from rfoverlay.protocol import Availability, Hint
 from rfoverlay.trace import TraceRecorder
 
 
@@ -256,11 +257,10 @@ def test_handlers_run_on_dispatch():
     records it and applies the subscriber's handler."""
     recorder = TraceRecorder()
     net = Network(recorder=recorder)
+    for node in range(3):
+        net.add_node(node)
     net.bus.advance()
-    net.add_node(0)
-    net.dispatch_to_quiescence()
-    net.bus.advance()
-    net.add_node(1)
+    net.toggle(1, Availability.UNAVAILABLE)
     views = dict(net.views)
     recorded = len(recorder.events)
     record = net.step()
@@ -270,7 +270,7 @@ def test_handlers_run_on_dispatch():
     assert [(e.time, e.node) for e in delivered] == [(record.time, node)]
     while net.step() is not None:
         pass
-    assert net.bus.quiescent and net.join_completed(1)
+    assert net.bus.quiescent and net.views[0].tre == Hint(2)
     assert net.step() is None
 
 
@@ -313,12 +313,34 @@ def test_dispatch_is_reproducible():
     assert _scripted_run() == _scripted_run()
 
 
-def test_clone_requires_quiescence():
-    bus = fresh_bus()
-    bus.subscribe(1, mybox_key(0))
-    bus.publish(0, mybox_key(0), Identity(0))
-    with pytest.raises(BusError):
-        bus.clone()
+def test_clone_works_in_flight():
+    """A clone taken mid-wave drains to the same deliveries and views as the
+    original, and records nothing."""
+    recorder = TraceRecorder()
+    net = Network(delivery_delay=1, recorder=recorder)
+    for node in range(8):
+        net.add_node(node)
+    net.bus.advance()
+    for node in (1, 2, 5):
+        net.toggle(node, Availability.UNAVAILABLE)
+    net.step()
+    net.step()
+    assert not net.bus.quiescent
+    twin = net.clone()
+    assert twin.recorder is None
+    recorded = len(recorder.events)
+
+    def drained(network: Network) -> list:
+        records = []
+        while (record := network.step()) is not None:
+            records.append(record)
+        return records
+
+    twin_records = drained(twin)
+    assert twin_records and len(recorder.events) == recorded
+    assert drained(net) == twin_records
+    assert twin.views == net.views
+    assert twin.bus.now == net.bus.now
 
 
 def test_clone_carries_state():

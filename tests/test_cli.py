@@ -179,6 +179,23 @@ def _append_about(node, kind, match=lambda event: True):
     return edit
 
 
+def _insert_before_first_toggle(kind, node, detail):
+    """An edit that inserts a line about `node` right before the first
+    Toggle, at that Toggle's time."""
+
+    def edit(events):
+        index = events.index(_first(events, "Toggle"))
+        line = {"time": events[index]["time"], "kind": kind, "node": node, "detail": detail}
+        events.insert(index, line)
+
+    return edit
+
+
+def _join_record_on_first_mybox_publish(events):
+    event = _first(events, "Publish", _mybox_publish)
+    event["detail"]["payload"] = {"type": "join_record", "node": event["node"]}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -207,6 +224,20 @@ def _append_about(node, kind, match=lambda event: True):
         _append_about(42, "ViewChange"),
         _append_about(42, "Publish", _mybox_publish),
         _append_about(77, "Deliver"),
+        _insert_before_first_toggle(
+            "Publish", 0, {"key": {"topic": "Arrivals"}, "payload": {"type": "null"}, "seq": 2}
+        ),
+        _insert_before_first_toggle(
+            "Deliver",
+            0,
+            {
+                "key": {"topic": "ORe", "instance": 1},
+                "payload": {"type": "identity", "node": 1},
+                "publisher": 1,
+                "seq": 9,
+            },
+        ),
+        _join_record_on_first_mybox_publish,
     ],
     ids=[
         "time-bool", "time-string", "time-float", "node-float",
@@ -214,14 +245,15 @@ def _append_about(node, kind, match=lambda event: True):
         "mybox-instance-not-publisher", "deliver-node-null", "subscribe-key-junk",
         "view-me-not-node", "view-ose-string", "view-joining-int", "key-instance-negative",
         "toggle-extra-field", "view-of-unjoined-node", "publish-by-unjoined-node",
-        "deliver-to-unjoined-node",
+        "deliver-to-unjoined-node", "arrivals-publish-null", "ore-deliver-identity",
+        "mybox-publish-join-record",
     ],
 )
 def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
     # A full trace with one field edited: JSON values are taken as they stand,
     # never coerced, every line holds exactly the fields of its kind, keys are
     # valid topic keys, a view's `me` is its node, and a MyBox publish is on
-    # its publisher's own instance.
+    # its publisher's own instance. A payload must be one its topic carries.
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
     main(["simulate", "--config", config, "--trace", str(trace_path)])
@@ -306,6 +338,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
         (b'{"node_count": 3}\xff', "config is not UTF-8 text"),
         (b"[" * 200_000, "config is nested too deeply"),
         (b'{"node_count": ' + b"1" * 5000 + b"}", "config is not valid JSON"),
+        (b'{"node_count": 3, "workload": {"lambda": 1' + b"0" * 400 + b"}}", "lambda is too large"),
     ):
         path.write_bytes(data)
         assert main(["simulate", "--config", str(path)]) == EXIT_USAGE

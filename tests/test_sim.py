@@ -3,8 +3,10 @@
 import hashlib
 import io
 import json
+import re
 from collections.abc import Sized
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -57,10 +59,7 @@ UNAVAILABLE = Availability.UNAVAILABLE
 def joined_network(count: int, recorder=None, delivery_delay: int = 0) -> Network:
     net = Network(delivery_delay=delivery_delay, recorder=recorder)
     for node in range(count):
-        net.bus.advance()
         net.add_node(node)
-        net.dispatch_to_quiescence()
-        assert net.join_completed(node)
     return net
 
 
@@ -99,9 +98,7 @@ def test_join_publication_costs():
     costs = []
     for node in range(6):
         before = dict(net.bus.publish_counts)
-        net.bus.advance()
         net.add_node(node)
-        net.dispatch_to_quiescence()
         after = net.bus.publish_counts
         costs.append(sum(after.values()) - sum(before.values()))
     assert costs == [1, 4, 4, 4, 4, 4]
@@ -116,61 +113,38 @@ def test_rejoining_is_an_error():
         net.add_node(1)
 
 
-def test_overlapping_joins_are_refused():
-    """A joiner is replayed the last two arrival records, which are
-    [predecessor, self] only if the previous join has completed."""
-    net = joined_network(3)
-    net.bus.advance()
-    net.add_node(7)
-    net.bus.advance()
-    with pytest.raises(JoinError, match="still joining"):
-        net.add_node(3)
-    assert list(net.views) == [0, 1, 2, 7]
-    net.dispatch_to_quiescence()
-    net.bus.advance()
-    net.add_node(3)
-    net.dispatch_to_quiescence()
-    assert ring_order(net) == [0, 1, 2, 7, 3]
-    assert oracle_mismatches(net) == []
-
-
-def test_same_tick_joins_are_refused():
-    """Replay ties at one tick resolve by publisher id, not by arrival order,
-    so a second arrival at the tick of the previous one is refused; a clone
-    remembers the last arrival too."""
-    net = joined_network(2)
-    net.bus.advance()
-    net.add_node(5)
-    net.dispatch_to_quiescence()
-    for candidate in (net, net.clone()):
-        with pytest.raises(JoinError, match="arrived then"):
-            candidate.add_node(4)
-        assert list(candidate.views) == [0, 1, 5]
-    net.bus.advance()
-    net.add_node(4)
-    net.dispatch_to_quiescence()
-    assert ring_order(net) == [0, 1, 5, 4]
-
-
 def test_a_refused_join_leaves_the_network_unchanged():
-    """A node id the protocol refuses adds no view and no last arrival, so
-    the next join proceeds as if the refused one never happened."""
-    net = Network()
+    """A node id the protocol refuses, or one already joined, adds no view,
+    moves no clock and records nothing, so the next join proceeds as if the
+    refused one never happened."""
+    recorder = TraceRecorder()
+    net = Network(recorder=recorder)
     with pytest.raises(protocol.ProtocolError):
         net.add_node(-1)
-    assert net.views == {}
+    assert (net.views, net.bus.now, recorder.events) == ({}, 0, [])
     net.add_node(0)
-    net.dispatch_to_quiescence()
-    assert net.join_completed(0)
+    assert not net.views[0].joining
     net.check_subscription_invariant()
+    views, now, recorded = dict(net.views), net.bus.now, list(recorder.events)
+    with pytest.raises(JoinError, match="already joined"):
+        net.add_node(0)
+    assert (net.views, net.bus.now, recorder.events) == (views, now, recorded)
+
+
+def test_a_join_whose_handshake_cannot_finish_is_an_error():
+    """A predecessor that ignores the joiner's NewORe leaves the joiner
+    joining once the queue drains, and add_node says so."""
+    net = joined_network(1)
+    with mock.patch.object(protocol, "handle_new_ore", lambda view, msg: protocol.Effects(view)):
+        with pytest.raises(JoinError, match="1 never completed its join"):
+            net.add_node(1)
+    assert net.bus.quiescent and net.views[1].joining
 
 
 def test_oracle_judges_the_arrival_order_ring():
     net = Network()
     for node in (0, 1, 2, 5, 4):
-        net.bus.advance()
         net.add_node(node)
-        net.dispatch_to_quiescence()
     toggle_settled(net, 4, UNAVAILABLE)
     assert net.views[5].tre == Hint(0)
     assert oracle_mismatches(net) == []
@@ -196,9 +170,7 @@ def test_serialized_joins_in_any_order_build_the_arrival_ring(order, batches):
     recorder = TraceRecorder()
     net = Network(recorder=recorder)
     for node in order:
-        net.bus.advance()
         net.add_node(node)
-        net.dispatch_to_quiescence()
         net.check_subscription_invariant()
     assert [net.views[node].ore for node in order] == [*order[1:], order[0]]
     assert [net.views[node].ose for node in order] == [order[-1], *order[:-1]]
@@ -346,9 +318,7 @@ def test_subscription_changes_are_the_exact_diff(size, delay, batches):
     ):
         net = Network(delivery_delay=delay)
         for node in range(size):
-            net.bus.advance()
             net.add_node(node)
-            net.dispatch_to_quiescence()
             net.check_subscription_invariant()
         for serialized, flips in batches:
             net.bus.advance()
@@ -375,7 +345,7 @@ def test_reference_pattern_settles_to_the_oracle():
     assert net.views[1].tre == Hint(3)
     assert net.views[4].tre == Hint(7)
     assert net.views[5].tre == Hint(7)
-    assert net.last_mybox_value(5) == Identity(7)
+    assert net.views[5].last_mybox == Identity(7)
     net.check_subscription_invariant()
 
 
@@ -394,10 +364,10 @@ def test_single_node_toggles():
     net = joined_network(1)
     toggle_settled(net, 0, UNAVAILABLE)
     assert net.views[0].tre == SYSTEM_EMPTY
-    assert net.last_mybox_value(0) == NULL
+    assert net.views[0].last_mybox == NULL
     toggle_settled(net, 0, AVAILABLE)
     assert net.views[0].tre == TRUST_ORE  # the self-addressed status heals the hint
-    assert net.last_mybox_value(0) == Identity(0)
+    assert net.views[0].last_mybox == Identity(0)
     assert oracle_mismatches(net) == []
 
 
@@ -406,7 +376,7 @@ def test_total_outage_and_first_recovery():
     for node in range(4):
         toggle_settled(net, node, UNAVAILABLE)
     assert all(view.tre == SYSTEM_EMPTY for view in net.views.values())
-    assert all(net.last_mybox_value(n) == NULL for n in range(4))
+    assert all(view.last_mybox == NULL for view in net.views.values())
     assert oracle_mismatches(net) == []
 
     before = dict(net.bus.publish_counts)
@@ -946,3 +916,12 @@ def test_config_loads_from_a_stream():
 def test_every_exported_name_exists():
     missing = [name for name in rfoverlay.__all__ if not hasattr(rfoverlay, name)]
     assert not missing, missing
+
+
+def test_readme_python_examples_run():
+    """Every ```python block of README.md runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
