@@ -2,12 +2,12 @@
 
 The bus models a software data bus: named topics, keyed instances (one
 logical stream per node for the per-node topics), reliable in-order delivery,
-and deterministic dispatch. Each topic runs one fixed QoS profile (see
-standard_qos): the arrival log is durable, keeps its last two samples and
-replays them to a late subscriber; every other topic is volatile and keeps
-the last one. The bus is the only communication path between nodes;
-everything above it is event-driven. A subscription is named by its
-(subscriber, key) pair.
+and deterministic dispatch. The arrival log is the one durable topic: it
+keeps its last two samples and replays them to a late subscriber. Every
+other topic is volatile and keeps nothing: a sample reaches only the
+subscribers it has when it is published. The bus is the only communication
+path between nodes; everything above it is event-driven. A subscription is
+named by its (subscriber, key) pair.
 
 Single-owner object with no internal locks: one bus serves one scenario, and
 scenarios run one after another.
@@ -50,7 +50,7 @@ GLOBAL_TOPICS = frozenset({TopicName.ARRIVALS, TopicName.ONEBACK})
 
 @dataclass(frozen=True, slots=True)
 class TopicKey:
-    """A topic name plus instance: the unit of subscription and retention."""
+    """A topic name plus instance: the unit of subscription."""
 
     topic: TopicName
     instance: NodeId | None = None
@@ -107,43 +107,6 @@ def ore_key(node: NodeId) -> TopicKey:
 def ose_key(node: NodeId) -> TopicKey:
     key = _OSE_KEYS.get(node)
     return key if key is not None else _interned(_OSE_KEYS, TopicName.OSE, node)
-
-
-# ---------------------------------------------------------------------------
-# QoS vocabulary
-
-
-class Durability(Enum):
-    VOLATILE = "volatile"
-    PERSISTENT = "persistent"
-
-
-@dataclass(frozen=True, slots=True)
-class QosProfile:
-    """A topic's durability plus its history KEEP_LAST, writer and reader alike.
-
-    Each key retains its `depth` most recent samples, oldest evicted; a
-    persistent topic replays all of them to a late subscriber, a volatile one
-    replays nothing. Delivery is reliable and per-publisher in order by
-    construction: every subscriber sees each sample published while it is
-    subscribed exactly once, in publication order.
-    """
-
-    durability: Durability
-    depth: int
-
-
-def standard_qos(name: TopicName) -> QosProfile:
-    """The one profile each topic runs.
-
-    The arrival log is durable so joiners can read it back. A joiner reads
-    only the last two records, its predecessor's and its own, so those two
-    are all the log keeps and replays. Every other topic carries current
-    state only, so its last sample is all there is to keep.
-    """
-    if name is TopicName.ARRIVALS:
-        return QosProfile(Durability.PERSISTENT, 2)
-    return QosProfile(Durability.VOLATILE, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +186,14 @@ class DeliveryRecord:
 
 
 class VirtualBus:
-    """Fixed QoS table, retention store, and deterministic delivery queue.
+    """Subscriber sets, the arrival log, and a deterministic delivery queue.
 
-    Dispatch removes the earliest pending delivery; ties at one tick resolve
-    by (publisher, seq, subscriber), with the enqueue index as a final total
-    tie-break. The clock advances to each delivery as it dispatches and via
-    advance(); it never moves backwards.
+    Delivery is reliable and per-publisher in order: every subscriber sees
+    each sample published while it is subscribed exactly once, in
+    publication order. Dispatch removes the earliest pending delivery; ties
+    at one tick resolve by (publisher, seq, subscriber), with the enqueue
+    index as a final total tie-break. The clock advances to each delivery as
+    it dispatches and via advance(); it never moves backwards.
 
     The bus keeps the run's running totals: publications per topic,
     deliveries, subscribes and unsubscribes.
@@ -239,8 +204,11 @@ class VirtualBus:
             raise BusError("delivery delay must be >= 0")
         self.delivery_delay = delivery_delay
         self._now = 0
-        self._qos = {name: standard_qos(name) for name in TopicName}
-        self._retained: dict[TopicKey, deque[Sample]] = {}
+        # The arrival log is the one durable topic and replays its last two
+        # samples to a new subscriber: a joiner reads only its predecessor's
+        # record and its own. Every other topic reaches only its current
+        # subscribers.
+        self._arrivals: deque[Sample] = deque(maxlen=2)
         self._seq: dict[tuple[NodeId, TopicKey], int] = {}
         self._subs: dict[TopicKey, set[NodeId]] = {}
         # heap entries: (due, publisher, seq, subscriber, enq, sample)
@@ -263,28 +231,20 @@ class VirtualBus:
         self._now += ticks
         return self._now
 
-    # -- publish / retention --------------------------------------------------
+    # -- publish --------------------------------------------------------------
 
     def publish(self, publisher: NodeId, key: TopicKey, payload: Payload) -> Sample:
         check_payload(key, payload)
         seq = self._seq.get((publisher, key), 0) + 1
         self._seq[(publisher, key)] = seq
         sample = Sample(key=key, payload=payload, publisher=publisher, seq=seq, time=self._now)
-
-        store = self._retained.get(key)
-        if store is None:
-            store = deque(maxlen=self._qos[key.topic].depth)
-            self._retained[key] = store
-        store.append(sample)
-
+        if key.topic is TopicName.ARRIVALS:
+            self._arrivals.append(sample)
         due = self._now + self.delivery_delay
         for subscriber in sorted(self._subs.get(key, ())):
             self._enqueue(due, subscriber, sample)
         self.publish_counts[key.topic] += 1
         return sample
-
-    def retained(self, key: TopicKey) -> tuple[Sample, ...]:
-        return tuple(self._retained.get(key, ()))
 
     # -- subscriptions --------------------------------------------------------
 
@@ -294,13 +254,11 @@ class VirtualBus:
             raise SubscriptionError(f"{subscriber} already subscribed to {key}")
         subscribers.add(subscriber)
         self.subscribes += 1
-        qos = self._qos[key.topic]
-        if qos.durability is Durability.PERSISTENT:
-            # Late-joiner replay: every retained sample, in publication
-            # order. Entries keep their original publish tick as the due
-            # component, so history from several publishers replays as
-            # published.
-            for sample in self._retained.get(key, ()):
+        if key.topic is TopicName.ARRIVALS:
+            # Late-joiner replay, in publication order. Entries keep their
+            # original publish tick as the due component, so history from
+            # several publishers replays as published.
+            for sample in self._arrivals:
                 self._enqueue(sample.time, subscriber, sample)
 
     def cancel_subscription(self, subscriber: NodeId, key: TopicKey) -> None:
@@ -353,17 +311,14 @@ class VirtualBus:
     def clone(self) -> "VirtualBus":
         """Copy of this bus at any point, running totals included.
 
-        The QoS table is shared (it never changes); retention, sequence
-        numbers, subscriber sets and the pending queue are copied, so the two
-        buses evolve independently. Queue entries are immutable values.
+        The arrival log, sequence numbers, subscriber sets and the pending
+        queue are copied, so the two buses evolve independently. Samples and
+        queue entries are immutable values.
         """
         other = VirtualBus(self.delivery_delay)
         other._now = self._now
         other._enq = self._enq
-        other._qos = self._qos
-        other._retained = {
-            key: deque(store, maxlen=store.maxlen) for key, store in self._retained.items()
-        }
+        other._arrivals = self._arrivals.copy()
         other._seq = dict(self._seq)
         other._subs = {key: set(subscribers) for key, subscribers in self._subs.items()}
         other._pending = list(self._pending)

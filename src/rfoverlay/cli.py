@@ -91,8 +91,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
     with open(args.trace, "r", encoding="utf-8") as stream:
-        trace = load_trace(stream)
-    report = verify_trace(trace, cfg)
+        report = verify_trace(load_trace(stream), cfg)
     return _print_report(report, sys.stdout)
 
 

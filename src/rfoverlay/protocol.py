@@ -15,9 +15,11 @@ The tri-state next-available value:
 
 A node publishes on its own status stream (MyBox) whenever the value another
 node would read from it changes: Identity(me) while Available, the current
-hint while down, Null when the whole system is down. Two stop rules keep the
-ring quiescent: a value equal to the last one published is never republished,
-and news that names the reader itself is never propagated further.
+hint while down, Null when the whole system is down. A down node that hears
+its receiver name it has seen its own down wave come back around the ring,
+so nothing is Available: it adopts SystemEmpty and publishes Null. One stop
+rule keeps the ring quiescent: a value equal to the last one published is
+never republished.
 
 A node's subscriptions are its own ORe/OSe streams, which never change, plus
 what _watched() names: the status streams it reads and the one global
@@ -334,15 +336,17 @@ def on_mybox_from_ore(view: NodeView, msg: Payload) -> Effects:
     """News on the receiver's status stream: retarget, and propagate it
     backwards if we are down ourselves, so our own readers stay current.
 
-    Two stop rules end the propagation: a value equal to our last published
-    one is dropped (the wave has already passed here), and news naming us is
-    never forwarded (a full wrap of the ring, or a stale claim about us).
+    News naming us while we are down is our own down wave, back after a full
+    wrap of the ring: nothing is Available, so we adopt SYSTEM_EMPTY and
+    publish NULL. One stop rule ends the propagation: a value equal to our
+    last published one is dropped (the wave has already passed here).
     """
     me = view.me
-    new = _with_tre(view, _next_available(view, msg))
+    down = view.state is Availability.UNAVAILABLE
+    wrapped = down and isinstance(msg, Identity) and msg.node == me
+    new = _with_tre(view, SYSTEM_EMPTY if wrapped else _next_available(view, msg))
     publications: list[tuple[TopicKey, Payload]] = []
-    names_me = isinstance(msg, Identity) and msg.node == me
-    if view.state is Availability.UNAVAILABLE and not names_me:
+    if down:
         value = published_hint(new)
         if value != view.last_mybox:
             publications.append((mybox_key(me), value))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import IO, Any, Mapping
+from typing import IO, Any, Iterable, Mapping
 
 from .bus import Identity, NodeId, Payload, TopicName
 from .metrics import Metrics, Tally, ToggleMark, compute_metrics, tally
@@ -32,6 +32,7 @@ from .trace import (
     KIND_VIEW_CHANGE,
     Trace,
     TraceError,
+    TraceEvent,
     TraceRecorder,
 )
 from .workload import AvailabilitySchedule, WorkloadConfig, build_schedule
@@ -274,14 +275,16 @@ class VerifyReport:
 
 
 def verify_trace(
-    trace: Trace,
+    trace: Iterable[TraceEvent],
     cfg: ScenarioConfig,
     schedule: AvailabilitySchedule | None = None,
 ) -> VerifyReport:
     """Check a trace's quiescent points against the oracles.
 
-    Structural problems (wrong node set, inconsistent availability, broken
-    records) raise TraceError; oracle disagreement lands in the report.
+    The events are read once, in order, so a lazily loaded trace is never
+    held whole. Structural problems (wrong node set, inconsistent
+    availability, broken records) raise TraceError; oracle disagreement lands
+    in the report.
     """
     schedule = _resolve_schedule(cfg, schedule)
     # The run as the trace shows it: only Join, Toggle, ViewChange and MyBox

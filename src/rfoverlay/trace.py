@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterable, NamedTuple
+from typing import IO, Any, Iterable, Iterator, NamedTuple
 
 from .bus import (
     NULL,
@@ -307,13 +307,14 @@ def dumps_trace(events: Iterable[TraceEvent]) -> str:
     return "".join(event_to_json(event) + "\n" for event in events)
 
 
-def load_trace(stream: IO[str]) -> Trace:
-    events: Trace = []
+def load_trace(stream: IO[str]) -> Iterator[TraceEvent]:
+    """Decode a JSONL trace lazily, one event per line as the caller reads
+    it, so a consumer that folds the events never holds the trace. A bad
+    line raises TraceError when the reader reaches it."""
     try:
         for line in stream:
             line = line.strip()
             if line:
-                events.append(event_from_json(line))
+                yield event_from_json(line)
     except UnicodeDecodeError as exc:
         raise TraceError(f"trace is not UTF-8 text: {exc}") from None
-    return events

@@ -1,4 +1,9 @@
-"""Bus behavior: the QoS table, retention, replay, ordering, cancellation."""
+"""Bus behavior: the one durable log and its replay, ordering, cancellation.
+
+The arrival log is the bus's only history: it replays its last two samples
+to a late subscriber, and every other topic keeps nothing. History is
+checked the way a node sees it, through replay to a late subscriber.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +14,9 @@ from rfoverlay.bus import (
     NULL,
     Identity,
     JoinRecord,
+    OStRole,
+    OStUpdate,
     PayloadKindError,
-    QosProfile,
     SubscriptionError,
     TopicKey,
     TopicName,
@@ -19,9 +25,8 @@ from rfoverlay.bus import (
     mybox_key,
     oneback_key,
     ore_key,
-    standard_qos,
+    ose_key,
     BusError,
-    Durability,
 )
 from rfoverlay.network import Network
 from rfoverlay.protocol import Availability, Hint
@@ -37,6 +42,14 @@ def drain(bus: VirtualBus) -> list:
     while (record := bus.dispatch_next()) is not None:
         records.append(record)
     return records
+
+
+def replayed(bus: VirtualBus, key=None, subscriber: int = 99) -> list:
+    """What a new subscriber to `key` (default: the arrival log) is sent."""
+    key = arrivals_key() if key is None else key
+    drain(bus)
+    bus.subscribe(subscriber, key)
+    return [r.sample for r in drain(bus)]
 
 
 # -- keys ---------------------------------------------------------------
@@ -58,19 +71,22 @@ def test_keyed_topics_require_instances():
     assert str(arrivals_key()) == "Arrivals"
 
 
-# -- QoS table -------------------------------------------------------------
+# -- durability -------------------------------------------------------------
 
 
-def test_standard_qos_table():
-    """The arrival log alone is durable, and keeps and replays its last two
-    samples (a joiner's predecessor and itself); the rest keep one sample."""
-    assert {name: standard_qos(name) for name in TopicName} == {
-        TopicName.ARRIVALS: QosProfile(Durability.PERSISTENT, 2),
-        TopicName.ORE: QosProfile(Durability.VOLATILE, 1),
-        TopicName.OSE: QosProfile(Durability.VOLATILE, 1),
-        TopicName.MYBOX: QosProfile(Durability.VOLATILE, 1),
-        TopicName.ONEBACK: QosProfile(Durability.VOLATILE, 1),
-    }
+def test_only_the_arrival_log_replays():
+    """The arrival log alone is durable, and replays its last two samples (a
+    joiner's predecessor and itself); every other topic replays nothing."""
+    bus = fresh_bus()
+    for node in range(3):
+        bus.publish(node, arrivals_key(), JoinRecord(node))
+        bus.publish(node, mybox_key(node), Identity(node))
+        bus.publish(node, oneback_key(), Identity(node))
+        bus.publish(node, ore_key(node), OStUpdate(OStRole.NEW_ORE, node))
+        bus.publish(node, ose_key(node), OStUpdate(OStRole.NEW_OSE, node))
+    for key in (mybox_key(2), oneback_key(), ore_key(2), ose_key(2)):
+        assert replayed(bus, key) == []
+    assert [s.payload for s in replayed(bus)] == [JoinRecord(1), JoinRecord(2)]
 
 
 def test_payload_kinds_are_checked():
@@ -83,24 +99,14 @@ def test_payload_kinds_are_checked():
         bus.publish(0, ore_key(1), NULL)
 
 
-# -- retention -------------------------------------------------------------
+# -- history -----------------------------------------------------------------
 
 
 def test_keep_n_retains_the_last_n():
     bus = fresh_bus()
     for node in range(5):
         bus.publish(node, arrivals_key(), JoinRecord(node))
-    kept = [s.payload.node for s in bus.retained(arrivals_key())]
-    assert kept == [3, 4]
-
-
-def test_keep_last_retains_one_per_key():
-    bus = fresh_bus()
-    bus.publish(0, mybox_key(0), Identity(0))
-    bus.publish(0, mybox_key(0), NULL)
-    bus.publish(1, mybox_key(1), Identity(1))
-    assert [s.payload for s in bus.retained(mybox_key(0))] == [NULL]
-    assert [s.payload for s in bus.retained(mybox_key(1))] == [Identity(1)]
+    assert [s.payload.node for s in replayed(bus)] == [3, 4]
 
 
 def test_sequence_numbers_count_per_publisher_and_key():
@@ -122,7 +128,6 @@ def test_durable_history_replays_to_late_joiners():
     bus.subscribe(9, arrivals_key())
     got = [r.sample.payload.node for r in drain(bus)]
     assert got == [1, 2]  # writer and reader keep the last two
-    assert [s.payload.node for s in bus.retained(arrivals_key())] == [1, 2]
 
 
 def test_replay_preserves_publication_order_across_publishers():
@@ -347,9 +352,13 @@ def test_clone_carries_state():
     bus = fresh_bus()
     bus.subscribe(1, mybox_key(0))
     bus.publish(0, mybox_key(0), Identity(0))
+    for node in range(3):
+        bus.publish(node, arrivals_key(), JoinRecord(node))
     drain(bus)
     twin = bus.clone()
-    assert twin.retained(mybox_key(0)) == bus.retained(mybox_key(0))
+    history = replayed(bus)
+    assert [s.payload for s in history] == [JoinRecord(1), JoinRecord(2)]
+    assert replayed(twin) == history
     assert twin.subscriptions_of(1) == bus.subscriptions_of(1)
     # the twin's subscriber sets are its own
     twin.cancel_subscription(1, mybox_key(0))
@@ -359,4 +368,7 @@ def test_clone_carries_state():
     sample = twin.publish(0, mybox_key(0), NULL)
     assert sample.seq == 2
     # and the original is untouched by the twin's activity
-    assert bus.retained(mybox_key(0))[-1].payload == Identity(0)
+    twin.publish(7, arrivals_key(), JoinRecord(7))
+    assert [s.payload.node for s in replayed(twin, subscriber=97)] == [2, 7]
+    assert [s.payload.node for s in replayed(bus, subscriber=97)] == [1, 2]
+    assert bus.publish_counts[TopicName.MYBOX] == 1

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from rfoverlay import scenario
+from rfoverlay import protocol, scenario
 from rfoverlay.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -300,10 +300,11 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_failed_in_run_verification_exits_1_without_a_traceback(tmp_path, capsys):
-    """Interleaved toggles that take every Available node down together can
-    miss the system-empty state (the known defect); with in-run verification
-    that run fails, and the CLI reports it on one line."""
+def test_failed_in_run_verification_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch):
+    """A node that ignores news on its receiver's status stream keeps a stale
+    next-available value; with in-run verification that run fails, and the
+    CLI reports it on one line."""
+    monkeypatch.setattr(protocol, "on_mybox_from_ore", lambda view, msg: protocol.Effects(view))
     config = write_config(
         tmp_path,
         node_count=6,
@@ -311,7 +312,7 @@ def test_failed_in_run_verification_exits_1_without_a_traceback(tmp_path, capsys
         workload={"lambda": 3.0, "intervals": 20},
         verify_each_interval=True,
     )
-    assert main(["simulate", "--config", config, "--interleaved-toggles"]) == EXIT_MISMATCH
+    assert main(["simulate", "--config", config]) == EXIT_MISMATCH
     err = capsys.readouterr().err
     assert err.startswith("run failed: VerificationError: interval ")
     assert err.count("\n") == 1

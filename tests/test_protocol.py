@@ -271,11 +271,18 @@ def test_propagation_stops_at_an_already_published_value():
 
 
 def test_news_naming_me_is_never_forwarded():
-    """A full wrap of the ring ends here instead of echoing forever."""
+    """A down node named by its receiver has seen its own down wave wrap the
+    ring: it marks the system empty and publishes NULL, not the news."""
     view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=Identity(2))
     effects = on_mybox_from_ore(view, Identity(1))
+    assert effects.view.tre == SYSTEM_EMPTY
+    assert effects.publications == ((mybox_key(1), NULL),)
+    assert effects.subscribe == (oneback_key(),)
+    # A NULL already published is not published again.
+    quiet = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=NULL)
+    effects = on_mybox_from_ore(quiet, Identity(1))
+    assert effects.view.tre == SYSTEM_EMPTY
     assert effects.publications == ()
-    assert effects.view.tre == Hint(1)
 
 
 def test_null_wave_marks_the_system_empty():

@@ -26,12 +26,11 @@ from rfoverlay.metrics import (
     tally,
 )
 from rfoverlay.network import DISPATCH_BUDGET_FACTOR, JoinError, Network, QuiescenceError
-from rfoverlay.oracle import RingModel, basic_tst
+from rfoverlay.oracle import RingModel
 from rfoverlay.protocol import SYSTEM_EMPTY, TRUST_ORE, Availability, Hint
 from rfoverlay.scenario import (
     ConfigError,
     ScenarioConfig,
-    VerificationError,
     load_config,
     oracle_mismatches,
     parse_config,
@@ -442,18 +441,39 @@ def test_clone_is_independent():
 # -- interleaved stress --------------------------------------------------------------
 
 
-def test_interleaved_death_of_all_live_nodes_can_miss_system_empty():
-    """Known limitation, pinned: when every Available node leaves in one
-    batch, the crossing status waves cancel on the full-wrap stop rule and
-    nobody learns the system is empty. Serialized toggles do not hit this."""
+def test_interleaved_death_of_all_live_nodes_settles_to_system_empty():
+    """When every Available node leaves in one batch, the crossing status
+    waves each wrap back to their sender, which marks the system empty."""
     net = joined_network(2)
     net.bus.advance()
     net.toggle(0, UNAVAILABLE)
     net.toggle(1, UNAVAILABLE)
-    net.dispatch_to_quiescence()  # still terminates
-    assert oracle_mismatches(net) != []
-    assert net.views[0].tre == Hint(0)
-    assert net.views[1].tre == Hint(1)
+    net.dispatch_to_quiescence()
+    assert oracle_mismatches(net) == []
+    assert net.views[0].tre == SYSTEM_EMPTY
+    assert net.views[1].tre == SYSTEM_EMPTY
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(2, 8),
+    delay=st.integers(0, 3),
+    lam=st.sampled_from([2.0, 3.0, 4.0, 6.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_interleaved_runs_verify_clean(size, delay, lam, seed):
+    """Interleaved toggles, with waves racing each other at any delivery
+    delay, settle to the oracle answer at every interval."""
+    cfg = ScenarioConfig(
+        node_count=size,
+        delivery_delay=delay,
+        workload=WorkloadConfig(lam=lam, intervals=12, seed=seed),
+        seed=seed,
+    )
+    trace, _ = run_scenario(cfg, interleaved_toggles=True)
+    report = verify_trace(trace, cfg)
+    assert report.mismatches == ()
+    assert report.intervals_checked == 12
 
 
 def test_interleaved_batches_always_terminate():
@@ -641,7 +661,17 @@ def test_trace_roundtrips_through_jsonl():
     buffer = io.StringIO()
     dump_trace(trace, buffer)
     buffer.seek(0)
-    assert load_trace(buffer) == trace
+    assert list(load_trace(buffer)) == trace
+
+
+def test_load_trace_yields_each_event_before_reading_the_next_line():
+    cfg = ScenarioConfig(node_count=2, workload=WorkloadConfig(intervals=1, seed=3), seed=3)
+    trace, _ = run_scenario(cfg)
+    stream = io.StringIO(event_to_json(trace[0]) + "\n{not json\n")
+    events = load_trace(stream)
+    assert next(events) == trace[0]
+    with pytest.raises(TraceError):
+        next(events)
 
 
 def test_trace_lines_keep_a_fixed_field_order():
