@@ -19,6 +19,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 NodeId = int
 
@@ -169,20 +170,13 @@ def check_payload(key: TopicKey, payload: Payload) -> None:
 # Samples, subscriptions, deliveries
 
 
-@dataclass(frozen=True, slots=True)
-class Sample:
+class Sample(NamedTuple):
+    """One publication: every subscriber is delivered this same value."""
+
     key: TopicKey
     payload: Payload
     publisher: NodeId
     seq: int  # per (publisher, key), starts at 1
-    time: int  # publish tick
-
-
-@dataclass(frozen=True, slots=True)
-class DeliveryRecord:
-    time: int
-    subscriber: NodeId
-    sample: Sample
 
 
 class VirtualBus:
@@ -207,8 +201,8 @@ class VirtualBus:
         # The arrival log is the one durable topic and replays its last two
         # samples to a new subscriber: a joiner reads only its predecessor's
         # record and its own. Every other topic reaches only its current
-        # subscribers.
-        self._arrivals: deque[Sample] = deque(maxlen=2)
+        # subscribers. Entries are (publish tick, sample) pairs.
+        self._arrivals: deque[tuple[int, Sample]] = deque(maxlen=2)
         self._seq: dict[tuple[NodeId, TopicKey], int] = {}
         self._subs: dict[TopicKey, set[NodeId]] = {}
         # heap entries: (due, publisher, seq, subscriber, enq, sample)
@@ -237,9 +231,9 @@ class VirtualBus:
         check_payload(key, payload)
         seq = self._seq.get((publisher, key), 0) + 1
         self._seq[(publisher, key)] = seq
-        sample = Sample(key=key, payload=payload, publisher=publisher, seq=seq, time=self._now)
+        sample = Sample(key, payload, publisher, seq)
         if key.topic is TopicName.ARRIVALS:
-            self._arrivals.append(sample)
+            self._arrivals.append((self._now, sample))
         due = self._now + self.delivery_delay
         for subscriber in sorted(self._subs.get(key, ())):
             self._enqueue(due, subscriber, sample)
@@ -258,8 +252,8 @@ class VirtualBus:
             # Late-joiner replay, in publication order. Entries keep their
             # original publish tick as the due component, so history from
             # several publishers replays as published.
-            for sample in self._arrivals:
-                self._enqueue(sample.time, subscriber, sample)
+            for tick, sample in self._arrivals:
+                self._enqueue(tick, subscriber, sample)
 
     def cancel_subscription(self, subscriber: NodeId, key: TopicKey) -> None:
         try:
@@ -289,15 +283,16 @@ class VirtualBus:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def dispatch_next(self) -> DeliveryRecord | None:
-        """Deliver the earliest pending sample; None once quiescent."""
+    def dispatch_next(self) -> tuple[NodeId, Sample] | None:
+        """Deliver the earliest pending sample: the (subscriber, sample)
+        pair, delivered at `now`; None once quiescent."""
         if not self._pending:
             return None
         due, _pub, _seq, subscriber, _enq, sample = heapq.heappop(self._pending)
         assert subscriber in self._subs[sample.key]  # cancelled entries are purged eagerly
         self._now = max(self._now, due)
         self.deliveries += 1
-        return DeliveryRecord(time=self._now, subscriber=subscriber, sample=sample)
+        return subscriber, sample
 
     def _enqueue(self, due: int, subscriber: NodeId, sample: Sample) -> None:
         self._enq += 1

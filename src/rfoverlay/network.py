@@ -11,7 +11,7 @@ into a hard failure instead of a hang.
 
 from __future__ import annotations
 
-from .bus import DeliveryRecord, NodeId, VirtualBus
+from .bus import NodeId, Sample, VirtualBus
 from . import protocol
 from .protocol import Availability, Effects, NodeView
 from .trace import traced_view_fields
@@ -87,17 +87,18 @@ class Network:
             delivered += 1
         return delivered
 
-    def step(self) -> DeliveryRecord | None:
+    def step(self) -> tuple[NodeId, Sample] | None:
         """Dispatch one delivery, record it and apply its subscriber's
-        handler; None once quiescent."""
-        record = self.bus.dispatch_next()
-        if record is None:
+        handler. Returns the (subscriber, sample) pair, delivered at
+        `bus.now`; None once quiescent."""
+        delivery = self.bus.dispatch_next()
+        if delivery is None:
             return None
+        node, sample = delivery
         if self.recorder is not None:
-            self.recorder.deliver(record)
-        node = record.subscriber
-        self._apply(node, protocol.handle_delivery(self.views[node], record.sample))
-        return record
+            self.recorder.deliver(self.bus.now, node, sample)
+        self._apply(node, protocol.handle_delivery(self.views[node], sample))
+        return delivery
 
     # -- effects -----------------------------------------------------------
 
@@ -106,7 +107,7 @@ class Network:
         for key, payload in effects.publications:
             sample = self.bus.publish(node, key, payload)
             if self.recorder is not None:
-                self.recorder.publish(sample)
+                self.recorder.publish(self.bus.now, sample)
         for key in effects.unsubscribe:
             self.bus.cancel_subscription(node, key)
             if self.recorder is not None:

@@ -9,7 +9,10 @@ The tri-state next-available value:
 
 * TrustOre    -- the receiver itself is Available; no extra bookkeeping.
 * Hint(x)     -- the receiver is down; x is the first Available node after it.
-                 x = me is the transient "I am the only Available node" case.
+                 x = me is, for an Available node, the transient "I am the
+                 only Available node" case. Under interleaved toggles a down
+                 node can also hold Hint(me): its hint went down before the
+                 node's own down news reached it (see on_mybox_from_hint).
 * SystemEmpty -- nothing is Available anywhere; wait on the global wake-up
                  channel (OneBack) for the first recovery.
 
@@ -302,11 +305,10 @@ def set_unavailable(view: NodeView) -> Effects:
         raise ProtocolError("cannot toggle before the join completes")
     if view.state is not Availability.AVAILABLE:
         raise ProtocolError(f"{view.me} is already unavailable")
-    if _tre_points_to_self(view):
-        # We were the last Available node: the system goes empty.
-        empty = _with_tre(view, SYSTEM_EMPTY, Availability.UNAVAILABLE)
-        return _effects(view, empty, [(mybox_key(view.me), NULL)])
-    down = _with_tre(view, view.tre, Availability.UNAVAILABLE)
+    # If we were the last Available node the system goes empty, and the
+    # hint published for SYSTEM_EMPTY is NULL.
+    tre = SYSTEM_EMPTY if _tre_points_to_self(view) else view.tre
+    down = _with_tre(view, tre, Availability.UNAVAILABLE)
     return _effects(view, down, [(mybox_key(view.me), published_hint(down))])
 
 
@@ -358,6 +360,13 @@ def on_mybox_from_hint(view: NodeView, msg: Payload) -> Effects:
 
     No republication: every node that was reading our value for this hint
     subscribes to the hint's stream too, so they hear the change directly.
+
+    News naming us gives Hint(me) in either state. For an Available node
+    that means it is the only Available one. A down node (seen only under
+    interleaved toggles: the hint went down before our own down news reached
+    it) publishes nothing here, although published_hint of the new view is
+    NULL; it keeps reading its receiver's stream, whose news replaces the
+    hint.
     """
     if not isinstance(view.tre, Hint):
         raise ProtocolError("no hint subscription in this view")

@@ -192,11 +192,21 @@ def oracle_mismatches(net: Network) -> list[tuple[NodeId, str, str, str]]:
 def _resolve_schedule(
     cfg: ScenarioConfig, schedule: AvailabilitySchedule | None
 ) -> AvailabilitySchedule:
+    """The config's own schedule, or `schedule` if it gives exactly the
+    config's nodes 0..m-1 one state per interval."""
     if schedule is None:
         return build_schedule(cfg.workload, range(cfg.node_count))
-    for node in range(cfg.node_count):
-        if node not in schedule.states:
-            raise ConfigError(f"schedule does not cover node {node}")
+    nodes = set(schedule.states)
+    if nodes != set(range(cfg.node_count)):
+        raise ConfigError(
+            f"schedule names nodes {sorted(nodes)}, config says 0..{cfg.node_count - 1}"
+        )
+    for node, states in schedule.states.items():
+        if len(states) != schedule.intervals:
+            raise ConfigError(
+                f"schedule gives node {node} {len(states)} states for "
+                f"{schedule.intervals} intervals"
+            )
     return schedule
 
 

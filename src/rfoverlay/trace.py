@@ -4,7 +4,8 @@ A trace is the ordered record of everything observable in a run: joins,
 availability toggles, publications, deliveries, subscription changes, and
 node view changes. Each TraceEvent holds the engine's own values for its kind
 (see TraceEvent), so recording builds no dict and verification reads the
-values as they are.
+values as they are. Publish and Deliver events hold the bus's own Sample:
+every Deliver of a publication holds the object its Publish holds.
 
 JSON exists only in the codec. event_to_json writes a line with a fixed field
 order (time, kind, node, detail), so equal runs produce byte-equal files.
@@ -21,7 +22,6 @@ from typing import IO, Any, Iterable, Iterator, NamedTuple
 from .bus import (
     NULL,
     BusError,
-    DeliveryRecord,
     Identity,
     JoinRecord,
     NodeId,
@@ -62,8 +62,8 @@ class TraceEvent(NamedTuple):
 
     - Join: None
     - Toggle: (Availability, interval)
-    - Publish, Deliver: (TopicKey, Payload, publisher, seq); a Publish line
-      does not write the publisher, which is its node
+    - Publish, Deliver: the bus's Sample (key, payload, publisher, seq); a
+      Publish line does not write the publisher, which is its node
     - Subscribe, Unsubscribe: the TopicKey
     - ViewChange: traced_view_fields(view); the view's `me` is the node
     """
@@ -103,14 +103,11 @@ class TraceRecorder:
     def toggle(self, time: int, node: NodeId, to: Availability, interval: int) -> None:
         self.events.append(TraceEvent(time, KIND_TOGGLE, node, (to, interval)))
 
-    def publish(self, sample: Sample) -> None:
-        value = (sample.key, sample.payload, sample.publisher, sample.seq)
-        self.events.append(TraceEvent(sample.time, KIND_PUBLISH, sample.publisher, value))
+    def publish(self, time: int, sample: Sample) -> None:
+        self.events.append(TraceEvent(time, KIND_PUBLISH, sample.publisher, sample))
 
-    def deliver(self, record: DeliveryRecord) -> None:
-        sample = record.sample
-        value = (sample.key, sample.payload, sample.publisher, sample.seq)
-        self.events.append(TraceEvent(record.time, KIND_DELIVER, record.subscriber, value))
+    def deliver(self, time: int, node: NodeId, sample: Sample) -> None:
+        self.events.append(TraceEvent(time, KIND_DELIVER, node, sample))
 
     def subscribe(self, time: int, node: NodeId, key: TopicKey) -> None:
         self.events.append(TraceEvent(time, KIND_SUBSCRIBE, node, key))
@@ -261,10 +258,10 @@ def _detail_value(kind: str, node: NodeId, detail: object) -> Any:
         return _int(ose), _int(ore), _tre(tre), Availability(state), joining
     if kind == KIND_DELIVER:
         key, payload, publisher, seq = _fields(detail, "key", "payload", "publisher", "seq")
-        return *_keyed_payload(key, payload), _int(publisher), _int(seq)
+        return Sample(*_keyed_payload(key, payload), _int(publisher), _int(seq))
     if kind == KIND_PUBLISH:
         key, payload, seq = _fields(detail, "key", "payload", "seq")
-        return *_keyed_payload(key, payload), node, _int(seq)
+        return Sample(*_keyed_payload(key, payload), node, _int(seq))
     if kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
         return _key(_fields(detail, "key")[0])
     if kind == KIND_TOGGLE:

@@ -157,12 +157,11 @@ def test_criterion_3_total_outage_recovery():
         net.bus.advance()
         net.toggle(recoverer, AVAILABLE)
         while not net.bus.quiescent:
-            record = net.step()
-            node = record.subscriber
+            node, sample = net.step()
             if node in sleepers and node not in woke_by:
                 seen[node] += 1
                 if net.views[node].tre != SYSTEM_EMPTY:
-                    woke_by[node] = (record, seen[node])
+                    woke_by[node] = (sample, seen[node])
 
         oneback = sum(
             1 for e in recorder.events
@@ -179,12 +178,12 @@ def test_criterion_3_total_outage_recovery():
             problems.append(f"m={size}: recoverer published {own_status} status values")
         if set(woke_by) != sleepers:
             problems.append(f"m={size}: {sleepers - set(woke_by)} never woke")
-        for node, (record, nth) in woke_by.items():
+        for node, (sample, nth) in woke_by.items():
             # one dispatch round each: the first delivery already wakes it,
             # carrying either the wake-up call or a redirect it caused
             if nth != 1:
                 problems.append(f"m={size}: {node} needed {nth} deliveries")
-            key = record.sample.key
+            key = sample.key
             if key != oneback_key() and key.topic is not TopicName.MYBOX:
                 problems.append(f"m={size}: {node} woke on {key}")
         if oracle_mismatches(net):

@@ -38,10 +38,11 @@ def fresh_bus(delay: int = 0) -> VirtualBus:
 
 
 def drain(bus: VirtualBus) -> list:
-    records = []
-    while (record := bus.dispatch_next()) is not None:
-        records.append(record)
-    return records
+    """Every (subscriber, sample) pair the bus dispatches until quiescent."""
+    deliveries = []
+    while (delivery := bus.dispatch_next()) is not None:
+        deliveries.append(delivery)
+    return deliveries
 
 
 def replayed(bus: VirtualBus, key=None, subscriber: int = 99) -> list:
@@ -49,7 +50,7 @@ def replayed(bus: VirtualBus, key=None, subscriber: int = 99) -> list:
     key = arrivals_key() if key is None else key
     drain(bus)
     bus.subscribe(subscriber, key)
-    return [r.sample for r in drain(bus)]
+    return [sample for _subscriber, sample in drain(bus)]
 
 
 # -- keys ---------------------------------------------------------------
@@ -126,7 +127,7 @@ def test_durable_history_replays_to_late_joiners():
         bus.advance()
         bus.publish(node, arrivals_key(), JoinRecord(node))
     bus.subscribe(9, arrivals_key())
-    got = [r.sample.payload.node for r in drain(bus)]
+    got = [sample.payload.node for _subscriber, sample in drain(bus)]
     assert got == [1, 2]  # writer and reader keep the last two
 
 
@@ -136,7 +137,7 @@ def test_replay_preserves_publication_order_across_publishers():
     bus.advance()
     bus.publish(1, arrivals_key(), JoinRecord(1))
     bus.subscribe(9, arrivals_key())
-    got = [r.sample.payload.node for r in drain(bus)]
+    got = [sample.payload.node for _subscriber, sample in drain(bus)]
     assert got == [5, 1]
 
 
@@ -155,7 +156,7 @@ def test_replay_length_is_min_of_history_and_depth(published):
     for node in range(published):
         bus.publish(node, arrivals_key(), JoinRecord(node))
     bus.subscribe(99, arrivals_key())
-    got = [r.sample.payload.node for r in drain(bus)]
+    got = [sample.payload.node for _subscriber, sample in drain(bus)]
     # The arrival log keeps, and replays, its last two records.
     assert got == list(range(published))[-2:]
 
@@ -169,7 +170,7 @@ def test_same_tick_ties_resolve_by_publisher():
     bus.subscribe(7, mybox_key(0))
     bus.publish(1, mybox_key(1), Identity(1))
     bus.publish(0, mybox_key(0), Identity(0))
-    order = [r.sample.publisher for r in drain(bus)]
+    order = [sample.publisher for _subscriber, sample in drain(bus)]
     assert order == [0, 1]
 
 
@@ -178,7 +179,7 @@ def test_per_publisher_order_is_fifo():
     bus.subscribe(7, mybox_key(0))
     bus.publish(0, mybox_key(0), Identity(0))
     bus.publish(0, mybox_key(0), NULL)
-    payloads = [r.sample.payload for r in drain(bus)]
+    payloads = [sample.payload for _subscriber, sample in drain(bus)]
     assert payloads == [Identity(0), NULL]
 
 
@@ -187,7 +188,7 @@ def test_fanout_orders_subscribers_by_id():
     bus.subscribe(5, mybox_key(0))
     bus.subscribe(2, mybox_key(0))
     bus.publish(0, mybox_key(0), Identity(0))
-    subscribers = [r.subscriber for r in drain(bus)]
+    subscribers = [subscriber for subscriber, _sample in drain(bus)]
     assert subscribers == [2, 5]
 
 
@@ -197,20 +198,38 @@ def test_each_subscriber_sees_each_sample_once():
     bus.subscribe(2, mybox_key(0))
     bus.publish(0, mybox_key(0), Identity(0))
     bus.publish(0, mybox_key(0), NULL)
-    records = drain(bus)
-    seen = {(r.subscriber, r.sample.seq) for r in records}
-    assert len(records) == 4 and len(seen) == 4
+    deliveries = drain(bus)
+    seen = {(subscriber, sample.seq) for subscriber, sample in deliveries}
+    assert len(deliveries) == 4 and len(seen) == 4
     assert drain(bus) == []
+
+
+def test_dispatch_returns_the_subscriber_and_the_published_sample():
+    """A delivery is the (subscriber, sample) pair, the sample being the very
+    object publish returned; it is delivered at the clock's new time."""
+    bus = fresh_bus(delay=1)
+    bus.subscribe(2, mybox_key(0))
+    bus.subscribe(1, mybox_key(0))
+    bus.advance(3)
+    sample = bus.publish(0, mybox_key(0), Identity(0))
+    first = bus.dispatch_next()
+    assert first == (1, sample) and first[1] is sample
+    assert bus.now == 4
+    subscriber, again = bus.dispatch_next()
+    assert subscriber == 2 and again is sample
+    assert bus.now == 4
+    assert bus.dispatch_next() is None
 
 
 def test_delivery_delay_shifts_due_time():
     bus = fresh_bus(delay=2)
     bus.subscribe(1, mybox_key(0))
     bus.advance(3)
-    bus.publish(0, mybox_key(0), Identity(0))
-    (record,) = drain(bus)
-    assert record.time == 5
+    sample = bus.publish(0, mybox_key(0), Identity(0))
+    assert bus.now == 3
+    assert bus.dispatch_next() == (1, sample)
     assert bus.now == 5
+    assert bus.dispatch_next() is None
 
 
 def test_clock_never_moves_backwards():
@@ -218,10 +237,10 @@ def test_clock_never_moves_backwards():
     with pytest.raises(BusError):
         bus.advance(-1)
     bus.subscribe(1, mybox_key(0))
-    bus.publish(0, mybox_key(0), Identity(0))
+    sample = bus.publish(0, mybox_key(0), Identity(0))
     bus.advance(10)
-    (record,) = drain(bus)
-    assert record.time == 10  # dispatch at now, the due tick already passed
+    assert drain(bus) == [(1, sample)]
+    assert bus.now == 10  # dispatch at now, the due tick already passed
 
 
 # -- subscriptions ---------------------------------------------------------
@@ -242,7 +261,7 @@ def test_cancel_purges_in_flight_deliveries():
     bus.publish(0, mybox_key(0), Identity(0))
     bus.publish(3, mybox_key(3), Identity(3))
     bus.cancel_subscription(1, mybox_key(0))
-    delivered = [(r.subscriber, r.sample.key) for r in drain(bus)]
+    delivered = [(subscriber, sample.key) for subscriber, sample in drain(bus)]
     assert delivered == [(2, mybox_key(0)), (1, mybox_key(3))]
     with pytest.raises(SubscriptionError):
         bus.cancel_subscription(1, mybox_key(0))
@@ -268,11 +287,11 @@ def test_handlers_run_on_dispatch():
     net.toggle(1, Availability.UNAVAILABLE)
     views = dict(net.views)
     recorded = len(recorder.events)
-    record = net.step()
-    node = record.subscriber
-    assert net.views[node] == protocol.handle_delivery(views[node], record.sample).view
+    node, sample = net.step()
+    assert net.views[node] == protocol.handle_delivery(views[node], sample).view
     delivered = [e for e in recorder.events[recorded:] if e.kind == "Deliver"]
-    assert [(e.time, e.node) for e in delivered] == [(record.time, node)]
+    assert [(e.time, e.node) for e in delivered] == [(net.bus.now, node)]
+    assert delivered[0].value is sample
     while net.step() is not None:
         pass
     assert net.bus.quiescent and net.views[0].tre == Hint(2)
@@ -308,10 +327,11 @@ def _scripted_run() -> list[tuple]:
     bus.advance()
     bus.subscribe(4, arrivals_key())
     bus.publish(0, mybox_key(0), NULL)
-    return [
-        (r.time, r.subscriber, r.sample.publisher, r.sample.seq, str(r.sample.key))
-        for r in drain(bus)
-    ]
+    run = []
+    while (delivery := bus.dispatch_next()) is not None:
+        subscriber, sample = delivery
+        run.append((bus.now, subscriber, sample.publisher, sample.seq, str(sample.key)))
+    return run
 
 
 def test_dispatch_is_reproducible():
@@ -336,14 +356,14 @@ def test_clone_works_in_flight():
     recorded = len(recorder.events)
 
     def drained(network: Network) -> list:
-        records = []
-        while (record := network.step()) is not None:
-            records.append(record)
-        return records
+        deliveries = []
+        while (delivery := network.step()) is not None:
+            deliveries.append((network.bus.now, *delivery))
+        return deliveries
 
-    twin_records = drained(twin)
-    assert twin_records and len(recorder.events) == recorded
-    assert drained(net) == twin_records
+    twin_deliveries = drained(twin)
+    assert twin_deliveries and len(recorder.events) == recorded
+    assert drained(net) == twin_deliveries
     assert twin.views == net.views
     assert twin.bus.now == net.bus.now
 

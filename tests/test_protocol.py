@@ -51,8 +51,8 @@ def member(me, ose, ore, tre=TRUST_ORE, state=AVAILABLE, last_mybox=None):
     return NodeView(me=me, ose=ose, ore=ore, tre=tre, state=state, last_mybox=last_mybox)
 
 
-def arrivals_sample(node, seq=1, time=0):
-    return Sample(key=arrivals_key(), payload=JoinRecord(node), publisher=node, seq=seq, time=time)
+def arrivals_sample(node, seq=1):
+    return Sample(key=arrivals_key(), payload=JoinRecord(node), publisher=node, seq=seq)
 
 
 # -- derived subscription set -------------------------------------------------
@@ -302,6 +302,21 @@ def test_hint_news_retargets_without_republishing():
     assert mybox_key(4) in effects.unsubscribe
 
 
+def test_a_down_node_named_by_its_hint_holds_hint_me_and_publishes_nothing():
+    """Under interleaved toggles node 0, our hint, can go down before our own
+    down news reaches it, and so names us. We adopt Hint(me) while down and
+    publish nothing, although published_hint of that view is NULL; news on
+    the receiver's stream replaces the hint later. This pins the handler as
+    it is."""
+    view = member(me=1, ose=0, ore=2, tre=Hint(0), state=UNAVAILABLE, last_mybox=Identity(0))
+    effects = handle_delivery(view, Sample(mybox_key(0), Identity(1), 0, 2))
+    assert effects.view.tre == Hint(1)
+    assert effects.view.state is UNAVAILABLE
+    assert effects.publications == ()
+    assert published_hint(effects.view) == NULL
+    assert effects.unsubscribe == (mybox_key(0),) and effects.subscribe == ()
+
+
 def test_hint_news_requires_a_hint():
     with pytest.raises(ProtocolError):
         on_mybox_from_hint(member(me=1, ose=0, ore=2), Identity(6))
@@ -332,17 +347,17 @@ def test_wakeup_outside_system_empty_is_an_error():
 
 def test_deliveries_route_by_key():
     view = member(me=1, ose=0, ore=2)
-    sample = Sample(key=mybox_key(2), payload=Identity(4), publisher=2, seq=1, time=0)
+    sample = Sample(key=mybox_key(2), payload=Identity(4), publisher=2, seq=1)
     assert handle_delivery(view, sample).view.tre == Hint(4)
 
 
 def test_misrouted_samples_are_rejected():
     view = member(me=1, ose=0, ore=2)
-    stray = Sample(key=mybox_key(9), payload=Identity(4), publisher=9, seq=1, time=0)
+    stray = Sample(key=mybox_key(9), payload=Identity(4), publisher=9, seq=1)
     with pytest.raises(ProtocolError):
         handle_delivery(view, stray)
     wrong_instance = Sample(
-        key=ore_key(5), payload=OStUpdate(OStRole.NEW_ORE, 7), publisher=7, seq=1, time=0
+        key=ore_key(5), payload=OStUpdate(OStRole.NEW_ORE, 7), publisher=7, seq=1
     )
     with pytest.raises(ProtocolError):
         handle_delivery(view, wrong_instance)

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import re
+import shlex
+from collections import Counter
 from collections.abc import Sized
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -14,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfoverlay
-from rfoverlay import network, protocol, workload
-from rfoverlay.bus import NULL, Identity, TopicKey, TopicName, VirtualBus
+from rfoverlay import cli, network, protocol, workload
+from rfoverlay.bus import NULL, Identity, Sample, TopicKey, TopicName, VirtualBus
 from rfoverlay.metrics import (
     SETUP_INTERVAL,
     IntervalStats,
@@ -39,6 +41,7 @@ from rfoverlay.scenario import (
 )
 from rfoverlay.trace import (
     KIND_DELIVER,
+    KIND_PUBLISH,
     KIND_VIEW_CHANGE,
     TraceError,
     TraceEvent,
@@ -585,6 +588,31 @@ def test_scenario_under_forced_schedule():
     assert verify_trace(trace, cfg, schedule=schedule).passed
 
 
+def test_a_schedule_for_other_nodes_is_a_config_error():
+    """A schedule must name exactly the config's nodes 0..m-1: one with an
+    extra node would run, then fail its own verification."""
+    cfg = ScenarioConfig(node_count=3, workload=WorkloadConfig(intervals=2, seed=0))
+    extra = forced_schedule(4, {1}, {1, 3})
+    with pytest.raises(ConfigError, match="schedule names nodes"):
+        run_scenario(cfg, schedule=extra)
+    trace, _ = run_scenario(cfg, schedule=forced_schedule(3, {1}, {1}))
+    with pytest.raises(ConfigError, match="schedule names nodes"):
+        verify_trace(trace, cfg, schedule=extra)
+    with pytest.raises(ConfigError, match="schedule names nodes"):
+        run_scenario(cfg, schedule=forced_schedule(2, {1}, set()))
+
+
+def test_a_schedule_shorter_than_its_intervals_is_a_config_error():
+    cfg = ScenarioConfig(node_count=3, workload=WorkloadConfig(intervals=3, seed=0))
+    full = forced_schedule(3, set(), {1}, {1, 2})
+    short = AvailabilitySchedule(intervals=3, states={**full.states, 2: full.states[2][:2]})
+    with pytest.raises(ConfigError, match="node 2 2 states for 3 intervals"):
+        run_scenario(cfg, schedule=short)
+    trace, _ = run_scenario(cfg, schedule=full)
+    with pytest.raises(ConfigError, match="node 2 2 states for 3 intervals"):
+        verify_trace(trace, cfg, schedule=short)
+
+
 def test_in_run_verification_accepts_a_clean_run():
     cfg = ScenarioConfig(
         node_count=5, verify_each_interval=True,
@@ -662,6 +690,28 @@ def test_trace_roundtrips_through_jsonl():
     dump_trace(trace, buffer)
     buffer.seek(0)
     assert list(load_trace(buffer)) == trace
+
+
+def test_every_delivery_of_a_publication_holds_its_published_sample():
+    """A publication is one Sample from publish to trace: each Deliver event's
+    value is the very object of the Publish event it delivers, fan-out and
+    arrival-log replay included, and the decoder gives Samples back."""
+    cfg = ScenarioConfig(node_count=6, workload=WorkloadConfig(intervals=6, seed=5), seed=5)
+    trace, _ = run_scenario(cfg)
+    published = {
+        (e.value.publisher, e.value.key, e.value.seq): e.value
+        for e in trace if e.kind == KIND_PUBLISH
+    }
+    fanout = Counter()
+    for e in trace:
+        if e.kind == KIND_DELIVER:
+            sample = e.value
+            assert sample is published[sample.publisher, sample.key, sample.seq]
+            fanout[id(sample)] += 1
+    assert max(fanout.values()) > 1
+    for line_event in load_trace(io.StringIO(dumps_trace(trace))):
+        if line_event.kind in (KIND_PUBLISH, KIND_DELIVER):
+            assert type(line_event.value) is Sample
 
 
 def test_load_trace_yields_each_event_before_reading_the_next_line():
@@ -955,3 +1005,27 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_command_examples_match_the_cli(tmp_path, monkeypatch, capsys):
+    """Every `$ rfoverlay ...` command of README.md's ```text blocks runs on
+    the README's ```json config, and prints every output line it shows
+    (`...` stands for lines left out)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (config,) = re.findall(r"^```json\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    blocks = re.findall(r"^```text\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    examples = [
+        example
+        for block in blocks
+        for example in re.split(r"^(?=\$ )", block, flags=re.MULTILINE)
+        if example.startswith("$ rfoverlay ")
+    ]
+    assert len(examples) >= 3
+    (tmp_path / "demo.json").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    for example in examples:
+        command, *shown = example.strip().splitlines()
+        assert cli.main(shlex.split(command)[2:]) == 0, command
+        printed = capsys.readouterr().out.splitlines()
+        missing = [line for line in shown if line != "..." and line not in printed]
+        assert not missing, (command, missing)
