@@ -49,20 +49,51 @@ class TopicName(str, Enum):
 GLOBAL_TOPICS = frozenset({TopicName.ARRIVALS, TopicName.ONEBACK})
 
 
-@dataclass(frozen=True, slots=True)
 class TopicKey:
-    """A topic name plus instance: the unit of subscription."""
+    """A topic name plus instance: the unit of subscription.
 
+    Keys are interned by construction: TopicKey(topic, instance) returns the
+    one key object for that pair, built and validated the first time it is
+    asked for. Keys are immutable, and equal keys are the same object, so a
+    key compares and hashes by identity (object's own __eq__ and __hash__,
+    which run in C), and a key decoded from a trace is the engine's own.
+    Keys have no order.
+    """
+
+    __slots__ = ("topic", "instance")
     topic: TopicName
-    instance: NodeId | None = None
+    instance: NodeId | None
 
-    def __post_init__(self) -> None:
-        if self.topic in GLOBAL_TOPICS:
-            if self.instance is not None:
-                raise BusError(f"{self.topic.value} has a single global instance")
-        else:
-            if self.instance is None or self.instance < 0:
-                raise BusError(f"{self.topic.value} needs a node instance")
+    def __new__(cls, topic: TopicName, instance: NodeId | None = None) -> TopicKey:
+        keys = _KEYS.get(topic)
+        if keys is None:
+            raise BusError(f"unknown topic {topic!r}")
+        key = keys.get(instance)
+        if key is None:
+            topic = TopicName(topic)
+            if topic in GLOBAL_TOPICS:
+                if instance is not None:
+                    raise BusError(f"{topic.value} has a single global instance")
+            elif type(instance) is not int or instance < 0:
+                raise BusError(f"{topic.value} needs a node instance")
+            key = keys[instance] = object.__new__(cls)
+            object.__setattr__(key, "topic", topic)
+            object.__setattr__(key, "instance", instance)
+        return key
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: keys are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: keys are immutable")
+
+    def __reduce__(self) -> tuple:
+        # Copies and unpickled keys go through the constructor, so they are
+        # the interned key too.
+        return TopicKey, (self.topic, self.instance)
+
+    def __repr__(self) -> str:
+        return f"TopicKey(topic={self.topic!r}, instance={self.instance!r})"
 
     def __str__(self) -> str:
         if self.instance is None:
@@ -70,21 +101,17 @@ class TopicKey:
         return f"{self.topic.value}[{self.instance}]"
 
 
-# One key object per (topic, node), built and validated once: the protocol
-# names the same few keys on every delivery, and an interned key is found in a
-# set or dict by identity before any field comparison. Keys are immutable, so
-# the tables may be shared by every bus in the process; they grow by one
-# entry per node id seen.
+# The intern table: one key per (topic, instance), per topic by instance. It
+# is shared by every bus in the process, since keys are immutable, and grows
+# by one entry per node id seen on a topic. The protocol names the same few
+# keys on every delivery, so the per-node accessors look up their topic's
+# table directly.
+_KEYS: dict[TopicName, dict[NodeId | None, TopicKey]] = {topic: {} for topic in TopicName}
+_MYBOX_KEYS = _KEYS[TopicName.MYBOX]
+_ORE_KEYS = _KEYS[TopicName.ORE]
+_OSE_KEYS = _KEYS[TopicName.OSE]
 ARRIVALS_KEY = TopicKey(TopicName.ARRIVALS)
 ONEBACK_KEY = TopicKey(TopicName.ONEBACK)
-_MYBOX_KEYS: dict[NodeId, TopicKey] = {}
-_ORE_KEYS: dict[NodeId, TopicKey] = {}
-_OSE_KEYS: dict[NodeId, TopicKey] = {}
-
-
-def _interned(keys: dict[NodeId, TopicKey], topic: TopicName, node: NodeId) -> TopicKey:
-    key = keys[node] = TopicKey(topic, node)
-    return key
 
 
 def arrivals_key() -> TopicKey:
@@ -97,17 +124,17 @@ def oneback_key() -> TopicKey:
 
 def mybox_key(node: NodeId) -> TopicKey:
     key = _MYBOX_KEYS.get(node)
-    return key if key is not None else _interned(_MYBOX_KEYS, TopicName.MYBOX, node)
+    return key if key is not None else TopicKey(TopicName.MYBOX, node)
 
 
 def ore_key(node: NodeId) -> TopicKey:
     key = _ORE_KEYS.get(node)
-    return key if key is not None else _interned(_ORE_KEYS, TopicName.ORE, node)
+    return key if key is not None else TopicKey(TopicName.ORE, node)
 
 
 def ose_key(node: NodeId) -> TopicKey:
     key = _OSE_KEYS.get(node)
-    return key if key is not None else _interned(_OSE_KEYS, TopicName.OSE, node)
+    return key if key is not None else TopicKey(TopicName.OSE, node)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +146,20 @@ class Identity:
     """Names a node, typically "the next Available node is `node`"."""
 
     node: NodeId
+
+
+# One Identity per node, built on first use, the way keys are interned: a
+# status wave carries the same few identities hop after hop. Identity stays a
+# value type (Identity(3) == identity(3), and Identity(3) != JoinRecord(3)).
+_IDENTITIES: dict[NodeId, Identity] = {}
+
+
+def identity(node: NodeId) -> Identity:
+    """The one shared Identity(node)."""
+    value = _IDENTITIES.get(node)
+    if value is None:
+        value = _IDENTITIES[node] = Identity(node)
+    return value
 
 
 @dataclass(frozen=True, slots=True)

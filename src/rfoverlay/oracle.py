@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .bus import NULL, Identity, NodeId, Payload
-from .protocol import SYSTEM_EMPTY, TRUST_ORE, Availability, Hint, NextAvailable
+from .bus import NULL, NodeId, Payload, identity
+from .protocol import SYSTEM_EMPTY, TRUST_ORE, Availability, NextAvailable, hint
 
 
 class RingError(ValueError):
@@ -125,7 +125,7 @@ def mybox_table(ring: RingModel) -> dict[NodeId, Payload]:
     (self included), or the no-node value when nothing is Available.
     """
     return {
-        node: NULL if found is None else Identity(found)
+        node: NULL if found is None else identity(found)
         for node, found in zip(ring.nodes, _first_available(ring))
     }
 
@@ -133,7 +133,7 @@ def mybox_table(ring: RingModel) -> dict[NodeId, Payload]:
 def mybox_fixpoint(ring: RingModel, node: NodeId) -> Payload:
     """The settled value of one node's status stream (see mybox_table)."""
     found = _first_available(ring)[ring.position(node)]
-    return NULL if found is None else Identity(found)
+    return NULL if found is None else identity(found)
 
 
 def basic_tst(ring: RingModel) -> dict[NodeId, NextAvailable]:
@@ -155,7 +155,7 @@ def basic_tst(ring: RingModel) -> dict[NodeId, NextAvailable]:
         elif first[successor] is None:
             assignment[node] = SYSTEM_EMPTY
         else:
-            assignment[node] = Hint(first[successor])
+            assignment[node] = hint(first[successor])
     return assignment
 
 

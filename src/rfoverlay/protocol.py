@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .bus import (
     NULL,
@@ -50,6 +51,7 @@ from .bus import (
     TopicKey,
     TopicName,
     arrivals_key,
+    identity,
     mybox_key,
     oneback_key,
     ore_key,
@@ -88,9 +90,19 @@ SYSTEM_EMPTY = SystemEmpty()
 
 NextAvailable = TrustOre | Hint | SystemEmpty
 
+# One Hint per node, built on first use, as bus.identity does for identities.
+_HINTS: dict[NodeId, Hint] = {}
 
-@dataclass(frozen=True, slots=True)
-class NodeView:
+
+def hint(node: NodeId) -> Hint:
+    """The one shared Hint(node)."""
+    value = _HINTS.get(node)
+    if value is None:
+        value = _HINTS[node] = Hint(node)
+    return value
+
+
+class NodeView(NamedTuple):
     """A node's entire local knowledge.
 
     last_mybox is the most recent value published on this node's own status
@@ -99,6 +111,9 @@ class NodeView:
     its ring position. predecessor is the node of the latest arrival record
     replayed before our own, the insertion point; it is None before the first
     such record and once the join completes.
+
+    Views are immutable named tuples, so the engine and its clones share
+    them; handlers build a new view for every change.
     """
 
     me: NodeId
@@ -111,8 +126,7 @@ class NodeView:
     predecessor: NodeId | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Effects:
+class Effects(NamedTuple):
     """The externally visible result of one handler application."""
 
     view: NodeView
@@ -153,11 +167,11 @@ def subscriptions(view: NodeView) -> frozenset[TopicKey]:
 def published_hint(view: NodeView) -> Payload:
     """The value this node's status stream should carry right now."""
     if view.state is Availability.AVAILABLE:
-        return Identity(view.me)
+        return identity(view.me)
     if isinstance(view.tre, TrustOre):
-        return Identity(view.ore)
+        return identity(view.ore)
     if isinstance(view.tre, Hint) and view.tre.node != view.me:
-        return Identity(view.tre.node)
+        return identity(view.tre.node)
     return NULL
 
 
@@ -186,13 +200,13 @@ def _effects(
     if pubs:
         own = mybox_key(old.me)
         for key, payload in pubs:
-            if key is own or key == own:
+            if key is own:
                 new = _with_last_mybox(new, payload)
     if old.joining == new.joining and old.ore == new.ore and old.tre == new.tre:
         # _watched() reads only these fields and `me`, which never changes.
         return Effects(new, pubs)
     # Trace order: status streams by ascending instance, then the global
-    # stream. Node ids compare in C; TopicKeys would compare in Python.
+    # stream. Keys have no order, so the diff runs over node ids (in C).
     old_boxes, old_channel = _watched(old)
     new_boxes, new_channel = _watched(new)
     subscribe = [mybox_key(n) for n in new_boxes if n not in old_boxes]
@@ -319,10 +333,10 @@ def set_available(view: NodeView) -> Effects:
     if view.state is not Availability.UNAVAILABLE:
         raise ProtocolError(f"{view.me} is already available")
     me = view.me
-    announce = (mybox_key(me), Identity(me))
+    announce = (mybox_key(me), identity(me))
     if isinstance(view.tre, SystemEmpty):
-        woken = _with_tre(view, Hint(me), Availability.AVAILABLE)
-        return _effects(view, woken, [(oneback_key(), Identity(me)), announce])
+        woken = _with_tre(view, hint(me), Availability.AVAILABLE)
+        return _effects(view, woken, [(oneback_key(), identity(me)), announce])
     up = _with_tre(view, view.tre, Availability.AVAILABLE)
     return _effects(view, up, [announce])
 
@@ -330,7 +344,7 @@ def set_available(view: NodeView) -> Effects:
 def _next_available(view: NodeView, msg: Payload) -> NextAvailable:
     """The next-available value a status message implies for its reader."""
     if isinstance(msg, Identity):
-        return TRUST_ORE if msg.node == view.ore else Hint(msg.node)
+        return TRUST_ORE if msg.node == view.ore else hint(msg.node)
     return SYSTEM_EMPTY
 
 

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import IO, Any, Iterable, Mapping
 
-from .bus import Identity, NodeId, Payload, TopicName
+from .bus import NodeId, Payload, TopicName, identity
 from .metrics import Metrics, Tally, ToggleMark, compute_metrics, tally
 from .network import Network
 # mybox_fixpoint is not called here: _oracle_compare reads the whole table at
@@ -172,7 +172,7 @@ def _oracle_compare(
         want = settled[node]
         got = mybox.get(node)
         if got is None:
-            got = Identity(node)
+            got = identity(node)
         if got != want:
             mismatches.append((node, "mybox", repr(want), repr(got)))
     return mismatches

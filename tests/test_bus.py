@@ -5,6 +5,9 @@ to a late subscriber, and every other topic keeps nothing. History is
 checked the way a node sees it, through replay to a late subscriber.
 """
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from rfoverlay.bus import (
     TopicName,
     VirtualBus,
     arrivals_key,
+    identity,
     mybox_key,
     oneback_key,
     ore_key,
@@ -70,6 +74,34 @@ def test_keyed_topics_require_instances():
         TopicKey(TopicName.ORE, -1)
     assert str(mybox_key(3)) == "MyBox[3]"
     assert str(arrivals_key()) == "Arrivals"
+
+
+def test_keys_are_interned_by_construction():
+    """A key built directly is the accessor's key, so keys compare and hash
+    by identity; copies and pickles give the same object back, and a bad
+    first construction still raises."""
+    assert TopicKey(TopicName.MYBOX, 3) is mybox_key(3)
+    assert TopicKey(TopicName.ORE, 5) is ore_key(5)
+    assert TopicKey(TopicName.OSE, 5) is ose_key(5)
+    assert TopicKey(TopicName.ARRIVALS) is arrivals_key()
+    assert TopicKey(TopicName.ONEBACK, None) is oneback_key()
+    assert TopicKey(TopicName.MYBOX, 3) != mybox_key(4)
+    assert copy.copy(mybox_key(3)) is copy.deepcopy(mybox_key(3)) is mybox_key(3)
+    assert pickle.loads(pickle.dumps(mybox_key(3))) is mybox_key(3)
+    assert repr(mybox_key(3)) == "TopicKey(topic=<TopicName.MYBOX: 'MyBox'>, instance=3)"
+    with pytest.raises(AttributeError):
+        mybox_key(3).instance = 4
+    with pytest.raises(BusError):
+        TopicKey("Bogus", 3)
+    with pytest.raises(BusError):
+        TopicKey(TopicName.MYBOX, "3")
+
+
+def test_identities_are_shared_values():
+    """identity(n) is one object per node, and still a value of its type."""
+    assert identity(3) is identity(3)
+    assert identity(3) == Identity(3)
+    assert Identity(3) != JoinRecord(3)
 
 
 # -- durability -------------------------------------------------------------

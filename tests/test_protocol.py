@@ -16,6 +16,7 @@ from rfoverlay.bus import (
     OStUpdate,
     Sample,
     arrivals_key,
+    identity,
     mybox_key,
     oneback_key,
     ore_key,
@@ -53,6 +54,40 @@ def member(me, ose, ore, tre=TRUST_ORE, state=AVAILABLE, last_mybox=None):
 
 def arrivals_sample(node, seq=1):
     return Sample(key=arrivals_key(), payload=JoinRecord(node), publisher=node, seq=seq)
+
+
+# -- values --------------------------------------------------------------------
+
+
+def test_views_and_effects_are_immutable_named_tuples():
+    """Views and effects keep their field layout and refuse assignment, so
+    the engine and its clones can share them."""
+    view = member(me=1, ose=0, ore=2)
+    assert view._fields == (
+        "me", "ose", "ore", "tre", "state", "last_mybox", "joining", "predecessor"
+    )
+    assert (view.last_mybox, view.joining, view.predecessor) == (None, False, None)
+    effects = protocol.Effects(view)
+    assert effects._fields == ("view", "publications", "subscribe", "unsubscribe")
+    assert effects == (view, (), (), ())
+    with pytest.raises(AttributeError):
+        view.tre = Hint(4)
+    with pytest.raises(AttributeError):
+        effects.publications = ()
+
+
+def test_status_values_are_shared():
+    """Every Identity and Hint a handler builds is the one object per node;
+    hints stay values of their own type."""
+    assert protocol.hint(3) is protocol.hint(3)
+    assert protocol.hint(3) == Hint(3)
+    assert Hint(3) != Identity(3)
+    down = set_unavailable(member(me=1, ose=0, ore=2, tre=Hint(4))).view
+    assert published_hint(down) is identity(4)
+    up = set_available(down)
+    assert up.publications[0][1] is identity(1)
+    followed = on_mybox_from_ore(member(me=1, ose=0, ore=2), Identity(5))
+    assert followed.view.tre is protocol.hint(5)
 
 
 # -- derived subscription set -------------------------------------------------

@@ -42,6 +42,7 @@ from rfoverlay.scenario import (
 from rfoverlay.trace import (
     KIND_DELIVER,
     KIND_PUBLISH,
+    KIND_SUBSCRIBE,
     KIND_VIEW_CHANGE,
     TraceError,
     TraceEvent,
@@ -236,7 +237,7 @@ def test_join_phase_work_is_linear_in_the_node_count():
     assert arrivals == 2 * size - 1
     assert joiner_views
     for view in joiner_views:
-        assert not [f.name for f in fields(view) if isinstance(getattr(view, f.name), Sized)]
+        assert not [name for name, value in zip(view._fields, view) if isinstance(value, Sized)]
 
 
 def test_toggle_phase_work_is_constant_per_delivery():
@@ -690,6 +691,47 @@ def test_trace_roundtrips_through_jsonl():
     dump_trace(trace, buffer)
     buffer.seek(0)
     assert list(load_trace(buffer)) == trace
+
+
+def test_a_recorded_trace_holds_one_status_value_per_node():
+    """Identity payloads and ViewChange hints are shared, one object per
+    node, and the trace still round-trips through the codec."""
+    cfg = ScenarioConfig(node_count=8, workload=WorkloadConfig(intervals=30, seed=3), seed=3)
+    trace, _ = run_scenario(cfg)
+    identities = [
+        event.value.payload
+        for event in trace
+        if event.kind in (KIND_PUBLISH, KIND_DELIVER) and isinstance(event.value.payload, Identity)
+    ]
+    hints = [
+        event.value[2]
+        for event in trace
+        if event.kind == KIND_VIEW_CHANGE and isinstance(event.value[2], Hint)
+    ]
+    assert identities and hints
+    for values in (identities, hints):
+        objects_per_node = Counter(value.node for value in {id(v): v for v in values}.values())
+        assert set(objects_per_node.values()) == {1}
+    assert [event_from_json(event_to_json(event)) for event in trace] == trace
+
+
+def test_decoded_keys_are_the_engine_keys():
+    """The decoder builds keys through the interning constructor, so a key
+    read from a trace line is the very key the engine uses."""
+    cfg = ScenarioConfig(node_count=5, workload=WorkloadConfig(intervals=8, seed=17), seed=17)
+    trace, _ = run_scenario(cfg)
+    seen = set()
+    for event in trace:
+        if event.kind in (KIND_PUBLISH, KIND_DELIVER):
+            key = event.value.key
+        elif event.kind == KIND_SUBSCRIBE:
+            key = event.value
+        else:
+            continue
+        decoded = event_from_json(event_to_json(event)).value
+        assert (decoded if event.kind == KIND_SUBSCRIBE else decoded.key) is key
+        seen.add(event.kind)
+    assert seen == {KIND_PUBLISH, KIND_DELIVER, KIND_SUBSCRIBE}
 
 
 def test_every_delivery_of_a_publication_holds_its_published_sample():
