@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from rfoverlay import protocol, scenario
+from rfoverlay import bus, protocol, scenario
+from rfoverlay.bus import TopicName
 from rfoverlay.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -267,6 +268,41 @@ def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
     assert code == EXIT_MISMATCH
     err = capsys.readouterr().err
     assert err.startswith("malformed trace:") and err.count("\n") == 1
+
+
+def _join(node):
+    return f'{{"time":1,"kind":"Join","node":{node},"detail":{{}}}}\n'
+
+
+def _subscribe_mybox(node, instance):
+    key = f'{{"topic":"MyBox","instance":{instance}}}'
+    return f'{{"time":1,"kind":"Subscribe","node":{node},"detail":{{"key":{key}}}}}\n'
+
+
+HOSTILE = range(10**9, 10**9 + 2000)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _join(0) + "".join(_subscribe_mybox(0, n) for n in HOSTILE),
+        "".join(_join(n) + _subscribe_mybox(n, n) for n in HOSTILE),
+    ],
+    ids=["keys-of-unjoined-nodes", "joins-outside-the-config"],
+)
+def test_verify_memory_does_not_grow_with_a_hostile_trace(tmp_path, capsys, text):
+    """Topic keys are interned for the life of the process: a trace whose
+    keys name thousands of distinct nodes is refused at its first such line,
+    before the key is built, so the intern table does not grow."""
+    config = write_config(tmp_path)
+    trace_path = tmp_path / "hostile.jsonl"
+    trace_path.write_text(text)
+    keys = len(bus._KEYS[TopicName.MYBOX])
+    assert main(["verify", "--config", config, "--trace", str(trace_path)]) == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace:") and err.count("\n") == 1
+    assert f"node {HOSTILE[0]}" in err
+    assert len(bus._KEYS[TopicName.MYBOX]) == keys
 
 
 @pytest.mark.parametrize(

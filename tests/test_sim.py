@@ -1,5 +1,6 @@
 """End-to-end behavior: joins, propagation, traces, verification, metrics."""
 
+import gc
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfoverlay
-from rfoverlay import cli, network, protocol, workload
+from rfoverlay import cli, network, protocol, scenario, workload
 from rfoverlay.bus import NULL, Identity, Sample, TopicKey, TopicName, VirtualBus
 from rfoverlay.metrics import (
     SETUP_INTERVAL,
@@ -33,6 +34,7 @@ from rfoverlay.protocol import SYSTEM_EMPTY, TRUST_ORE, Availability, Hint
 from rfoverlay.scenario import (
     ConfigError,
     ScenarioConfig,
+    VerificationError,
     load_config,
     oracle_mismatches,
     parse_config,
@@ -681,6 +683,117 @@ def test_wrong_node_count_is_a_structural_error():
         verify_trace(trace, bigger)
 
 
+def test_a_join_outside_the_config_nodes_fails_at_its_own_line():
+    """A Join of a node the config does not have is refused at that line,
+    naming the node, not later as a diverging availability vector."""
+    trace, _ = run_scenario(
+        ScenarioConfig(node_count=4, workload=WorkloadConfig(intervals=5, seed=1), seed=1)
+    )
+    smaller = ScenarioConfig(node_count=3, workload=WorkloadConfig(intervals=5, seed=1), seed=1)
+    read = []
+
+    def events():
+        for event in trace:
+            read.append(event)
+            yield event
+
+    with pytest.raises(TraceError, match="Join of node 3, config says 0..2"):
+        verify_trace(events(), smaller)
+    assert read[-1].kind == "Join" and read[-1].node == 3
+
+
+# -- the cyclic collector ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("delay", [0, 2])
+@pytest.mark.parametrize("interleaved", [False, True], ids=["serialized", "interleaved"])
+@pytest.mark.parametrize("record", [True, False], ids=["recorded", "unrecorded"])
+def test_a_run_makes_no_reference_cycles(record, interleaved, delay):
+    """Reference counting frees everything a run drops, so the collector,
+    which run_scenario pauses, would have nothing to find."""
+    cfg = ScenarioConfig(
+        node_count=8,
+        delivery_delay=delay,
+        workload=WorkloadConfig(lam=3.0, intervals=40, seed=11),
+        seed=11,
+    )
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_scenario(cfg, interleaved_toggles=interleaved, record=record)
+        assert result[1].deliveries > 0
+        del result
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_scenario_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    cfg = ScenarioConfig(
+        node_count=6,
+        verify_each_interval=True,
+        workload=WorkloadConfig(lam=3.0, intervals=20, seed=5),
+        seed=5,
+    )
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        run_scenario(cfg)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ConfigError):
+            run_scenario(cfg, schedule=forced_schedule(5, set()))
+        assert gc.isenabled() is enabled
+        # A node that ignores its receiver's status stream keeps a stale view.
+        monkeypatch.setattr(protocol, "on_mybox_from_ore", lambda view, msg: protocol.Effects(view))
+        with pytest.raises(VerificationError):
+            run_scenario(cfg)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_a_recorded_run_starts_no_collection(monkeypatch):
+    """Count-based guard for the pause: from the recorder's creation to the
+    metrics, no collection starts, although the run allocates many times
+    the young generation's threshold."""
+    inside = False
+    started = []
+
+    class Recorder(TraceRecorder):
+        def __init__(self):
+            nonlocal inside
+            super().__init__()
+            inside = True
+
+    def metrics(*args):
+        nonlocal inside
+        result = compute_metrics(*args)
+        inside = False
+        return result
+
+    def watch(phase, info):
+        if phase == "start" and inside:
+            started.append(info["generation"])
+
+    monkeypatch.setattr(scenario, "TraceRecorder", Recorder)
+    monkeypatch.setattr(scenario, "compute_metrics", metrics)
+    cfg = ScenarioConfig(
+        node_count=16, workload=WorkloadConfig(lam=3.0, intervals=100, seed=2), seed=2
+    )
+    assert gc.isenabled()
+    gc.callbacks.append(watch)
+    try:
+        trace, _ = scenario.run_scenario(cfg)
+    finally:
+        gc.callbacks.remove(watch)
+    assert not inside
+    assert len(trace) > 10 * gc.get_threshold()[0]
+    assert started == []
+
+
 # -- trace serialization -----------------------------------------------------------
 
 
@@ -713,6 +826,20 @@ def test_a_recorded_trace_holds_one_status_value_per_node():
         objects_per_node = Counter(value.node for value in {id(v): v for v in values}.values())
         assert set(objects_per_node.values()) == {1}
     assert [event_from_json(event_to_json(event)) for event in trace] == trace
+
+
+def test_every_recorded_event_is_a_trace_event():
+    """The recorder builds its tuples in C, bypassing TraceEvent's own
+    constructor: each event must still be exactly a TraceEvent, equal to
+    its decoded line."""
+    cfg = ScenarioConfig(node_count=6, workload=WorkloadConfig(intervals=12, seed=9), seed=9)
+    trace, _ = run_scenario(cfg)
+    assert {event.kind for event in trace} == {
+        "Join", "Toggle", "Publish", "Deliver", "Subscribe", "Unsubscribe", "ViewChange"
+    }
+    for event in trace:
+        assert type(event) is TraceEvent
+        assert event_from_json(event_to_json(event)) == event
 
 
 def test_decoded_keys_are_the_engine_keys():
