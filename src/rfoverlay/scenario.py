@@ -219,12 +219,17 @@ def _collector_paused() -> Iterator[None]:
     A recorded run keeps every event it builds. Over a 128-node,
     500-interval run the collector would make over a thousand passes, its
     older-generation passes walking the whole growing trace, and every
-    pass would find nothing: about a fifth of the run's time. The pause is
-    safe because the engine makes no reference cycles (reference
-    counting frees all of its garbage; tests/test_sim.py checks that a run
-    leaves `gc.collect()` nothing to find) and the simulator is
-    single-threaded, so no other thread allocates meanwhile. A collector
-    that was already off stays off.
+    pass would find nothing: about a fifth of the run's time. The engine
+    makes no reference cycles (reference counting frees all of its
+    garbage; tests/test_sim.py checks that a run leaves `gc.collect()`
+    nothing to find), so the run itself loses nothing. A collector that
+    was already off stays off.
+
+    The pause is process-wide. Cycles that another thread makes during a
+    run wait for the run to end, and two runs overlapping in different
+    threads turn the collector back on while the later one still runs.
+    Do not run a scenario alongside threaded code that relies on the
+    collector.
 
     The collector is deferred, not skipped: the first allocation after the
     pause starts one young-generation pass over everything the run kept.
@@ -252,7 +257,9 @@ def run_scenario(
     pattern (used to force specific topologies). `interleaved_toggles` is the
     stress mode: all of an interval's toggles land before any dispatch, so
     propagation waves race each other. The whole run, metrics included,
-    runs with the cyclic garbage collector paused (see _collector_paused).
+    runs with the cyclic garbage collector paused for the whole process
+    (see _collector_paused): do not call this alongside threaded code that
+    relies on the collector.
     """
     with _collector_paused():
         schedule = _resolve_schedule(cfg, schedule)

@@ -195,8 +195,9 @@ def event_to_json(event: TraceEvent) -> str:
 # ---------------------------------------------------------------------------
 # Decoding: JSON values are taken as they stand, never coerced, and each
 # object must hold exactly the fields the encoder writes. A bad value raises
-# KeyError, TypeError, ValueError or BusError, which event_from_json turns
-# into one TraceError showing the line.
+# KeyError, TypeError, ValueError or BusError, and a key naming a node not
+# yet joined raises TraceError; event_from_json turns each into one
+# TraceError showing the line.
 
 
 def _int(value: object) -> int:
@@ -213,15 +214,15 @@ def _fields(obj: object, *names: str) -> list:
     return [obj[name] for name in names]
 
 
-def _key(obj: object, joined: Container[NodeId] | None) -> TopicKey:
+def _key(obj: object, joined: Container[NodeId]) -> TopicKey:
     """A topic key. Keys are interned for the life of the process, so a key
-    instance must be a node in `joined` (if given) before the key is built:
-    a trace cannot grow the intern table past the nodes it announced."""
+    instance must be a node in `joined` before the key is built: a trace
+    cannot grow the intern table past the nodes it announced."""
     if type(obj) is dict and len(obj) == 1:
         return TopicKey(TopicName(_fields(obj, "topic")[0]))
     topic, instance = _fields(obj, "topic", "instance")
     instance = _int(instance)
-    if joined is not None and instance not in joined:
+    if instance not in joined:
         raise TraceError(f"a key names node {instance} before its Join")
     return TopicKey(TopicName(topic), instance)
 
@@ -241,7 +242,7 @@ def _payload(obj: object) -> Payload:
 
 
 def _keyed_payload(
-    key_obj: object, payload_obj: object, joined: Container[NodeId] | None
+    key_obj: object, payload_obj: object, joined: Container[NodeId]
 ) -> tuple[TopicKey, Payload]:
     """A key and a payload its topic can carry (the rule the bus enforces)."""
     key, payload = _key(key_obj, joined), _payload(payload_obj)
@@ -261,7 +262,7 @@ def _tre(obj: object) -> NextAvailable:
 
 
 def _detail_value(
-    kind: str, node: NodeId, detail: object, joined: Container[NodeId] | None
+    kind: str, node: NodeId, detail: object, joined: Container[NodeId]
 ) -> Any:
     """The value of a line of `kind` by `node` from its detail."""
     if kind == KIND_VIEW_CHANGE:
@@ -295,9 +296,9 @@ def _bad_line(reason: str, line: str) -> TraceError:
     return TraceError(f"{reason}: {clipped}")
 
 
-def event_from_json(line: str, joined: Container[NodeId] | None = None) -> TraceEvent:
-    """Decode one trace line. With `joined`, the nodes whose Join lines came
-    before it, a key naming any other node is a TraceError."""
+def event_from_json(line: str, joined: Container[NodeId]) -> TraceEvent:
+    """Decode one trace line. `joined` holds the nodes whose Join lines came
+    before it; a key naming any other node is a TraceError."""
     try:
         obj = json.loads(line)
     except RecursionError:
@@ -308,8 +309,8 @@ def event_from_json(line: str, joined: Container[NodeId] | None = None) -> Trace
         time, kind, node, detail = _fields(obj, "time", "kind", "node", "detail")
         node = _int(node)
         return TraceEvent(_int(time), kind, node, _detail_value(kind, node, detail, joined))
-    except TraceError:
-        raise
+    except TraceError as exc:
+        raise _bad_line(str(exc), line) from None
     except (KeyError, TypeError, ValueError, BusError):
         raise _bad_line("not a valid trace event", line) from None
 

@@ -283,17 +283,21 @@ HOSTILE = range(10**9, 10**9 + 2000)
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, shown",
     [
-        _join(0) + "".join(_subscribe_mybox(0, n) for n in HOSTILE),
-        "".join(_join(n) + _subscribe_mybox(n, n) for n in HOSTILE),
+        (
+            _join(0) + "".join(_subscribe_mybox(0, n) for n in HOSTILE),
+            repr(_subscribe_mybox(0, HOSTILE[0]).strip()[:80]),
+        ),
+        ("".join(_join(n) + _subscribe_mybox(n, n) for n in HOSTILE), "config says 0.."),
     ],
     ids=["keys-of-unjoined-nodes", "joins-outside-the-config"],
 )
-def test_verify_memory_does_not_grow_with_a_hostile_trace(tmp_path, capsys, text):
+def test_verify_memory_does_not_grow_with_a_hostile_trace(tmp_path, capsys, text, shown):
     """Topic keys are interned for the life of the process: a trace whose
     keys name thousands of distinct nodes is refused at its first such line,
-    before the key is built, so the intern table does not grow."""
+    before the key is built, so the intern table does not grow. A key of an
+    unjoined node is refused by the decoder, which shows the clipped line."""
     config = write_config(tmp_path)
     trace_path = tmp_path / "hostile.jsonl"
     trace_path.write_text(text)
@@ -301,7 +305,7 @@ def test_verify_memory_does_not_grow_with_a_hostile_trace(tmp_path, capsys, text
     assert main(["verify", "--config", config, "--trace", str(trace_path)]) == EXIT_MISMATCH
     err = capsys.readouterr().err
     assert err.startswith("malformed trace:") and err.count("\n") == 1
-    assert f"node {HOSTILE[0]}" in err
+    assert f"node {HOSTILE[0]}" in err and shown in err
     assert len(bus._KEYS[TopicName.MYBOX]) == keys
 
 
