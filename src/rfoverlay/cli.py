@@ -20,7 +20,6 @@ import sys
 from typing import IO
 
 from .oracle import RingModel, basic_tst, brf_tst, sbrf_tst
-from .protocol import Hint, TrustOre
 from .scenario import (
     ConfigError,
     ScenarioConfig,
@@ -124,12 +123,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     ring = RingModel.of(args.count, down)
     if args.topology == "basic":
         for node, entry in sorted(basic_tst(ring).items()):
-            if isinstance(entry, TrustOre):
-                text = "trust-ore"
-            elif isinstance(entry, Hint):
-                text = f"hint {_node_str(entry.node)}"
-            else:
+            if entry is None:
                 text = "system-empty"
+            elif entry == ring.successor(node):
+                text = "trust-ore"
+            else:
+                text = f"hint {_node_str(entry)}"
             print(f"n{node}: {text}")
     elif args.topology == "brf":
         for node, (cw, ccw) in sorted(brf_tst(ring).items()):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .bus import NULL, NodeId, Payload, identity
-from .protocol import SYSTEM_EMPTY, TRUST_ORE, Availability, NextAvailable, hint
+from .protocol import Availability, NextAvailable
 
 
 class RingError(ValueError):
@@ -139,24 +139,15 @@ def mybox_fixpoint(ring: RingModel, node: NodeId) -> Payload:
 def basic_tst(ring: RingModel) -> dict[NodeId, NextAvailable]:
     """Settled next-available knowledge of every node, single-successor form.
 
-    Trust the receiver while it is Available; otherwise hint at the first
-    Available node strictly past it (the scan may wrap all the way back to
-    the node itself); system-empty when nothing is Available. A receiver
-    that is down is skipped by the scan from it anyway, so the hint is the
-    first Available node at or after the receiver's position.
+    The first Available node at or after the node's receiver (its ring
+    successor), or None when nothing is Available. That is the receiver
+    itself while it is Available; otherwise the first Available node
+    strictly past it, a scan that may wrap all the way back to the node
+    itself.
     """
-    size = ring.size
     first = _first_available(ring)
-    assignment: dict[NodeId, NextAvailable] = {}
-    for position, node in enumerate(ring.nodes):
-        successor = (position + 1) % size
-        if ring.avail[successor] is Availability.AVAILABLE:
-            assignment[node] = TRUST_ORE
-        elif first[successor] is None:
-            assignment[node] = SYSTEM_EMPTY
-        else:
-            assignment[node] = hint(first[successor])
-    return assignment
+    size = ring.size
+    return {node: first[(position + 1) % size] for position, node in enumerate(ring.nodes)}
 
 
 def brf_tst(ring: RingModel) -> dict[NodeId, tuple[NodeId | None, NodeId | None]]:

@@ -1,26 +1,30 @@
 """Per-node state machine: ring membership and next-available tracking.
 
 Each node keeps a tiny local view: its sender (ose) and receiver (ore) on the
-arrival-order ring, a tri-state belief about the next Available node (tre),
-and its own availability. Handlers are pure functions from (view, message) to
-Effects; all sequencing and bus interaction belongs to the network layer.
+arrival-order ring, the next Available node (tre), and its own availability.
+Handlers are pure functions from (view, message) to Effects; all sequencing
+and bus interaction belongs to the network layer.
 
-The tri-state next-available value:
+The next-available value tre is one node id, or None (NextAvailable). Once
+the ring settles it is the first Available node at or after the receiver,
+or None when no node is Available. A trace writes it as one of three words,
+chosen by comparing it with the ore of the same view:
 
-* TrustOre    -- the receiver itself is Available; no extra bookkeeping.
-* Hint(x)     -- the receiver is down; x is the first Available node after it.
-                 x = me is, for an Available node, the transient "I am the
-                 only Available node" case. Under interleaved toggles a down
-                 node can also hold Hint(me): its hint went down before the
-                 node's own down news reached it (see on_mybox_from_hint).
-* SystemEmpty -- nothing is Available anywhere; wait on the global wake-up
-                 channel (OneBack) for the first recovery.
+* trust_ore    -- tre == ore: the receiver itself is Available.
+* hint x       -- tre == x != ore: the receiver is down; x is the first
+                  Available node after it. x = me is, for an Available node,
+                  the transient "I am the only Available node" case. Under
+                  interleaved toggles a down node can also hold tre == me:
+                  its hint went down before the node's own down news reached
+                  it (see on_mybox_from_hint).
+* system_empty -- tre is None: nothing is Available anywhere; wait on the
+                  global wake-up channel (OneBack) for the first recovery.
 
 A node publishes on its own status stream (MyBox) whenever the value another
 node would read from it changes: Identity(me) while Available, the current
 hint while down, Null when the whole system is down. A down node that hears
 its receiver name it has seen its own down wave come back around the ring,
-so nothing is Available: it adopts SystemEmpty and publishes Null. One stop
+so nothing is Available: it sets tre to None and publishes Null. One stop
 rule keeps the ring quiescent: a value equal to the last one published is
 never republished.
 
@@ -35,7 +39,6 @@ definition of the full set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -68,38 +71,9 @@ class Availability(Enum):
     UNAVAILABLE = "unavailable"
 
 
-@dataclass(frozen=True, slots=True)
-class TrustOre:
-    """The receiver is Available; no hint needed."""
-
-
-@dataclass(frozen=True, slots=True)
-class Hint:
-    """First Available node strictly past the receiver."""
-
-    node: NodeId
-
-
-@dataclass(frozen=True, slots=True)
-class SystemEmpty:
-    """No node Available anywhere."""
-
-
-TRUST_ORE = TrustOre()
-SYSTEM_EMPTY = SystemEmpty()
-
-NextAvailable = TrustOre | Hint | SystemEmpty
-
-# One Hint per node, built on first use, as bus.identity does for identities.
-_HINTS: dict[NodeId, Hint] = {}
-
-
-def hint(node: NodeId) -> Hint:
-    """The one shared Hint(node)."""
-    value = _HINTS.get(node)
-    if value is None:
-        value = _HINTS[node] = Hint(node)
-    return value
+# The first Available node at or after the receiver, or None when no node is
+# Available (see the module docstring).
+NextAvailable = NodeId | None
 
 
 class NodeView(NamedTuple):
@@ -143,9 +117,11 @@ def _watched(view: NodeView) -> tuple[tuple[NodeId, ...], TopicKey | None]:
         return (), arrivals_key()
     ore = view.ore
     tre = view.tre
-    if isinstance(tre, Hint) and tre.node != view.me and tre.node != ore:
-        return ((ore, tre.node) if ore < tre.node else (tre.node, ore)), None
-    return (ore,), oneback_key() if isinstance(tre, SystemEmpty) else None
+    if tre is None:
+        return (ore,), oneback_key()
+    if tre != ore and tre != view.me:
+        return ((ore, tre) if ore < tre else (tre, ore)), None
+    return (ore,), None
 
 
 def subscriptions(view: NodeView) -> frozenset[TopicKey]:
@@ -168,11 +144,10 @@ def published_hint(view: NodeView) -> Payload:
     """The value this node's status stream should carry right now."""
     if view.state is Availability.AVAILABLE:
         return identity(view.me)
-    if isinstance(view.tre, TrustOre):
-        return identity(view.ore)
-    if isinstance(view.tre, Hint) and view.tre.node != view.me:
-        return identity(view.tre.node)
-    return NULL
+    tre = view.tre
+    if tre is None or tre == view.me:
+        return NULL
+    return identity(tre)
 
 
 def _with_tre(
@@ -237,7 +212,7 @@ def join(me: NodeId) -> Effects:
         me=me,
         ose=me,
         ore=me,
-        tre=TRUST_ORE,
+        tre=me,
         state=Availability.AVAILABLE,
         joining=True,
     )
@@ -285,7 +260,7 @@ def handle_new_ore(view: NodeView, msg: OStUpdate) -> Effects:
         (ose_key(old_ore), OStUpdate(OStRole.NEW_OSE, joiner)),
     ]
     new = NodeView(
-        view.me, view.ose, joiner, TRUST_ORE, view.state, view.last_mybox, view.joining,
+        view.me, view.ose, joiner, joiner, view.state, view.last_mybox, view.joining,
         view.predecessor,
     )
     return _effects(view, new, publications)
@@ -294,7 +269,7 @@ def handle_new_ore(view: NodeView, msg: OStUpdate) -> Effects:
 def handle_ose_update(view: NodeView, msg: OStUpdate) -> Effects:
     """Ring rewiring addressed to us: adopt the new receiver or sender."""
     if msg.role is OStRole.NEW_ORE:
-        new = NodeView(view.me, view.ose, msg.who, TRUST_ORE, view.state, view.last_mybox)
+        new = NodeView(view.me, view.ose, msg.who, msg.who, view.state, view.last_mybox)
         return _effects(view, new)
     new = NodeView(
         view.me, msg.who, view.ore, view.tre, view.state, view.last_mybox, view.joining,
@@ -307,12 +282,6 @@ def handle_ose_update(view: NodeView, msg: OStUpdate) -> Effects:
 # Availability
 
 
-def _tre_points_to_self(view: NodeView) -> bool:
-    if isinstance(view.tre, Hint):
-        return view.tre.node == view.me
-    return isinstance(view.tre, TrustOre) and view.ore == view.me
-
-
 def set_unavailable(view: NodeView) -> Effects:
     """Leave: tell readers who to use instead, or that nobody is left."""
     if view.joining:
@@ -320,8 +289,8 @@ def set_unavailable(view: NodeView) -> Effects:
     if view.state is not Availability.AVAILABLE:
         raise ProtocolError(f"{view.me} is already unavailable")
     # If we were the last Available node the system goes empty, and the
-    # hint published for SYSTEM_EMPTY is NULL.
-    tre = SYSTEM_EMPTY if _tre_points_to_self(view) else view.tre
+    # value published for an empty system is NULL.
+    tre = None if view.tre == view.me else view.tre
     down = _with_tre(view, tre, Availability.UNAVAILABLE)
     return _effects(view, down, [(mybox_key(view.me), published_hint(down))])
 
@@ -334,18 +303,16 @@ def set_available(view: NodeView) -> Effects:
         raise ProtocolError(f"{view.me} is already available")
     me = view.me
     announce = (mybox_key(me), identity(me))
-    if isinstance(view.tre, SystemEmpty):
-        woken = _with_tre(view, hint(me), Availability.AVAILABLE)
+    if view.tre is None:
+        woken = _with_tre(view, me, Availability.AVAILABLE)
         return _effects(view, woken, [(oneback_key(), identity(me)), announce])
     up = _with_tre(view, view.tre, Availability.AVAILABLE)
     return _effects(view, up, [announce])
 
 
-def _next_available(view: NodeView, msg: Payload) -> NextAvailable:
+def _next_available(msg: Payload) -> NextAvailable:
     """The next-available value a status message implies for its reader."""
-    if isinstance(msg, Identity):
-        return TRUST_ORE if msg.node == view.ore else hint(msg.node)
-    return SYSTEM_EMPTY
+    return msg.node if isinstance(msg, Identity) else None
 
 
 def on_mybox_from_ore(view: NodeView, msg: Payload) -> Effects:
@@ -353,14 +320,14 @@ def on_mybox_from_ore(view: NodeView, msg: Payload) -> Effects:
     backwards if we are down ourselves, so our own readers stay current.
 
     News naming us while we are down is our own down wave, back after a full
-    wrap of the ring: nothing is Available, so we adopt SYSTEM_EMPTY and
+    wrap of the ring: nothing is Available, so we set tre to None and
     publish NULL. One stop rule ends the propagation: a value equal to our
     last published one is dropped (the wave has already passed here).
     """
     me = view.me
     down = view.state is Availability.UNAVAILABLE
     wrapped = down and isinstance(msg, Identity) and msg.node == me
-    new = _with_tre(view, SYSTEM_EMPTY if wrapped else _next_available(view, msg))
+    new = _with_tre(view, None if wrapped else _next_available(msg))
     publications: list[tuple[TopicKey, Payload]] = []
     if down:
         value = published_hint(new)
@@ -370,26 +337,27 @@ def on_mybox_from_ore(view: NodeView, msg: Payload) -> Effects:
 
 
 def on_mybox_from_hint(view: NodeView, msg: Payload) -> Effects:
-    """News on the hint's status stream: it went down, follow its forward.
+    """News on the hint's status stream, the stream of tre when tre names a
+    node other than the receiver: the hint went down, follow its forward.
 
     No republication: every node that was reading our value for this hint
     subscribes to the hint's stream too, so they hear the change directly.
 
-    News naming us gives Hint(me) in either state. For an Available node
+    News naming us gives tre == me in either state. For an Available node
     that means it is the only Available one. A down node (seen only under
     interleaved toggles: the hint went down before our own down news reached
     it) publishes nothing here, although published_hint of the new view is
     NULL; it keeps reading its receiver's stream, whose news replaces the
     hint.
     """
-    if not isinstance(view.tre, Hint):
+    if view.tre is None or view.tre == view.ore:
         raise ProtocolError("no hint subscription in this view")
-    return _effects(view, _with_tre(view, _next_available(view, msg)))
+    return _effects(view, _with_tre(view, _next_available(msg)))
 
 
 def on_oneback(view: NodeView, msg: Payload) -> Effects:
     """First recovery after the system went empty: adopt the recoverer."""
-    if not isinstance(view.tre, SystemEmpty):
+    if view.tre is not None:
         raise ProtocolError("wake-up news outside the system-empty state")
     if not isinstance(msg, Identity):
         raise ProtocolError("the wake-up channel carries identities")
@@ -424,6 +392,6 @@ def handle_delivery(view: NodeView, sample: Sample) -> Effects:
     if topic is TopicName.MYBOX:
         if not view.joining and key.instance == view.ore:
             return on_mybox_from_ore(view, sample.payload)
-        if isinstance(view.tre, Hint) and key.instance == view.tre.node:
+        if key.instance == view.tre:
             return on_mybox_from_hint(view, sample.payload)
     raise ProtocolError(f"{view.me} has no route for {key}")

@@ -33,15 +33,7 @@ from .bus import (
     TopicName,
     check_payload,
 )
-from .protocol import (
-    SYSTEM_EMPTY,
-    TRUST_ORE,
-    Availability,
-    Hint,
-    NextAvailable,
-    NodeView,
-    TrustOre,
-)
+from .protocol import Availability, NextAvailable, NodeView
 
 
 class TraceError(ValueError):
@@ -153,12 +145,13 @@ def _payload_json(payload: Payload) -> str:
     return '{"type":"null"}'
 
 
-def _tre_json(tre: NextAvailable) -> str:
-    if isinstance(tre, Hint):
-        return f'{{"kind":"hint","node":{tre.node}}}'
-    if isinstance(tre, TrustOre):
+def _tre_json(tre: NextAvailable, ore: NodeId) -> str:
+    """The written form of a view's next-available value (see protocol)."""
+    if tre is None:
+        return '{"kind":"system_empty"}'
+    if tre == ore:
         return '{"kind":"trust_ore"}'
-    return '{"kind":"system_empty"}'
+    return f'{{"kind":"hint","node":{tre}}}'
 
 
 def _detail_json(event: TraceEvent) -> str:
@@ -166,7 +159,7 @@ def _detail_json(event: TraceEvent) -> str:
     if kind == KIND_VIEW_CHANGE:
         ose, ore, tre, state, joining = value
         return (
-            f'{{"view":{{"me":{event.node},"ose":{ose},"ore":{ore},"tre":{_tre_json(tre)},'
+            f'{{"view":{{"me":{event.node},"ose":{ose},"ore":{ore},"tre":{_tre_json(tre, ore)},'
             f'"state":"{state.value}","joining":{"true" if joining else "false"}}}}}'
         )
     if kind == KIND_DELIVER or kind == KIND_PUBLISH:
@@ -195,9 +188,9 @@ def event_to_json(event: TraceEvent) -> str:
 # ---------------------------------------------------------------------------
 # Decoding: JSON values are taken as they stand, never coerced, and each
 # object must hold exactly the fields the encoder writes. A bad value raises
-# KeyError, TypeError, ValueError or BusError, and a key naming a node not
-# yet joined raises TraceError; event_from_json turns each into one
-# TraceError showing the line.
+# KeyError, TypeError, ValueError or BusError, and a key or a Deliver
+# publisher naming a node not yet joined raises TraceError; event_from_json
+# turns each into one TraceError showing the line.
 
 
 def _int(value: object) -> int:
@@ -250,14 +243,19 @@ def _keyed_payload(
     return key, payload
 
 
-def _tre(obj: object) -> NextAvailable:
+def _tre(obj: object, ore: NodeId) -> NextAvailable:
+    """The inverse of _tre_json. The encoder writes a hint naming the view's
+    own ore as trust_ore, so such a hint is not a line it could write."""
     if type(obj) is dict and obj.get("kind") == "hint":
-        return Hint(_int(_fields(obj, "kind", "node")[1]))
+        node = _int(_fields(obj, "kind", "node")[1])
+        if node == ore:
+            raise ValueError("a hint names the view's own ore")
+        return node
     (kind,) = _fields(obj, "kind")
     if kind == "trust_ore":
-        return TRUST_ORE
+        return ore
     if kind == "system_empty":
-        return SYSTEM_EMPTY
+        return None
     raise ValueError("unknown tre kind")
 
 
@@ -272,10 +270,14 @@ def _detail_value(
         )
         if _int(me) != node or type(joining) is not bool:
             raise ValueError("a view's me is its node, and joining is a bool")
-        return _int(ose), _int(ore), _tre(tre), Availability(state), joining
+        ore = _int(ore)
+        return _int(ose), ore, _tre(tre, ore), Availability(state), joining
     if kind == KIND_DELIVER:
         key, payload, publisher, seq = _fields(detail, "key", "payload", "publisher", "seq")
-        return Sample(*_keyed_payload(key, payload, joined), _int(publisher), _int(seq))
+        publisher = _int(publisher)
+        if publisher not in joined:
+            raise TraceError(f"a Deliver line names publisher {publisher} before its Join")
+        return Sample(*_keyed_payload(key, payload, joined), publisher, _int(seq))
     if kind == KIND_PUBLISH:
         key, payload, seq = _fields(detail, "key", "payload", "seq")
         return Sample(*_keyed_payload(key, payload, joined), node, _int(seq))
@@ -298,7 +300,8 @@ def _bad_line(reason: str, line: str) -> TraceError:
 
 def event_from_json(line: str, joined: Container[NodeId]) -> TraceEvent:
     """Decode one trace line. `joined` holds the nodes whose Join lines came
-    before it; a key naming any other node is a TraceError."""
+    before it; a key or a Deliver publisher naming any other node is a
+    TraceError."""
     try:
         obj = json.loads(line)
     except RecursionError:
@@ -329,7 +332,7 @@ def load_trace(stream: IO[str]) -> Iterator[TraceEvent]:
     """Decode a JSONL trace lazily, one event per line as the caller reads
     it, so a consumer that folds the events never holds the trace. A bad
     line raises TraceError when the reader reaches it, and so does a key
-    that names a node before that node's Join line."""
+    or a Deliver publisher that names a node before that node's Join line."""
     joined: set[NodeId] = set()
     try:
         for line in stream:

@@ -22,7 +22,7 @@ import pytest
 from rfoverlay.bus import TopicName, oneback_key
 from rfoverlay.network import Network
 from rfoverlay.oracle import RingModel, basic_tst, brf_tst, sbrf_tst
-from rfoverlay.protocol import SYSTEM_EMPTY, Availability
+from rfoverlay.protocol import Availability
 from rfoverlay.scenario import ScenarioConfig, oracle_mismatches, run_scenario
 from rfoverlay.trace import TraceRecorder, dumps_trace
 from rfoverlay.workload import WorkloadConfig, poisson_pmf, sample_k
@@ -160,7 +160,7 @@ def test_criterion_3_total_outage_recovery():
             node, sample = net.step()
             if node in sleepers and node not in woke_by:
                 seen[node] += 1
-                if net.views[node].tre != SYSTEM_EMPTY:
+                if net.views[node].tre is not None:
                     woke_by[node] = (sample, seen[node])
 
         oneback = sum(

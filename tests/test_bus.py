@@ -33,7 +33,7 @@ from rfoverlay.bus import (
     BusError,
 )
 from rfoverlay.network import Network
-from rfoverlay.protocol import Availability, Hint
+from rfoverlay.protocol import Availability
 from rfoverlay.trace import TraceRecorder
 
 
@@ -326,7 +326,7 @@ def test_handlers_run_on_dispatch():
     assert delivered[0].value is sample
     while net.step() is not None:
         pass
-    assert net.bus.quiescent and net.views[0].tre == Hint(2)
+    assert net.bus.quiescent and net.views[0].tre == 2
     assert net.step() is None
 
 

@@ -110,6 +110,26 @@ def test_verify_flags_a_corrupted_trace(tmp_path, capsys):
     assert "mismatch" in out
 
 
+def test_verify_reads_trust_ore_against_the_view_ore(tmp_path, capsys):
+    """trust_ore names the view's own receiver, so a forged ore changes the
+    next-available node the line states."""
+    config = write_config(tmp_path)
+    trace_path = tmp_path / "run.jsonl"
+    main(["simulate", "--config", config, "--trace", str(trace_path)])
+    capsys.readouterr()
+
+    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    view = [e for e in events if e["kind"] == "ViewChange" and e["node"] == 3][-1]["detail"]["view"]
+    assert (view["ore"], view["tre"]) == (4, {"kind": "trust_ore"})
+    view["ore"] = 5
+    trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
+
+    code = main(["verify", "--config", config, "--trace", str(trace_path)])
+    assert code == EXIT_MISMATCH
+    mismatches = [line for line in capsys.readouterr().out.splitlines() if line.startswith("mismatch")]
+    assert mismatches == ["mismatch interval=11 node=n3 field=tre expected=4 observed=5"]
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -197,6 +217,11 @@ def _join_record_on_first_mybox_publish(events):
     event["detail"]["payload"] = {"type": "join_record", "node": event["node"]}
 
 
+def _hint_at_own_ore(events):
+    view = _first(events, "ViewChange", _hint_view)["detail"]["view"]
+    view["tre"]["node"] = view["ore"]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -239,6 +264,11 @@ def _join_record_on_first_mybox_publish(events):
             },
         ),
         _join_record_on_first_mybox_publish,
+        lambda events: _first(events, "Deliver")["detail"].update(publisher=1_000_000_000),
+        _hint_at_own_ore,
+        lambda events: _first(events, "ViewChange")["detail"]["view"].update(
+            tre={"kind": "bogus"}
+        ),
     ],
     ids=[
         "time-bool", "time-string", "time-float", "node-float",
@@ -247,7 +277,8 @@ def _join_record_on_first_mybox_publish(events):
         "view-me-not-node", "view-ose-string", "view-joining-int", "key-instance-negative",
         "toggle-extra-field", "view-of-unjoined-node", "publish-by-unjoined-node",
         "deliver-to-unjoined-node", "arrivals-publish-null", "ore-deliver-identity",
-        "mybox-publish-join-record",
+        "mybox-publish-join-record", "deliver-publisher-unjoined", "hint-at-own-ore",
+        "unknown-tre-kind",
     ],
 )
 def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):

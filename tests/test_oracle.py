@@ -23,7 +23,7 @@ from rfoverlay.oracle import (
     mybox_table,
     sbrf_tst,
 )
-from rfoverlay.protocol import SYSTEM_EMPTY, TRUST_ORE, Availability, Hint
+from rfoverlay.protocol import Availability
 
 AVAILABLE = Availability.AVAILABLE
 UNAVAILABLE = Availability.UNAVAILABLE
@@ -54,21 +54,21 @@ def reference_mybox_fixpoint(ring, node):
 
 
 def reference_basic_tst(ring):
-    """Trust the receiver while it is Available; otherwise hint at the first
-    Available node strictly past it (the scan may wrap all the way back to
-    the node itself); system-empty when nothing is Available."""
+    """The receiver while it is Available; otherwise the first Available
+    node strictly past it (the scan may wrap all the way back to the node
+    itself); None when nothing is Available."""
     size = len(ring.nodes)
     assignment = {}
     for position, node in enumerate(ring.nodes):
         successor = (position + 1) % size
         if ring.avail[successor] is AVAILABLE:
-            assignment[node] = TRUST_ORE
+            assignment[node] = ring.nodes[successor]
             continue
-        found = SYSTEM_EMPTY
+        found = None
         for step in range(1, size):
             index = (successor + step) % size
             if ring.avail[index] is AVAILABLE:
-                found = Hint(ring.nodes[index])
+                found = ring.nodes[index]
                 break
         assignment[node] = found
     return assignment
@@ -141,10 +141,10 @@ REFERENCE = RingModel.of(10, down={2, 5, 6})
 
 
 def test_reference_next_available():
-    expected = {n: TRUST_ORE for n in range(10)}
-    expected[1] = Hint(3)   # 2 is down, 3 is the first live node past it
-    expected[4] = Hint(7)   # 5 and 6 are down
-    expected[5] = Hint(7)
+    expected = {n: (n + 1) % 10 for n in range(10)}  # trust the receiver
+    expected[1] = 3   # 2 is down, 3 is the first live node past it
+    expected[4] = 7   # 5 and 6 are down
+    expected[5] = 7
     assert basic_tst(REFERENCE) == expected
 
 
@@ -179,11 +179,11 @@ def test_reference_shortest_candidates():
 
 def test_ring_of_one():
     up = RingModel.of(1)
-    assert basic_tst(up) == {0: TRUST_ORE}
+    assert basic_tst(up) == {0: 0}
     assert mybox_fixpoint(up, 0) == Identity(0)
     assert brf_tst(up) == {0: (0, 0)}
     down = RingModel.of(1, down={0})
-    assert basic_tst(down) == {0: SYSTEM_EMPTY}
+    assert basic_tst(down) == {0: None}
     assert mybox_fixpoint(down, 0) == NULL
     assert brf_tst(down) == {0: (None, None)}
     assert sbrf_tst(down) == {0: None}
@@ -191,7 +191,7 @@ def test_ring_of_one():
 
 def test_nothing_available():
     ring = RingModel.of(5, down=set(range(5)))
-    assert set(basic_tst(ring).values()) == {SYSTEM_EMPTY}
+    assert set(basic_tst(ring).values()) == {None}
     assert {mybox_fixpoint(ring, n) for n in range(5)} == {NULL}
     assert set(brf_tst(ring).values()) == {(None, None)}
     assert set(sbrf_tst(ring).values()) == {None}
@@ -201,9 +201,9 @@ def test_single_survivor_collapses_every_pair():
     ring = RingModel.of(6, down=set(range(6)) - {4})
     assert set(brf_tst(ring).values()) == {(4, 4)}
     tst = basic_tst(ring)
-    assert tst[3] == TRUST_ORE          # 4 is its receiver
-    assert tst[4] == Hint(4)            # full wrap back to itself
-    assert tst[5] == Hint(4)
+    assert tst[3] == 4                  # 4 is its receiver: trust it
+    assert tst[4] == 4                  # full wrap back to itself
+    assert tst[5] == 4
     result = sbrf_tst(ring)
     assert result[4] == (4, 4)
     assert all(result[n] == 4 for n in range(6) if n != 4)
@@ -212,7 +212,7 @@ def test_single_survivor_collapses_every_pair():
 def test_hint_may_wrap_to_the_node_itself():
     # successor of 0 is down and so is everyone else: the scan wraps home
     ring = RingModel.of(3, down={1, 2})
-    assert basic_tst(ring)[0] == Hint(0)
+    assert basic_tst(ring)[0] == 0
 
 
 # -- coherence between the oracles ------------------------------------------------
@@ -233,11 +233,11 @@ def test_next_available_matches_the_status_fixpoint_exhaustively():
                 successor = ring.successor(node)
                 settled = mybox_fixpoint(ring, successor)
                 if settled == NULL:
-                    assert tst[node] == SYSTEM_EMPTY
+                    assert tst[node] is None
                 elif settled == Identity(successor):
-                    assert tst[node] == TRUST_ORE
+                    assert tst[node] == successor
                 else:
-                    assert tst[node] == Hint(settled.node)
+                    assert tst[node] == settled.node
 
 
 def test_clockwise_entry_matches_the_successor_fixpoint():
@@ -314,9 +314,7 @@ def test_results_follow_a_relabeling(size, down, offset):
     )
 
     def shift(entry):
-        if isinstance(entry, Hint):
-            return Hint(entry.node + offset)
-        return entry
+        return None if entry is None else entry + offset
 
     base = basic_tst(ring)
     assert basic_tst(shifted) == {n + offset: shift(e) for n, e in base.items()}

@@ -5,7 +5,7 @@ here is a direct call with a hand-built view; the bus is never involved.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfoverlay.bus import (
@@ -24,10 +24,7 @@ from rfoverlay.bus import (
 )
 from rfoverlay import protocol
 from rfoverlay.protocol import (
-    SYSTEM_EMPTY,
-    TRUST_ORE,
     Availability,
-    Hint,
     NodeView,
     ProtocolError,
     handle_delivery,
@@ -47,8 +44,9 @@ AVAILABLE = Availability.AVAILABLE
 UNAVAILABLE = Availability.UNAVAILABLE
 
 
-def member(me, ose, ore, tre=TRUST_ORE, state=AVAILABLE, last_mybox=None):
-    """A settled (non-joining) view."""
+def member(me, ose, ore, tre=..., state=AVAILABLE, last_mybox=None):
+    """A settled (non-joining) view; tre defaults to the receiver (trust it)."""
+    tre = ore if tre is ... else tre
     return NodeView(me=me, ose=ose, ore=ore, tre=tre, state=state, last_mybox=last_mybox)
 
 
@@ -71,23 +69,19 @@ def test_views_and_effects_are_immutable_named_tuples():
     assert effects._fields == ("view", "publications", "subscribe", "unsubscribe")
     assert effects == (view, (), (), ())
     with pytest.raises(AttributeError):
-        view.tre = Hint(4)
+        view.tre = 4
     with pytest.raises(AttributeError):
         effects.publications = ()
 
 
 def test_status_values_are_shared():
-    """Every Identity and Hint a handler builds is the one object per node;
-    hints stay values of their own type."""
-    assert protocol.hint(3) is protocol.hint(3)
-    assert protocol.hint(3) == Hint(3)
-    assert Hint(3) != Identity(3)
-    down = set_unavailable(member(me=1, ose=0, ore=2, tre=Hint(4))).view
+    """Every Identity a handler builds is the one object per node."""
+    down = set_unavailable(member(me=1, ose=0, ore=2, tre=4)).view
     assert published_hint(down) is identity(4)
     up = set_available(down)
     assert up.publications[0][1] is identity(1)
     followed = on_mybox_from_ore(member(me=1, ose=0, ore=2), Identity(5))
-    assert followed.view.tre is protocol.hint(5)
+    assert followed.view.tre == 5
 
 
 # -- derived subscription set -------------------------------------------------
@@ -104,22 +98,22 @@ def test_settled_node_reads_its_receiver():
 
 
 def test_hint_adds_the_hinted_stream():
-    view = member(me=1, ose=0, ore=2, tre=Hint(4))
+    view = member(me=1, ose=0, ore=2, tre=4)
     assert mybox_key(4) in subscriptions(view)
     assert mybox_key(2) in subscriptions(view)
 
 
 def test_hint_on_self_or_receiver_adds_nothing():
-    assert subscriptions(member(me=1, ose=0, ore=2, tre=Hint(1))) == subscriptions(
+    assert subscriptions(member(me=1, ose=0, ore=2, tre=1)) == subscriptions(
         member(me=1, ose=0, ore=2)
     )
-    assert subscriptions(member(me=1, ose=0, ore=2, tre=Hint(2))) == subscriptions(
+    assert subscriptions(member(me=1, ose=0, ore=2, tre=2)) == subscriptions(
         member(me=1, ose=0, ore=2)
     )
 
 
 def test_system_empty_adds_the_wakeup_channel():
-    view = member(me=1, ose=0, ore=2, tre=SYSTEM_EMPTY, state=UNAVAILABLE)
+    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE)
     assert oneback_key() in subscriptions(view)
 
 
@@ -136,13 +130,13 @@ def test_published_hint_forwards_to_the_receiver_when_down():
 
 
 def test_published_hint_forwards_a_hint_when_down():
-    view = member(me=1, ose=0, ore=2, tre=Hint(4), state=UNAVAILABLE)
+    view = member(me=1, ose=0, ore=2, tre=4, state=UNAVAILABLE)
     assert published_hint(view) == Identity(4)
 
 
 def test_published_hint_is_null_when_nothing_remains():
-    assert published_hint(member(me=1, ose=0, ore=2, tre=SYSTEM_EMPTY, state=UNAVAILABLE)) == NULL
-    assert published_hint(member(me=1, ose=0, ore=2, tre=Hint(1), state=UNAVAILABLE)) == NULL
+    assert published_hint(member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE)) == NULL
+    assert published_hint(member(me=1, ose=0, ore=2, tre=1, state=UNAVAILABLE)) == NULL
 
 
 # -- joining --------------------------------------------------------------------
@@ -189,7 +183,7 @@ def test_splice_rewires_both_sides():
         (ose_key(0), OStUpdate(OStRole.NEW_OSE, 2)),
     )
     assert effects.view.ore == 2
-    assert effects.view.tre == TRUST_ORE
+    assert effects.view.tre == effects.view.ore
 
 
 def test_splice_is_idempotent_on_redelivery():
@@ -237,13 +231,13 @@ def test_leaving_forwards_readers_to_the_receiver():
 def test_last_node_leaving_empties_the_system():
     effects = set_unavailable(member(me=0, ose=0, ore=0))  # ring of one
     assert effects.publications == ((mybox_key(0), NULL),)
-    assert effects.view.tre == SYSTEM_EMPTY
+    assert effects.view.tre is None
     assert oneback_key() in effects.subscribe
 
-    lone = member(me=1, ose=0, ore=2, tre=Hint(1), state=AVAILABLE)
+    lone = member(me=1, ose=0, ore=2, tre=1, state=AVAILABLE)
     effects = set_unavailable(lone)
     assert effects.publications == ((mybox_key(1), NULL),)
-    assert effects.view.tre == SYSTEM_EMPTY
+    assert effects.view.tre is None
 
 
 def test_toggle_preconditions():
@@ -263,13 +257,13 @@ def test_returning_announces_itself():
 
 
 def test_first_return_wakes_the_empty_system():
-    view = member(me=1, ose=0, ore=2, tre=SYSTEM_EMPTY, state=UNAVAILABLE, last_mybox=NULL)
+    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE, last_mybox=NULL)
     effects = set_available(view)
     assert effects.publications == (
         (oneback_key(), Identity(1)),
         (mybox_key(1), Identity(1)),
     )
-    assert effects.view.tre == Hint(1)
+    assert effects.view.tre == 1
     assert oneback_key() in effects.unsubscribe
 
 
@@ -279,15 +273,15 @@ def test_first_return_wakes_the_empty_system():
 def test_receiver_news_retargets_an_available_node_silently():
     view = member(me=1, ose=0, ore=2)
     effects = on_mybox_from_ore(view, Identity(4))
-    assert effects.view.tre == Hint(4)
+    assert effects.view.tre == 4
     assert effects.publications == ()
     assert mybox_key(4) in effects.subscribe
 
 
 def test_receiver_recovery_restores_trust():
-    view = member(me=1, ose=0, ore=2, tre=Hint(4))
+    view = member(me=1, ose=0, ore=2, tre=4)
     effects = on_mybox_from_ore(view, Identity(2))
-    assert effects.view.tre == TRUST_ORE
+    assert effects.view.tre == effects.view.ore
     assert mybox_key(4) in effects.unsubscribe
 
 
@@ -302,7 +296,7 @@ def test_propagation_stops_at_an_already_published_value():
     view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=Identity(4))
     effects = on_mybox_from_ore(view, Identity(4))
     assert effects.publications == ()
-    assert effects.view.tre == Hint(4)
+    assert effects.view.tre == 4
 
 
 def test_news_naming_me_is_never_forwarded():
@@ -310,28 +304,28 @@ def test_news_naming_me_is_never_forwarded():
     ring: it marks the system empty and publishes NULL, not the news."""
     view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=Identity(2))
     effects = on_mybox_from_ore(view, Identity(1))
-    assert effects.view.tre == SYSTEM_EMPTY
+    assert effects.view.tre is None
     assert effects.publications == ((mybox_key(1), NULL),)
     assert effects.subscribe == (oneback_key(),)
     # A NULL already published is not published again.
     quiet = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=NULL)
     effects = on_mybox_from_ore(quiet, Identity(1))
-    assert effects.view.tre == SYSTEM_EMPTY
+    assert effects.view.tre is None
     assert effects.publications == ()
 
 
 def test_null_wave_marks_the_system_empty():
     view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=Identity(2))
     effects = on_mybox_from_ore(view, NULL)
-    assert effects.view.tre == SYSTEM_EMPTY
+    assert effects.view.tre is None
     assert effects.publications == ((mybox_key(1), NULL),)
     assert oneback_key() in effects.subscribe
 
 
 def test_hint_news_retargets_without_republishing():
-    view = member(me=1, ose=0, ore=2, tre=Hint(4), state=UNAVAILABLE, last_mybox=Identity(4))
+    view = member(me=1, ose=0, ore=2, tre=4, state=UNAVAILABLE, last_mybox=Identity(4))
     effects = on_mybox_from_hint(view, Identity(6))
-    assert effects.view.tre == Hint(6)
+    assert effects.view.tre == 6
     assert effects.publications == ()
     assert mybox_key(6) in effects.subscribe
     assert mybox_key(4) in effects.unsubscribe
@@ -339,13 +333,13 @@ def test_hint_news_retargets_without_republishing():
 
 def test_a_down_node_named_by_its_hint_holds_hint_me_and_publishes_nothing():
     """Under interleaved toggles node 0, our hint, can go down before our own
-    down news reaches it, and so names us. We adopt Hint(me) while down and
+    down news reaches it, and so names us. We adopt tre == me while down and
     publish nothing, although published_hint of that view is NULL; news on
     the receiver's stream replaces the hint later. This pins the handler as
     it is."""
-    view = member(me=1, ose=0, ore=2, tre=Hint(0), state=UNAVAILABLE, last_mybox=Identity(0))
+    view = member(me=1, ose=0, ore=2, tre=0, state=UNAVAILABLE, last_mybox=Identity(0))
     effects = handle_delivery(view, Sample(mybox_key(0), Identity(1), 0, 2))
-    assert effects.view.tre == Hint(1)
+    assert effects.view.tre == 1
     assert effects.view.state is UNAVAILABLE
     assert effects.publications == ()
     assert published_hint(effects.view) == NULL
@@ -358,15 +352,15 @@ def test_hint_news_requires_a_hint():
 
 
 def test_wakeup_adopts_the_recoverer():
-    view = member(me=1, ose=0, ore=2, tre=SYSTEM_EMPTY, state=UNAVAILABLE, last_mybox=NULL)
+    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE, last_mybox=NULL)
     effects = on_oneback(view, Identity(5))
-    assert effects.view.tre == Hint(5)
+    assert effects.view.tre == 5
     assert effects.publications == ((mybox_key(1), Identity(5)),)
     assert oneback_key() in effects.unsubscribe
 
 
 def test_wakeup_ignores_the_own_echo():
-    view = member(me=1, ose=0, ore=2, tre=SYSTEM_EMPTY, state=UNAVAILABLE, last_mybox=NULL)
+    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE, last_mybox=NULL)
     effects = on_oneback(view, Identity(1))
     assert effects.view == view
     assert effects.publications == ()
@@ -383,7 +377,7 @@ def test_wakeup_outside_system_empty_is_an_error():
 def test_deliveries_route_by_key():
     view = member(me=1, ose=0, ore=2)
     sample = Sample(key=mybox_key(2), payload=Identity(4), publisher=2, seq=1)
-    assert handle_delivery(view, sample).view.tre == Hint(4)
+    assert handle_delivery(view, sample).view.tre == 4
 
 
 def test_misrouted_samples_are_rejected():
@@ -401,7 +395,13 @@ def test_misrouted_samples_are_rejected():
 # -- properties -------------------------------------------------------------------
 
 node_ids = st.integers(0, 5)
-tres = st.one_of(st.just(TRUST_ORE), st.builds(Hint, node_ids), st.just(SYSTEM_EMPTY))
+
+
+def tres(ore):
+    """Trust the receiver `ore`, a hint at any node, or nothing Available."""
+    return st.one_of(st.just(ore), node_ids, st.none())
+
+
 states = st.sampled_from([AVAILABLE, UNAVAILABLE])
 mybox_values = st.one_of(st.none(), st.just(NULL), st.builds(Identity, node_ids))
 messages = st.one_of(st.just(NULL), st.builds(Identity, node_ids))
@@ -409,11 +409,12 @@ messages = st.one_of(st.just(NULL), st.builds(Identity, node_ids))
 
 @st.composite
 def settled_views(draw):
+    ore = draw(node_ids)
     return NodeView(
         me=draw(node_ids),
         ose=draw(node_ids),
-        ore=draw(node_ids),
-        tre=draw(tres),
+        ore=ore,
+        tre=draw(tres(ore)),
         state=draw(states),
         last_mybox=draw(mybox_values),
     )
@@ -425,7 +426,7 @@ def views_of(draw, me):
     next-available value (a hint on itself or its receiver included), any
     state."""
     ore = draw(node_ids)
-    tre = draw(st.one_of(tres, st.just(Hint(me)), st.just(Hint(ore))))
+    tre = draw(st.one_of(tres(ore), st.just(me)))
     return NodeView(
         me=me, ose=draw(node_ids), ore=ore, tre=tre, state=draw(states),
         last_mybox=draw(mybox_values), joining=draw(st.booleans()),
@@ -470,13 +471,14 @@ def test_receiver_news_is_idempotent(view, msg):
 @settings(max_examples=200, deadline=None)
 @given(view=settled_views(), msg=messages)
 def test_hint_news_is_idempotent(view, msg):
+    assume(view.ore != view.me + 1)  # a hint names a node other than the receiver
     view = NodeView(
         me=view.me, ose=view.ose, ore=view.ore,
-        tre=Hint(view.me + 1), state=view.state, last_mybox=view.last_mybox,
+        tre=view.me + 1, state=view.state, last_mybox=view.last_mybox,
     )
     first = on_mybox_from_hint(view, msg)
-    if not isinstance(first.view.tre, Hint):
-        return  # the hint resolved to trust; the subscription is gone
+    if first.view.tre is None or first.view.tre == first.view.ore:
+        return  # the hint resolved to trust or to nothing; the subscription is gone
     second = on_mybox_from_hint(first.view, msg)
     assert second.view == first.view
     assert second.publications == ()
@@ -487,10 +489,10 @@ def test_hint_news_is_idempotent(view, msg):
 def test_wakeup_is_idempotent(view, who):
     view = NodeView(
         me=view.me, ose=view.ose, ore=view.ore,
-        tre=SYSTEM_EMPTY, state=view.state, last_mybox=view.last_mybox,
+        tre=None, state=view.state, last_mybox=view.last_mybox,
     )
     first = on_oneback(view, Identity(who))
-    if first.view.tre == SYSTEM_EMPTY:
+    if first.view.tre is None:
         # Own echo: redelivery is possible and must stay a no-op. Once a
         # recoverer is adopted the wake-up subscription is gone instead.
         second = on_oneback(first.view, Identity(who))

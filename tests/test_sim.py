@@ -30,7 +30,7 @@ from rfoverlay.metrics import (
 )
 from rfoverlay.network import DISPATCH_BUDGET_FACTOR, JoinError, Network, QuiescenceError
 from rfoverlay.oracle import RingModel
-from rfoverlay.protocol import SYSTEM_EMPTY, TRUST_ORE, Availability, Hint
+from rfoverlay.protocol import Availability
 from rfoverlay.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -94,7 +94,7 @@ def test_ring_forms_in_arrival_order():
         view = net.views[node]
         assert view.ore == (node + 1) % 5
         assert view.ose == (node - 1) % 5
-        assert view.tre == TRUST_ORE
+        assert view.tre == view.ore
 
 
 def test_join_publication_costs():
@@ -151,7 +151,7 @@ def test_oracle_judges_the_arrival_order_ring():
     for node in (0, 1, 2, 5, 4):
         net.add_node(node)
     toggle_settled(net, 4, UNAVAILABLE)
-    assert net.views[5].tre == Hint(0)
+    assert net.views[5].tre == 0
     assert oracle_mismatches(net) == []
 
 
@@ -347,9 +347,9 @@ def test_reference_pattern_settles_to_the_oracle():
     for node in (2, 5, 6):
         toggle_settled(net, node, UNAVAILABLE)
     assert oracle_mismatches(net) == []
-    assert net.views[1].tre == Hint(3)
-    assert net.views[4].tre == Hint(7)
-    assert net.views[5].tre == Hint(7)
+    assert net.views[1].tre == 3
+    assert net.views[4].tre == 7
+    assert net.views[5].tre == 7
     assert net.views[5].last_mybox == Identity(7)
     net.check_subscription_invariant()
 
@@ -360,36 +360,49 @@ def test_recovery_from_the_reference_pattern():
         toggle_settled(net, node, UNAVAILABLE)
     toggle_settled(net, 5, AVAILABLE)
     assert oracle_mismatches(net) == []
-    assert net.views[4].tre == TRUST_ORE  # its own receiver came back
-    assert net.views[5].tre == Hint(7)    # 6 is still down
+    assert net.views[4].tre == net.views[4].ore  # its own receiver came back
+    assert net.views[5].tre == 7                 # 6 is still down
     net.check_subscription_invariant()
 
 
 def test_single_node_toggles():
     net = joined_network(1)
     toggle_settled(net, 0, UNAVAILABLE)
-    assert net.views[0].tre == SYSTEM_EMPTY
+    assert net.views[0].tre is None
     assert net.views[0].last_mybox == NULL
     toggle_settled(net, 0, AVAILABLE)
-    assert net.views[0].tre == TRUST_ORE  # the self-addressed status heals the hint
+    assert net.views[0].tre == net.views[0].ore  # trusts its receiver, itself
     assert net.views[0].last_mybox == Identity(0)
     assert oracle_mismatches(net) == []
+
+
+def test_a_ring_of_one_writes_one_view_change_on_recovery():
+    """When the only node comes back it trusts its receiver, itself, and
+    its own returning status names the same node: recovery changes the view
+    once, so the trace has one ViewChange line for it."""
+    recorder = TraceRecorder()
+    net = joined_network(1, recorder)
+    toggle_settled(net, 0, UNAVAILABLE)
+    recorded = len(recorder.events)
+    toggle_settled(net, 0, AVAILABLE)
+    views = [e.value for e in recorder.events[recorded:] if e.kind == KIND_VIEW_CHANGE]
+    assert views == [(0, 0, 0, AVAILABLE, False)]
 
 
 def test_total_outage_and_first_recovery():
     net = joined_network(4)
     for node in range(4):
         toggle_settled(net, node, UNAVAILABLE)
-    assert all(view.tre == SYSTEM_EMPTY for view in net.views.values())
+    assert all(view.tre is None for view in net.views.values())
     assert all(view.last_mybox == NULL for view in net.views.values())
     assert oracle_mismatches(net) == []
 
     before = dict(net.bus.publish_counts)
     toggle_settled(net, 2, AVAILABLE)
     assert oracle_mismatches(net) == []
-    assert net.views[1].tre == TRUST_ORE
-    assert net.views[0].tre == Hint(2)
-    assert net.views[3].tre == Hint(2)
+    assert net.views[1].tre == net.views[1].ore
+    assert net.views[0].tre == 2
+    assert net.views[3].tre == 2
     assert net.bus.publish_counts[TopicName.ONEBACK] - before[TopicName.ONEBACK] == 1
     # the recoverer plus each of the three sleepers updates its status once
     assert net.bus.publish_counts[TopicName.MYBOX] - before[TopicName.MYBOX] == 4
@@ -456,8 +469,8 @@ def test_interleaved_death_of_all_live_nodes_settles_to_system_empty():
     net.toggle(1, UNAVAILABLE)
     net.dispatch_to_quiescence()
     assert oracle_mismatches(net) == []
-    assert net.views[0].tre == SYSTEM_EMPTY
-    assert net.views[1].tre == SYSTEM_EMPTY
+    assert net.views[0].tre is None
+    assert net.views[1].tre is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -641,11 +654,24 @@ def test_corrupted_view_fails_verification():
     ose, ore, _tre, state, joining = event.value
     corrupted = list(trace)
     corrupted[index] = TraceEvent(
-        event.time, event.kind, event.node, (ose, ore, Hint(999), state, joining)
+        event.time, event.kind, event.node, (ose, ore, 999, state, joining)
     )
     report = verify_trace(corrupted, cfg)
     assert not report.passed
     assert any(m.node == event.node for m in report.mismatches)
+
+
+def test_a_node_without_view_lines_never_matches_an_empty_system():
+    """None is the empty system's next-available value, so a node the
+    trace gives no view must not read as one."""
+    cfg = ScenarioConfig(node_count=1, workload=WorkloadConfig(intervals=2, seed=0))
+    schedule = forced_schedule(1, set(), {0})
+    trace, _ = run_scenario(cfg, schedule=schedule)
+    viewless = [e for e in trace if e.kind != KIND_VIEW_CHANGE]
+    report = verify_trace(viewless, cfg, schedule=schedule)
+    assert [(m.interval, m.field, m.expected) for m in report.mismatches] == [
+        (0, "tre", "0"), (1, "tre", "None")
+    ]
 
 
 def test_diverging_toggles_are_a_structural_error():
@@ -700,6 +726,44 @@ def test_a_join_outside_the_config_nodes_fails_at_its_own_line():
     with pytest.raises(TraceError, match="Join of node 3, config says 0..2"):
         verify_trace(events(), smaller)
     assert read[-1].kind == "Join" and read[-1].node == 3
+
+
+def _time_backwards(trace):
+    return trace[:-1] + [trace[-1]._replace(time=0)]
+
+
+def _joined_twice(trace):
+    second = next(i for i, e in enumerate(trace) if e.kind == "Join" and e.node == 1)
+    return trace[: second + 1] + [trace[0]._replace(time=trace[second].time)] + trace[second + 1 :]
+
+
+def _toggle_past_the_schedule(trace):
+    last = max(i for i, e in enumerate(trace) if e.kind == "Toggle")
+    to_state, _interval = trace[last].value
+    return trace[:last] + [trace[last]._replace(value=(to_state, 8))] + trace[last + 1 :]
+
+
+def _cut_before_the_last_join(trace):
+    return trace[: next(i for i, e in enumerate(trace) if e.kind == "Join" and e.node == 3)]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_time_backwards, "time went backwards"),
+        (_joined_twice, "0 joined twice"),
+        (_toggle_past_the_schedule, "toggle interval 8 outside the schedule"),
+        (_cut_before_the_last_join, "trace joined 3 nodes, config says 4"),
+    ],
+    ids=["time-backwards", "joined-twice", "toggle-outside-schedule", "too-few-joins"],
+)
+def test_verify_refuses_a_broken_trace_structure(mutate, message):
+    """Each structural refusal of verify_trace, on one edit of a real trace."""
+    cfg = ScenarioConfig(node_count=4, workload=WorkloadConfig(intervals=8, seed=6), seed=6)
+    trace, _ = run_scenario(cfg)
+    assert verify_trace(trace, cfg).passed
+    with pytest.raises(TraceError, match=message):
+        verify_trace(mutate(trace), cfg)
 
 
 # -- the cyclic collector ----------------------------------------------------------
@@ -807,8 +871,8 @@ def test_trace_roundtrips_through_jsonl():
 
 
 def test_a_recorded_trace_holds_one_status_value_per_node():
-    """Identity payloads and ViewChange hints are shared, one object per
-    node, and the trace still round-trips through the codec."""
+    """Identity payloads are shared, one object per node, and the trace
+    still round-trips through the codec."""
     cfg = ScenarioConfig(node_count=8, workload=WorkloadConfig(intervals=30, seed=3), seed=3)
     trace, _ = run_scenario(cfg)
     identities = [
@@ -816,15 +880,9 @@ def test_a_recorded_trace_holds_one_status_value_per_node():
         for event in trace
         if event.kind in (KIND_PUBLISH, KIND_DELIVER) and isinstance(event.value.payload, Identity)
     ]
-    hints = [
-        event.value[2]
-        for event in trace
-        if event.kind == KIND_VIEW_CHANGE and isinstance(event.value[2], Hint)
-    ]
-    assert identities and hints
-    for values in (identities, hints):
-        objects_per_node = Counter(value.node for value in {id(v): v for v in values}.values())
-        assert set(objects_per_node.values()) == {1}
+    assert identities
+    objects_per_node = Counter(value.node for value in {id(v): v for v in identities}.values())
+    assert set(objects_per_node.values()) == {1}
     nodes = range(cfg.node_count)
     assert [event_from_json(event_to_json(event), nodes) for event in trace] == trace
 
