@@ -10,15 +10,22 @@ path between nodes; everything above it is event-driven. A subscription is
 named by its (subscriber, key) pair.
 
 Single-owner object with no internal locks: one bus serves one scenario, and
-scenarios run one after another.
+scenarios run one after another. The network that owns a bus reads its clock
+and queue directly on every delivery, and cancel_subscription filters the
+queue in place so that the list stays the queue.
+
+A publication is the bus's hot path: publish builds its Sample with
+tuple.__new__, one C call, where Sample(...) would run the named tuple's
+generated Python __new__, and it enqueues inline. tuple.__new__ applies no
+defaults, so it is given every field.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 NodeId = int
@@ -47,6 +54,10 @@ class TopicName(str, Enum):
 # Arrivals and OneBack have a single global instance; the rest carry one
 # instance per node.
 GLOBAL_TOPICS = frozenset({TopicName.ARRIVALS, TopicName.ONEBACK})
+
+# An Enum member read off its class goes through the metaclass, several
+# times the cost of reading a module global.
+_ARRIVALS = TopicName.ARRIVALS
 
 
 class TopicKey:
@@ -220,6 +231,11 @@ class Sample(NamedTuple):
     seq: int  # per (publisher, key), starts at 1
 
 
+# Sample(...) runs the named tuple's generated Python __new__; tuple.__new__
+# builds the same tuple in one C call (what NamedTuple._make does).
+_new = tuple.__new__
+
+
 class VirtualBus:
     """Subscriber sets, the arrival log, and a deterministic delivery queue.
 
@@ -272,13 +288,21 @@ class VirtualBus:
         check_payload(key, payload)
         seq = self._seq.get((publisher, key), 0) + 1
         self._seq[(publisher, key)] = seq
-        sample = Sample(key, payload, publisher, seq)
-        if key.topic is TopicName.ARRIVALS:
+        sample = _new(Sample, (key, payload, publisher, seq))
+        topic = key.topic
+        if topic is _ARRIVALS:
             self._arrivals.append((self._now, sample))
-        due = self._now + self.delivery_delay
-        for subscriber in sorted(self._subs.get(key, ())):
-            self._enqueue(due, subscriber, sample)
-        self.publish_counts[key.topic] += 1
+        subscribers = self._subs.get(key)
+        if subscribers:
+            # _enqueue, inlined: a status-wave hop publishes once per hop.
+            due = self._now + self.delivery_delay
+            pending = self._pending
+            enq = self._enq
+            for subscriber in sorted(subscribers):
+                enq += 1
+                heappush(pending, (due, publisher, seq, subscriber, enq, sample))
+            self._enq = enq
+        self.publish_counts[topic] += 1
         return sample
 
     # -- subscriptions --------------------------------------------------------
@@ -289,7 +313,7 @@ class VirtualBus:
             raise SubscriptionError(f"{subscriber} already subscribed to {key}")
         subscribers.add(subscriber)
         self.subscribes += 1
-        if key.topic is TopicName.ARRIVALS:
+        if key.topic is _ARRIVALS:
             # Late-joiner replay, in publication order. Entries keep their
             # original publish tick as the due component, so history from
             # several publishers replays as published.
@@ -304,10 +328,12 @@ class VirtualBus:
         self.unsubscribes += 1
         # Delivery covers samples published while subscribed, unless the
         # subscription is cancelled first: drop anything still in flight.
-        survivors = [e for e in self._pending if e[3] != subscriber or e[5].key != key]
-        if len(survivors) != len(self._pending):
-            heapq.heapify(survivors)
-            self._pending = survivors
+        # The queue is filtered in place: a drain holds on to the list.
+        pending = self._pending
+        survivors = [e for e in pending if e[3] != subscriber or e[5].key != key]
+        if len(survivors) != len(pending):
+            heapify(survivors)
+            pending[:] = survivors
 
     def subscriptions_of(self, subscriber: NodeId) -> frozenset[TopicKey]:
         return frozenset(
@@ -327,17 +353,19 @@ class VirtualBus:
     def dispatch_next(self) -> tuple[NodeId, Sample] | None:
         """Deliver the earliest pending sample: the (subscriber, sample)
         pair, delivered at `now`; None once quiescent."""
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return None
-        due, _pub, _seq, subscriber, _enq, sample = heapq.heappop(self._pending)
+        due, _pub, _seq, subscriber, _enq, sample = heappop(pending)
         assert subscriber in self._subs[sample.key]  # cancelled entries are purged eagerly
-        self._now = max(self._now, due)
+        if due > self._now:  # replayed arrivals keep their publish tick
+            self._now = due
         self.deliveries += 1
         return subscriber, sample
 
     def _enqueue(self, due: int, subscriber: NodeId, sample: Sample) -> None:
         self._enq += 1
-        heapq.heappush(
+        heappush(
             self._pending,
             (due, sample.publisher, sample.seq, subscriber, self._enq, sample),
         )

@@ -7,6 +7,17 @@ drains until the handshake completes; a toggle only applies its transition,
 so a caller may land a batch of toggles before dispatching any of them. A
 dispatch budget of 64 * m^2 per drain turns any non-terminating propagation
 into a hard failure instead of a hang.
+
+The delivery path is the simulator's inner loop, so it is kept tight:
+dispatch_to_quiescence is step() unrolled, with its callees (the bus's
+dispatch_next, protocol.handle_delivery, _apply, the recorder's deliver)
+bound to locals once per drain. They are bound when each drain starts and
+not at import, so a wrapper installed later on VirtualBus, on the protocol
+module or on Network (a profiler's probe, a test's patch) still sees every
+call. The network is its bus's one owner and reads the bus's clock and
+queue (`_now`, `_pending`) directly; the bus filters its queue in place, so
+the list a drain holds stays the queue. Views, effects and samples are
+built with tuple.__new__ (see protocol and bus).
 """
 
 from __future__ import annotations
@@ -74,16 +85,32 @@ class Network:
     # -- dispatch -----------------------------------------------------------
 
     def dispatch_to_quiescence(self) -> int:
-        """Drain the delivery queue; returns the number of deliveries."""
+        """Drain the delivery queue; returns the number of deliveries.
+
+        Each delivery is what step() does, with its callees bound once per
+        drain rather than looked up on every delivery. They are bound when
+        the drain starts, not at import, so a wrapper installed on the bus
+        class, the protocol module or this class still sees every call.
+        """
+        bus = self.bus
+        pending = bus._pending  # the bus filters its queue in place
         budget = DISPATCH_BUDGET_FACTOR * max(1, len(self.views)) ** 2
+        dispatch = bus.dispatch_next
+        handle = protocol.handle_delivery
+        apply = self._apply
+        views = self.views
+        deliver = None if self.recorder is None else self.recorder.deliver
         delivered = 0
-        while not self.bus.quiescent:
+        while pending:
             if delivered >= budget:
                 raise QuiescenceError(
                     f"no quiescence within {budget} deliveries "
-                    f"({self.bus.pending_count} still pending)"
+                    f"({len(pending)} still pending)"
                 )
-            self.step()
+            node, sample = dispatch()
+            if deliver is not None:
+                deliver(bus._now, node, sample)
+            apply(node, handle(views[node], sample))
             delivered += 1
         return delivered
 
@@ -103,27 +130,31 @@ class Network:
     # -- effects -----------------------------------------------------------
 
     def _apply(self, node: NodeId, effects: Effects) -> None:
-        old = self.views.get(node)
-        for key, payload in effects.publications:
-            sample = self.bus.publish(node, key, payload)
-            if self.recorder is not None:
-                self.recorder.publish(self.bus.now, sample)
-        for key in effects.unsubscribe:
-            self.bus.cancel_subscription(node, key)
-            if self.recorder is not None:
-                self.recorder.unsubscribe(self.bus.now, node, key)
-        for key in effects.subscribe:
-            self.bus.subscribe(node, key)
-            if self.recorder is not None:
-                self.recorder.subscribe(self.bus.now, node, key)
-        new = effects.view
-        self.views[node] = new
-        if self.recorder is not None:
-            # A change to a field the trace does not write (predecessor,
-            # last_mybox) would give a line equal to the node's previous one.
-            fields = traced_view_fields(new)
-            if old is None or fields != traced_view_fields(old):
-                self.recorder.view_change(self.bus.now, node, fields)
+        new, publications, subscribe, unsubscribe = effects
+        bus = self.bus
+        recorder = self.recorder
+        for key, payload in publications:
+            sample = bus.publish(node, key, payload)
+            if recorder is not None:
+                recorder.publish(bus._now, sample)
+        for key in unsubscribe:
+            bus.cancel_subscription(node, key)
+            if recorder is not None:
+                recorder.unsubscribe(bus._now, node, key)
+        for key in subscribe:
+            bus.subscribe(node, key)
+            if recorder is not None:
+                recorder.subscribe(bus._now, node, key)
+        views = self.views
+        old = views.get(node)
+        views[node] = new
+        # A change to a field the trace does not write (last_mybox,
+        # predecessor) would give a line equal to the node's previous one.
+        # The traced fields are new[1:5] and joining (traced_view_fields).
+        if recorder is not None and (
+            old is None or (new is not old and (new[1:5] != old[1:5] or new.joining != old.joining))
+        ):
+            recorder.view_change(bus._now, node, traced_view_fields(new))
 
     # -- inspection -----------------------------------------------------------
 

@@ -71,6 +71,18 @@ class Availability(Enum):
     UNAVAILABLE = "unavailable"
 
 
+# Reading a member off an Enum class goes through the metaclass, which costs
+# about as much as building a small tuple. The handlers compare states and
+# topics on every delivery, so they read module globals instead.
+_AVAILABLE = Availability.AVAILABLE
+_UNAVAILABLE = Availability.UNAVAILABLE
+_ARRIVALS = TopicName.ARRIVALS
+_ORE = TopicName.ORE
+_OSE = TopicName.OSE
+_MYBOX = TopicName.MYBOX
+_ONEBACK = TopicName.ONEBACK
+
+
 # The first Available node at or after the receiver, or None when no node is
 # Available (see the module docstring).
 NextAvailable = NodeId | None
@@ -142,44 +154,44 @@ def subscriptions(view: NodeView) -> frozenset[TopicKey]:
 
 def published_hint(view: NodeView) -> Payload:
     """The value this node's status stream should carry right now."""
-    if view.state is Availability.AVAILABLE:
+    if view.state is _AVAILABLE:
         return identity(view.me)
-    tre = view.tre
-    if tre is None or tre == view.me:
+    return _down_hint(view.me, view.tre)
+
+
+def _down_hint(me: NodeId, tre: NextAvailable) -> Payload:
+    """published_hint of a down view of `me` whose next-available is `tre`."""
+    if tre is None or tre == me:
         return NULL
     return identity(tre)
 
 
-def _with_tre(
-    view: NodeView, tre: NextAvailable, state: Availability | None = None
+# Calling NodeView(...) or Effects(...) runs the named tuple's generated
+# Python __new__; tuple.__new__ builds the same tuple in one C call (what
+# NamedTuple._make does), and the engine builds one Effects, and usually a
+# NodeView, per delivery. It skips the field defaults, so every call names
+# all of the fields.
+_new = tuple.__new__
+
+
+def _with_status(
+    view: NodeView, tre: NextAvailable, state: Availability, last_mybox: Payload | None
 ) -> NodeView:
-    return NodeView(
-        view.me, view.ose, view.ore, tre, view.state if state is None else state,
-        view.last_mybox, view.joining, view.predecessor,
-    )
-
-
-def _with_last_mybox(view: NodeView, last_mybox: Payload) -> NodeView:
-    return NodeView(
-        view.me, view.ose, view.ore, view.tre, view.state, last_mybox, view.joining,
-        view.predecessor,
-    )
+    return _new(NodeView, (
+        view.me, view.ose, view.ore, tre, state, last_mybox, view.joining, view.predecessor,
+    ))
 
 
 def _effects(
     old: NodeView,
     new: NodeView,
-    publications: list[tuple[TopicKey, Payload]] | None = None,
+    publications: tuple[tuple[TopicKey, Payload], ...] = (),
 ) -> Effects:
-    pubs = tuple(publications) if publications else ()
-    if pubs:
-        own = mybox_key(old.me)
-        for key, payload in pubs:
-            if key is own:
-                new = _with_last_mybox(new, payload)
+    """The Effects of moving from `old` to `new`. A handler that publishes on
+    its own status stream sets `new.last_mybox` to that value itself."""
     if old.joining == new.joining and old.ore == new.ore and old.tre == new.tre:
         # _watched() reads only these fields and `me`, which never changes.
-        return Effects(new, pubs)
+        return _new(Effects, (new, publications, (), ()))
     # Trace order: status streams by ascending instance, then the global
     # stream. Keys have no order, so the diff runs over node ids (in C).
     old_boxes, old_channel = _watched(old)
@@ -191,7 +203,7 @@ def _effects(
             subscribe.append(new_channel)
         if old_channel is not None:
             unsubscribe.append(old_channel)
-    return Effects(new, pubs, tuple(subscribe), tuple(unsubscribe))
+    return _new(Effects, (new, publications, tuple(subscribe), tuple(unsubscribe)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +244,20 @@ def _on_arrivals(view: NodeView, payload: JoinRecord) -> Effects:
         # A record before our own only moves the insertion point. The bus
         # replays the last two records, so under serialized joins this runs
         # once per join.
-        new = NodeView(me, view.ose, view.ore, view.tre, view.state, view.last_mybox, True, who)
+        new = _new(NodeView, (
+            me, view.ose, view.ore, view.tre, view.state, view.last_mybox, True, who,
+        ))
         return _effects(view, new)
     predecessor = view.predecessor
     if predecessor is None:
         # First node in: a ring of one.
-        return _effects(view, NodeView(me, me, me, view.tre, view.state, view.last_mybox))
+        new = _new(NodeView, (me, me, me, view.tre, view.state, view.last_mybox, False, None))
+        return _effects(view, new)
     # The predecessor is our sender; its answer on OSe_me completes the join.
-    new = NodeView(me, predecessor, view.ore, view.tre, view.state, view.last_mybox, True, predecessor)
-    return _effects(view, new, [(ore_key(predecessor), OStUpdate(OStRole.NEW_ORE, me))])
+    new = _new(NodeView, (
+        me, predecessor, view.ore, view.tre, view.state, view.last_mybox, True, predecessor,
+    ))
+    return _effects(view, new, ((ore_key(predecessor), OStUpdate(OStRole.NEW_ORE, me)),))
 
 
 def handle_new_ore(view: NodeView, msg: OStUpdate) -> Effects:
@@ -255,26 +272,28 @@ def handle_new_ore(view: NodeView, msg: OStUpdate) -> Effects:
     if joiner == view.me or joiner == view.ore:
         return _effects(view, view)
     old_ore = view.ore
-    publications = [
+    publications = (
         (ose_key(joiner), OStUpdate(OStRole.NEW_ORE, old_ore)),
         (ose_key(old_ore), OStUpdate(OStRole.NEW_OSE, joiner)),
-    ]
-    new = NodeView(
+    )
+    new = _new(NodeView, (
         view.me, view.ose, joiner, joiner, view.state, view.last_mybox, view.joining,
         view.predecessor,
-    )
+    ))
     return _effects(view, new, publications)
 
 
 def handle_ose_update(view: NodeView, msg: OStUpdate) -> Effects:
     """Ring rewiring addressed to us: adopt the new receiver or sender."""
     if msg.role is OStRole.NEW_ORE:
-        new = NodeView(view.me, view.ose, msg.who, msg.who, view.state, view.last_mybox)
+        new = _new(NodeView, (
+            view.me, view.ose, msg.who, msg.who, view.state, view.last_mybox, False, None,
+        ))
         return _effects(view, new)
-    new = NodeView(
+    new = _new(NodeView, (
         view.me, msg.who, view.ore, view.tre, view.state, view.last_mybox, view.joining,
         view.predecessor,
-    )
+    ))
     return _effects(view, new)
 
 
@@ -286,28 +305,31 @@ def set_unavailable(view: NodeView) -> Effects:
     """Leave: tell readers who to use instead, or that nobody is left."""
     if view.joining:
         raise ProtocolError("cannot toggle before the join completes")
-    if view.state is not Availability.AVAILABLE:
+    if view.state is not _AVAILABLE:
         raise ProtocolError(f"{view.me} is already unavailable")
+    me = view.me
     # If we were the last Available node the system goes empty, and the
     # value published for an empty system is NULL.
-    tre = None if view.tre == view.me else view.tre
-    down = _with_tre(view, tre, Availability.UNAVAILABLE)
-    return _effects(view, down, [(mybox_key(view.me), published_hint(down))])
+    tre = None if view.tre == me else view.tre
+    value = _down_hint(me, tre)
+    down = _with_status(view, tre, _UNAVAILABLE, value)
+    return _effects(view, down, ((mybox_key(me), value),))
 
 
 def set_available(view: NodeView) -> Effects:
     """Return: announce ourselves; wake the system if it was empty."""
     if view.joining:
         raise ProtocolError("cannot toggle before the join completes")
-    if view.state is not Availability.UNAVAILABLE:
+    if view.state is not _UNAVAILABLE:
         raise ProtocolError(f"{view.me} is already available")
     me = view.me
-    announce = (mybox_key(me), identity(me))
+    value = identity(me)
+    announce = (mybox_key(me), value)
     if view.tre is None:
-        woken = _with_tre(view, me, Availability.AVAILABLE)
-        return _effects(view, woken, [(oneback_key(), identity(me)), announce])
-    up = _with_tre(view, view.tre, Availability.AVAILABLE)
-    return _effects(view, up, [announce])
+        woken = _with_status(view, me, _AVAILABLE, value)
+        return _effects(view, woken, ((oneback_key(), value), announce))
+    up = _with_status(view, view.tre, _AVAILABLE, value)
+    return _effects(view, up, (announce,))
 
 
 def _next_available(msg: Payload) -> NextAvailable:
@@ -324,16 +346,20 @@ def on_mybox_from_ore(view: NodeView, msg: Payload) -> Effects:
     publish NULL. One stop rule ends the propagation: a value equal to our
     last published one is dropped (the wave has already passed here).
     """
+    if view.state is _AVAILABLE:
+        tre = _next_available(msg)
+        if tre == view.tre:
+            # News we already hold: the same view, and nothing to do. About
+            # one delivery in ten on a churning ring.
+            return _new(Effects, (view, (), (), ()))
+        return _effects(view, _with_status(view, tre, _AVAILABLE, view.last_mybox))
     me = view.me
-    down = view.state is Availability.UNAVAILABLE
-    wrapped = down and isinstance(msg, Identity) and msg.node == me
-    new = _with_tre(view, None if wrapped else _next_available(msg))
-    publications: list[tuple[TopicKey, Payload]] = []
-    if down:
-        value = published_hint(new)
-        if value != view.last_mybox:
-            publications.append((mybox_key(me), value))
-    return _effects(view, new, publications)
+    wrapped = isinstance(msg, Identity) and msg.node == me
+    tre = None if wrapped else _next_available(msg)
+    value = _down_hint(me, tre)
+    if value == view.last_mybox:
+        return _effects(view, _with_status(view, tre, _UNAVAILABLE, view.last_mybox))
+    return _effects(view, _with_status(view, tre, _UNAVAILABLE, value), ((mybox_key(me), value),))
 
 
 def on_mybox_from_hint(view: NodeView, msg: Payload) -> Effects:
@@ -352,7 +378,8 @@ def on_mybox_from_hint(view: NodeView, msg: Payload) -> Effects:
     """
     if view.tre is None or view.tre == view.ore:
         raise ProtocolError("no hint subscription in this view")
-    return _effects(view, _with_tre(view, _next_available(msg)))
+    new = _with_status(view, _next_available(msg), view.state, view.last_mybox)
+    return _effects(view, new)
 
 
 def on_oneback(view: NodeView, msg: Payload) -> Effects:
@@ -374,24 +401,25 @@ def on_oneback(view: NodeView, msg: Payload) -> Effects:
 
 
 def handle_delivery(view: NodeView, sample: Sample) -> Effects:
-    """Route a delivered sample to the handler its subscription implies."""
+    """Route a delivered sample to the handler its subscription implies.
+    Status news comes first: it is nearly every delivery of a run."""
     key = sample.key
     topic = key.topic
-    if topic is TopicName.ARRIVALS:
-        return _on_arrivals(view, sample.payload)
-    if topic is TopicName.ORE:
-        if key.instance != view.me:
-            raise ProtocolError(f"{view.me} received {key}")
-        return handle_new_ore(view, sample.payload)
-    if topic is TopicName.OSE:
-        if key.instance != view.me:
-            raise ProtocolError(f"{view.me} received {key}")
-        return handle_ose_update(view, sample.payload)
-    if topic is TopicName.ONEBACK:
-        return on_oneback(view, sample.payload)
-    if topic is TopicName.MYBOX:
+    if topic is _MYBOX:
         if not view.joining and key.instance == view.ore:
             return on_mybox_from_ore(view, sample.payload)
         if key.instance == view.tre:
             return on_mybox_from_hint(view, sample.payload)
+    elif topic is _ARRIVALS:
+        return _on_arrivals(view, sample.payload)
+    elif topic is _ORE:
+        if key.instance != view.me:
+            raise ProtocolError(f"{view.me} received {key}")
+        return handle_new_ore(view, sample.payload)
+    elif topic is _OSE:
+        if key.instance != view.me:
+            raise ProtocolError(f"{view.me} received {key}")
+        return handle_ose_update(view, sample.payload)
+    elif topic is _ONEBACK:
+        return on_oneback(view, sample.payload)
     raise ProtocolError(f"{view.me} has no route for {key}")

@@ -275,10 +275,11 @@ def run_scenario(
         ends: list[Tally] = []
         for interval in range(schedule.intervals):
             net.bus.advance()
+            views = net.views
             changes = [
-                (node, schedule.state(node, interval))
+                (node, state)
                 for node in range(cfg.node_count)
-                if schedule.state(node, interval) is not net.views[node].state
+                if (state := schedule.state(node, interval)) is not views[node].state
             ]
             for node, to_state in changes:
                 if not interleaved_toggles:

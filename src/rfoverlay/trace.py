@@ -332,15 +332,32 @@ def load_trace(stream: IO[str]) -> Iterator[TraceEvent]:
     """Decode a JSONL trace lazily, one event per line as the caller reads
     it, so a consumer that folds the events never holds the trace. A bad
     line raises TraceError when the reader reaches it, and so does a key
-    or a Deliver publisher that names a node before that node's Join line."""
+    or a Deliver publisher that names a node before that node's Join line.
+
+    Sequence numbers follow the bus's rule: a Publish `seq` is one more than
+    the last one of its (publisher, key), and a Deliver `seq` names a sample
+    already published on its (publisher, key). Whether each delivery is owed
+    to its subscriber is not checked."""
     joined: set[NodeId] = set()
+    last_seq: dict[tuple[NodeId, TopicKey], int] = {}
     try:
         for line in stream:
             line = line.strip()
-            if line:
-                event = event_from_json(line, joined)
-                if event.kind == KIND_JOIN:
-                    joined.add(event.node)
-                yield event
+            if not line:
+                continue
+            event = event_from_json(line, joined)
+            kind = event.kind
+            if kind == KIND_JOIN:
+                joined.add(event.node)
+            elif kind == KIND_PUBLISH or kind == KIND_DELIVER:
+                key, _payload, publisher, seq = event.value
+                last = last_seq.get((publisher, key), 0)
+                if kind == KIND_PUBLISH:
+                    if seq != last + 1:
+                        raise _bad_line(f"Publish seq {seq} after seq {last}", line)
+                    last_seq[(publisher, key)] = seq
+                elif not 1 <= seq <= last:
+                    raise _bad_line(f"Deliver seq {seq}, but {last} published", line)
+            yield event
     except UnicodeDecodeError as exc:
         raise TraceError(f"trace is not UTF-8 text: {exc}") from None

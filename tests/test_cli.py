@@ -301,6 +301,52 @@ def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
     assert err.startswith("malformed trace:") and err.count("\n") == 1
 
 
+def _publish_of(deliver):
+    """A match for the Publish line that `deliver` delivers."""
+    detail = deliver["detail"]
+    return lambda event: event["node"] == detail["publisher"] and all(
+        event["detail"][field] == detail[field] for field in ("key", "seq")
+    )
+
+
+def _deliver_before_its_publish(events):
+    deliver = _first(events, "Deliver")
+    publish = _first(events, "Publish", _publish_of(deliver))
+    events.remove(deliver)
+    deliver["time"] = publish["time"]
+    events.insert(events.index(publish), deliver)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda events: _first(events, "Deliver")["detail"].update(seq=999999),
+        lambda events: _first(events, "Publish", lambda e: e["detail"]["seq"] == 2)[
+            "detail"
+        ].update(seq=3),
+        _deliver_before_its_publish,
+    ],
+    ids=["deliver-seq-forged", "publish-seq-gap", "deliver-before-its-publish"],
+)
+def test_verify_rejects_a_seq_the_bus_never_gave(tmp_path, capsys, edit):
+    # Each (publisher, key) numbers its samples 1, 2, 3, ...: a Publish line
+    # takes the next number, and a Deliver line names a number already
+    # published. Before these checks, verify passed all three edits.
+    config = write_config(tmp_path)
+    trace_path = tmp_path / "run.jsonl"
+    main(["simulate", "--config", config, "--trace", str(trace_path)])
+    capsys.readouterr()
+
+    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    edit(events)
+    trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
+
+    code = main(["verify", "--config", config, "--trace", str(trace_path)])
+    assert code == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace:") and " seq " in err and err.count("\n") == 1
+
+
 def _join(node):
     return f'{{"time":1,"kind":"Join","node":{node},"detail":{{}}}}\n'
 

@@ -299,6 +299,31 @@ def test_propagation_stops_at_an_already_published_value():
     assert effects.view.tre == 4
 
 
+def test_an_equal_but_not_interned_value_still_stops_propagation():
+    """The stop rule compares values, not objects: a last_mybox equal to the
+    interned value the news implies, but built on its own, still stops the
+    republication."""
+    published = Identity(4)
+    assert published is not identity(4)
+    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=published)
+    effects = on_mybox_from_ore(view, identity(4))
+    assert effects.publications == ()
+    assert effects.view.last_mybox is published
+
+
+def test_known_receiver_news_returns_the_same_view_and_no_effects():
+    """An Available node told the next-available node it already holds gets
+    back its own view object, unchanged, and nothing to do."""
+    for view, msg in [
+        (member(me=1, ose=0, ore=2, tre=4), Identity(4)),
+        (member(me=1, ose=0, ore=2), identity(2)),
+    ]:
+        effects = handle_delivery(view, Sample(mybox_key(2), msg, 2, 1))
+        assert type(effects) is protocol.Effects
+        assert effects.view is view
+        assert effects[1:] == ((), (), ())
+
+
 def test_news_naming_me_is_never_forwarded():
     """A down node named by its receiver has seen its own down wave wrap the
     ring: it marks the system empty and publishes NULL, not the news."""

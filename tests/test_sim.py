@@ -30,7 +30,7 @@ from rfoverlay.metrics import (
 )
 from rfoverlay.network import DISPATCH_BUDGET_FACTOR, JoinError, Network, QuiescenceError
 from rfoverlay.oracle import RingModel
-from rfoverlay.protocol import Availability
+from rfoverlay.protocol import Availability, NodeView
 from rfoverlay.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -493,6 +493,63 @@ def test_interleaved_runs_verify_clean(size, delay, lam, seed):
     report = verify_trace(trace, cfg)
     assert report.mismatches == ()
     assert report.intervals_checked == 12
+
+
+class _KeptNetwork(Network):
+    """A Network that the test can read after run_scenario returns, with the
+    count each drain returned."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.drains: list[int] = []
+        _KeptNetwork.last = self
+
+    def dispatch_to_quiescence(self) -> int:
+        delivered = super().dispatch_to_quiescence()
+        self.drains.append(delivered)
+        return delivered
+
+
+class _SteppedNetwork(_KeptNetwork):
+    """Every drain is repeated step() calls."""
+
+    def dispatch_to_quiescence(self) -> int:
+        delivered = 0
+        while self.step() is not None:
+            delivered += 1
+        self.drains.append(delivered)
+        return delivered
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(1, 8),
+    delay=st.integers(0, 3),
+    interleaved=st.booleans(),
+    lam=st.sampled_from([2.0, 3.0, 4.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_stepping_each_drain_matches_the_drain_loop(size, delay, interleaved, lam, seed):
+    """dispatch_to_quiescence is step() repeated until quiescence: the same
+    trace bytes, metrics, views, drain lengths, bus totals and clock."""
+    cfg = ScenarioConfig(
+        node_count=size,
+        delivery_delay=delay,
+        workload=WorkloadConfig(lam=lam, intervals=10, seed=seed),
+        seed=seed,
+    )
+    results = []
+    for network_class in (_KeptNetwork, _SteppedNetwork):
+        with mock.patch.object(scenario, "Network", network_class):
+            trace, metrics = run_scenario(cfg, interleaved_toggles=interleaved)
+        net = _KeptNetwork.last
+        assert all(type(view) is NodeView and len(view) == 8 for view in net.views.values())
+        bus = net.bus
+        results.append((
+            dumps_trace(trace), metrics, net.views, net.drains, bus.now, bus.publish_counts,
+            bus.deliveries, bus.subscribes, bus.unsubscribes,
+        ))
+    assert results[0] == results[1]
 
 
 def test_interleaved_batches_always_terminate():
