@@ -152,42 +152,6 @@ def ose_key(node: NodeId) -> TopicKey:
 # Payloads
 
 
-@dataclass(frozen=True, slots=True)
-class Identity:
-    """Names a node, typically "the next Available node is `node`"."""
-
-    node: NodeId
-
-
-# One Identity per node, built on first use, the way keys are interned: a
-# status wave carries the same few identities hop after hop. Identity stays a
-# value type (Identity(3) == identity(3), and Identity(3) != JoinRecord(3)).
-_IDENTITIES: dict[NodeId, Identity] = {}
-
-
-def identity(node: NodeId) -> Identity:
-    """The one shared Identity(node)."""
-    value = _IDENTITIES.get(node)
-    if value is None:
-        value = _IDENTITIES[node] = Identity(node)
-    return value
-
-
-@dataclass(frozen=True, slots=True)
-class Null:
-    """The no-node value: nothing Available anywhere."""
-
-
-NULL = Null()
-
-
-@dataclass(frozen=True, slots=True)
-class JoinRecord:
-    """Announcement of `node` entering the system."""
-
-    node: NodeId
-
-
 class OStRole(Enum):
     NEW_ORE = "new_ore"
     NEW_OSE = "new_ose"
@@ -201,20 +165,25 @@ class OStUpdate:
     who: NodeId
 
 
-Payload = Identity | Null | JoinRecord | OStUpdate
+# The topic fixes what its payload means, so a payload carries no tag of its
+# own: Arrivals carries the joiner's id; MyBox and OneBack carry the next
+# Available node's id, MyBox also None for "nothing Available"; ORe and OSe
+# carry an OStUpdate, whose role tells the two rewiring instructions apart.
+Payload = NodeId | None | OStUpdate
 
 _ALLOWED_PAYLOADS: dict[TopicName, tuple[type, ...]] = {
-    TopicName.ARRIVALS: (JoinRecord,),
+    TopicName.ARRIVALS: (int,),
     TopicName.ORE: (OStUpdate,),
     TopicName.OSE: (OStUpdate,),
-    TopicName.MYBOX: (Identity, Null),
-    TopicName.ONEBACK: (Identity, Null),
+    TopicName.MYBOX: (int, type(None)),
+    TopicName.ONEBACK: (int,),
 }
 
 
 def check_payload(key: TopicKey, payload: Payload) -> None:
-    """Raise PayloadKindError unless `payload` may travel on `key`'s topic."""
-    if not isinstance(payload, _ALLOWED_PAYLOADS[key.topic]):
+    """Raise PayloadKindError unless `payload` may travel on `key`'s topic.
+    Types match exactly, so a bool is not a node id."""
+    if type(payload) not in _ALLOWED_PAYLOADS[key.topic]:
         raise PayloadKindError(f"{type(payload).__name__} not allowed on {key.topic.value}")
 
 

@@ -22,8 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .bus import NULL, NodeId, Payload, identity
+from .bus import NodeId
 from .protocol import Availability, NextAvailable
+
+# An Enum member read off its class goes through the metaclass; the sweeps
+# below compare a state per ring position, so they read a module global.
+_AVAILABLE = Availability.AVAILABLE
 
 
 class RingError(ValueError):
@@ -90,11 +94,11 @@ class RingModel:
         return self.at(self.position(node) - 1)
 
     def is_available(self, node: NodeId) -> bool:
-        return self.avail[self.position(node)] is Availability.AVAILABLE
+        return self.avail[self.position(node)] is _AVAILABLE
 
     @property
     def available_count(self) -> int:
-        return sum(1 for a in self.avail if a is Availability.AVAILABLE)
+        return sum(1 for a in self.avail if a is _AVAILABLE)
 
 
 def _first_available(ring: RingModel) -> list[NodeId | None]:
@@ -106,7 +110,7 @@ def _first_available(ring: RingModel) -> list[NodeId | None]:
     """
     size = ring.size
     nodes = ring.nodes
-    up = [state is Availability.AVAILABLE for state in ring.avail]
+    up = [state is _AVAILABLE for state in ring.avail]
     first: list[NodeId | None] = [None] * size
     found: NodeId | None = None
     for index in range(2 * size - 1, -1, -1):
@@ -118,22 +122,18 @@ def _first_available(ring: RingModel) -> list[NodeId | None]:
     return first
 
 
-def mybox_table(ring: RingModel) -> dict[NodeId, Payload]:
+def mybox_table(ring: RingModel) -> dict[NodeId, NextAvailable]:
     """The settled value of every node's status stream.
 
     The first Available node scanning ring-forward from the node itself
-    (self included), or the no-node value when nothing is Available.
+    (self included), or None when nothing is Available.
     """
-    return {
-        node: NULL if found is None else identity(found)
-        for node, found in zip(ring.nodes, _first_available(ring))
-    }
+    return dict(zip(ring.nodes, _first_available(ring)))
 
 
-def mybox_fixpoint(ring: RingModel, node: NodeId) -> Payload:
+def mybox_fixpoint(ring: RingModel, node: NodeId) -> NextAvailable:
     """The settled value of one node's status stream (see mybox_table)."""
-    found = _first_available(ring)[ring.position(node)]
-    return NULL if found is None else identity(found)
+    return _first_available(ring)[ring.position(node)]
 
 
 def basic_tst(ring: RingModel) -> dict[NodeId, NextAvailable]:

@@ -21,12 +21,13 @@ chosen by comparing it with the ore of the same view:
                   global wake-up channel (OneBack) for the first recovery.
 
 A node publishes on its own status stream (MyBox) whenever the value another
-node would read from it changes: Identity(me) while Available, the current
-hint while down, Null when the whole system is down. A down node that hears
-its receiver name it has seen its own down wave come back around the ring,
-so nothing is Available: it sets tre to None and publishes Null. One stop
-rule keeps the ring quiescent: a value equal to the last one published is
-never republished.
+node would read from it changes: its own id while Available, the current
+hint while down, None when the whole system is down. The topic fixes what
+the value means, so it is a bare node id or None, never a tagged object. A
+down node that hears its receiver name it has seen its own down wave come
+back around the ring, so nothing is Available: it sets tre to None and
+publishes None. One stop rule keeps the ring quiescent: a value equal to
+the last one published is never republished.
 
 A node's subscriptions are its own ORe/OSe streams, which never change, plus
 what _watched() names: the status streams it reads and the one global
@@ -43,9 +44,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from .bus import (
-    NULL,
-    Identity,
-    JoinRecord,
     NodeId,
     OStRole,
     OStUpdate,
@@ -54,7 +52,6 @@ from .bus import (
     TopicKey,
     TopicName,
     arrivals_key,
-    identity,
     mybox_key,
     oneback_key,
     ore_key,
@@ -92,11 +89,12 @@ class NodeView(NamedTuple):
     """A node's entire local knowledge.
 
     last_mybox is the most recent value published on this node's own status
-    stream (None before the first publication); it backs the republication
-    guard. joining is True from the arrival announcement until the node holds
-    its ring position. predecessor is the node of the latest arrival record
-    replayed before our own, the insertion point; it is None before the first
-    such record and once the join completes.
+    stream. It is `me` until the node's first publication, as join sets it:
+    the value a reader assumes of a node that has never toggled. It backs
+    the republication guard. joining is True from the arrival announcement
+    until the node holds its ring position. predecessor is the node of the
+    latest arrival record replayed before our own, the insertion point; it
+    is None before the first such record and once the join completes.
 
     Views are immutable named tuples, so the engine and its clones share
     them; handlers build a new view for every change.
@@ -107,7 +105,7 @@ class NodeView(NamedTuple):
     ore: NodeId
     tre: NextAvailable
     state: Availability
-    last_mybox: Payload | None = None
+    last_mybox: NextAvailable = None
     joining: bool = False
     predecessor: NodeId | None = None
 
@@ -152,18 +150,16 @@ def subscriptions(view: NodeView) -> frozenset[TopicKey]:
     return frozenset(keys)
 
 
-def published_hint(view: NodeView) -> Payload:
+def published_hint(view: NodeView) -> NextAvailable:
     """The value this node's status stream should carry right now."""
     if view.state is _AVAILABLE:
-        return identity(view.me)
+        return view.me
     return _down_hint(view.me, view.tre)
 
 
-def _down_hint(me: NodeId, tre: NextAvailable) -> Payload:
+def _down_hint(me: NodeId, tre: NextAvailable) -> NextAvailable:
     """published_hint of a down view of `me` whose next-available is `tre`."""
-    if tre is None or tre == me:
-        return NULL
-    return identity(tre)
+    return None if tre == me else tre
 
 
 # Calling NodeView(...) or Effects(...) runs the named tuple's generated
@@ -175,7 +171,7 @@ _new = tuple.__new__
 
 
 def _with_status(
-    view: NodeView, tre: NextAvailable, state: Availability, last_mybox: Payload | None
+    view: NodeView, tre: NextAvailable, state: Availability, last_mybox: NextAvailable
 ) -> NodeView:
     return _new(NodeView, (
         view.me, view.ose, view.ore, tre, state, last_mybox, view.joining, view.predecessor,
@@ -226,19 +222,19 @@ def join(me: NodeId) -> Effects:
         ore=me,
         tre=me,
         state=Availability.AVAILABLE,
+        last_mybox=me,
         joining=True,
     )
     return Effects(
         view=view,
-        publications=((arrivals_key(), JoinRecord(me)),),
+        publications=((arrivals_key(), me),),
         subscribe=(arrivals_key(), ore_key(me), ose_key(me)),
     )
 
 
-def _on_arrivals(view: NodeView, payload: JoinRecord) -> Effects:
+def _on_arrivals(view: NodeView, who: NodeId) -> Effects:
     if not view.joining:
         return _effects(view, view)
-    who = payload.node
     me = view.me
     if who != me:
         # A record before our own only moves the insertion point. The bus
@@ -309,11 +305,10 @@ def set_unavailable(view: NodeView) -> Effects:
         raise ProtocolError(f"{view.me} is already unavailable")
     me = view.me
     # If we were the last Available node the system goes empty, and the
-    # value published for an empty system is NULL.
-    tre = None if view.tre == me else view.tre
-    value = _down_hint(me, tre)
-    down = _with_status(view, tre, _UNAVAILABLE, value)
-    return _effects(view, down, ((mybox_key(me), value),))
+    # value published for an empty system is None.
+    tre = _down_hint(me, view.tre)
+    down = _with_status(view, tre, _UNAVAILABLE, tre)
+    return _effects(view, down, ((mybox_key(me), tre),))
 
 
 def set_available(view: NodeView) -> Effects:
@@ -323,46 +318,37 @@ def set_available(view: NodeView) -> Effects:
     if view.state is not _UNAVAILABLE:
         raise ProtocolError(f"{view.me} is already available")
     me = view.me
-    value = identity(me)
-    announce = (mybox_key(me), value)
+    announce = (mybox_key(me), me)
     if view.tre is None:
-        woken = _with_status(view, me, _AVAILABLE, value)
-        return _effects(view, woken, ((oneback_key(), value), announce))
-    up = _with_status(view, view.tre, _AVAILABLE, value)
+        woken = _with_status(view, me, _AVAILABLE, me)
+        return _effects(view, woken, ((oneback_key(), me), announce))
+    up = _with_status(view, view.tre, _AVAILABLE, me)
     return _effects(view, up, (announce,))
 
 
-def _next_available(msg: Payload) -> NextAvailable:
-    """The next-available value a status message implies for its reader."""
-    return msg.node if isinstance(msg, Identity) else None
-
-
-def on_mybox_from_ore(view: NodeView, msg: Payload) -> Effects:
+def on_mybox_from_ore(view: NodeView, msg: NextAvailable) -> Effects:
     """News on the receiver's status stream: retarget, and propagate it
     backwards if we are down ourselves, so our own readers stay current.
 
     News naming us while we are down is our own down wave, back after a full
     wrap of the ring: nothing is Available, so we set tre to None and
-    publish NULL. One stop rule ends the propagation: a value equal to our
+    publish None. One stop rule ends the propagation: a value equal to our
     last published one is dropped (the wave has already passed here).
     """
     if view.state is _AVAILABLE:
-        tre = _next_available(msg)
-        if tre == view.tre:
+        if msg == view.tre:
             # News we already hold: the same view, and nothing to do. About
             # one delivery in ten on a churning ring.
             return _new(Effects, (view, (), (), ()))
-        return _effects(view, _with_status(view, tre, _AVAILABLE, view.last_mybox))
+        return _effects(view, _with_status(view, msg, _AVAILABLE, view.last_mybox))
     me = view.me
-    wrapped = isinstance(msg, Identity) and msg.node == me
-    tre = None if wrapped else _next_available(msg)
-    value = _down_hint(me, tre)
-    if value == view.last_mybox:
+    tre = _down_hint(me, msg)
+    if tre == view.last_mybox:
         return _effects(view, _with_status(view, tre, _UNAVAILABLE, view.last_mybox))
-    return _effects(view, _with_status(view, tre, _UNAVAILABLE, value), ((mybox_key(me), value),))
+    return _effects(view, _with_status(view, tre, _UNAVAILABLE, tre), ((mybox_key(me), tre),))
 
 
-def on_mybox_from_hint(view: NodeView, msg: Payload) -> Effects:
+def on_mybox_from_hint(view: NodeView, msg: NextAvailable) -> Effects:
     """News on the hint's status stream, the stream of tre when tre names a
     node other than the receiver: the hint went down, follow its forward.
 
@@ -373,22 +359,22 @@ def on_mybox_from_hint(view: NodeView, msg: Payload) -> Effects:
     that means it is the only Available one. A down node (seen only under
     interleaved toggles: the hint went down before our own down news reached
     it) publishes nothing here, although published_hint of the new view is
-    NULL; it keeps reading its receiver's stream, whose news replaces the
+    None; it keeps reading its receiver's stream, whose news replaces the
     hint.
     """
     if view.tre is None or view.tre == view.ore:
         raise ProtocolError("no hint subscription in this view")
-    new = _with_status(view, _next_available(msg), view.state, view.last_mybox)
+    new = _with_status(view, msg, view.state, view.last_mybox)
     return _effects(view, new)
 
 
-def on_oneback(view: NodeView, msg: Payload) -> Effects:
+def on_oneback(view: NodeView, msg: NodeId) -> Effects:
     """First recovery after the system went empty: adopt the recoverer."""
     if view.tre is not None:
         raise ProtocolError("wake-up news outside the system-empty state")
-    if not isinstance(msg, Identity):
-        raise ProtocolError("the wake-up channel carries identities")
-    if msg.node == view.me:
+    if msg is None:
+        raise ProtocolError("the wake-up channel carries node ids")
+    if msg == view.me:
         # Own echo; the system-empty wait continues.
         return _effects(view, view)
     # Adopting the recoverer, and republishing while down, follow the rule

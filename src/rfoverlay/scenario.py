@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import IO, Any, Iterable, Iterator, Mapping
 
-from .bus import NodeId, Payload, TopicName, identity
+from .bus import NodeId, TopicName
 from .metrics import Metrics, Tally, ToggleMark, compute_metrics, tally
 from .network import Network
 # mybox_fixpoint is not called here: _oracle_compare reads the whole table at
@@ -38,6 +38,11 @@ from .trace import (
     TraceRecorder,
 )
 from .workload import AvailabilitySchedule, WorkloadConfig, build_schedule
+
+# verify_trace reads every line's topic and state; a module global is cheaper
+# to read than an Enum member off its class (see protocol).
+_MYBOX = TopicName.MYBOX
+_AVAILABLE = Availability.AVAILABLE
 
 
 class ConfigError(ValueError):
@@ -156,13 +161,13 @@ def ring_of(net: Network) -> RingModel:
 def _oracle_compare(
     ring: RingModel,
     tre: Mapping[NodeId, NextAvailable],
-    mybox: Mapping[NodeId, Payload | None],
+    mybox: Mapping[NodeId, NextAvailable],
 ) -> list[tuple[NodeId, str, str, str]]:
     """Every (node, field, expected, observed) where observed state on `ring`
     disagrees with the all-seeing computation.
 
     A node with no `mybox` value never published on its status stream: it
-    has never toggled, so its settled value is its own identity.
+    has never toggled, so its settled value is its own id.
     """
     expected = basic_tst(ring)
     settled = mybox_table(ring)
@@ -174,9 +179,7 @@ def _oracle_compare(
         if seen != expected[node]:
             mismatches.append((node, "tre", repr(expected[node]), repr(seen)))
         want = settled[node]
-        got = mybox.get(node)
-        if got is None:
-            got = identity(node)
+        got = mybox.get(node, node)
         if got != want:
             mismatches.append((node, "mybox", repr(want), repr(got)))
     return mismatches
@@ -343,7 +346,7 @@ def verify_trace(
     # Publish lines carry state that the oracles check.
     avail: dict[NodeId, Availability] = {}  # in arrival order, the ring's
     tre: dict[NodeId, NextAvailable] = {}
-    mybox: dict[NodeId, Payload] = {}
+    mybox: dict[NodeId, NextAvailable] = {}
     mismatches: list[Mismatch] = []
 
     # Interval k's quiescent point is right before the first toggle of any
@@ -370,12 +373,12 @@ def verify_trace(
                 raise TraceError(f"{kind} line for {node} before its Join")
             if not 0 <= node < cfg.node_count:
                 raise TraceError(f"Join of node {node}, config says 0..{cfg.node_count - 1}")
-            avail[node] = Availability.AVAILABLE
+            avail[node] = _AVAILABLE
         elif kind == KIND_VIEW_CHANGE:
             _ose, _ore, tre[node], avail[node], _joining = value
         elif kind == KIND_PUBLISH:
             key, payload, _publisher, _seq = value
-            if key.topic is TopicName.MYBOX:
+            if key.topic is _MYBOX:
                 # A node publishes only on its own status stream.
                 if key.instance != node:
                     raise TraceError(f"{node} published on MyBox instance {key.instance}")

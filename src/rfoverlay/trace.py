@@ -20,10 +20,7 @@ from dataclasses import dataclass, field
 from typing import IO, Any, Container, Iterable, Iterator, NamedTuple
 
 from .bus import (
-    NULL,
     BusError,
-    Identity,
-    JoinRecord,
     NodeId,
     OStRole,
     OStUpdate,
@@ -31,9 +28,15 @@ from .bus import (
     Sample,
     TopicKey,
     TopicName,
-    check_payload,
 )
 from .protocol import Availability, NextAvailable, NodeView
+
+# A payload's JSON form follows its key's topic (see _payload_json).
+_ARRIVALS = TopicName.ARRIVALS
+_MYBOX = TopicName.MYBOX
+_ONEBACK = TopicName.ONEBACK
+_ORE = TopicName.ORE
+_OSE = TopicName.OSE
 
 
 class TraceError(ValueError):
@@ -135,14 +138,17 @@ def _key_json(key: TopicKey) -> str:
     return text
 
 
-def _payload_json(payload: Payload) -> str:
-    if isinstance(payload, Identity):
-        return f'{{"type":"identity","node":{payload.node}}}'
-    if isinstance(payload, JoinRecord):
-        return f'{{"type":"join_record","node":{payload.node}}}'
-    if isinstance(payload, OStUpdate):
-        return f'{{"type":"ost_update","role":"{payload.role.value}","who":{payload.who}}}'
-    return '{"type":"null"}'
+def _payload_json(topic: TopicName, payload: Payload) -> str:
+    """The written form of a payload on `topic`. The topic fixes the payload's
+    meaning, and the line names it: a status stream's node id is an
+    identity, an arrival's is a join_record, and None is null."""
+    if payload is None:
+        return '{"type":"null"}'
+    if topic is _MYBOX or topic is _ONEBACK:
+        return f'{{"type":"identity","node":{payload}}}'
+    if topic is _ARRIVALS:
+        return f'{{"type":"join_record","node":{payload}}}'
+    return f'{{"type":"ost_update","role":"{payload.role.value}","who":{payload.who}}}'
 
 
 def _tre_json(tre: NextAvailable, ore: NodeId) -> str:
@@ -164,7 +170,7 @@ def _detail_json(event: TraceEvent) -> str:
         )
     if kind == KIND_DELIVER or kind == KIND_PUBLISH:
         key, payload, publisher, seq = value
-        head = f'{{"key":{_key_json(key)},"payload":{_payload_json(payload)},'
+        head = f'{{"key":{_key_json(key)},"payload":{_payload_json(key.topic, payload)},'
         if kind == KIND_PUBLISH:
             return f'{head}"seq":{seq}}}'
         return f'{head}"publisher":{publisher},"seq":{seq}}}'
@@ -220,27 +226,28 @@ def _key(obj: object, joined: Container[NodeId]) -> TopicKey:
     return TopicKey(TopicName(topic), instance)
 
 
-def _payload(obj: object) -> Payload:
-    kind = obj["type"] if type(obj) is dict else None
-    if kind == "identity":
-        return Identity(_int(_fields(obj, "type", "node")[1]))
-    if kind == "join_record":
-        return JoinRecord(_int(_fields(obj, "type", "node")[1]))
-    if kind == "ost_update":
-        _, role, who = _fields(obj, "type", "role", "who")
-        return OStUpdate(OStRole(role), _int(who))
-    if _fields(obj, "type") == ["null"]:
-        return NULL
-    raise ValueError("unknown payload type")
+def _payload(topic: TopicName, obj: object) -> Payload:
+    """The inverse of _payload_json: only the forms `topic` carries decode,
+    the rule the bus enforces on publish."""
+    if topic is _ORE or topic is _OSE:
+        kind, role, who = _fields(obj, "type", "role", "who")
+        if kind == "ost_update":
+            return OStUpdate(OStRole(role), _int(who))
+    elif topic is _MYBOX and obj == {"type": "null"}:
+        return None
+    else:
+        kind, node = _fields(obj, "type", "node")
+        if kind == ("join_record" if topic is _ARRIVALS else "identity"):
+            return _int(node)
+    raise ValueError(f"not a payload that {topic.value} carries")
 
 
 def _keyed_payload(
     key_obj: object, payload_obj: object, joined: Container[NodeId]
 ) -> tuple[TopicKey, Payload]:
-    """A key and a payload its topic can carry (the rule the bus enforces)."""
-    key, payload = _key(key_obj, joined), _payload(payload_obj)
-    check_payload(key, payload)
-    return key, payload
+    """A key and a payload its topic can carry."""
+    key = _key(key_obj, joined)
+    return key, _payload(key.topic, payload_obj)
 
 
 def _tre(obj: object, ore: NodeId) -> NextAvailable:

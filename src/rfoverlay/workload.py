@@ -18,6 +18,11 @@ from typing import Iterable, Mapping
 from .bus import NodeId
 from .protocol import Availability
 
+# The draw picks one state per node and interval; a module global is cheaper
+# to read than an Enum member off its class (see protocol).
+_AVAILABLE = Availability.AVAILABLE
+_UNAVAILABLE = Availability.UNAVAILABLE
+
 # CDF inversion walks k upward; past this rate the walk gets long and float
 # cancellation starts to matter, so larger rates are rejected outright.
 MAX_RATE = 30.0
@@ -119,9 +124,7 @@ def _draw_schedule(cfg: WorkloadConfig, nodes: tuple[NodeId, ...]) -> Availabili
     for node in nodes:
         rng = random.Random(_substream_seed(cfg.seed, node))
         states[node] = tuple(
-            Availability.AVAILABLE
-            if sample_k(rng, cfg.lam) <= cfg.threshold
-            else Availability.UNAVAILABLE
+            _AVAILABLE if sample_k(rng, cfg.lam) <= cfg.threshold else _UNAVAILABLE
             for _ in range(cfg.intervals)
         )
     return AvailabilitySchedule(intervals=cfg.intervals, states=MappingProxyType(states))

@@ -14,9 +14,6 @@ from hypothesis import strategies as st
 
 from rfoverlay import protocol
 from rfoverlay.bus import (
-    NULL,
-    Identity,
-    JoinRecord,
     OStRole,
     OStUpdate,
     PayloadKindError,
@@ -25,7 +22,6 @@ from rfoverlay.bus import (
     TopicName,
     VirtualBus,
     arrivals_key,
-    identity,
     mybox_key,
     oneback_key,
     ore_key,
@@ -97,13 +93,6 @@ def test_keys_are_interned_by_construction():
         TopicKey(TopicName.MYBOX, "3")
 
 
-def test_identities_are_shared_values():
-    """identity(n) is one object per node, and still a value of its type."""
-    assert identity(3) is identity(3)
-    assert identity(3) == Identity(3)
-    assert Identity(3) != JoinRecord(3)
-
-
 # -- durability -------------------------------------------------------------
 
 
@@ -112,24 +101,34 @@ def test_only_the_arrival_log_replays():
     joiner's predecessor and itself); every other topic replays nothing."""
     bus = fresh_bus()
     for node in range(3):
-        bus.publish(node, arrivals_key(), JoinRecord(node))
-        bus.publish(node, mybox_key(node), Identity(node))
-        bus.publish(node, oneback_key(), Identity(node))
+        bus.publish(node, arrivals_key(), node)
+        bus.publish(node, mybox_key(node), node)
+        bus.publish(node, oneback_key(), node)
         bus.publish(node, ore_key(node), OStUpdate(OStRole.NEW_ORE, node))
         bus.publish(node, ose_key(node), OStUpdate(OStRole.NEW_OSE, node))
     for key in (mybox_key(2), oneback_key(), ore_key(2), ose_key(2)):
         assert replayed(bus, key) == []
-    assert [s.payload for s in replayed(bus)] == [JoinRecord(1), JoinRecord(2)]
+    assert [s.payload for s in replayed(bus)] == [1, 2]
 
 
 def test_payload_kinds_are_checked():
+    """The topic fixes what its payload means: a node id on Arrivals and
+    OneBack, a node id or None on MyBox, an OStUpdate on ORe and OSe. Types
+    match exactly, so a bool is not a node id."""
     bus = fresh_bus()
+    update = OStUpdate(OStRole.NEW_ORE, 0)
     with pytest.raises(PayloadKindError):
-        bus.publish(0, arrivals_key(), Identity(0))
+        bus.publish(0, arrivals_key(), update)
     with pytest.raises(PayloadKindError):
-        bus.publish(0, mybox_key(0), JoinRecord(0))
+        bus.publish(0, mybox_key(0), update)
     with pytest.raises(PayloadKindError):
-        bus.publish(0, ore_key(1), NULL)
+        bus.publish(0, ore_key(1), None)
+    with pytest.raises(PayloadKindError):
+        bus.publish(0, mybox_key(0), True)
+    with pytest.raises(PayloadKindError):
+        bus.publish(0, arrivals_key(), None)
+    with pytest.raises(PayloadKindError):
+        bus.publish(0, oneback_key(), None)
 
 
 # -- history -----------------------------------------------------------------
@@ -138,15 +137,15 @@ def test_payload_kinds_are_checked():
 def test_keep_n_retains_the_last_n():
     bus = fresh_bus()
     for node in range(5):
-        bus.publish(node, arrivals_key(), JoinRecord(node))
-    assert [s.payload.node for s in replayed(bus)] == [3, 4]
+        bus.publish(node, arrivals_key(), node)
+    assert [s.payload for s in replayed(bus)] == [3, 4]
 
 
 def test_sequence_numbers_count_per_publisher_and_key():
     bus = fresh_bus()
-    a = bus.publish(0, mybox_key(0), Identity(0))
-    b = bus.publish(0, mybox_key(0), NULL)
-    c = bus.publish(1, mybox_key(1), Identity(1))
+    a = bus.publish(0, mybox_key(0), 0)
+    b = bus.publish(0, mybox_key(0), None)
+    c = bus.publish(1, mybox_key(1), 1)
     assert (a.seq, b.seq, c.seq) == (1, 2, 1)
 
 
@@ -157,25 +156,25 @@ def test_durable_history_replays_to_late_joiners():
     bus = fresh_bus()
     for node in range(3):
         bus.advance()
-        bus.publish(node, arrivals_key(), JoinRecord(node))
+        bus.publish(node, arrivals_key(), node)
     bus.subscribe(9, arrivals_key())
-    got = [sample.payload.node for _subscriber, sample in drain(bus)]
+    got = [sample.payload for _subscriber, sample in drain(bus)]
     assert got == [1, 2]  # writer and reader keep the last two
 
 
 def test_replay_preserves_publication_order_across_publishers():
     bus = fresh_bus()
-    bus.publish(5, arrivals_key(), JoinRecord(5))
+    bus.publish(5, arrivals_key(), 5)
     bus.advance()
-    bus.publish(1, arrivals_key(), JoinRecord(1))
+    bus.publish(1, arrivals_key(), 1)
     bus.subscribe(9, arrivals_key())
-    got = [sample.payload.node for _subscriber, sample in drain(bus)]
+    got = [sample.payload for _subscriber, sample in drain(bus)]
     assert got == [5, 1]
 
 
 def test_volatile_topics_do_not_replay():
     bus = fresh_bus()
-    bus.publish(0, mybox_key(0), Identity(0))
+    bus.publish(0, mybox_key(0), 0)
     bus.subscribe(1, mybox_key(0))
     assert bus.quiescent
     assert drain(bus) == []
@@ -186,9 +185,9 @@ def test_volatile_topics_do_not_replay():
 def test_replay_length_is_min_of_history_and_depth(published):
     bus = fresh_bus()
     for node in range(published):
-        bus.publish(node, arrivals_key(), JoinRecord(node))
+        bus.publish(node, arrivals_key(), node)
     bus.subscribe(99, arrivals_key())
-    got = [sample.payload.node for _subscriber, sample in drain(bus)]
+    got = [sample.payload for _subscriber, sample in drain(bus)]
     # The arrival log keeps, and replays, its last two records.
     assert got == list(range(published))[-2:]
 
@@ -200,8 +199,8 @@ def test_same_tick_ties_resolve_by_publisher():
     bus = fresh_bus()
     bus.subscribe(7, mybox_key(1))
     bus.subscribe(7, mybox_key(0))
-    bus.publish(1, mybox_key(1), Identity(1))
-    bus.publish(0, mybox_key(0), Identity(0))
+    bus.publish(1, mybox_key(1), 1)
+    bus.publish(0, mybox_key(0), 0)
     order = [sample.publisher for _subscriber, sample in drain(bus)]
     assert order == [0, 1]
 
@@ -209,17 +208,17 @@ def test_same_tick_ties_resolve_by_publisher():
 def test_per_publisher_order_is_fifo():
     bus = fresh_bus()
     bus.subscribe(7, mybox_key(0))
-    bus.publish(0, mybox_key(0), Identity(0))
-    bus.publish(0, mybox_key(0), NULL)
+    bus.publish(0, mybox_key(0), 0)
+    bus.publish(0, mybox_key(0), None)
     payloads = [sample.payload for _subscriber, sample in drain(bus)]
-    assert payloads == [Identity(0), NULL]
+    assert payloads == [0, None]
 
 
 def test_fanout_orders_subscribers_by_id():
     bus = fresh_bus()
     bus.subscribe(5, mybox_key(0))
     bus.subscribe(2, mybox_key(0))
-    bus.publish(0, mybox_key(0), Identity(0))
+    bus.publish(0, mybox_key(0), 0)
     subscribers = [subscriber for subscriber, _sample in drain(bus)]
     assert subscribers == [2, 5]
 
@@ -228,8 +227,8 @@ def test_each_subscriber_sees_each_sample_once():
     bus = fresh_bus()
     bus.subscribe(1, mybox_key(0))
     bus.subscribe(2, mybox_key(0))
-    bus.publish(0, mybox_key(0), Identity(0))
-    bus.publish(0, mybox_key(0), NULL)
+    bus.publish(0, mybox_key(0), 0)
+    bus.publish(0, mybox_key(0), None)
     deliveries = drain(bus)
     seen = {(subscriber, sample.seq) for subscriber, sample in deliveries}
     assert len(deliveries) == 4 and len(seen) == 4
@@ -243,7 +242,7 @@ def test_dispatch_returns_the_subscriber_and_the_published_sample():
     bus.subscribe(2, mybox_key(0))
     bus.subscribe(1, mybox_key(0))
     bus.advance(3)
-    sample = bus.publish(0, mybox_key(0), Identity(0))
+    sample = bus.publish(0, mybox_key(0), 0)
     first = bus.dispatch_next()
     assert first == (1, sample) and first[1] is sample
     assert bus.now == 4
@@ -257,7 +256,7 @@ def test_delivery_delay_shifts_due_time():
     bus = fresh_bus(delay=2)
     bus.subscribe(1, mybox_key(0))
     bus.advance(3)
-    sample = bus.publish(0, mybox_key(0), Identity(0))
+    sample = bus.publish(0, mybox_key(0), 0)
     assert bus.now == 3
     assert bus.dispatch_next() == (1, sample)
     assert bus.now == 5
@@ -269,7 +268,7 @@ def test_clock_never_moves_backwards():
     with pytest.raises(BusError):
         bus.advance(-1)
     bus.subscribe(1, mybox_key(0))
-    sample = bus.publish(0, mybox_key(0), Identity(0))
+    sample = bus.publish(0, mybox_key(0), 0)
     bus.advance(10)
     assert drain(bus) == [(1, sample)]
     assert bus.now == 10  # dispatch at now, the due tick already passed
@@ -290,8 +289,8 @@ def test_cancel_purges_in_flight_deliveries():
     bus.subscribe(1, mybox_key(0))
     bus.subscribe(1, mybox_key(3))
     bus.subscribe(2, mybox_key(0))
-    bus.publish(0, mybox_key(0), Identity(0))
-    bus.publish(3, mybox_key(3), Identity(3))
+    bus.publish(0, mybox_key(0), 0)
+    bus.publish(3, mybox_key(3), 3)
     bus.cancel_subscription(1, mybox_key(0))
     delivered = [(subscriber, sample.key) for subscriber, sample in drain(bus)]
     assert delivered == [(2, mybox_key(0)), (1, mybox_key(3))]
@@ -334,8 +333,8 @@ def test_running_totals_count_every_operation():
     bus = fresh_bus()
     bus.subscribe(1, mybox_key(0))
     bus.subscribe(2, mybox_key(0))
-    bus.publish(0, mybox_key(0), Identity(0))
-    bus.publish(0, arrivals_key(), JoinRecord(0))
+    bus.publish(0, mybox_key(0), 0)
+    bus.publish(0, arrivals_key(), 0)
     bus.cancel_subscription(2, mybox_key(0))
     drain(bus)
     assert (bus.deliveries, bus.subscribes, bus.unsubscribes) == (1, 2, 1)
@@ -354,11 +353,11 @@ def _scripted_run() -> list[tuple]:
     bus.subscribe(3, mybox_key(0))
     bus.subscribe(1, mybox_key(0))
     for node in (2, 0, 1):
-        bus.publish(node, arrivals_key(), JoinRecord(node))
-    bus.publish(0, mybox_key(0), Identity(0))
+        bus.publish(node, arrivals_key(), node)
+    bus.publish(0, mybox_key(0), 0)
     bus.advance()
     bus.subscribe(4, arrivals_key())
-    bus.publish(0, mybox_key(0), NULL)
+    bus.publish(0, mybox_key(0), None)
     run = []
     while (delivery := bus.dispatch_next()) is not None:
         subscriber, sample = delivery
@@ -403,13 +402,13 @@ def test_clone_works_in_flight():
 def test_clone_carries_state():
     bus = fresh_bus()
     bus.subscribe(1, mybox_key(0))
-    bus.publish(0, mybox_key(0), Identity(0))
+    bus.publish(0, mybox_key(0), 0)
     for node in range(3):
-        bus.publish(node, arrivals_key(), JoinRecord(node))
+        bus.publish(node, arrivals_key(), node)
     drain(bus)
     twin = bus.clone()
     history = replayed(bus)
-    assert [s.payload for s in history] == [JoinRecord(1), JoinRecord(2)]
+    assert [s.payload for s in history] == [1, 2]
     assert replayed(twin) == history
     assert twin.subscriptions_of(1) == bus.subscriptions_of(1)
     # the twin's subscriber sets are its own
@@ -417,10 +416,10 @@ def test_clone_carries_state():
     assert twin.subscriptions_of(1) == frozenset()
     assert bus.subscriptions_of(1) == frozenset({mybox_key(0)})
     # sequence numbering continues rather than restarting
-    sample = twin.publish(0, mybox_key(0), NULL)
+    sample = twin.publish(0, mybox_key(0), None)
     assert sample.seq == 2
     # and the original is untouched by the twin's activity
-    twin.publish(7, arrivals_key(), JoinRecord(7))
-    assert [s.payload.node for s in replayed(twin, subscriber=97)] == [2, 7]
-    assert [s.payload.node for s in replayed(bus, subscriber=97)] == [1, 2]
+    twin.publish(7, arrivals_key(), 7)
+    assert [s.payload for s in replayed(twin, subscriber=97)] == [2, 7]
+    assert [s.payload for s in replayed(bus, subscriber=97)] == [1, 2]
     assert bus.publish_counts[TopicName.MYBOX] == 1

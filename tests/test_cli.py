@@ -178,6 +178,10 @@ def _mybox_publish(event):
     return event["detail"]["key"]["topic"] == "MyBox"
 
 
+def _arrivals_publish(event):
+    return event["detail"]["key"]["topic"] == "Arrivals"
+
+
 def _move_first_mybox_publish(events):
     event = _first(events, "Publish", _mybox_publish)
     event["detail"]["key"]["instance"] = event["node"] + 1
@@ -215,6 +219,17 @@ def _insert_before_first_toggle(kind, node, detail):
 def _join_record_on_first_mybox_publish(events):
     event = _first(events, "Publish", _mybox_publish)
     event["detail"]["payload"] = {"type": "join_record", "node": event["node"]}
+
+
+def _oneback_null_publish(events):
+    """Append a OneBack Publish of null by node 0 with its next seq: only
+    set_available publishes there, and it publishes its own id."""
+    seq = 1 + sum(
+        e["kind"] == "Publish" and e["node"] == 0 and e["detail"]["key"]["topic"] == "OneBack"
+        for e in events
+    )
+    detail = {"key": {"topic": "OneBack"}, "payload": {"type": "null"}, "seq": seq}
+    events.append({"time": events[-1]["time"], "kind": "Publish", "node": 0, "detail": detail})
 
 
 def _hint_at_own_ore(events):
@@ -269,6 +284,13 @@ def _hint_at_own_ore(events):
         lambda events: _first(events, "ViewChange")["detail"]["view"].update(
             tre={"kind": "bogus"}
         ),
+        lambda events: _first(events, "Publish", _arrivals_publish)["detail"]["payload"].update(
+            type="identity"
+        ),
+        _oneback_null_publish,
+        lambda events: _first(
+            events, "Publish", lambda e: _mybox_publish(e) and _identity_publish(e)
+        )["detail"]["payload"].update(node=True),
     ],
     ids=[
         "time-bool", "time-string", "time-float", "node-float",
@@ -278,7 +300,8 @@ def _hint_at_own_ore(events):
         "toggle-extra-field", "view-of-unjoined-node", "publish-by-unjoined-node",
         "deliver-to-unjoined-node", "arrivals-publish-null", "ore-deliver-identity",
         "mybox-publish-join-record", "deliver-publisher-unjoined", "hint-at-own-ore",
-        "unknown-tre-kind",
+        "unknown-tre-kind", "arrivals-publish-identity", "oneback-publish-null",
+        "mybox-identity-node-bool",
     ],
 )
 def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):

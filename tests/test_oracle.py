@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfoverlay.bus import NULL, Identity
 from rfoverlay.oracle import (
     RingError,
     RingModel,
@@ -43,14 +42,14 @@ def every_vector(size):
 
 def reference_mybox_fixpoint(ring, node):
     """The first Available node scanning ring-forward from the node itself
-    (self included), or the no-node value when nothing is Available."""
+    (self included), or None when nothing is Available."""
     size = len(ring.nodes)
     start = ring.nodes.index(node)
     for step in range(size):
         index = (start + step) % size
         if ring.avail[index] is AVAILABLE:
-            return Identity(ring.nodes[index])
-    return NULL
+            return ring.nodes[index]
+    return None
 
 
 def reference_basic_tst(ring):
@@ -149,11 +148,7 @@ def test_reference_next_available():
 
 
 def test_reference_settled_status_values():
-    expected = {
-        0: Identity(0), 1: Identity(1), 2: Identity(3), 3: Identity(3),
-        4: Identity(4), 5: Identity(7), 6: Identity(7), 7: Identity(7),
-        8: Identity(8), 9: Identity(9),
-    }
+    expected = {0: 0, 1: 1, 2: 3, 3: 3, 4: 4, 5: 7, 6: 7, 7: 7, 8: 8, 9: 9}
     assert {n: mybox_fixpoint(REFERENCE, n) for n in range(10)} == expected
 
 
@@ -180,11 +175,11 @@ def test_reference_shortest_candidates():
 def test_ring_of_one():
     up = RingModel.of(1)
     assert basic_tst(up) == {0: 0}
-    assert mybox_fixpoint(up, 0) == Identity(0)
+    assert mybox_fixpoint(up, 0) == 0
     assert brf_tst(up) == {0: (0, 0)}
     down = RingModel.of(1, down={0})
     assert basic_tst(down) == {0: None}
-    assert mybox_fixpoint(down, 0) == NULL
+    assert mybox_fixpoint(down, 0) is None
     assert brf_tst(down) == {0: (None, None)}
     assert sbrf_tst(down) == {0: None}
 
@@ -192,7 +187,7 @@ def test_ring_of_one():
 def test_nothing_available():
     ring = RingModel.of(5, down=set(range(5)))
     assert set(basic_tst(ring).values()) == {None}
-    assert {mybox_fixpoint(ring, n) for n in range(5)} == {NULL}
+    assert {mybox_fixpoint(ring, n) for n in range(5)} == {None}
     assert set(brf_tst(ring).values()) == {(None, None)}
     assert set(sbrf_tst(ring).values()) == {None}
 
@@ -224,7 +219,7 @@ def test_next_available_matches_the_status_fixpoint_exhaustively():
     For every ring up to eight nodes and every availability vector: a node
     trusts its receiver exactly when the receiver's settled status names the
     receiver itself, hints at whatever other node it names, and reports the
-    empty system exactly when the settled status is the no-node value.
+    empty system exactly when the settled status is None.
     """
     for size in range(1, 9):
         for ring in every_vector(size):
@@ -232,12 +227,12 @@ def test_next_available_matches_the_status_fixpoint_exhaustively():
             for node in ring.nodes:
                 successor = ring.successor(node)
                 settled = mybox_fixpoint(ring, successor)
-                if settled == NULL:
+                if settled is None:
                     assert tst[node] is None
-                elif settled == Identity(successor):
+                elif settled == successor:
                     assert tst[node] == successor
                 else:
-                    assert tst[node] == settled.node
+                    assert tst[node] == settled
 
 
 def test_clockwise_entry_matches_the_successor_fixpoint():
@@ -246,8 +241,7 @@ def test_clockwise_entry_matches_the_successor_fixpoint():
             pairs = brf_tst(ring)
             for node in ring.nodes:
                 settled = mybox_fixpoint(ring, ring.successor(node))
-                expected = None if settled == NULL else settled.node
-                assert pairs[node][0] == expected
+                assert pairs[node][0] == settled
 
 
 def test_counter_clockwise_is_clockwise_on_the_reversed_ring():

@@ -9,14 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfoverlay.bus import (
-    NULL,
-    Identity,
-    JoinRecord,
     OStRole,
     OStUpdate,
     Sample,
     arrivals_key,
-    identity,
     mybox_key,
     oneback_key,
     ore_key,
@@ -51,7 +47,7 @@ def member(me, ose, ore, tre=..., state=AVAILABLE, last_mybox=None):
 
 
 def arrivals_sample(node, seq=1):
-    return Sample(key=arrivals_key(), payload=JoinRecord(node), publisher=node, seq=seq)
+    return Sample(key=arrivals_key(), payload=node, publisher=node, seq=seq)
 
 
 # -- values --------------------------------------------------------------------
@@ -75,12 +71,13 @@ def test_views_and_effects_are_immutable_named_tuples():
 
 
 def test_status_values_are_shared():
-    """Every Identity a handler builds is the one object per node."""
+    """A status value is the bare node id it names: what a handler publishes
+    and what it adopts from news are the same int."""
     down = set_unavailable(member(me=1, ose=0, ore=2, tre=4)).view
-    assert published_hint(down) is identity(4)
+    assert published_hint(down) == 4 and type(published_hint(down)) is int
     up = set_available(down)
-    assert up.publications[0][1] is identity(1)
-    followed = on_mybox_from_ore(member(me=1, ose=0, ore=2), Identity(5))
+    assert up.publications[0][1] == 1 and type(up.publications[0][1]) is int
+    followed = on_mybox_from_ore(member(me=1, ose=0, ore=2), 5)
     assert followed.view.tre == 5
 
 
@@ -121,22 +118,22 @@ def test_system_empty_adds_the_wakeup_channel():
 
 
 def test_published_hint_names_self_while_available():
-    assert published_hint(member(me=1, ose=0, ore=2)) == Identity(1)
+    assert published_hint(member(me=1, ose=0, ore=2)) == 1
 
 
 def test_published_hint_forwards_to_the_receiver_when_down():
     view = member(me=1, ose=0, ore=2, state=UNAVAILABLE)
-    assert published_hint(view) == Identity(2)
+    assert published_hint(view) == 2
 
 
 def test_published_hint_forwards_a_hint_when_down():
     view = member(me=1, ose=0, ore=2, tre=4, state=UNAVAILABLE)
-    assert published_hint(view) == Identity(4)
+    assert published_hint(view) == 4
 
 
 def test_published_hint_is_null_when_nothing_remains():
-    assert published_hint(member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE)) == NULL
-    assert published_hint(member(me=1, ose=0, ore=2, tre=1, state=UNAVAILABLE)) == NULL
+    assert published_hint(member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE)) is None
+    assert published_hint(member(me=1, ose=0, ore=2, tre=1, state=UNAVAILABLE)) is None
 
 
 # -- joining --------------------------------------------------------------------
@@ -144,7 +141,7 @@ def test_published_hint_is_null_when_nothing_remains():
 
 def test_join_announces_then_reads_back():
     effects = join(3)
-    assert effects.publications == ((arrivals_key(), JoinRecord(3)),)
+    assert effects.publications == ((arrivals_key(), 3),)
     assert set(effects.subscribe) == {arrivals_key(), ore_key(3), ose_key(3)}
     assert effects.view.joining
 
@@ -223,20 +220,20 @@ def test_new_sender_update_repoints_ose():
 
 def test_leaving_forwards_readers_to_the_receiver():
     effects = set_unavailable(member(me=1, ose=0, ore=2))
-    assert effects.publications == ((mybox_key(1), Identity(2)),)
+    assert effects.publications == ((mybox_key(1), 2),)
     assert effects.view.state is UNAVAILABLE
-    assert effects.view.last_mybox == Identity(2)
+    assert effects.view.last_mybox == 2
 
 
 def test_last_node_leaving_empties_the_system():
     effects = set_unavailable(member(me=0, ose=0, ore=0))  # ring of one
-    assert effects.publications == ((mybox_key(0), NULL),)
+    assert effects.publications == ((mybox_key(0), None),)
     assert effects.view.tre is None
     assert oneback_key() in effects.subscribe
 
     lone = member(me=1, ose=0, ore=2, tre=1, state=AVAILABLE)
     effects = set_unavailable(lone)
-    assert effects.publications == ((mybox_key(1), NULL),)
+    assert effects.publications == ((mybox_key(1), None),)
     assert effects.view.tre is None
 
 
@@ -250,18 +247,18 @@ def test_toggle_preconditions():
 
 
 def test_returning_announces_itself():
-    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=Identity(2))
+    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=2)
     effects = set_available(view)
-    assert effects.publications == ((mybox_key(1), Identity(1)),)
+    assert effects.publications == ((mybox_key(1), 1),)
     assert effects.view.state is AVAILABLE
 
 
 def test_first_return_wakes_the_empty_system():
-    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE, last_mybox=NULL)
+    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE, last_mybox=None)
     effects = set_available(view)
     assert effects.publications == (
-        (oneback_key(), Identity(1)),
-        (mybox_key(1), Identity(1)),
+        (oneback_key(), 1),
+        (mybox_key(1), 1),
     )
     assert effects.view.tre == 1
     assert oneback_key() in effects.unsubscribe
@@ -272,7 +269,7 @@ def test_first_return_wakes_the_empty_system():
 
 def test_receiver_news_retargets_an_available_node_silently():
     view = member(me=1, ose=0, ore=2)
-    effects = on_mybox_from_ore(view, Identity(4))
+    effects = on_mybox_from_ore(view, 4)
     assert effects.view.tre == 4
     assert effects.publications == ()
     assert mybox_key(4) in effects.subscribe
@@ -280,33 +277,33 @@ def test_receiver_news_retargets_an_available_node_silently():
 
 def test_receiver_recovery_restores_trust():
     view = member(me=1, ose=0, ore=2, tre=4)
-    effects = on_mybox_from_ore(view, Identity(2))
+    effects = on_mybox_from_ore(view, 2)
     assert effects.view.tre == effects.view.ore
     assert mybox_key(4) in effects.unsubscribe
 
 
 def test_down_node_propagates_receiver_news_backwards():
-    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=Identity(2))
-    effects = on_mybox_from_ore(view, Identity(4))
-    assert effects.publications == ((mybox_key(1), Identity(4)),)
-    assert effects.view.last_mybox == Identity(4)
+    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=2)
+    effects = on_mybox_from_ore(view, 4)
+    assert effects.publications == ((mybox_key(1), 4),)
+    assert effects.view.last_mybox == 4
 
 
 def test_propagation_stops_at_an_already_published_value():
-    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=Identity(4))
-    effects = on_mybox_from_ore(view, Identity(4))
+    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=4)
+    effects = on_mybox_from_ore(view, 4)
     assert effects.publications == ()
     assert effects.view.tre == 4
 
 
 def test_an_equal_but_not_interned_value_still_stops_propagation():
     """The stop rule compares values, not objects: a last_mybox equal to the
-    interned value the news implies, but built on its own, still stops the
-    republication."""
-    published = Identity(4)
-    assert published is not identity(4)
+    value the news names, but a different object (ints above 256 are not
+    cached), still stops the republication."""
+    published, news = int("1000"), int("1000")
+    assert published is not news and published == news
     view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=published)
-    effects = on_mybox_from_ore(view, identity(4))
+    effects = on_mybox_from_ore(view, news)
     assert effects.publications == ()
     assert effects.view.last_mybox is published
 
@@ -315,8 +312,8 @@ def test_known_receiver_news_returns_the_same_view_and_no_effects():
     """An Available node told the next-available node it already holds gets
     back its own view object, unchanged, and nothing to do."""
     for view, msg in [
-        (member(me=1, ose=0, ore=2, tre=4), Identity(4)),
-        (member(me=1, ose=0, ore=2), identity(2)),
+        (member(me=1, ose=0, ore=2, tre=4), 4),
+        (member(me=1, ose=0, ore=2), 2),
     ]:
         effects = handle_delivery(view, Sample(mybox_key(2), msg, 2, 1))
         assert type(effects) is protocol.Effects
@@ -326,30 +323,30 @@ def test_known_receiver_news_returns_the_same_view_and_no_effects():
 
 def test_news_naming_me_is_never_forwarded():
     """A down node named by its receiver has seen its own down wave wrap the
-    ring: it marks the system empty and publishes NULL, not the news."""
-    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=Identity(2))
-    effects = on_mybox_from_ore(view, Identity(1))
+    ring: it marks the system empty and publishes None, not the news."""
+    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=2)
+    effects = on_mybox_from_ore(view, 1)
     assert effects.view.tre is None
-    assert effects.publications == ((mybox_key(1), NULL),)
+    assert effects.publications == ((mybox_key(1), None),)
     assert effects.subscribe == (oneback_key(),)
-    # A NULL already published is not published again.
-    quiet = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=NULL)
-    effects = on_mybox_from_ore(quiet, Identity(1))
+    # A None already published is not published again.
+    quiet = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=None)
+    effects = on_mybox_from_ore(quiet, 1)
     assert effects.view.tre is None
     assert effects.publications == ()
 
 
 def test_null_wave_marks_the_system_empty():
-    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=Identity(2))
-    effects = on_mybox_from_ore(view, NULL)
+    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=2)
+    effects = on_mybox_from_ore(view, None)
     assert effects.view.tre is None
-    assert effects.publications == ((mybox_key(1), NULL),)
+    assert effects.publications == ((mybox_key(1), None),)
     assert oneback_key() in effects.subscribe
 
 
 def test_hint_news_retargets_without_republishing():
-    view = member(me=1, ose=0, ore=2, tre=4, state=UNAVAILABLE, last_mybox=Identity(4))
-    effects = on_mybox_from_hint(view, Identity(6))
+    view = member(me=1, ose=0, ore=2, tre=4, state=UNAVAILABLE, last_mybox=4)
+    effects = on_mybox_from_hint(view, 6)
     assert effects.view.tre == 6
     assert effects.publications == ()
     assert mybox_key(6) in effects.subscribe
@@ -359,41 +356,45 @@ def test_hint_news_retargets_without_republishing():
 def test_a_down_node_named_by_its_hint_holds_hint_me_and_publishes_nothing():
     """Under interleaved toggles node 0, our hint, can go down before our own
     down news reaches it, and so names us. We adopt tre == me while down and
-    publish nothing, although published_hint of that view is NULL; news on
+    publish nothing, although published_hint of that view is None; news on
     the receiver's stream replaces the hint later. This pins the handler as
     it is."""
-    view = member(me=1, ose=0, ore=2, tre=0, state=UNAVAILABLE, last_mybox=Identity(0))
-    effects = handle_delivery(view, Sample(mybox_key(0), Identity(1), 0, 2))
+    view = member(me=1, ose=0, ore=2, tre=0, state=UNAVAILABLE, last_mybox=0)
+    effects = handle_delivery(view, Sample(mybox_key(0), 1, 0, 2))
     assert effects.view.tre == 1
     assert effects.view.state is UNAVAILABLE
     assert effects.publications == ()
-    assert published_hint(effects.view) == NULL
+    assert published_hint(effects.view) is None
     assert effects.unsubscribe == (mybox_key(0),) and effects.subscribe == ()
 
 
 def test_hint_news_requires_a_hint():
     with pytest.raises(ProtocolError):
-        on_mybox_from_hint(member(me=1, ose=0, ore=2), Identity(6))
+        on_mybox_from_hint(member(me=1, ose=0, ore=2), 6)
 
 
 def test_wakeup_adopts_the_recoverer():
-    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE, last_mybox=NULL)
-    effects = on_oneback(view, Identity(5))
+    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE, last_mybox=None)
+    effects = on_oneback(view, 5)
     assert effects.view.tre == 5
-    assert effects.publications == ((mybox_key(1), Identity(5)),)
+    assert effects.publications == ((mybox_key(1), 5),)
     assert oneback_key() in effects.unsubscribe
 
 
 def test_wakeup_ignores_the_own_echo():
-    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE, last_mybox=NULL)
-    effects = on_oneback(view, Identity(1))
+    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE, last_mybox=None)
+    effects = on_oneback(view, 1)
     assert effects.view == view
     assert effects.publications == ()
 
 
 def test_wakeup_outside_system_empty_is_an_error():
     with pytest.raises(ProtocolError):
-        on_oneback(member(me=1, ose=0, ore=2), Identity(5))
+        on_oneback(member(me=1, ose=0, ore=2), 5)
+    # The wake-up channel names the recoverer; None is never news on it.
+    empty = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE)
+    with pytest.raises(ProtocolError):
+        on_oneback(empty, None)
 
 
 # -- routing ---------------------------------------------------------------------
@@ -401,13 +402,13 @@ def test_wakeup_outside_system_empty_is_an_error():
 
 def test_deliveries_route_by_key():
     view = member(me=1, ose=0, ore=2)
-    sample = Sample(key=mybox_key(2), payload=Identity(4), publisher=2, seq=1)
+    sample = Sample(key=mybox_key(2), payload=4, publisher=2, seq=1)
     assert handle_delivery(view, sample).view.tre == 4
 
 
 def test_misrouted_samples_are_rejected():
     view = member(me=1, ose=0, ore=2)
-    stray = Sample(key=mybox_key(9), payload=Identity(4), publisher=9, seq=1)
+    stray = Sample(key=mybox_key(9), payload=4, publisher=9, seq=1)
     with pytest.raises(ProtocolError):
         handle_delivery(view, stray)
     wrong_instance = Sample(
@@ -428,8 +429,8 @@ def tres(ore):
 
 
 states = st.sampled_from([AVAILABLE, UNAVAILABLE])
-mybox_values = st.one_of(st.none(), st.just(NULL), st.builds(Identity, node_ids))
-messages = st.one_of(st.just(NULL), st.builds(Identity, node_ids))
+mybox_values = st.one_of(st.none(), node_ids)
+messages = st.one_of(st.none(), node_ids)
 
 
 @st.composite
@@ -516,11 +517,11 @@ def test_wakeup_is_idempotent(view, who):
         me=view.me, ose=view.ose, ore=view.ore,
         tre=None, state=view.state, last_mybox=view.last_mybox,
     )
-    first = on_oneback(view, Identity(who))
+    first = on_oneback(view, who)
     if first.view.tre is None:
         # Own echo: redelivery is possible and must stay a no-op. Once a
         # recoverer is adopted the wake-up subscription is gone instead.
-        second = on_oneback(first.view, Identity(who))
+        second = on_oneback(first.view, who)
         assert second.view == first.view
         assert second.publications == ()
 

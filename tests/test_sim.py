@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import rfoverlay
 from rfoverlay import cli, network, protocol, scenario, workload
-from rfoverlay.bus import NULL, Identity, Sample, TopicKey, TopicName, VirtualBus
+from rfoverlay.bus import Sample, TopicKey, TopicName, VirtualBus
 from rfoverlay.metrics import (
     SETUP_INTERVAL,
     IntervalStats,
@@ -350,7 +350,7 @@ def test_reference_pattern_settles_to_the_oracle():
     assert net.views[1].tre == 3
     assert net.views[4].tre == 7
     assert net.views[5].tre == 7
-    assert net.views[5].last_mybox == Identity(7)
+    assert net.views[5].last_mybox == 7
     net.check_subscription_invariant()
 
 
@@ -369,10 +369,10 @@ def test_single_node_toggles():
     net = joined_network(1)
     toggle_settled(net, 0, UNAVAILABLE)
     assert net.views[0].tre is None
-    assert net.views[0].last_mybox == NULL
+    assert net.views[0].last_mybox is None
     toggle_settled(net, 0, AVAILABLE)
     assert net.views[0].tre == net.views[0].ore  # trusts its receiver, itself
-    assert net.views[0].last_mybox == Identity(0)
+    assert net.views[0].last_mybox == 0
     assert oracle_mismatches(net) == []
 
 
@@ -394,7 +394,7 @@ def test_total_outage_and_first_recovery():
     for node in range(4):
         toggle_settled(net, node, UNAVAILABLE)
     assert all(view.tre is None for view in net.views.values())
-    assert all(view.last_mybox == NULL for view in net.views.values())
+    assert all(view.last_mybox is None for view in net.views.values())
     assert oracle_mismatches(net) == []
 
     before = dict(net.bus.publish_counts)
@@ -928,18 +928,23 @@ def test_trace_roundtrips_through_jsonl():
 
 
 def test_a_recorded_trace_holds_one_status_value_per_node():
-    """Identity payloads are shared, one object per node, and the trace
-    still round-trips through the codec."""
+    """A status payload is the bare node id it names, or None on MyBox when
+    nothing is Available, and the trace still round-trips through the
+    codec."""
     cfg = ScenarioConfig(node_count=8, workload=WorkloadConfig(intervals=30, seed=3), seed=3)
     trace, _ = run_scenario(cfg)
-    identities = [
-        event.value.payload
+    status = [
+        event.value
         for event in trace
-        if event.kind in (KIND_PUBLISH, KIND_DELIVER) and isinstance(event.value.payload, Identity)
+        if event.kind in (KIND_PUBLISH, KIND_DELIVER)
+        and event.value.key.topic in (TopicName.MYBOX, TopicName.ONEBACK)
     ]
-    assert identities
-    objects_per_node = Counter(value.node for value in {id(v): v for v in identities}.values())
-    assert set(objects_per_node.values()) == {1}
+    assert status
+    for key, payload, _publisher, _seq in status:
+        if payload is None:
+            assert key.topic is TopicName.MYBOX
+        else:
+            assert type(payload) is int and 0 <= payload < cfg.node_count
     nodes = range(cfg.node_count)
     assert [event_from_json(event_to_json(event), nodes) for event in trace] == trace
 
