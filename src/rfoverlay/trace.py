@@ -7,8 +7,10 @@ node view changes. Each TraceEvent holds the engine's own values for its kind
 values as they are. Publish and Deliver events hold the bus's own Sample:
 every Deliver of a publication holds the object its Publish holds.
 
-JSON exists only in the codec. event_to_json writes a line with a fixed field
-order (time, kind, node, detail), so equal runs produce byte-equal files.
+JSON exists only in the codec. One encoder writes every line with a fixed
+field order (time, kind, node, detail), so equal runs produce byte-equal
+files: event_to_json, dumps_trace, dump_trace and TraceEvent.detail all run
+it, and dump_trace writes its lines in fixed-size chunks, one write each.
 event_from_json checks every field of a line and decodes it into the same
 values, so a line the engine could not have written is a TraceError.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import IO, Any, Container, Iterable, Iterator, NamedTuple
 
 from .bus import (
@@ -31,12 +34,13 @@ from .bus import (
 )
 from .protocol import Availability, NextAvailable, NodeView
 
-# A payload's JSON form follows its key's topic (see _payload_json).
+# Enum members the codec compares by identity, read once (see protocol).
 _ARRIVALS = TopicName.ARRIVALS
 _MYBOX = TopicName.MYBOX
 _ONEBACK = TopicName.ONEBACK
 _ORE = TopicName.ORE
 _OSE = TopicName.OSE
+_AVAILABLE = Availability.AVAILABLE
 
 
 class TraceError(ValueError):
@@ -71,7 +75,7 @@ class TraceEvent(NamedTuple):
     @property
     def detail(self) -> dict:
         """The line's detail as JSON values, decoded from its text."""
-        return json.loads(_detail_json(self))
+        return json.loads(next(_encode((self,))))["detail"]
 
 
 Trace = list[TraceEvent]
@@ -138,57 +142,79 @@ def _key_json(key: TopicKey) -> str:
     return text
 
 
-def _payload_json(topic: TopicName, payload: Payload) -> str:
-    """The written form of a payload on `topic`. The topic fixes the payload's
-    meaning, and the line names it: a status stream's node id is an
-    identity, an arrival's is a join_record, and None is null."""
-    if payload is None:
-        return '{"type":"null"}'
-    if topic is _MYBOX or topic is _ONEBACK:
-        return f'{{"type":"identity","node":{payload}}}'
-    if topic is _ARRIVALS:
-        return f'{{"type":"join_record","node":{payload}}}'
-    return f'{{"type":"ost_update","role":"{payload.role.value}","who":{payload.who}}}'
+# dump_trace writes this many lines per write: about half a megabyte.
+_CHUNK = 4096
 
 
-def _tre_json(tre: NextAvailable, ore: NodeId) -> str:
-    """The written form of a view's next-available value (see protocol)."""
-    if tre is None:
-        return '{"kind":"system_empty"}'
-    if tre == ore:
-        return '{"kind":"trust_ore"}'
-    return f'{{"kind":"hint","node":{tre}}}'
+def _encode(events: Iterable[TraceEvent]) -> Iterator[str]:
+    """Each event's line, newline included: the one encoder.
 
-
-def _detail_json(event: TraceEvent) -> str:
-    kind, value = event.kind, event.value
-    if kind == KIND_VIEW_CHANGE:
-        ose, ore, tre, state, joining = value
-        return (
-            f'{{"view":{{"me":{event.node},"ose":{ose},"ore":{ore},"tre":{_tre_json(tre, ore)},'
-            f'"state":"{state.value}","joining":{"true" if joining else "false"}}}}}'
-        )
-    if kind == KIND_DELIVER or kind == KIND_PUBLISH:
-        key, payload, publisher, seq = value
-        head = f'{{"key":{_key_json(key)},"payload":{_payload_json(key.topic, payload)},'
-        if kind == KIND_PUBLISH:
-            return f'{head}"seq":{seq}}}'
-        return f'{head}"publisher":{publisher},"seq":{seq}}}'
-    if kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
-        return f'{{"key":{_key_json(value)}}}'
-    if kind == KIND_TOGGLE:
-        to, interval = value
-        return f'{{"to":"{to.value}","interval":{interval}}}'
-    if kind == KIND_JOIN:
-        return "{}"
-    raise TraceError(f"unknown event kind {kind!r}")
+    One loop writes every kind, so a line costs one f-string and no call but
+    a dict lookup for its key. A payload's words follow its key's topic,
+    which fixes the payload's meaning: a status stream's node id is an
+    identity, an arrival's is a join_record, and None is null. A view's
+    next-available value is trust_ore when it is the view's ore, a hint
+    naming another node, or system_empty when it is None (see protocol)."""
+    key_json = _KEY_JSON.get
+    available = _AVAILABLE
+    mybox, oneback, arrivals = _MYBOX, _ONEBACK, _ARRIVALS
+    for time, kind, node, value in events:
+        if kind == KIND_VIEW_CHANGE:
+            ose, ore, tre, state, joining = value
+            if tre is None:
+                tre = '{"kind":"system_empty"}'
+            elif tre == ore:
+                tre = '{"kind":"trust_ore"}'
+            else:
+                tre = f'{{"kind":"hint","node":{tre}}}'
+            yield (
+                f'{{"time":{time},"kind":"ViewChange","node":{node},"detail":{{"view":'
+                f'{{"me":{node},"ose":{ose},"ore":{ore},"tre":{tre},'
+                f'"state":"{"available" if state is available else "unavailable"}",'
+                f'"joining":{"true" if joining else "false"}}}}}}}\n'
+            )
+        elif kind == KIND_DELIVER or kind == KIND_PUBLISH:
+            key, payload, publisher, seq = value
+            topic = key.topic
+            if payload is None:
+                payload = '{"type":"null"}'
+            elif topic is mybox or topic is oneback:
+                payload = f'{{"type":"identity","node":{payload}}}'
+            elif topic is arrivals:
+                payload = f'{{"type":"join_record","node":{payload}}}'
+            else:
+                payload = (
+                    f'{{"type":"ost_update","role":"{payload.role.value}","who":{payload.who}}}'
+                )
+            head = (
+                f'{{"time":{time},"kind":"{kind}","node":{node},"detail":{{"key":'
+                f'{key_json(key) or _key_json(key)},"payload":{payload},'
+            )
+            if kind == KIND_PUBLISH:
+                yield f'{head}"seq":{seq}}}}}\n'
+            else:
+                yield f'{head}"publisher":{publisher},"seq":{seq}}}}}\n'
+        elif kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
+            yield (
+                f'{{"time":{time},"kind":"{kind}","node":{node},'
+                f'"detail":{{"key":{key_json(value) or _key_json(value)}}}}}\n'
+            )
+        elif kind == KIND_TOGGLE:
+            to, interval = value
+            yield (
+                f'{{"time":{time},"kind":"Toggle","node":{node},"detail":'
+                f'{{"to":"{"available" if to is available else "unavailable"}",'
+                f'"interval":{interval}}}}}\n'
+            )
+        elif kind == KIND_JOIN:
+            yield f'{{"time":{time},"kind":"Join","node":{node},"detail":{{}}}}\n'
+        else:
+            raise TraceError(f"unknown event kind {kind!r}")
 
 
 def event_to_json(event: TraceEvent) -> str:
-    return (
-        f'{{"time":{event.time},"kind":"{event.kind}","node":{event.node},'
-        f'"detail":{_detail_json(event)}}}'
-    )
+    """One event's line, without its newline."""
+    return next(_encode((event,)))[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +253,8 @@ def _key(obj: object, joined: Container[NodeId]) -> TopicKey:
 
 
 def _payload(topic: TopicName, obj: object) -> Payload:
-    """The inverse of _payload_json: only the forms `topic` carries decode,
-    the rule the bus enforces on publish."""
+    """The inverse of _encode's payload words: only the forms `topic`
+    carries decode, the rule the bus enforces on publish."""
     if topic is _ORE or topic is _OSE:
         kind, role, who = _fields(obj, "type", "role", "who")
         if kind == "ost_update":
@@ -251,8 +277,9 @@ def _keyed_payload(
 
 
 def _tre(obj: object, ore: NodeId) -> NextAvailable:
-    """The inverse of _tre_json. The encoder writes a hint naming the view's
-    own ore as trust_ore, so such a hint is not a line it could write."""
+    """The inverse of _encode's tre words. The encoder writes a hint naming
+    the view's own ore as trust_ore, so such a hint is not a line it could
+    write."""
     if type(obj) is dict and obj.get("kind") == "hint":
         node = _int(_fields(obj, "kind", "node")[1])
         if node == ore:
@@ -326,13 +353,14 @@ def event_from_json(line: str, joined: Container[NodeId]) -> TraceEvent:
 
 
 def dump_trace(events: Iterable[TraceEvent], stream: IO[str]) -> None:
-    for event in events:
-        stream.write(event_to_json(event))
-        stream.write("\n")
+    """Write one line per event, in one write per _CHUNK lines."""
+    lines = _encode(events)
+    while chunk := "".join(islice(lines, _CHUNK)):
+        stream.write(chunk)
 
 
 def dumps_trace(events: Iterable[TraceEvent]) -> str:
-    return "".join(event_to_json(event) + "\n" for event in events)
+    return "".join(_encode(events))
 
 
 def load_trace(stream: IO[str]) -> Iterator[TraceEvent]:

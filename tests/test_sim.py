@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import rfoverlay
 from rfoverlay import cli, network, protocol, scenario, workload
+from rfoverlay import trace as trace_module
 from rfoverlay.bus import Sample, TopicKey, TopicName, VirtualBus
 from rfoverlay.metrics import (
     SETUP_INTERVAL,
@@ -1058,6 +1059,76 @@ def test_codec_agrees_with_the_standard_encoder(size, delay, interleaved, lam, i
         assert line == json.dumps(obj, separators=(",", ":"))
         assert event_from_json(line, range(size)) == event
         assert event.detail == obj["detail"]
+    assert dumps_trace(trace) == "".join(event_to_json(e) + "\n" for e in trace)
+
+
+class _WriteLog(io.StringIO):
+    """A text stream that keeps the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def test_whole_trace_writers_agree_with_the_line_encoder():
+    """dump_trace and dumps_trace write byte for byte the lines of
+    event_to_json, and dump_trace writes whole chunks of lines, so a chunk
+    boundary falling mid-trace changes nothing."""
+    cfg = ScenarioConfig(
+        node_count=16, workload=WorkloadConfig(lam=3.0, intervals=40, seed=4), seed=4
+    )
+    trace, _ = run_scenario(cfg)
+    chunk = trace_module._CHUNK
+    assert len(trace) > chunk and len(trace) % chunk
+    reference = "".join(event_to_json(e) + "\n" for e in trace)
+    assert dumps_trace(trace) == reference
+    stream = _WriteLog()
+    dump_trace(trace, stream)
+    assert stream.getvalue() == reference
+    assert len(stream.writes) == -(-len(trace) // chunk)
+    lines = reference.splitlines(keepends=True)
+    assert stream.writes[0] == sum(map(len, lines[:chunk]))
+
+
+def test_an_empty_trace_writes_nothing():
+    stream = _WriteLog()
+    dump_trace([], stream)
+    assert stream.writes == []
+    assert dumps_trace([]) == ""
+
+
+def test_an_event_of_unknown_kind_is_refused_by_every_writer():
+    event = TraceEvent(1, "Nonsense", 0, None)
+    with pytest.raises(TraceError, match="Nonsense"):
+        event_to_json(event)
+    with pytest.raises(TraceError, match="Nonsense"):
+        dumps_trace([event])
+    with pytest.raises(TraceError, match="Nonsense"):
+        dump_trace([event], io.StringIO())
+
+
+def test_the_writers_and_detail_do_not_call_the_public_line_function(monkeypatch):
+    """perfbench wraps the module global event_to_json to time it, and reads
+    .detail outside its timed spans: the whole-trace writers and .detail run
+    the encoder itself, so they never enter that wrapper."""
+    cfg = ScenarioConfig(node_count=4, workload=WorkloadConfig(intervals=4, seed=2), seed=2)
+    trace, _ = run_scenario(cfg)
+    reference = "".join(event_to_json(e) + "\n" for e in trace)
+    details = [json.loads(line)["detail"] for line in reference.splitlines()]
+
+    def refuse(event):
+        raise AssertionError("event_to_json called")
+
+    monkeypatch.setattr(trace_module, "event_to_json", refuse)
+    assert [e.detail for e in trace] == details
+    assert dumps_trace(trace) == reference
+    stream = io.StringIO()
+    dump_trace(trace, stream)
+    assert stream.getvalue() == reference
 
 
 def _values_within(value):
