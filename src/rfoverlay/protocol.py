@@ -5,20 +5,15 @@ arrival-order ring, the next Available node (tre), and its own availability.
 Handlers are pure functions from (view, message) to Effects; all sequencing
 and bus interaction belongs to the network layer.
 
-The next-available value tre is one node id, or None (NextAvailable). Once
+The next-available value tre is a node id, or None (NextAvailable). Once
 the ring settles it is the first Available node at or after the receiver,
-or None when no node is Available. A trace writes it as one of three words,
-chosen by comparing it with the ore of the same view:
-
-* trust_ore    -- tre == ore: the receiver itself is Available.
-* hint x       -- tre == x != ore: the receiver is down; x is the first
-                  Available node after it. x = me is, for an Available node,
-                  the transient "I am the only Available node" case. Under
-                  interleaved toggles a down node can also hold tre == me:
-                  its hint went down before the node's own down news reached
-                  it (see on_mybox_from_hint).
-* system_empty -- tre is None: nothing is Available anywhere; wait on the
-                  global wake-up channel (OneBack) for the first recovery.
+or None when no node is Available; then the node waits on the global
+wake-up channel (OneBack) for the first recovery. A tre other than the
+receiver is a hint: the receiver is down and the hint is the first
+Available node after it. A hint of `me` is, for an Available node, the
+transient "I am the only Available node" case. Under interleaved toggles a
+down node can also hold tre == me: its hint went down before the node's own
+down news reached it (see on_mybox_from_hint).
 
 A node publishes on its own status stream (MyBox) whenever the value another
 node would read from it changes: its own id while Available, the current

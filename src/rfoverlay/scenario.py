@@ -6,9 +6,10 @@ quiescence (ascending node order). Runs use the basic topology; the
 bidirectional and shortest-path variants exist only as oracles.
 
 Verification replays a trace against the oracles: at every interval's
-quiescent point, each node's next-available knowledge and the last value on
-its status stream must match the all-seeing computation for that interval's
-availability vector.
+quiescent point, each node's sender and receiver must be its neighbours on
+the arrival-order ring, and its next-available knowledge and the last value
+on its status stream must match the all-seeing computation for that
+interval's availability vector.
 """
 
 from __future__ import annotations
@@ -159,37 +160,45 @@ def ring_of(net: Network) -> RingModel:
 
 
 def _oracle_compare(
-    ring: RingModel,
-    tre: Mapping[NodeId, NextAvailable],
-    mybox: Mapping[NodeId, NextAvailable],
+    ring: RingModel, observed: Mapping[str, Mapping[NodeId, NextAvailable]]
 ) -> list[tuple[NodeId, str, str, str]]:
     """Every (node, field, expected, observed) where observed state on `ring`
-    disagrees with the all-seeing computation.
+    disagrees with the all-seeing computation: each node's sender and
+    receiver are its ring neighbours, and its next-available value and the
+    last value on its status stream are the oracles'.
 
-    A node with no `mybox` value never published on its status stream: it
-    has never toggled, so its settled value is its own id.
+    `observed` maps each field, ose, ore, tre and mybox, to every node's
+    value. The tables are compared whole, and the nodes are walked only
+    when they differ.
     """
-    expected = basic_tst(ring)
-    settled = mybox_table(ring)
-    mismatches: list[tuple[NodeId, str, str, str]] = []
-    for node in ring.nodes:
-        # None is a value (nothing Available), so a node with no view yet
-        # reads as a string that matches no expected value.
-        seen = tre.get(node, "no view")
-        if seen != expected[node]:
-            mismatches.append((node, "tre", repr(expected[node]), repr(seen)))
-        want = settled[node]
-        got = mybox.get(node, node)
-        if got != want:
-            mismatches.append((node, "mybox", repr(want), repr(got)))
-    return mismatches
+    nodes = ring.nodes
+    expected = {
+        "ose": dict(zip(nodes, nodes[-1:] + nodes[:-1])),
+        "ore": dict(zip(nodes, nodes[1:] + nodes[:1])),
+        "tre": basic_tst(ring),
+        "mybox": mybox_table(ring),
+    }
+    if observed == expected:
+        return []
+    # None is a value (nothing Available), so a node with no view yet reads
+    # as a string that matches no expected value.
+    return [
+        (node, name, repr(want[node]), repr(seen))
+        for node in nodes
+        for name, want in expected.items()
+        if (seen := observed[name].get(node, "no view")) != want[node]
+    ]
 
 
 def oracle_mismatches(net: Network) -> list[tuple[NodeId, str, str, str]]:
     """Compare a quiescent network against the all-seeing computation."""
-    tre = {node: view.tre for node, view in net.views.items()}
-    mybox = {node: view.last_mybox for node, view in net.views.items()}
-    return _oracle_compare(ring_of(net), tre, mybox)
+    views = net.views.items()
+    return _oracle_compare(ring_of(net), {
+        "ose": {node: view.ose for node, view in views},
+        "ore": {node: view.ore for node, view in views},
+        "tre": {node: view.tre for node, view in views},
+        "mybox": {node: view.last_mybox for node, view in views},
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +323,7 @@ def run_scenario(
 class Mismatch:
     interval: int
     node: NodeId
-    field: str  # "tre" | "mybox"
+    field: str  # "ose" | "ore" | "tre" | "mybox"
     expected: str
     observed: str
 
@@ -345,8 +354,13 @@ def verify_trace(
     # The run as the trace shows it: only Join, Toggle, ViewChange and MyBox
     # Publish lines carry state that the oracles check.
     avail: dict[NodeId, Availability] = {}  # in arrival order, the ring's
+    ose: dict[NodeId, NodeId] = {}
+    ore: dict[NodeId, NodeId] = {}
     tre: dict[NodeId, NextAvailable] = {}
+    # A node's status stream reads as its own id until it first publishes,
+    # as join sets its view's last_mybox.
     mybox: dict[NodeId, NextAvailable] = {}
+    observed = {"ose": ose, "ore": ore, "tre": tre, "mybox": mybox}
     mismatches: list[Mismatch] = []
 
     # Interval k's quiescent point is right before the first toggle of any
@@ -358,7 +372,7 @@ def verify_trace(
                 f"interval {interval}: trace availability diverges from the schedule"
             )
         ring = RingModel.from_states(avail, vector)
-        for found in _oracle_compare(ring, tre, mybox):
+        for found in _oracle_compare(ring, observed):
             mismatches.append(Mismatch(interval, *found))
 
     last_time = 0
@@ -374,8 +388,9 @@ def verify_trace(
             if not 0 <= node < cfg.node_count:
                 raise TraceError(f"Join of node {node}, config says 0..{cfg.node_count - 1}")
             avail[node] = _AVAILABLE
+            mybox[node] = node
         elif kind == KIND_VIEW_CHANGE:
-            _ose, _ore, tre[node], avail[node], _joining = value
+            ose[node], ore[node], tre[node], avail[node], _joining = value
         elif kind == KIND_PUBLISH:
             key, payload, _publisher, _seq = value
             if key.topic is _MYBOX:

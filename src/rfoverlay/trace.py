@@ -32,12 +32,10 @@ from .bus import (
     TopicKey,
     TopicName,
 )
-from .protocol import Availability, NextAvailable, NodeView
+from .protocol import Availability, NodeView
 
 # Enum members the codec compares by identity, read once (see protocol).
-_ARRIVALS = TopicName.ARRIVALS
 _MYBOX = TopicName.MYBOX
-_ONEBACK = TopicName.ONEBACK
 _ORE = TopicName.ORE
 _OSE = TopicName.OSE
 _AVAILABLE = Availability.AVAILABLE
@@ -82,7 +80,8 @@ Trace = list[TraceEvent]
 
 
 def traced_view_fields(view: NodeView) -> tuple:
-    """The view fields a ViewChange line writes, but `me`, which never changes."""
+    """The view fields a ViewChange line writes: all but `me`, which is the
+    line's node."""
     return (view.ose, view.ore, view.tre, view.state, view.joining)
 
 
@@ -126,9 +125,9 @@ class TraceRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Encoding: every value is an int, a bool or a fixed enum string, so lines are
-# written as text with nothing to escape. json.dumps with separators
-# (",", ":") is the reference (tests/test_sim.py checks it).
+# Encoding: every value is an int, a bool, null or a fixed enum string, so
+# lines are written as text with nothing to escape. json.dumps with
+# separators (",", ":") is the reference (tests/test_sim.py checks it).
 
 # A key's fragment is written once: a run names the same few keys per node.
 _KEY_JSON: dict[TopicKey, str] = {}
@@ -150,42 +149,28 @@ def _encode(events: Iterable[TraceEvent]) -> Iterator[str]:
     """Each event's line, newline included: the one encoder.
 
     One loop writes every kind, so a line costs one f-string and no call but
-    a dict lookup for its key. A payload's words follow its key's topic,
-    which fixes the payload's meaning: a status stream's node id is an
-    identity, an arrival's is a join_record, and None is null. A view's
-    next-available value is trust_ore when it is the view's ore, a hint
-    naming another node, or system_empty when it is None (see protocol)."""
+    a dict lookup for its key. Values are written as the engine holds them:
+    a node id as a bare integer, None as null, and an OStUpdate as its role
+    and who. The key's topic fixes which of these a payload is, so a payload
+    carries no tag of its own."""
     key_json = _KEY_JSON.get
     available = _AVAILABLE
-    mybox, oneback, arrivals = _MYBOX, _ONEBACK, _ARRIVALS
+    ost_update = OStUpdate
     for time, kind, node, value in events:
         if kind == KIND_VIEW_CHANGE:
             ose, ore, tre, state, joining = value
-            if tre is None:
-                tre = '{"kind":"system_empty"}'
-            elif tre == ore:
-                tre = '{"kind":"trust_ore"}'
-            else:
-                tre = f'{{"kind":"hint","node":{tre}}}'
             yield (
-                f'{{"time":{time},"kind":"ViewChange","node":{node},"detail":{{"view":'
-                f'{{"me":{node},"ose":{ose},"ore":{ore},"tre":{tre},'
+                f'{{"time":{time},"kind":"ViewChange","node":{node},"detail":'
+                f'{{"ose":{ose},"ore":{ore},"tre":{"null" if tre is None else tre},'
                 f'"state":"{"available" if state is available else "unavailable"}",'
-                f'"joining":{"true" if joining else "false"}}}}}}}\n'
+                f'"joining":{"true" if joining else "false"}}}}}\n'
             )
         elif kind == KIND_DELIVER or kind == KIND_PUBLISH:
             key, payload, publisher, seq = value
-            topic = key.topic
             if payload is None:
-                payload = '{"type":"null"}'
-            elif topic is mybox or topic is oneback:
-                payload = f'{{"type":"identity","node":{payload}}}'
-            elif topic is arrivals:
-                payload = f'{{"type":"join_record","node":{payload}}}'
-            else:
-                payload = (
-                    f'{{"type":"ost_update","role":"{payload.role.value}","who":{payload.who}}}'
-                )
+                payload = "null"
+            elif payload.__class__ is ost_update:
+                payload = f'{{"role":"{payload.role.value}","who":{payload.who}}}'
             head = (
                 f'{{"time":{time},"kind":"{kind}","node":{node},"detail":{{"key":'
                 f'{key_json(key) or _key_json(key)},"payload":{payload},'
@@ -253,44 +238,15 @@ def _key(obj: object, joined: Container[NodeId]) -> TopicKey:
 
 
 def _payload(topic: TopicName, obj: object) -> Payload:
-    """The inverse of _encode's payload words: only the forms `topic`
-    carries decode, the rule the bus enforces on publish."""
+    """A payload in the one form `topic` carries, the rule the bus enforces
+    on publish: an OStUpdate on ORe and OSe, a node id on the other topics,
+    and null on MyBox only."""
     if topic is _ORE or topic is _OSE:
-        kind, role, who = _fields(obj, "type", "role", "who")
-        if kind == "ost_update":
-            return OStUpdate(OStRole(role), _int(who))
-    elif topic is _MYBOX and obj == {"type": "null"}:
+        role, who = _fields(obj, "role", "who")
+        return OStUpdate(OStRole(role), _int(who))
+    if obj is None and topic is _MYBOX:
         return None
-    else:
-        kind, node = _fields(obj, "type", "node")
-        if kind == ("join_record" if topic is _ARRIVALS else "identity"):
-            return _int(node)
-    raise ValueError(f"not a payload that {topic.value} carries")
-
-
-def _keyed_payload(
-    key_obj: object, payload_obj: object, joined: Container[NodeId]
-) -> tuple[TopicKey, Payload]:
-    """A key and a payload its topic can carry."""
-    key = _key(key_obj, joined)
-    return key, _payload(key.topic, payload_obj)
-
-
-def _tre(obj: object, ore: NodeId) -> NextAvailable:
-    """The inverse of _encode's tre words. The encoder writes a hint naming
-    the view's own ore as trust_ore, so such a hint is not a line it could
-    write."""
-    if type(obj) is dict and obj.get("kind") == "hint":
-        node = _int(_fields(obj, "kind", "node")[1])
-        if node == ore:
-            raise ValueError("a hint names the view's own ore")
-        return node
-    (kind,) = _fields(obj, "kind")
-    if kind == "trust_ore":
-        return ore
-    if kind == "system_empty":
-        return None
-    raise ValueError("unknown tre kind")
+    return _int(obj)
 
 
 def _detail_value(
@@ -298,23 +254,22 @@ def _detail_value(
 ) -> Any:
     """The value of a line of `kind` by `node` from its detail."""
     if kind == KIND_VIEW_CHANGE:
-        (view,) = _fields(detail, "view")
-        me, ose, ore, tre, state, joining = _fields(
-            view, "me", "ose", "ore", "tre", "state", "joining"
-        )
-        if _int(me) != node or type(joining) is not bool:
-            raise ValueError("a view's me is its node, and joining is a bool")
-        ore = _int(ore)
-        return _int(ose), ore, _tre(tre, ore), Availability(state), joining
+        ose, ore, tre, state, joining = _fields(detail, "ose", "ore", "tre", "state", "joining")
+        if type(joining) is not bool:
+            raise TypeError("joining is a bool")
+        tre = None if tre is None else _int(tre)
+        return _int(ose), _int(ore), tre, Availability(state), joining
     if kind == KIND_DELIVER:
         key, payload, publisher, seq = _fields(detail, "key", "payload", "publisher", "seq")
         publisher = _int(publisher)
         if publisher not in joined:
             raise TraceError(f"a Deliver line names publisher {publisher} before its Join")
-        return Sample(*_keyed_payload(key, payload, joined), publisher, _int(seq))
+        key = _key(key, joined)
+        return Sample(key, _payload(key.topic, payload), publisher, _int(seq))
     if kind == KIND_PUBLISH:
         key, payload, seq = _fields(detail, "key", "payload", "seq")
-        return Sample(*_keyed_payload(key, payload, joined), node, _int(seq))
+        key = _key(key, joined)
+        return Sample(key, _payload(key.topic, payload), node, _int(seq))
     if kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
         return _key(_fields(detail, "key")[0], joined)
     if kind == KIND_TOGGLE:

@@ -83,7 +83,7 @@ def test_simulate_trace_is_pinned_across_commits(tmp_path, capsys):
     data = trace_path.read_bytes()
     assert data.count(b"\n") == 359
     assert hashlib.sha256(data).hexdigest() == (
-        "1c1c64e1aebbb3e014eafca38c7dd3e0044096323c6588fb31d33a906b32f75c"
+        "eef1c35b8a948e65f92e53140880adaa1871477b828b2e3dff2e08753d0489d9"
     )
 
 
@@ -95,11 +95,8 @@ def test_verify_flags_a_corrupted_trace(tmp_path, capsys):
 
     lines = trace_path.read_text().splitlines()
     events = [json.loads(line) for line in lines]
-    index = max(
-        i for i, e in enumerate(events)
-        if e["kind"] == "ViewChange" and "view" in e["detail"]
-    )
-    events[index]["detail"]["view"]["tre"] = {"kind": "hint", "node": 777}
+    index = max(i for i, e in enumerate(events) if e["kind"] == "ViewChange")
+    events[index]["detail"]["tre"] = 777
     lines[index] = json.dumps(events[index])
     trace_path.write_text("\n".join(lines) + "\n")
 
@@ -110,24 +107,34 @@ def test_verify_flags_a_corrupted_trace(tmp_path, capsys):
     assert "mismatch" in out
 
 
-def test_verify_reads_trust_ore_against_the_view_ore(tmp_path, capsys):
-    """trust_ore names the view's own receiver, so a forged ore changes the
-    next-available node the line states."""
+@pytest.mark.parametrize(
+    "node, field, was, forged, shown",
+    [
+        (3, "ose", 2, 0, "mismatch interval=11 node=n3 field=ose expected=2 observed=0"),
+        (4, "ore", 5, 1, "mismatch interval=11 node=n4 field=ore expected=5 observed=1"),
+    ],
+    ids=["forged-ose", "forged-ore"],
+)
+def test_verify_checks_each_view_against_the_ring(tmp_path, capsys, node, field, was, forged, shown):
+    """A settled view's sender and receiver are its ring neighbours in
+    arrival order. Node 4's last view names node 0 as next available, not
+    its receiver, so a forged ore changes nothing else the line states.
+    Before verify checked the ring links, it passed both traces."""
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
     main(["simulate", "--config", config, "--trace", str(trace_path)])
     capsys.readouterr()
 
     events = [json.loads(line) for line in trace_path.read_text().splitlines()]
-    view = [e for e in events if e["kind"] == "ViewChange" and e["node"] == 3][-1]["detail"]["view"]
-    assert (view["ore"], view["tre"]) == (4, {"kind": "trust_ore"})
-    view["ore"] = 5
+    view = [e for e in events if e["kind"] == "ViewChange" and e["node"] == node][-1]["detail"]
+    assert view[field] == was
+    view[field] = forged
     trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
 
     code = main(["verify", "--config", config, "--trace", str(trace_path)])
     assert code == EXIT_MISMATCH
     mismatches = [line for line in capsys.readouterr().out.splitlines() if line.startswith("mismatch")]
-    assert mismatches == ["mismatch interval=11 node=n3 field=tre expected=4 observed=5"]
+    assert mismatches == [shown]
 
 
 @pytest.mark.parametrize(
@@ -162,14 +169,6 @@ def _first(events, kind, match=lambda event: True):
     return next(e for e in events if e["kind"] == kind and match(e))
 
 
-def _hint_view(event):
-    return event["detail"]["view"]["tre"]["kind"] == "hint"
-
-
-def _identity_publish(event):
-    return event["detail"]["payload"]["type"] == "identity"
-
-
 def _ose_publish(event):
     return event["detail"]["key"]["topic"] == "OSe"
 
@@ -189,14 +188,12 @@ def _move_first_mybox_publish(events):
 
 def _append_about(node, kind, match=lambda event: True):
     """An edit that appends a well-formed copy of the first `kind` line, at
-    the last line's time, about `node`, which never joined. A view's `me`
-    and a publish's instance follow the node."""
+    the last line's time, about `node`, which never joined. A publish's
+    instance follows the node."""
 
     def edit(events):
         event = copy.deepcopy(_first(events, kind, match))
         event.update(time=events[-1]["time"], node=node)
-        if kind == "ViewChange":
-            event["detail"]["view"]["me"] = node
         if kind == "Publish":
             event["detail"]["key"]["instance"] = node
         events.append(event)
@@ -228,13 +225,8 @@ def _oneback_null_publish(events):
         e["kind"] == "Publish" and e["node"] == 0 and e["detail"]["key"]["topic"] == "OneBack"
         for e in events
     )
-    detail = {"key": {"topic": "OneBack"}, "payload": {"type": "null"}, "seq": seq}
+    detail = {"key": {"topic": "OneBack"}, "payload": None, "seq": seq}
     events.append({"time": events[-1]["time"], "kind": "Publish", "node": 0, "detail": detail})
-
-
-def _hint_at_own_ore(events):
-    view = _first(events, "ViewChange", _hint_view)["detail"]["view"]
-    view["tre"]["node"] = view["ore"]
 
 
 @pytest.mark.parametrize(
@@ -244,53 +236,48 @@ def _hint_at_own_ore(events):
         lambda events: events[0].update(time="1"),
         lambda events: events[0].update(time=1.9),
         lambda events: events[0].update(node=0.0),
-        lambda events: _first(events, "ViewChange", _hint_view)["detail"]["view"]["tre"].update(
-            node="2"
-        ),
+        lambda events: _first(events, "ViewChange")["detail"].update(tre="2"),
         lambda events: _first(events, "Toggle")["detail"].update(interval="1"),
-        lambda events: _first(events, "Publish", _identity_publish)["detail"]["payload"].update(
-            node="2"
-        ),
+        lambda events: _first(events, "Publish", _mybox_publish)["detail"].update(payload="2"),
         lambda events: _first(events, "Publish", _ose_publish)["detail"]["key"].update(
             topic="Bogus"
         ),
         _move_first_mybox_publish,
         lambda events: events.append({"time": 42, "kind": "Deliver", "node": None, "detail": {}}),
         lambda events: _first(events, "Subscribe")["detail"].update(key="junk"),
-        lambda events: _first(events, "ViewChange")["detail"]["view"].update(me=99),
-        lambda events: _first(events, "ViewChange")["detail"]["view"].update(ose="x"),
-        lambda events: _first(events, "ViewChange")["detail"]["view"].update(joining=1),
+        lambda events: _first(events, "ViewChange")["detail"].update(me=99),
+        lambda events: _first(events, "ViewChange")["detail"].update(ose="x"),
+        lambda events: _first(events, "ViewChange")["detail"].update(joining=1),
         lambda events: _first(events, "Deliver")["detail"]["key"].update(instance=-1),
         lambda events: _first(events, "Toggle")["detail"].update(cause=1),
         _append_about(42, "ViewChange"),
         _append_about(42, "Publish", _mybox_publish),
         _append_about(77, "Deliver"),
         _insert_before_first_toggle(
-            "Publish", 0, {"key": {"topic": "Arrivals"}, "payload": {"type": "null"}, "seq": 2}
+            "Publish", 0, {"key": {"topic": "Arrivals"}, "payload": None, "seq": 2}
         ),
         _insert_before_first_toggle(
             "Deliver",
             0,
             {
                 "key": {"topic": "ORe", "instance": 1},
-                "payload": {"type": "identity", "node": 1},
+                "payload": 1,
                 "publisher": 1,
                 "seq": 9,
             },
         ),
         _join_record_on_first_mybox_publish,
         lambda events: _first(events, "Deliver")["detail"].update(publisher=1_000_000_000),
-        _hint_at_own_ore,
-        lambda events: _first(events, "ViewChange")["detail"]["view"].update(
-            tre={"kind": "bogus"}
-        ),
-        lambda events: _first(events, "Publish", _arrivals_publish)["detail"]["payload"].update(
-            type="identity"
+        lambda events: _first(events, "ViewChange")["detail"].update(tre={"kind": "bogus"}),
+        lambda events: _first(events, "Publish", _arrivals_publish)["detail"].update(
+            payload={"type": "identity", "node": 0}
         ),
         _oneback_null_publish,
-        lambda events: _first(
-            events, "Publish", lambda e: _mybox_publish(e) and _identity_publish(e)
-        )["detail"]["payload"].update(node=True),
+        lambda events: _first(events, "Publish", _mybox_publish)["detail"].update(payload=True),
+        lambda events: _first(events, "Publish", _ose_publish)["detail"].update(payload=1),
+        lambda events: _first(events, "Publish", _ose_publish)["detail"]["payload"].update(
+            type="ost_update"
+        ),
     ],
     ids=[
         "time-bool", "time-string", "time-float", "node-float",
@@ -299,16 +286,17 @@ def _hint_at_own_ore(events):
         "view-me-not-node", "view-ose-string", "view-joining-int", "key-instance-negative",
         "toggle-extra-field", "view-of-unjoined-node", "publish-by-unjoined-node",
         "deliver-to-unjoined-node", "arrivals-publish-null", "ore-deliver-identity",
-        "mybox-publish-join-record", "deliver-publisher-unjoined", "hint-at-own-ore",
+        "mybox-publish-join-record", "deliver-publisher-unjoined",
         "unknown-tre-kind", "arrivals-publish-identity", "oneback-publish-null",
-        "mybox-identity-node-bool",
+        "mybox-identity-node-bool", "ose-publish-bare-id", "ost-update-extra-field",
     ],
 )
 def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
     # A full trace with one field edited: JSON values are taken as they stand,
     # never coerced, every line holds exactly the fields of its kind, keys are
-    # valid topic keys, a view's `me` is its node, and a MyBox publish is on
-    # its publisher's own instance. A payload must be one its topic carries.
+    # valid topic keys, and a MyBox publish is on its publisher's own
+    # instance. A payload must be the one form its topic carries: a node id,
+    # null on MyBox only, or an OStUpdate's role and who on ORe and OSe.
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
     main(["simulate", "--config", config, "--trace", str(trace_path)])
@@ -320,6 +308,41 @@ def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
 
     code = main(["verify", "--config", config, "--trace", str(trace_path)])
     assert code == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "line, old",
+    [
+        (
+            '{"time":1,"kind":"ViewChange","node":0,"detail":{"ose":0,"ore":0,"tre":0,'
+            '"state":"available","joining":true}}',
+            '{"time":1,"kind":"ViewChange","node":0,"detail":{"view":{"me":0,"ose":0,"ore":0,'
+            '"tre":{"kind":"trust_ore"},"state":"available","joining":true}}}',
+        ),
+        (
+            '{"time":9,"kind":"Publish","node":1,"detail":{"key":{"topic":"MyBox","instance":1},'
+            '"payload":2,"seq":1}}',
+            '{"time":9,"kind":"Publish","node":1,"detail":{"key":{"topic":"MyBox","instance":1},'
+            '"payload":{"type":"identity","node":2},"seq":1}}',
+        ),
+    ],
+    ids=["view-wrapper", "identity-payload"],
+)
+def test_verify_refuses_a_line_of_the_tagged_format(tmp_path, capsys, line, old):
+    """Traces once wrapped a view with its `me` and tagged payloads and
+    `tre` with type words. There is one decoder, for bare values, so a line
+    written the old way is malformed."""
+    config = write_config(tmp_path)
+    trace_path = tmp_path / "run.jsonl"
+    main(["simulate", "--config", config, "--trace", str(trace_path)])
+    capsys.readouterr()
+
+    text = trace_path.read_text()
+    assert text.count(line + "\n") == 1
+    trace_path.write_text(text.replace(line + "\n", old + "\n"))
+    assert main(["verify", "--config", config, "--trace", str(trace_path)]) == EXIT_MISMATCH
     err = capsys.readouterr().err
     assert err.startswith("malformed trace:") and err.count("\n") == 1
 

@@ -154,6 +154,9 @@ def test_oracle_judges_the_arrival_order_ring():
     toggle_settled(net, 4, UNAVAILABLE)
     assert net.views[5].tre == 0
     assert oracle_mismatches(net) == []
+    net.views[2] = net.views[2]._replace(ose=0)
+    net.views[5] = net.views[5]._replace(ore=1)
+    assert oracle_mismatches(net) == [(2, "ose", "1", "0"), (5, "ore", "4", "1")]
 
 
 def ring_order(net: Network) -> list[int]:
@@ -642,7 +645,7 @@ def test_toggle_heavy_trace_is_pinned_across_commits():
     data = dumps_trace(trace).encode()
     assert len(trace) == data.count(b"\n") == 21252
     assert hashlib.sha256(data).hexdigest() == (
-        "a28f82785c0b947ba3ad2c2023f3fbdaac420eb56d13e1000d12ffce977e1ef2"
+        "2cfbd30d6df6b5212c120fda4c17a8d8fe8b2b7edbf46a02cebc46d422325951"
     )
 
 
@@ -728,7 +731,8 @@ def test_a_node_without_view_lines_never_matches_an_empty_system():
     viewless = [e for e in trace if e.kind != KIND_VIEW_CHANGE]
     report = verify_trace(viewless, cfg, schedule=schedule)
     assert [(m.interval, m.field, m.expected) for m in report.mismatches] == [
-        (0, "tre", "0"), (1, "tre", "None")
+        (0, "ose", "0"), (0, "ore", "0"), (0, "tre", "0"),
+        (1, "ose", "0"), (1, "ore", "0"), (1, "tre", "None"),
     ]
 
 
@@ -1023,6 +1027,35 @@ def test_trace_lines_keep_a_fixed_field_order():
         keys = [k for k, _ in json.loads(line, object_pairs_hook=lambda pairs: pairs)]
         assert keys == ["time", "kind", "node", "detail"]
         assert event_from_json(line, range(3)) == event
+
+
+def test_trace_lines_hold_the_engine_values_as_written():
+    """One line of each kind from a two-node run whose second interval takes
+    both nodes down, as text: a node id is a bare integer, None is null
+    (MyBox's "nothing Available" and a view's empty `tre`), an OStUpdate is
+    its role and who, and a view holds the fields of traced_view_fields."""
+    cfg = ScenarioConfig(node_count=2, workload=WorkloadConfig(intervals=2, seed=0))
+    trace, _ = run_scenario(cfg, schedule=forced_schedule(2, set(), {0, 1}))
+    lines = dumps_trace(trace).splitlines()
+    golden = {
+        0: '{"time":1,"kind":"Join","node":0,"detail":{}}',
+        1: '{"time":1,"kind":"Publish","node":0,"detail":{"key":{"topic":"Arrivals"},'
+        '"payload":0,"seq":1}}',
+        22: '{"time":2,"kind":"Publish","node":0,"detail":{"key":{"topic":"OSe","instance":0},'
+        '"payload":{"role":"new_ose","who":1},"seq":1}}',
+        23: '{"time":2,"kind":"Unsubscribe","node":0,"detail":{"key":{"topic":"MyBox","instance":0}}}',
+        24: '{"time":2,"kind":"Subscribe","node":0,"detail":{"key":{"topic":"MyBox","instance":1}}}',
+        32: '{"time":5,"kind":"Toggle","node":0,"detail":{"to":"unavailable","interval":1}}',
+        35: '{"time":5,"kind":"Deliver","node":1,"detail":{"key":{"topic":"MyBox","instance":0},'
+        '"payload":1,"publisher":0,"seq":1}}',
+        38: '{"time":6,"kind":"Publish","node":1,"detail":{"key":{"topic":"MyBox","instance":1},'
+        '"payload":null,"seq":1}}',
+        40: '{"time":6,"kind":"ViewChange","node":1,"detail":{"ose":0,"ore":0,"tre":null,'
+        '"state":"unavailable","joining":false}}',
+    }
+    assert {index: lines[index] for index in golden} == golden
+    for index, line in golden.items():
+        assert event_from_json(line, range(2)) == trace[index]
 
 
 def test_malformed_trace_lines_are_rejected():
