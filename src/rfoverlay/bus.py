@@ -23,7 +23,6 @@ defaults, so it is given every field.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
@@ -152,29 +151,17 @@ def ose_key(node: NodeId) -> TopicKey:
 # Payloads
 
 
-class OStRole(Enum):
-    NEW_ORE = "new_ore"
-    NEW_OSE = "new_ose"
-
-
-@dataclass(frozen=True, slots=True)
-class OStUpdate:
-    """Ring rewiring instruction: `who` becomes the receiver or the sender."""
-
-    role: OStRole
-    who: NodeId
-
-
 # The topic fixes what its payload means, so a payload carries no tag of its
-# own: Arrivals carries the joiner's id; MyBox and OneBack carry the next
-# Available node's id, MyBox also None for "nothing Available"; ORe and OSe
-# carry an OStUpdate, whose role tells the two rewiring instructions apart.
-Payload = NodeId | None | OStUpdate
+# own: Arrivals carries the joiner's id; ORe the joiner that asks to become
+# the receiver; OSe the new receiver while the subscriber joins, its new
+# sender afterwards; MyBox and OneBack the next Available node's id, MyBox
+# also None for "nothing Available".
+Payload = NodeId | None
 
 _ALLOWED_PAYLOADS: dict[TopicName, tuple[type, ...]] = {
     TopicName.ARRIVALS: (int,),
-    TopicName.ORE: (OStUpdate,),
-    TopicName.OSE: (OStUpdate,),
+    TopicName.ORE: (int,),
+    TopicName.OSE: (int,),
     TopicName.MYBOX: (int, type(None)),
     TopicName.ONEBACK: (int,),
 }

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .bus import NodeId, TopicName, VirtualBus
-from .protocol import Availability
 
 SETUP_INTERVAL = -1  # join phase, before the first interval
 
@@ -39,7 +38,7 @@ class ToggleMark(NamedTuple):
 
     interval: int
     node: NodeId
-    to_state: Availability
+    available: bool
     before: Tally
 
 
@@ -49,7 +48,7 @@ class ToggleStats:
 
     interval: int
     node: int
-    to_state: str
+    available: bool
     mybox_publications: int = 0
     publications: int = 0
     deliveries: int = 0
@@ -105,7 +104,7 @@ def compute_metrics(
     starts = (joined, *ends)
     rows = [_work(interval, starts[interval], end) for interval, end in enumerate(ends)]
     stats: list[ToggleStats] = []
-    for i, (interval, node, to_state, before) in enumerate(toggles):
+    for i, (interval, node, available, before) in enumerate(toggles):
         following = toggles[i + 1] if i + 1 < len(toggles) else None
         if following is not None and following.interval == interval:
             after = following.before
@@ -116,7 +115,7 @@ def compute_metrics(
             ToggleStats(
                 interval,
                 node,
-                to_state.value,
+                available,
                 after[_MYBOX] - before[_MYBOX],
                 sum(after[:_DELIVERIES]) - sum(before[:_DELIVERIES]),
                 after[_DELIVERIES] - before[_DELIVERIES],

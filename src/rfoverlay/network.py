@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .bus import NodeId, Sample, VirtualBus
 from . import protocol
-from .protocol import Availability, Effects, NodeView
+from .protocol import Effects, NodeView
 from .trace import traced_view_fields
 
 DISPATCH_BUDGET_FACTOR = 64
@@ -74,10 +74,10 @@ class Network:
 
     # -- availability -----------------------------------------------------------
 
-    def toggle(self, node: NodeId, to_state: Availability) -> None:
+    def toggle(self, node: NodeId, available: bool) -> None:
         """Apply one availability transition. Does not dispatch."""
         view = self.views[node]
-        if to_state is Availability.AVAILABLE:
+        if available:
             self._apply(node, protocol.set_available(view))
         else:
             self._apply(node, protocol.set_unavailable(view))

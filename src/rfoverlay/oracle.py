@@ -23,11 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .bus import NodeId
-from .protocol import Availability, NextAvailable
-
-# An Enum member read off its class goes through the metaclass; the sweeps
-# below compare a state per ring position, so they read a module global.
-_AVAILABLE = Availability.AVAILABLE
+from .protocol import NextAvailable
 
 
 class RingError(ValueError):
@@ -36,10 +32,11 @@ class RingError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class RingModel:
-    """Arrival-ordered ring plus an availability vector aligned with it."""
+    """Arrival-ordered ring plus an availability vector aligned with it:
+    avail[i] is True iff nodes[i] is Available."""
 
     nodes: tuple[NodeId, ...]
-    avail: tuple[Availability, ...]
+    avail: tuple[bool, ...]
     _positions: dict[NodeId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -61,15 +58,12 @@ class RingModel:
             raise RingError(f"down nodes {sorted(unknown)} outside 0..{count - 1}")
         return cls(
             nodes=tuple(range(count)),
-            avail=tuple(
-                Availability.UNAVAILABLE if n in down else Availability.AVAILABLE
-                for n in range(count)
-            ),
+            avail=tuple(n not in down for n in range(count)),
         )
 
     @classmethod
     def from_states(
-        cls, nodes: Iterable[NodeId], states: Mapping[NodeId, Availability]
+        cls, nodes: Iterable[NodeId], states: Mapping[NodeId, bool]
     ) -> "RingModel":
         nodes = tuple(nodes)
         return cls(nodes=nodes, avail=tuple(states[n] for n in nodes))
@@ -94,11 +88,11 @@ class RingModel:
         return self.at(self.position(node) - 1)
 
     def is_available(self, node: NodeId) -> bool:
-        return self.avail[self.position(node)] is _AVAILABLE
+        return self.avail[self.position(node)]
 
     @property
     def available_count(self) -> int:
-        return sum(1 for a in self.avail if a is _AVAILABLE)
+        return sum(self.avail)
 
 
 def _first_available(ring: RingModel) -> list[NodeId | None]:
@@ -110,7 +104,7 @@ def _first_available(ring: RingModel) -> list[NodeId | None]:
     """
     size = ring.size
     nodes = ring.nodes
-    up = [state is _AVAILABLE for state in ring.avail]
+    up = ring.avail
     first: list[NodeId | None] = [None] * size
     found: NodeId | None = None
     for index in range(2 * size - 1, -1, -1):

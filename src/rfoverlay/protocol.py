@@ -35,13 +35,10 @@ definition of the full set.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 from .bus import (
     NodeId,
-    OStRole,
-    OStUpdate,
     Payload,
     Sample,
     TopicKey,
@@ -58,16 +55,9 @@ class ProtocolError(Exception):
     """A handler was driven outside the protocol's reachable states."""
 
 
-class Availability(Enum):
-    AVAILABLE = "available"
-    UNAVAILABLE = "unavailable"
-
-
 # Reading a member off an Enum class goes through the metaclass, which costs
-# about as much as building a small tuple. The handlers compare states and
-# topics on every delivery, so they read module globals instead.
-_AVAILABLE = Availability.AVAILABLE
-_UNAVAILABLE = Availability.UNAVAILABLE
+# about as much as building a small tuple. The router compares topics on
+# every delivery, so it reads module globals instead.
 _ARRIVALS = TopicName.ARRIVALS
 _ORE = TopicName.ORE
 _OSE = TopicName.OSE
@@ -99,7 +89,7 @@ class NodeView(NamedTuple):
     ose: NodeId
     ore: NodeId
     tre: NextAvailable
-    state: Availability
+    available: bool
     last_mybox: NextAvailable = None
     joining: bool = False
     predecessor: NodeId | None = None
@@ -147,7 +137,7 @@ def subscriptions(view: NodeView) -> frozenset[TopicKey]:
 
 def published_hint(view: NodeView) -> NextAvailable:
     """The value this node's status stream should carry right now."""
-    if view.state is _AVAILABLE:
+    if view.available:
         return view.me
     return _down_hint(view.me, view.tre)
 
@@ -166,10 +156,10 @@ _new = tuple.__new__
 
 
 def _with_status(
-    view: NodeView, tre: NextAvailable, state: Availability, last_mybox: NextAvailable
+    view: NodeView, tre: NextAvailable, available: bool, last_mybox: NextAvailable
 ) -> NodeView:
     return _new(NodeView, (
-        view.me, view.ose, view.ore, tre, state, last_mybox, view.joining, view.predecessor,
+        view.me, view.ose, view.ore, tre, available, last_mybox, view.joining, view.predecessor,
     ))
 
 
@@ -216,7 +206,7 @@ def join(me: NodeId) -> Effects:
         ose=me,
         ore=me,
         tre=me,
-        state=Availability.AVAILABLE,
+        available=True,
         last_mybox=me,
         joining=True,
     )
@@ -236,53 +226,50 @@ def _on_arrivals(view: NodeView, who: NodeId) -> Effects:
         # replays the last two records, so under serialized joins this runs
         # once per join.
         new = _new(NodeView, (
-            me, view.ose, view.ore, view.tre, view.state, view.last_mybox, True, who,
+            me, view.ose, view.ore, view.tre, view.available, view.last_mybox, True, who,
         ))
         return _effects(view, new)
     predecessor = view.predecessor
     if predecessor is None:
         # First node in: a ring of one.
-        new = _new(NodeView, (me, me, me, view.tre, view.state, view.last_mybox, False, None))
+        new = _new(NodeView, (me, me, me, view.tre, view.available, view.last_mybox, False, None))
         return _effects(view, new)
     # The predecessor is our sender; its answer on OSe_me completes the join.
     new = _new(NodeView, (
-        me, predecessor, view.ore, view.tre, view.state, view.last_mybox, True, predecessor,
+        me, predecessor, view.ore, view.tre, view.available, view.last_mybox, True, predecessor,
     ))
-    return _effects(view, new, ((ore_key(predecessor), OStUpdate(OStRole.NEW_ORE, me)),))
+    return _effects(view, new, ((ore_key(predecessor), me),))
 
 
-def handle_new_ore(view: NodeView, msg: OStUpdate) -> Effects:
+def handle_new_ore(view: NodeView, joiner: NodeId) -> Effects:
     """A joiner asks to become our receiver: splice it in after us.
 
     We tell the joiner who its receiver is (our old one) and tell the old
     receiver who its sender now is (the joiner), then repoint ourselves.
     """
-    if msg.role is not OStRole.NEW_ORE:
-        raise ProtocolError("only NewORe travels on the ORe stream")
-    joiner = msg.who
     if joiner == view.me or joiner == view.ore:
         return _effects(view, view)
     old_ore = view.ore
-    publications = (
-        (ose_key(joiner), OStUpdate(OStRole.NEW_ORE, old_ore)),
-        (ose_key(old_ore), OStUpdate(OStRole.NEW_OSE, joiner)),
-    )
+    publications = ((ose_key(joiner), old_ore), (ose_key(old_ore), joiner))
     new = _new(NodeView, (
-        view.me, view.ose, joiner, joiner, view.state, view.last_mybox, view.joining,
+        view.me, view.ose, joiner, joiner, view.available, view.last_mybox, view.joining,
         view.predecessor,
     ))
     return _effects(view, new, publications)
 
 
-def handle_ose_update(view: NodeView, msg: OStUpdate) -> Effects:
-    """Ring rewiring addressed to us: adopt the new receiver or sender."""
-    if msg.role is OStRole.NEW_ORE:
+def handle_ose_update(view: NodeView, who: NodeId) -> Effects:
+    """Ring rewiring addressed to us. While we join, `who` is our receiver,
+    which ends the join; afterwards it is our new sender. Joins never
+    overlap (see Network.add_node), so a joiner hears only its splice
+    answer and a settled node only its new sender."""
+    if view.joining:
         new = _new(NodeView, (
-            view.me, view.ose, msg.who, msg.who, view.state, view.last_mybox, False, None,
+            view.me, view.ose, who, who, view.available, view.last_mybox, False, None,
         ))
         return _effects(view, new)
     new = _new(NodeView, (
-        view.me, msg.who, view.ore, view.tre, view.state, view.last_mybox, view.joining,
+        view.me, who, view.ore, view.tre, view.available, view.last_mybox, False,
         view.predecessor,
     ))
     return _effects(view, new)
@@ -296,13 +283,13 @@ def set_unavailable(view: NodeView) -> Effects:
     """Leave: tell readers who to use instead, or that nobody is left."""
     if view.joining:
         raise ProtocolError("cannot toggle before the join completes")
-    if view.state is not _AVAILABLE:
+    if not view.available:
         raise ProtocolError(f"{view.me} is already unavailable")
     me = view.me
     # If we were the last Available node the system goes empty, and the
     # value published for an empty system is None.
     tre = _down_hint(me, view.tre)
-    down = _with_status(view, tre, _UNAVAILABLE, tre)
+    down = _with_status(view, tre, False, tre)
     return _effects(view, down, ((mybox_key(me), tre),))
 
 
@@ -310,14 +297,14 @@ def set_available(view: NodeView) -> Effects:
     """Return: announce ourselves; wake the system if it was empty."""
     if view.joining:
         raise ProtocolError("cannot toggle before the join completes")
-    if view.state is not _UNAVAILABLE:
+    if view.available:
         raise ProtocolError(f"{view.me} is already available")
     me = view.me
     announce = (mybox_key(me), me)
     if view.tre is None:
-        woken = _with_status(view, me, _AVAILABLE, me)
+        woken = _with_status(view, me, True, me)
         return _effects(view, woken, ((oneback_key(), me), announce))
-    up = _with_status(view, view.tre, _AVAILABLE, me)
+    up = _with_status(view, view.tre, True, me)
     return _effects(view, up, (announce,))
 
 
@@ -330,17 +317,17 @@ def on_mybox_from_ore(view: NodeView, msg: NextAvailable) -> Effects:
     publish None. One stop rule ends the propagation: a value equal to our
     last published one is dropped (the wave has already passed here).
     """
-    if view.state is _AVAILABLE:
+    if view.available:
         if msg == view.tre:
             # News we already hold: the same view, and nothing to do. About
             # one delivery in ten on a churning ring.
             return _new(Effects, (view, (), (), ()))
-        return _effects(view, _with_status(view, msg, _AVAILABLE, view.last_mybox))
+        return _effects(view, _with_status(view, msg, True, view.last_mybox))
     me = view.me
     tre = _down_hint(me, msg)
     if tre == view.last_mybox:
-        return _effects(view, _with_status(view, tre, _UNAVAILABLE, view.last_mybox))
-    return _effects(view, _with_status(view, tre, _UNAVAILABLE, tre), ((mybox_key(me), tre),))
+        return _effects(view, _with_status(view, tre, False, view.last_mybox))
+    return _effects(view, _with_status(view, tre, False, tre), ((mybox_key(me), tre),))
 
 
 def on_mybox_from_hint(view: NodeView, msg: NextAvailable) -> Effects:
@@ -359,7 +346,7 @@ def on_mybox_from_hint(view: NodeView, msg: NextAvailable) -> Effects:
     """
     if view.tre is None or view.tre == view.ore:
         raise ProtocolError("no hint subscription in this view")
-    new = _with_status(view, msg, view.state, view.last_mybox)
+    new = _with_status(view, msg, view.available, view.last_mybox)
     return _effects(view, new)
 
 

@@ -27,7 +27,7 @@ from .network import Network
 # once. The name stays bound in this module because perfbench/probes.py wraps
 # scenario.mybox_fixpoint.
 from .oracle import RingModel, basic_tst, mybox_fixpoint, mybox_table  # noqa: F401
-from .protocol import Availability, NextAvailable
+from .protocol import NextAvailable
 from .trace import (
     KIND_JOIN,
     KIND_PUBLISH,
@@ -40,10 +40,9 @@ from .trace import (
 )
 from .workload import AvailabilitySchedule, WorkloadConfig, build_schedule
 
-# verify_trace reads every line's topic and state; a module global is cheaper
-# to read than an Enum member off its class (see protocol).
+# verify_trace reads every line's topic; a module global is cheaper to read
+# than an Enum member off its class (see protocol).
 _MYBOX = TopicName.MYBOX
-_AVAILABLE = Availability.AVAILABLE
 
 
 class ConfigError(ValueError):
@@ -56,6 +55,14 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
+    """One scenario: m nodes joined in order, then a workload's schedule.
+
+    The run draws its schedule from `workload.seed`. `seed` is a label that
+    `config_with_seed` and a sweep set, and in a config file it is the
+    default of the workload seed; `parse_config` copies it there. So
+    ScenarioConfig(node_count=4, seed=5) runs workload seed 0.
+    """
+
     node_count: int
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     delivery_delay: int = 0
@@ -156,20 +163,20 @@ def config_with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
 def ring_of(net: Network) -> RingModel:
     """The arrival-order ring: `views` keeps add_node order."""
     nodes = tuple(net.views)
-    return RingModel.from_states(nodes, {n: net.views[n].state for n in nodes})
+    return RingModel.from_states(nodes, {n: net.views[n].available for n in nodes})
 
 
 def _oracle_compare(
-    ring: RingModel, observed: Mapping[str, Mapping[NodeId, NextAvailable]]
+    ring: RingModel, observed: Mapping[str, Mapping[NodeId, NextAvailable | bool]]
 ) -> list[tuple[NodeId, str, str, str]]:
     """Every (node, field, expected, observed) where observed state on `ring`
     disagrees with the all-seeing computation: each node's sender and
-    receiver are its ring neighbours, and its next-available value and the
-    last value on its status stream are the oracles'.
+    receiver are its ring neighbours, its next-available value and the last
+    value on its status stream are the oracles', and no node is joining.
 
-    `observed` maps each field, ose, ore, tre and mybox, to every node's
-    value. The tables are compared whole, and the nodes are walked only
-    when they differ.
+    `observed` maps each field, ose, ore, tre, mybox and joining, to every
+    node's value. The tables are compared whole, and the nodes are walked
+    only when they differ.
     """
     nodes = ring.nodes
     expected = {
@@ -177,6 +184,7 @@ def _oracle_compare(
         "ore": dict(zip(nodes, nodes[1:] + nodes[:1])),
         "tre": basic_tst(ring),
         "mybox": mybox_table(ring),
+        "joining": dict.fromkeys(nodes, False),
     }
     if observed == expected:
         return []
@@ -198,6 +206,7 @@ def oracle_mismatches(net: Network) -> list[tuple[NodeId, str, str, str]]:
         "ore": {node: view.ore for node, view in views},
         "tre": {node: view.tre for node, view in views},
         "mybox": {node: view.last_mybox for node, view in views},
+        "joining": {node: view.joining for node, view in views},
     })
 
 
@@ -209,7 +218,8 @@ def _resolve_schedule(
     cfg: ScenarioConfig, schedule: AvailabilitySchedule | None
 ) -> AvailabilitySchedule:
     """The config's own schedule, or `schedule` if it gives exactly the
-    config's nodes 0..m-1 one state per interval."""
+    config's nodes 0..m-1 one bool per interval. The run compares states by
+    identity, so any other value would fail mid-run."""
     if schedule is None:
         return build_schedule(cfg.workload, range(cfg.node_count))
     nodes = set(schedule.states)
@@ -223,6 +233,8 @@ def _resolve_schedule(
                 f"schedule gives node {node} {len(states)} states for "
                 f"{schedule.intervals} intervals"
             )
+        if any(type(state) is not bool for state in states):
+            raise ConfigError(f"schedule gives node {node} a state that is not a bool")
     return schedule
 
 
@@ -289,17 +301,17 @@ def run_scenario(
             net.bus.advance()
             views = net.views
             changes = [
-                (node, state)
+                (node, available)
                 for node in range(cfg.node_count)
-                if (state := schedule.state(node, interval)) is not views[node].state
+                if (available := schedule.state(node, interval)) is not views[node].available
             ]
-            for node, to_state in changes:
+            for node, available in changes:
                 if not interleaved_toggles:
                     net.bus.advance()
-                marks.append(ToggleMark(interval, node, to_state, tally(net.bus)))
+                marks.append(ToggleMark(interval, node, available, tally(net.bus)))
                 if recorder is not None:
-                    recorder.toggle(net.bus.now, node, to_state, interval)
-                net.toggle(node, to_state)
+                    recorder.toggle(net.bus.now, node, available, interval)
+                net.toggle(node, available)
                 if not interleaved_toggles:
                     net.dispatch_to_quiescence()
             if interleaved_toggles:
@@ -323,7 +335,7 @@ def run_scenario(
 class Mismatch:
     interval: int
     node: NodeId
-    field: str  # "ose" | "ore" | "tre" | "mybox"
+    field: str  # "ose" | "ore" | "tre" | "mybox" | "joining"
     expected: str
     observed: str
 
@@ -353,14 +365,15 @@ def verify_trace(
     schedule = _resolve_schedule(cfg, schedule)
     # The run as the trace shows it: only Join, Toggle, ViewChange and MyBox
     # Publish lines carry state that the oracles check.
-    avail: dict[NodeId, Availability] = {}  # in arrival order, the ring's
+    avail: dict[NodeId, bool] = {}  # in arrival order, the ring's
     ose: dict[NodeId, NodeId] = {}
     ore: dict[NodeId, NodeId] = {}
     tre: dict[NodeId, NextAvailable] = {}
     # A node's status stream reads as its own id until it first publishes,
     # as join sets its view's last_mybox.
     mybox: dict[NodeId, NextAvailable] = {}
-    observed = {"ose": ose, "ore": ore, "tre": tre, "mybox": mybox}
+    joining: dict[NodeId, bool] = {}
+    observed = {"ose": ose, "ore": ore, "tre": tre, "mybox": mybox, "joining": joining}
     mismatches: list[Mismatch] = []
 
     # Interval k's quiescent point is right before the first toggle of any
@@ -387,10 +400,10 @@ def verify_trace(
                 raise TraceError(f"{kind} line for {node} before its Join")
             if not 0 <= node < cfg.node_count:
                 raise TraceError(f"Join of node {node}, config says 0..{cfg.node_count - 1}")
-            avail[node] = _AVAILABLE
+            avail[node] = True
             mybox[node] = node
         elif kind == KIND_VIEW_CHANGE:
-            ose[node], ore[node], tre[node], avail[node], _joining = value
+            ose[node], ore[node], tre[node], avail[node], joining[node] = value
         elif kind == KIND_PUBLISH:
             key, payload, _publisher, _seq = value
             if key.topic is _MYBOX:
@@ -401,19 +414,22 @@ def verify_trace(
         elif kind == KIND_JOIN:
             raise TraceError(f"{node} joined twice")
         elif kind == KIND_TOGGLE:
-            to_state, interval = value
+            available, interval = value
             if interval < current_interval:
                 raise TraceError("toggle intervals must not go backwards")
             if not 0 <= interval < schedule.intervals:
                 raise TraceError(f"toggle interval {interval} outside the schedule")
-            if to_state is not schedule.state(node, interval):
+            if available is not schedule.state(node, interval):
                 raise TraceError(
                     f"toggle of {node} at interval {interval} diverges from the schedule"
                 )
+            # The run toggles a node only when its view holds the other state.
+            if available is avail[node]:
+                raise TraceError(f"toggle of {node} at interval {interval} changes nothing")
             for pending in range(max(current_interval, 0), interval):
                 check_interval(pending)
             current_interval = interval
-            avail[node] = to_state
+            avail[node] = available
     if len(avail) != cfg.node_count:
         raise TraceError(f"trace joined {len(avail)} nodes, config says {cfg.node_count}")
     for pending in range(max(current_interval, 0), schedule.intervals):

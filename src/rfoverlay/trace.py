@@ -22,23 +22,14 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import IO, Any, Container, Iterable, Iterator, NamedTuple
 
-from .bus import (
-    BusError,
-    NodeId,
-    OStRole,
-    OStUpdate,
-    Payload,
-    Sample,
-    TopicKey,
-    TopicName,
-)
-from .protocol import Availability, NodeView
+from .bus import BusError, NodeId, Payload, Sample, TopicKey, TopicName
+from .protocol import NodeView
 
-# Enum members the codec compares by identity, read once (see protocol).
+# The one topic the decoder compares by identity, read once (see protocol).
 _MYBOX = TopicName.MYBOX
-_ORE = TopicName.ORE
-_OSE = TopicName.OSE
-_AVAILABLE = Availability.AVAILABLE
+
+# A line writes a node's availability as a word.
+_AVAILABILITY = {"available": True, "unavailable": False}
 
 
 class TraceError(ValueError):
@@ -58,7 +49,7 @@ class TraceEvent(NamedTuple):
     """One trace line. `value` holds exactly what the kind's detail writes:
 
     - Join: None
-    - Toggle: (Availability, interval)
+    - Toggle: (available, interval), `available` a bool
     - Publish, Deliver: the bus's Sample (key, payload, publisher, seq); a
       Publish line does not write the publisher, which is its node
     - Subscribe, Unsubscribe: the TopicKey
@@ -82,7 +73,7 @@ Trace = list[TraceEvent]
 def traced_view_fields(view: NodeView) -> tuple:
     """The view fields a ViewChange line writes: all but `me`, which is the
     line's node."""
-    return (view.ose, view.ore, view.tre, view.state, view.joining)
+    return (view.ose, view.ore, view.tre, view.available, view.joining)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +95,7 @@ class TraceRecorder:
     def join(self, time: int, node: NodeId) -> None:
         self.events.append(_tuple_new(TraceEvent, (time, KIND_JOIN, node, None)))
 
-    def toggle(self, time: int, node: NodeId, to: Availability, interval: int) -> None:
+    def toggle(self, time: int, node: NodeId, to: bool, interval: int) -> None:
         self.events.append(_tuple_new(TraceEvent, (time, KIND_TOGGLE, node, (to, interval))))
 
     def publish(self, time: int, sample: Sample) -> None:
@@ -125,7 +116,7 @@ class TraceRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Encoding: every value is an int, a bool, null or a fixed enum string, so
+# Encoding: every value is an int, a bool, null or a fixed word, so
 # lines are written as text with nothing to escape. json.dumps with
 # separators (",", ":") is the reference (tests/test_sim.py checks it).
 
@@ -150,27 +141,23 @@ def _encode(events: Iterable[TraceEvent]) -> Iterator[str]:
 
     One loop writes every kind, so a line costs one f-string and no call but
     a dict lookup for its key. Values are written as the engine holds them:
-    a node id as a bare integer, None as null, and an OStUpdate as its role
-    and who. The key's topic fixes which of these a payload is, so a payload
-    carries no tag of its own."""
+    a node id as a bare integer, None as null, and availability as the word
+    "available" or "unavailable". The key's topic fixes what a payload
+    means, so a payload carries no tag of its own."""
     key_json = _KEY_JSON.get
-    available = _AVAILABLE
-    ost_update = OStUpdate
     for time, kind, node, value in events:
         if kind == KIND_VIEW_CHANGE:
-            ose, ore, tre, state, joining = value
+            ose, ore, tre, available, joining = value
             yield (
                 f'{{"time":{time},"kind":"ViewChange","node":{node},"detail":'
                 f'{{"ose":{ose},"ore":{ore},"tre":{"null" if tre is None else tre},'
-                f'"state":"{"available" if state is available else "unavailable"}",'
+                f'"state":"{"available" if available else "unavailable"}",'
                 f'"joining":{"true" if joining else "false"}}}}}\n'
             )
         elif kind == KIND_DELIVER or kind == KIND_PUBLISH:
             key, payload, publisher, seq = value
             if payload is None:
                 payload = "null"
-            elif payload.__class__ is ost_update:
-                payload = f'{{"role":"{payload.role.value}","who":{payload.who}}}'
             head = (
                 f'{{"time":{time},"kind":"{kind}","node":{node},"detail":{{"key":'
                 f'{key_json(key) or _key_json(key)},"payload":{payload},'
@@ -188,7 +175,7 @@ def _encode(events: Iterable[TraceEvent]) -> Iterator[str]:
             to, interval = value
             yield (
                 f'{{"time":{time},"kind":"Toggle","node":{node},"detail":'
-                f'{{"to":"{"available" if to is available else "unavailable"}",'
+                f'{{"to":"{"available" if to else "unavailable"}",'
                 f'"interval":{interval}}}}}\n'
             )
         elif kind == KIND_JOIN:
@@ -239,11 +226,7 @@ def _key(obj: object, joined: Container[NodeId]) -> TopicKey:
 
 def _payload(topic: TopicName, obj: object) -> Payload:
     """A payload in the one form `topic` carries, the rule the bus enforces
-    on publish: an OStUpdate on ORe and OSe, a node id on the other topics,
-    and null on MyBox only."""
-    if topic is _ORE or topic is _OSE:
-        role, who = _fields(obj, "role", "who")
-        return OStUpdate(OStRole(role), _int(who))
+    on publish: a node id, or null on MyBox only."""
     if obj is None and topic is _MYBOX:
         return None
     return _int(obj)
@@ -258,7 +241,7 @@ def _detail_value(
         if type(joining) is not bool:
             raise TypeError("joining is a bool")
         tre = None if tre is None else _int(tre)
-        return _int(ose), _int(ore), tre, Availability(state), joining
+        return _int(ose), _int(ore), tre, _AVAILABILITY[state], joining
     if kind == KIND_DELIVER:
         key, payload, publisher, seq = _fields(detail, "key", "payload", "publisher", "seq")
         publisher = _int(publisher)
@@ -274,7 +257,7 @@ def _detail_value(
         return _key(_fields(detail, "key")[0], joined)
     if kind == KIND_TOGGLE:
         to, interval = _fields(detail, "to", "interval")
-        return Availability(to), _int(interval)
+        return _AVAILABILITY[to], _int(interval)
     if kind == KIND_JOIN:
         _fields(detail)
         return None

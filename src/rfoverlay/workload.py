@@ -16,12 +16,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .bus import NodeId
-from .protocol import Availability
-
-# The draw picks one state per node and interval; a module global is cheaper
-# to read than an Enum member off its class (see protocol).
-_AVAILABLE = Availability.AVAILABLE
-_UNAVAILABLE = Availability.UNAVAILABLE
 
 # CDF inversion walks k upward; past this rate the walk gets long and float
 # cancellation starts to matter, so larger rates are rejected outright.
@@ -48,15 +42,15 @@ class WorkloadConfig:
 
 @dataclass(frozen=True, slots=True)
 class AvailabilitySchedule:
-    """Per-node availability, one state per interval."""
+    """Per-node availability, one state per interval: True iff Available."""
 
     intervals: int
-    states: Mapping[NodeId, tuple[Availability, ...]]
+    states: Mapping[NodeId, tuple[bool, ...]]
 
-    def state(self, node: NodeId, interval: int) -> Availability:
+    def state(self, node: NodeId, interval: int) -> bool:
         return self.states[node][interval]
 
-    def vector(self, interval: int) -> dict[NodeId, Availability]:
+    def vector(self, interval: int) -> dict[NodeId, bool]:
         return {node: states[interval] for node, states in self.states.items()}
 
 
@@ -120,11 +114,10 @@ def build_schedule(cfg: WorkloadConfig, nodes: Iterable[NodeId]) -> Availability
 def _draw_schedule(cfg: WorkloadConfig, nodes: tuple[NodeId, ...]) -> AvailabilitySchedule:
     if len(set(nodes)) != len(nodes):
         raise ValueError("node ids must be distinct")
-    states: dict[NodeId, tuple[Availability, ...]] = {}
+    states: dict[NodeId, tuple[bool, ...]] = {}
     for node in nodes:
         rng = random.Random(_substream_seed(cfg.seed, node))
         states[node] = tuple(
-            _AVAILABLE if sample_k(rng, cfg.lam) <= cfg.threshold else _UNAVAILABLE
-            for _ in range(cfg.intervals)
+            sample_k(rng, cfg.lam) <= cfg.threshold for _ in range(cfg.intervals)
         )
     return AvailabilitySchedule(intervals=cfg.intervals, states=MappingProxyType(states))

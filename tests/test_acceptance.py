@@ -22,13 +22,10 @@ import pytest
 from rfoverlay.bus import TopicName, oneback_key
 from rfoverlay.network import Network
 from rfoverlay.oracle import RingModel, basic_tst, brf_tst, sbrf_tst
-from rfoverlay.protocol import Availability
 from rfoverlay.scenario import ScenarioConfig, oracle_mismatches, run_scenario
 from rfoverlay.trace import TraceRecorder, dumps_trace
 from rfoverlay.workload import WorkloadConfig, poisson_pmf, sample_k
 
-AVAILABLE = Availability.AVAILABLE
-UNAVAILABLE = Availability.UNAVAILABLE
 
 SWEEP_ORDERS_PER_VECTOR = 20
 SWEEP_SEED = 0xACCE
@@ -42,10 +39,10 @@ def joined_network(count: int, recorder=None) -> Network:
     return net
 
 
-def toggle_settled(net: Network, node: int, to_state: Availability) -> int:
+def toggle_settled(net: Network, node: int, available: bool) -> int:
     """Apply one toggle, drain, and return the number of deliveries."""
     net.bus.advance()
-    net.toggle(node, to_state)
+    net.toggle(node, available)
     return net.dispatch_to_quiescence()
 
 
@@ -53,7 +50,7 @@ def dead_run_before(state: dict, node: int, size: int) -> int:
     """Consecutive Unavailable nodes immediately behind `node` in ring order."""
     run = 0
     probe = (node - 1) % size
-    while probe != node and state[probe] is UNAVAILABLE:
+    while probe != node and not state[probe]:
         run += 1
         probe = (probe - 1) % size
     return run
@@ -77,19 +74,19 @@ def toggle_sweep():
     started = time.perf_counter()
     for size in range(1, SWEEP_MAX_RING + 1):
         base = joined_network(size)
-        for bits in itertools.product((AVAILABLE, UNAVAILABLE), repeat=size):
-            downs = [n for n, b in enumerate(bits) if b is UNAVAILABLE]
+        for bits in itertools.product((True, False), repeat=size):
+            downs = [n for n, b in enumerate(bits) if not b]
             orders = SWEEP_ORDERS_PER_VECTOR if len(downs) > 1 else 1
             for _ in range(orders):
                 order = downs[:]
                 rng.shuffle(order)
                 net = base.clone()
-                state = {n: AVAILABLE for n in range(size)}
+                state = {n: True for n in range(size)}
                 for node in order:
                     allowed = dead_run_before(state, node, size) + 1
                     before = net.bus.publish_counts[TopicName.MYBOX]
-                    toggle_settled(net, node, UNAVAILABLE)
-                    state[node] = UNAVAILABLE
+                    toggle_settled(net, node, False)
+                    state[node] = False
                     waves = net.bus.publish_counts[TopicName.MYBOX] - before
                     if waves > allowed:
                         bound_violations.append((size, bits, order, node, waves, allowed))
@@ -146,7 +143,7 @@ def test_criterion_3_total_outage_recovery():
     for size in range(1, 33):
         net = joined_network(size)
         for node in range(size):
-            toggle_settled(net, node, UNAVAILABLE)
+            toggle_settled(net, node, False)
         recoverer = size // 2
         recorder = TraceRecorder()
         net.recorder = recorder
@@ -155,7 +152,7 @@ def test_criterion_3_total_outage_recovery():
         seen = {n: 0 for n in sleepers}
 
         net.bus.advance()
-        net.toggle(recoverer, AVAILABLE)
+        net.toggle(recoverer, True)
         while not net.bus.quiescent:
             node, sample = net.step()
             if node in sleepers and node not in woke_by:
@@ -202,7 +199,7 @@ def test_criterion_4_propagation_bound(toggle_sweep):
         net = joined_network(size)
         try:
             for node in range(size):
-                toggle_settled(net, node, UNAVAILABLE)  # default budget applies
+                toggle_settled(net, node, False)  # default budget applies
         except Exception as exc:  # QuiescenceError means the wave never stopped
             wrap_failures.append(f"m={size}: {exc}")
     extra = time.perf_counter() - started
@@ -244,7 +241,7 @@ def test_criterion_6_variant_oracles():
     started = time.perf_counter()
     problems = []
     for size in range(1, 9):
-        for bits in itertools.product((AVAILABLE, UNAVAILABLE), repeat=size):
+        for bits in itertools.product((True, False), repeat=size):
             ring = RingModel(tuple(range(size)), bits)
             live = [n for n in ring.nodes if ring.is_available(n)]
             pairs = brf_tst(ring)

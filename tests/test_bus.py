@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 
 from rfoverlay import protocol
 from rfoverlay.bus import (
-    OStRole,
-    OStUpdate,
     PayloadKindError,
     SubscriptionError,
     TopicKey,
@@ -29,7 +27,6 @@ from rfoverlay.bus import (
     BusError,
 )
 from rfoverlay.network import Network
-from rfoverlay.protocol import Availability
 from rfoverlay.trace import TraceRecorder
 
 
@@ -104,25 +101,27 @@ def test_only_the_arrival_log_replays():
         bus.publish(node, arrivals_key(), node)
         bus.publish(node, mybox_key(node), node)
         bus.publish(node, oneback_key(), node)
-        bus.publish(node, ore_key(node), OStUpdate(OStRole.NEW_ORE, node))
-        bus.publish(node, ose_key(node), OStUpdate(OStRole.NEW_OSE, node))
+        bus.publish(node, ore_key(node), node)
+        bus.publish(node, ose_key(node), node)
     for key in (mybox_key(2), oneback_key(), ore_key(2), ose_key(2)):
         assert replayed(bus, key) == []
     assert [s.payload for s in replayed(bus)] == [1, 2]
 
 
 def test_payload_kinds_are_checked():
-    """The topic fixes what its payload means: a node id on Arrivals and
-    OneBack, a node id or None on MyBox, an OStUpdate on ORe and OSe. Types
-    match exactly, so a bool is not a node id."""
+    """The topic fixes what its payload means: a node id on every topic, or
+    None on MyBox only. Types match exactly, so a bool is not a node id."""
     bus = fresh_bus()
-    update = OStUpdate(OStRole.NEW_ORE, 0)
     with pytest.raises(PayloadKindError):
-        bus.publish(0, arrivals_key(), update)
+        bus.publish(0, arrivals_key(), {"role": "new_ore", "who": 0})
     with pytest.raises(PayloadKindError):
-        bus.publish(0, mybox_key(0), update)
+        bus.publish(0, mybox_key(0), "0")
     with pytest.raises(PayloadKindError):
         bus.publish(0, ore_key(1), None)
+    with pytest.raises(PayloadKindError):
+        bus.publish(0, ose_key(1), None)
+    with pytest.raises(PayloadKindError):
+        bus.publish(0, ose_key(1), False)
     with pytest.raises(PayloadKindError):
         bus.publish(0, mybox_key(0), True)
     with pytest.raises(PayloadKindError):
@@ -315,7 +314,7 @@ def test_handlers_run_on_dispatch():
     for node in range(3):
         net.add_node(node)
     net.bus.advance()
-    net.toggle(1, Availability.UNAVAILABLE)
+    net.toggle(1, False)
     views = dict(net.views)
     recorded = len(recorder.events)
     node, sample = net.step()
@@ -378,7 +377,7 @@ def test_clone_works_in_flight():
         net.add_node(node)
     net.bus.advance()
     for node in (1, 2, 5):
-        net.toggle(node, Availability.UNAVAILABLE)
+        net.toggle(node, False)
     net.step()
     net.step()
     assert not net.bus.quiescent

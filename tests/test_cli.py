@@ -83,7 +83,7 @@ def test_simulate_trace_is_pinned_across_commits(tmp_path, capsys):
     data = trace_path.read_bytes()
     assert data.count(b"\n") == 359
     assert hashlib.sha256(data).hexdigest() == (
-        "eef1c35b8a948e65f92e53140880adaa1871477b828b2e3dff2e08753d0489d9"
+        "cc95530bc5182bcdc17c60687ee7a62efaa5ba036d3a92b5ca8242dc8eac0df2"
     )
 
 
@@ -112,14 +112,20 @@ def test_verify_flags_a_corrupted_trace(tmp_path, capsys):
     [
         (3, "ose", 2, 0, "mismatch interval=11 node=n3 field=ose expected=2 observed=0"),
         (4, "ore", 5, 1, "mismatch interval=11 node=n4 field=ore expected=5 observed=1"),
+        (
+            4, "joining", False, True,
+            "mismatch interval=11 node=n4 field=joining expected=False observed=True",
+        ),
     ],
-    ids=["forged-ose", "forged-ore"],
+    ids=["forged-ose", "forged-ore", "forged-joining"],
 )
 def test_verify_checks_each_view_against_the_ring(tmp_path, capsys, node, field, was, forged, shown):
     """A settled view's sender and receiver are its ring neighbours in
-    arrival order. Node 4's last view names node 0 as next available, not
-    its receiver, so a forged ore changes nothing else the line states.
-    Before verify checked the ring links, it passed both traces."""
+    arrival order, and no view is still joining. Node 4's last view names
+    node 0 as next available, not its receiver, so a forged ore changes
+    nothing else the line states. Before verify checked the ring links it
+    passed the first two traces, and before it checked `joining` the
+    third."""
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
     main(["simulate", "--config", config, "--trace", str(trace_path)])
@@ -135,6 +141,26 @@ def test_verify_checks_each_view_against_the_ring(tmp_path, capsys, node, field,
     assert code == EXIT_MISMATCH
     mismatches = [line for line in capsys.readouterr().out.splitlines() if line.startswith("mismatch")]
     assert mismatches == [shown]
+
+
+def test_verify_refuses_a_toggle_that_changes_nothing(tmp_path, capsys):
+    """The run toggles a node only when its view holds the other state, so a
+    Toggle line repeated right after itself is malformed. Before this check,
+    verify passed it."""
+    config = write_config(tmp_path)
+    trace_path = tmp_path / "run.jsonl"
+    main(["simulate", "--config", config, "--trace", str(trace_path)])
+    capsys.readouterr()
+
+    lines = trace_path.read_text().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if '"kind":"Toggle"' in line)
+    assert lines[index].startswith('{"time":9,"kind":"Toggle","node":1,')
+    lines.insert(index, lines[index])
+    trace_path.write_text("".join(lines))
+
+    assert main(["verify", "--config", config, "--trace", str(trace_path)]) == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: toggle of 1 at interval ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -175,6 +201,10 @@ def _ose_publish(event):
 
 def _mybox_publish(event):
     return event["detail"]["key"]["topic"] == "MyBox"
+
+
+def _ore_deliver(event):
+    return event["detail"]["key"]["topic"] == "ORe"
 
 
 def _arrivals_publish(event):
@@ -256,15 +286,8 @@ def _oneback_null_publish(events):
         _insert_before_first_toggle(
             "Publish", 0, {"key": {"topic": "Arrivals"}, "payload": None, "seq": 2}
         ),
-        _insert_before_first_toggle(
-            "Deliver",
-            0,
-            {
-                "key": {"topic": "ORe", "instance": 1},
-                "payload": 1,
-                "publisher": 1,
-                "seq": 9,
-            },
+        lambda events: _first(events, "Deliver", _ore_deliver)["detail"].update(
+            payload={"type": "identity", "node": 1}
         ),
         _join_record_on_first_mybox_publish,
         lambda events: _first(events, "Deliver")["detail"].update(publisher=1_000_000_000),
@@ -274,10 +297,11 @@ def _oneback_null_publish(events):
         ),
         _oneback_null_publish,
         lambda events: _first(events, "Publish", _mybox_publish)["detail"].update(payload=True),
-        lambda events: _first(events, "Publish", _ose_publish)["detail"].update(payload=1),
-        lambda events: _first(events, "Publish", _ose_publish)["detail"]["payload"].update(
-            type="ost_update"
+        lambda events: _first(events, "Publish", _ose_publish)["detail"].update(
+            payload={"role": "new_ore", "who": 0, "type": "ost_update"}
         ),
+        lambda events: _first(events, "ViewChange")["detail"].update(state=True),
+        lambda events: _first(events, "Toggle")["detail"].update(to=False),
     ],
     ids=[
         "time-bool", "time-string", "time-float", "node-float",
@@ -288,7 +312,8 @@ def _oneback_null_publish(events):
         "deliver-to-unjoined-node", "arrivals-publish-null", "ore-deliver-identity",
         "mybox-publish-join-record", "deliver-publisher-unjoined",
         "unknown-tre-kind", "arrivals-publish-identity", "oneback-publish-null",
-        "mybox-identity-node-bool", "ose-publish-bare-id", "ost-update-extra-field",
+        "mybox-identity-node-bool", "ost-update-extra-field", "view-state-bool",
+        "toggle-to-bool",
     ],
 )
 def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
@@ -296,7 +321,8 @@ def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
     # never coerced, every line holds exactly the fields of its kind, keys are
     # valid topic keys, and a MyBox publish is on its publisher's own
     # instance. A payload must be the one form its topic carries: a node id,
-    # null on MyBox only, or an OStUpdate's role and who on ORe and OSe.
+    # or null on MyBox only. Availability is the word "available" or
+    # "unavailable".
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
     main(["simulate", "--config", config, "--trace", str(trace_path)])
@@ -327,13 +353,26 @@ def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
             '{"time":9,"kind":"Publish","node":1,"detail":{"key":{"topic":"MyBox","instance":1},'
             '"payload":{"type":"identity","node":2},"seq":1}}',
         ),
+        (
+            '{"time":2,"kind":"Deliver","node":0,"detail":{"key":{"topic":"ORe","instance":0},'
+            '"payload":1,"publisher":1,"seq":1}}',
+            '{"time":2,"kind":"Deliver","node":0,"detail":{"key":{"topic":"ORe","instance":0},'
+            '"payload":{"role":"new_ore","who":1},"publisher":1,"seq":1}}',
+        ),
+        (
+            '{"time":2,"kind":"Publish","node":0,"detail":{"key":{"topic":"OSe","instance":1},'
+            '"payload":0,"seq":1}}',
+            '{"time":2,"kind":"Publish","node":0,"detail":{"key":{"topic":"OSe","instance":1},'
+            '"payload":{"role":"new_ore","who":0},"seq":1}}',
+        ),
     ],
-    ids=["view-wrapper", "identity-payload"],
+    ids=["view-wrapper", "identity-payload", "ore-role-payload", "ose-role-payload"],
 )
 def test_verify_refuses_a_line_of_the_tagged_format(tmp_path, capsys, line, old):
-    """Traces once wrapped a view with its `me` and tagged payloads and
-    `tre` with type words. There is one decoder, for bare values, so a line
-    written the old way is malformed."""
+    """Traces once wrapped a view with its `me`, tagged payloads and `tre`
+    with type words, and wrote an ORe or OSe payload as a role and who.
+    There is one decoder, for bare values, so a line written an old way is
+    malformed."""
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
     main(["simulate", "--config", config, "--trace", str(trace_path)])

@@ -22,15 +22,11 @@ from rfoverlay.oracle import (
     mybox_table,
     sbrf_tst,
 )
-from rfoverlay.protocol import Availability
-
-AVAILABLE = Availability.AVAILABLE
-UNAVAILABLE = Availability.UNAVAILABLE
 
 
 def every_vector(size):
     """All availability vectors for a ring of `size` nodes."""
-    for bits in itertools.product((AVAILABLE, UNAVAILABLE), repeat=size):
+    for bits in itertools.product((True, False), repeat=size):
         yield RingModel(tuple(range(size)), bits)
 
 
@@ -47,7 +43,7 @@ def reference_mybox_fixpoint(ring, node):
     start = ring.nodes.index(node)
     for step in range(size):
         index = (start + step) % size
-        if ring.avail[index] is AVAILABLE:
+        if ring.avail[index]:
             return ring.nodes[index]
     return None
 
@@ -60,13 +56,13 @@ def reference_basic_tst(ring):
     assignment = {}
     for position, node in enumerate(ring.nodes):
         successor = (position + 1) % size
-        if ring.avail[successor] is AVAILABLE:
+        if ring.avail[successor]:
             assignment[node] = ring.nodes[successor]
             continue
         found = None
         for step in range(1, size):
             index = (successor + step) % size
-            if ring.avail[index] is AVAILABLE:
+            if ring.avail[index]:
                 found = ring.nodes[index]
                 break
         assignment[node] = found
@@ -79,7 +75,7 @@ def reference_basic_tst(ring):
         lambda nodes: st.tuples(
             st.just(tuple(nodes)),
             st.lists(
-                st.sampled_from((AVAILABLE, UNAVAILABLE)),
+                st.sampled_from((True, False)),
                 min_size=len(nodes),
                 max_size=len(nodes),
             ).map(tuple),
@@ -110,9 +106,9 @@ def test_ring_rejects_bad_shapes():
     with pytest.raises(RingError):
         RingModel.of(0)
     with pytest.raises(RingError):
-        RingModel((0, 0), (AVAILABLE, AVAILABLE))
+        RingModel((0, 0), (True, True))
     with pytest.raises(RingError):
-        RingModel((0, 1), (AVAILABLE,))
+        RingModel((0, 1), (True,))
     with pytest.raises(RingError):
         RingModel.of(3).position(9)
     with pytest.raises(RingError):

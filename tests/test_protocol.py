@@ -9,8 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfoverlay.bus import (
-    OStRole,
-    OStUpdate,
     Sample,
     arrivals_key,
     mybox_key,
@@ -20,7 +18,6 @@ from rfoverlay.bus import (
 )
 from rfoverlay import protocol
 from rfoverlay.protocol import (
-    Availability,
     NodeView,
     ProtocolError,
     handle_delivery,
@@ -36,14 +33,11 @@ from rfoverlay.protocol import (
     subscriptions,
 )
 
-AVAILABLE = Availability.AVAILABLE
-UNAVAILABLE = Availability.UNAVAILABLE
 
-
-def member(me, ose, ore, tre=..., state=AVAILABLE, last_mybox=None):
+def member(me, ose, ore, tre=..., available=True, last_mybox=None):
     """A settled (non-joining) view; tre defaults to the receiver (trust it)."""
     tre = ore if tre is ... else tre
-    return NodeView(me=me, ose=ose, ore=ore, tre=tre, state=state, last_mybox=last_mybox)
+    return NodeView(me=me, ose=ose, ore=ore, tre=tre, available=available, last_mybox=last_mybox)
 
 
 def arrivals_sample(node, seq=1):
@@ -58,7 +52,7 @@ def test_views_and_effects_are_immutable_named_tuples():
     the engine and its clones can share them."""
     view = member(me=1, ose=0, ore=2)
     assert view._fields == (
-        "me", "ose", "ore", "tre", "state", "last_mybox", "joining", "predecessor"
+        "me", "ose", "ore", "tre", "available", "last_mybox", "joining", "predecessor"
     )
     assert (view.last_mybox, view.joining, view.predecessor) == (None, False, None)
     effects = protocol.Effects(view)
@@ -110,7 +104,7 @@ def test_hint_on_self_or_receiver_adds_nothing():
 
 
 def test_system_empty_adds_the_wakeup_channel():
-    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE)
+    view = member(me=1, ose=0, ore=2, tre=None, available=False)
     assert oneback_key() in subscriptions(view)
 
 
@@ -122,18 +116,18 @@ def test_published_hint_names_self_while_available():
 
 
 def test_published_hint_forwards_to_the_receiver_when_down():
-    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE)
+    view = member(me=1, ose=0, ore=2, available=False)
     assert published_hint(view) == 2
 
 
 def test_published_hint_forwards_a_hint_when_down():
-    view = member(me=1, ose=0, ore=2, tre=4, state=UNAVAILABLE)
+    view = member(me=1, ose=0, ore=2, tre=4, available=False)
     assert published_hint(view) == 4
 
 
 def test_published_hint_is_null_when_nothing_remains():
-    assert published_hint(member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE)) is None
-    assert published_hint(member(me=1, ose=0, ore=2, tre=1, state=UNAVAILABLE)) is None
+    assert published_hint(member(me=1, ose=0, ore=2, tre=None, available=False)) is None
+    assert published_hint(member(me=1, ose=0, ore=2, tre=1, available=False)) is None
 
 
 # -- joining --------------------------------------------------------------------
@@ -160,7 +154,7 @@ def test_joiner_asks_the_last_arrival():
     view = handle_delivery(view, arrivals_sample(0)).view
     view = handle_delivery(view, arrivals_sample(1)).view
     effects = handle_delivery(view, arrivals_sample(2))
-    assert effects.publications == ((ore_key(1), OStUpdate(OStRole.NEW_ORE, 2)),)
+    assert effects.publications == ((ore_key(1), 2),)
     assert effects.view.ose == 1
     assert effects.view.joining  # not done until the answer arrives
 
@@ -174,25 +168,17 @@ def test_members_ignore_the_arrival_log():
 
 def test_splice_rewires_both_sides():
     view = member(me=1, ose=0, ore=0)
-    effects = handle_new_ore(view, OStUpdate(OStRole.NEW_ORE, 2))
-    assert effects.publications == (
-        (ose_key(2), OStUpdate(OStRole.NEW_ORE, 0)),
-        (ose_key(0), OStUpdate(OStRole.NEW_OSE, 2)),
-    )
+    effects = handle_new_ore(view, 2)
+    assert effects.publications == ((ose_key(2), 0), (ose_key(0), 2))
     assert effects.view.ore == 2
     assert effects.view.tre == effects.view.ore
 
 
 def test_splice_is_idempotent_on_redelivery():
     view = member(me=1, ose=0, ore=2)
-    effects = handle_new_ore(view, OStUpdate(OStRole.NEW_ORE, 2))
+    effects = handle_new_ore(view, 2)
     assert effects.view == view
     assert effects.publications == ()
-
-
-def test_splice_rejects_the_wrong_role():
-    with pytest.raises(ProtocolError):
-        handle_new_ore(member(me=1, ose=0, ore=0), OStUpdate(OStRole.NEW_OSE, 2))
 
 
 def test_ose_answer_completes_the_join():
@@ -200,7 +186,7 @@ def test_ose_answer_completes_the_join():
     joining = handle_delivery(joining, arrivals_sample(0)).view
     joining = handle_delivery(joining, arrivals_sample(1)).view
     joining = handle_delivery(joining, arrivals_sample(2)).view
-    effects = handle_ose_update(joining, OStUpdate(OStRole.NEW_ORE, 0))
+    effects = handle_ose_update(joining, 0)
     view = effects.view
     assert not view.joining
     assert (view.ose, view.ore) == (1, 0)
@@ -210,7 +196,7 @@ def test_ose_answer_completes_the_join():
 
 def test_new_sender_update_repoints_ose():
     view = member(me=0, ose=1, ore=1)
-    effects = handle_ose_update(view, OStUpdate(OStRole.NEW_OSE, 2))
+    effects = handle_ose_update(view, 2)
     assert effects.view.ose == 2
     assert effects.publications == ()
 
@@ -221,7 +207,7 @@ def test_new_sender_update_repoints_ose():
 def test_leaving_forwards_readers_to_the_receiver():
     effects = set_unavailable(member(me=1, ose=0, ore=2))
     assert effects.publications == ((mybox_key(1), 2),)
-    assert effects.view.state is UNAVAILABLE
+    assert effects.view.available is False
     assert effects.view.last_mybox == 2
 
 
@@ -231,7 +217,7 @@ def test_last_node_leaving_empties_the_system():
     assert effects.view.tre is None
     assert oneback_key() in effects.subscribe
 
-    lone = member(me=1, ose=0, ore=2, tre=1, state=AVAILABLE)
+    lone = member(me=1, ose=0, ore=2, tre=1, available=True)
     effects = set_unavailable(lone)
     assert effects.publications == ((mybox_key(1), None),)
     assert effects.view.tre is None
@@ -239,22 +225,22 @@ def test_last_node_leaving_empties_the_system():
 
 def test_toggle_preconditions():
     with pytest.raises(ProtocolError):
-        set_unavailable(member(me=1, ose=0, ore=2, state=UNAVAILABLE))
+        set_unavailable(member(me=1, ose=0, ore=2, available=False))
     with pytest.raises(ProtocolError):
-        set_available(member(me=1, ose=0, ore=2, state=AVAILABLE))
+        set_available(member(me=1, ose=0, ore=2, available=True))
     with pytest.raises(ProtocolError):
         set_unavailable(join(1).view)
 
 
 def test_returning_announces_itself():
-    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=2)
+    view = member(me=1, ose=0, ore=2, available=False, last_mybox=2)
     effects = set_available(view)
     assert effects.publications == ((mybox_key(1), 1),)
-    assert effects.view.state is AVAILABLE
+    assert effects.view.available is True
 
 
 def test_first_return_wakes_the_empty_system():
-    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE, last_mybox=None)
+    view = member(me=1, ose=0, ore=2, tre=None, available=False, last_mybox=None)
     effects = set_available(view)
     assert effects.publications == (
         (oneback_key(), 1),
@@ -283,14 +269,14 @@ def test_receiver_recovery_restores_trust():
 
 
 def test_down_node_propagates_receiver_news_backwards():
-    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=2)
+    view = member(me=1, ose=0, ore=2, available=False, last_mybox=2)
     effects = on_mybox_from_ore(view, 4)
     assert effects.publications == ((mybox_key(1), 4),)
     assert effects.view.last_mybox == 4
 
 
 def test_propagation_stops_at_an_already_published_value():
-    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=4)
+    view = member(me=1, ose=0, ore=2, available=False, last_mybox=4)
     effects = on_mybox_from_ore(view, 4)
     assert effects.publications == ()
     assert effects.view.tre == 4
@@ -302,7 +288,7 @@ def test_an_equal_but_not_interned_value_still_stops_propagation():
     cached), still stops the republication."""
     published, news = int("1000"), int("1000")
     assert published is not news and published == news
-    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=published)
+    view = member(me=1, ose=0, ore=2, available=False, last_mybox=published)
     effects = on_mybox_from_ore(view, news)
     assert effects.publications == ()
     assert effects.view.last_mybox is published
@@ -324,20 +310,20 @@ def test_known_receiver_news_returns_the_same_view_and_no_effects():
 def test_news_naming_me_is_never_forwarded():
     """A down node named by its receiver has seen its own down wave wrap the
     ring: it marks the system empty and publishes None, not the news."""
-    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=2)
+    view = member(me=1, ose=0, ore=2, available=False, last_mybox=2)
     effects = on_mybox_from_ore(view, 1)
     assert effects.view.tre is None
     assert effects.publications == ((mybox_key(1), None),)
     assert effects.subscribe == (oneback_key(),)
     # A None already published is not published again.
-    quiet = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=None)
+    quiet = member(me=1, ose=0, ore=2, available=False, last_mybox=None)
     effects = on_mybox_from_ore(quiet, 1)
     assert effects.view.tre is None
     assert effects.publications == ()
 
 
 def test_null_wave_marks_the_system_empty():
-    view = member(me=1, ose=0, ore=2, state=UNAVAILABLE, last_mybox=2)
+    view = member(me=1, ose=0, ore=2, available=False, last_mybox=2)
     effects = on_mybox_from_ore(view, None)
     assert effects.view.tre is None
     assert effects.publications == ((mybox_key(1), None),)
@@ -345,7 +331,7 @@ def test_null_wave_marks_the_system_empty():
 
 
 def test_hint_news_retargets_without_republishing():
-    view = member(me=1, ose=0, ore=2, tre=4, state=UNAVAILABLE, last_mybox=4)
+    view = member(me=1, ose=0, ore=2, tre=4, available=False, last_mybox=4)
     effects = on_mybox_from_hint(view, 6)
     assert effects.view.tre == 6
     assert effects.publications == ()
@@ -359,10 +345,10 @@ def test_a_down_node_named_by_its_hint_holds_hint_me_and_publishes_nothing():
     publish nothing, although published_hint of that view is None; news on
     the receiver's stream replaces the hint later. This pins the handler as
     it is."""
-    view = member(me=1, ose=0, ore=2, tre=0, state=UNAVAILABLE, last_mybox=0)
+    view = member(me=1, ose=0, ore=2, tre=0, available=False, last_mybox=0)
     effects = handle_delivery(view, Sample(mybox_key(0), 1, 0, 2))
     assert effects.view.tre == 1
-    assert effects.view.state is UNAVAILABLE
+    assert effects.view.available is False
     assert effects.publications == ()
     assert published_hint(effects.view) is None
     assert effects.unsubscribe == (mybox_key(0),) and effects.subscribe == ()
@@ -374,7 +360,7 @@ def test_hint_news_requires_a_hint():
 
 
 def test_wakeup_adopts_the_recoverer():
-    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE, last_mybox=None)
+    view = member(me=1, ose=0, ore=2, tre=None, available=False, last_mybox=None)
     effects = on_oneback(view, 5)
     assert effects.view.tre == 5
     assert effects.publications == ((mybox_key(1), 5),)
@@ -382,7 +368,7 @@ def test_wakeup_adopts_the_recoverer():
 
 
 def test_wakeup_ignores_the_own_echo():
-    view = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE, last_mybox=None)
+    view = member(me=1, ose=0, ore=2, tre=None, available=False, last_mybox=None)
     effects = on_oneback(view, 1)
     assert effects.view == view
     assert effects.publications == ()
@@ -392,7 +378,7 @@ def test_wakeup_outside_system_empty_is_an_error():
     with pytest.raises(ProtocolError):
         on_oneback(member(me=1, ose=0, ore=2), 5)
     # The wake-up channel names the recoverer; None is never news on it.
-    empty = member(me=1, ose=0, ore=2, tre=None, state=UNAVAILABLE)
+    empty = member(me=1, ose=0, ore=2, tre=None, available=False)
     with pytest.raises(ProtocolError):
         on_oneback(empty, None)
 
@@ -411,9 +397,7 @@ def test_misrouted_samples_are_rejected():
     stray = Sample(key=mybox_key(9), payload=4, publisher=9, seq=1)
     with pytest.raises(ProtocolError):
         handle_delivery(view, stray)
-    wrong_instance = Sample(
-        key=ore_key(5), payload=OStUpdate(OStRole.NEW_ORE, 7), publisher=7, seq=1
-    )
+    wrong_instance = Sample(key=ore_key(5), payload=7, publisher=7, seq=1)
     with pytest.raises(ProtocolError):
         handle_delivery(view, wrong_instance)
 
@@ -428,7 +412,7 @@ def tres(ore):
     return st.one_of(st.just(ore), node_ids, st.none())
 
 
-states = st.sampled_from([AVAILABLE, UNAVAILABLE])
+availability = st.booleans()
 mybox_values = st.one_of(st.none(), node_ids)
 messages = st.one_of(st.none(), node_ids)
 
@@ -441,7 +425,7 @@ def settled_views(draw):
         ose=draw(node_ids),
         ore=ore,
         tre=draw(tres(ore)),
-        state=draw(states),
+        available=draw(availability),
         last_mybox=draw(mybox_values),
     )
 
@@ -454,7 +438,7 @@ def views_of(draw, me):
     ore = draw(node_ids)
     tre = draw(st.one_of(tres(ore), st.just(me)))
     return NodeView(
-        me=me, ose=draw(node_ids), ore=ore, tre=tre, state=draw(states),
+        me=me, ose=draw(node_ids), ore=ore, tre=tre, available=draw(availability),
         last_mybox=draw(mybox_values), joining=draw(st.booleans()),
     )
 
@@ -500,7 +484,7 @@ def test_hint_news_is_idempotent(view, msg):
     assume(view.ore != view.me + 1)  # a hint names a node other than the receiver
     view = NodeView(
         me=view.me, ose=view.ose, ore=view.ore,
-        tre=view.me + 1, state=view.state, last_mybox=view.last_mybox,
+        tre=view.me + 1, available=view.available, last_mybox=view.last_mybox,
     )
     first = on_mybox_from_hint(view, msg)
     if first.view.tre is None or first.view.tre == first.view.ore:
@@ -515,7 +499,7 @@ def test_hint_news_is_idempotent(view, msg):
 def test_wakeup_is_idempotent(view, who):
     view = NodeView(
         me=view.me, ose=view.ose, ore=view.ore,
-        tre=None, state=view.state, last_mybox=view.last_mybox,
+        tre=None, available=view.available, last_mybox=view.last_mybox,
     )
     first = on_oneback(view, who)
     if first.view.tre is None:
@@ -529,8 +513,8 @@ def test_wakeup_is_idempotent(view, who):
 @settings(max_examples=200, deadline=None)
 @given(view=settled_views(), joiner=node_ids)
 def test_splice_is_idempotent(view, joiner):
-    first = handle_new_ore(view, OStUpdate(OStRole.NEW_ORE, joiner))
-    second = handle_new_ore(first.view, OStUpdate(OStRole.NEW_ORE, joiner))
+    first = handle_new_ore(view, joiner)
+    second = handle_new_ore(first.view, joiner)
     assert second.view == first.view
     assert second.publications == ()
 
@@ -540,7 +524,7 @@ def test_splice_is_idempotent(view, joiner):
 def test_handlers_never_mutate_their_input(view, msg):
     snapshot = NodeView(
         me=view.me, ose=view.ose, ore=view.ore,
-        tre=view.tre, state=view.state, last_mybox=view.last_mybox,
+        tre=view.tre, available=view.available, last_mybox=view.last_mybox,
     )
     on_mybox_from_ore(view, msg)
     assert view == snapshot

@@ -31,7 +31,7 @@ from rfoverlay.metrics import (
 )
 from rfoverlay.network import DISPATCH_BUDGET_FACTOR, JoinError, Network, QuiescenceError
 from rfoverlay.oracle import RingModel
-from rfoverlay.protocol import Availability, NodeView
+from rfoverlay.protocol import NodeView
 from rfoverlay.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -58,9 +58,6 @@ from rfoverlay.trace import (
 )
 from rfoverlay.workload import AvailabilitySchedule, WorkloadConfig, sample_k
 
-AVAILABLE = Availability.AVAILABLE
-UNAVAILABLE = Availability.UNAVAILABLE
-
 
 def joined_network(count: int, recorder=None, delivery_delay: int = 0) -> Network:
     net = Network(delivery_delay=delivery_delay, recorder=recorder)
@@ -69,9 +66,9 @@ def joined_network(count: int, recorder=None, delivery_delay: int = 0) -> Networ
     return net
 
 
-def toggle_settled(net: Network, node: int, to_state: Availability) -> None:
+def toggle_settled(net: Network, node: int, available: bool) -> None:
     net.bus.advance()
-    net.toggle(node, to_state)
+    net.toggle(node, available)
     net.dispatch_to_quiescence()
 
 
@@ -79,7 +76,7 @@ def forced_schedule(count: int, *interval_down_sets) -> AvailabilitySchedule:
     """Build a schedule from explicit per-interval down sets."""
     states = {
         node: tuple(
-            UNAVAILABLE if node in down else AVAILABLE for down in interval_down_sets
+            node not in down for down in interval_down_sets
         )
         for node in range(count)
     }
@@ -151,7 +148,7 @@ def test_oracle_judges_the_arrival_order_ring():
     net = Network()
     for node in (0, 1, 2, 5, 4):
         net.add_node(node)
-    toggle_settled(net, 4, UNAVAILABLE)
+    toggle_settled(net, 4, False)
     assert net.views[5].tre == 0
     assert oracle_mismatches(net) == []
     net.views[2] = net.views[2]._replace(ose=0)
@@ -193,7 +190,7 @@ def test_serialized_joins_in_any_order_build_the_arrival_ring(order, batches):
     for batch in batches:
         for index in sorted(i for i in batch if i < len(order)):
             node = order[index]
-            flipped = UNAVAILABLE if net.views[node].state is AVAILABLE else AVAILABLE
+            flipped = not net.views[node].available
             toggle_settled(net, node, flipped)
             net.check_subscription_invariant()
         assert oracle_mismatches(net) == []
@@ -273,7 +270,7 @@ def test_toggle_phase_work_is_constant_per_delivery():
     ):
         for _ in range(60):
             for node in sorted(rng.sample(range(size), rng.randrange(1, 8))):
-                flip = AVAILABLE if net.views[node].state is UNAVAILABLE else UNAVAILABLE
+                flip = not net.views[node].available
                 toggle_settled(net, node, flip)
     assert calls["deliveries"] > 10 * size
     assert calls["subscriptions"] == 0
@@ -332,7 +329,7 @@ def test_subscription_changes_are_the_exact_diff(size, delay, batches):
         for serialized, flips in batches:
             net.bus.advance()
             for node in sorted(n for n in flips if n < size):
-                flip = AVAILABLE if net.views[node].state is UNAVAILABLE else UNAVAILABLE
+                flip = not net.views[node].available
                 if serialized:
                     net.bus.advance()
                 net.toggle(node, flip)
@@ -349,7 +346,7 @@ def test_subscription_changes_are_the_exact_diff(size, delay, batches):
 def test_reference_pattern_settles_to_the_oracle():
     net = joined_network(10)
     for node in (2, 5, 6):
-        toggle_settled(net, node, UNAVAILABLE)
+        toggle_settled(net, node, False)
     assert oracle_mismatches(net) == []
     assert net.views[1].tre == 3
     assert net.views[4].tre == 7
@@ -361,8 +358,8 @@ def test_reference_pattern_settles_to_the_oracle():
 def test_recovery_from_the_reference_pattern():
     net = joined_network(10)
     for node in (2, 5, 6):
-        toggle_settled(net, node, UNAVAILABLE)
-    toggle_settled(net, 5, AVAILABLE)
+        toggle_settled(net, node, False)
+    toggle_settled(net, 5, True)
     assert oracle_mismatches(net) == []
     assert net.views[4].tre == net.views[4].ore  # its own receiver came back
     assert net.views[5].tre == 7                 # 6 is still down
@@ -371,10 +368,10 @@ def test_recovery_from_the_reference_pattern():
 
 def test_single_node_toggles():
     net = joined_network(1)
-    toggle_settled(net, 0, UNAVAILABLE)
+    toggle_settled(net, 0, False)
     assert net.views[0].tre is None
     assert net.views[0].last_mybox is None
-    toggle_settled(net, 0, AVAILABLE)
+    toggle_settled(net, 0, True)
     assert net.views[0].tre == net.views[0].ore  # trusts its receiver, itself
     assert net.views[0].last_mybox == 0
     assert oracle_mismatches(net) == []
@@ -386,23 +383,23 @@ def test_a_ring_of_one_writes_one_view_change_on_recovery():
     once, so the trace has one ViewChange line for it."""
     recorder = TraceRecorder()
     net = joined_network(1, recorder)
-    toggle_settled(net, 0, UNAVAILABLE)
+    toggle_settled(net, 0, False)
     recorded = len(recorder.events)
-    toggle_settled(net, 0, AVAILABLE)
+    toggle_settled(net, 0, True)
     views = [e.value for e in recorder.events[recorded:] if e.kind == KIND_VIEW_CHANGE]
-    assert views == [(0, 0, 0, AVAILABLE, False)]
+    assert views == [(0, 0, 0, True, False)]
 
 
 def test_total_outage_and_first_recovery():
     net = joined_network(4)
     for node in range(4):
-        toggle_settled(net, node, UNAVAILABLE)
+        toggle_settled(net, node, False)
     assert all(view.tre is None for view in net.views.values())
     assert all(view.last_mybox is None for view in net.views.values())
     assert oracle_mismatches(net) == []
 
     before = dict(net.bus.publish_counts)
-    toggle_settled(net, 2, AVAILABLE)
+    toggle_settled(net, 2, True)
     assert oracle_mismatches(net) == []
     assert net.views[1].tre == net.views[1].ore
     assert net.views[0].tre == 2
@@ -418,9 +415,9 @@ def test_wave_length_is_bounded_by_the_dead_run():
     Unavailable nodes immediately before the toggler against ring order."""
     net = joined_network(6)
     for node in (1, 2, 3):
-        toggle_settled(net, node, UNAVAILABLE)
+        toggle_settled(net, node, False)
     before = net.bus.publish_counts[TopicName.MYBOX]
-    toggle_settled(net, 4, UNAVAILABLE)  # run 1,2,3 sits right before 4
+    toggle_settled(net, 4, False)  # run 1,2,3 sits right before 4
     assert net.bus.publish_counts[TopicName.MYBOX] - before == 4
     assert oracle_mismatches(net) == []
 
@@ -432,17 +429,17 @@ def test_exhaustive_small_rings_settle_to_the_oracle():
 
     for size in range(1, 6):
         base = joined_network(size)
-        for bits in itertools.product((AVAILABLE, UNAVAILABLE), repeat=size):
+        for bits in itertools.product((True, False), repeat=size):
             net = base.clone()
             for node, target in enumerate(bits):
-                if target is UNAVAILABLE:
+                if not target:
                     toggle_settled(net, node, target)
             assert oracle_mismatches(net) == [], f"size={size} bits={bits}"
 
 
 def test_quiescence_budget_is_enforced():
     net = joined_network(3)
-    net.toggle(0, UNAVAILABLE)
+    net.toggle(0, False)
     assert not net.bus.quiescent
     with mock.patch.object(network, "DISPATCH_BUDGET_FACTOR", 0):
         with pytest.raises(QuiescenceError):
@@ -452,11 +449,11 @@ def test_quiescence_budget_is_enforced():
 
 def test_clone_is_independent():
     net = joined_network(4)
-    toggle_settled(net, 1, UNAVAILABLE)
+    toggle_settled(net, 1, False)
     twin = net.clone()
-    toggle_settled(twin, 2, UNAVAILABLE)
-    assert net.views[2].state is AVAILABLE
-    assert twin.views[2].state is UNAVAILABLE
+    toggle_settled(twin, 2, False)
+    assert net.views[2].available is True
+    assert twin.views[2].available is False
     assert oracle_mismatches(net) == []
     assert oracle_mismatches(twin) == []
 
@@ -469,8 +466,8 @@ def test_interleaved_death_of_all_live_nodes_settles_to_system_empty():
     waves each wrap back to their sender, which marks the system empty."""
     net = joined_network(2)
     net.bus.advance()
-    net.toggle(0, UNAVAILABLE)
-    net.toggle(1, UNAVAILABLE)
+    net.toggle(0, False)
+    net.toggle(1, False)
     net.dispatch_to_quiescence()
     assert oracle_mismatches(net) == []
     assert net.views[0].tre is None
@@ -563,12 +560,12 @@ def test_interleaved_batches_always_terminate():
     for trial in range(20):
         size = rng.randrange(2, 7)
         net = joined_network(size)
-        current = {n: AVAILABLE for n in range(size)}
+        current = {n: True for n in range(size)}
         for _ in range(6):
             net.bus.advance()
             for node in range(size):
                 if rng.random() < 0.4:
-                    flip = AVAILABLE if current[node] is UNAVAILABLE else UNAVAILABLE
+                    flip = not current[node]
                     net.toggle(node, flip)
                     current[node] = flip
             net.dispatch_to_quiescence()  # budget turns loops into failures
@@ -585,11 +582,11 @@ def test_interleaved_runs_with_a_survivor_still_settle():
     ]
     for size, interval_sets in patterns:
         net = joined_network(size)
-        current = {n: AVAILABLE for n in range(size)}
+        current = {n: True for n in range(size)}
         for down in interval_sets:
             net.bus.advance()
             for node in range(size):
-                target = UNAVAILABLE if node in down else AVAILABLE
+                target = node not in down
                 if current[node] is not target:
                     net.toggle(node, target)
                     current[node] = target
@@ -645,7 +642,7 @@ def test_toggle_heavy_trace_is_pinned_across_commits():
     data = dumps_trace(trace).encode()
     assert len(trace) == data.count(b"\n") == 21252
     assert hashlib.sha256(data).hexdigest() == (
-        "2cfbd30d6df6b5212c120fda4c17a8d8fe8b2b7edbf46a02cebc46d422325951"
+        "8e3e2487e7c264a7b46fb178296112900ed6a602c325a02204864f42e3d3dd41"
     )
 
 
@@ -690,6 +687,20 @@ def test_a_schedule_shorter_than_its_intervals_is_a_config_error():
         verify_trace(trace, cfg, schedule=short)
 
 
+@pytest.mark.parametrize("state", [0, 1, "available", None], ids=["zero", "one", "word", "none"])
+def test_a_schedule_state_that_is_not_a_bool_is_a_config_error(state):
+    """The run compares states by identity, so a state that is not a bool
+    would fail mid-run as an unrelated protocol error."""
+    cfg = ScenarioConfig(node_count=3, workload=WorkloadConfig(intervals=2, seed=0))
+    full = forced_schedule(3, {1}, set())
+    forged = AvailabilitySchedule(intervals=2, states={**full.states, 1: (state, True)})
+    with pytest.raises(ConfigError, match="node 1 a state that is not a bool"):
+        run_scenario(cfg, schedule=forged)
+    trace, _ = run_scenario(cfg, schedule=full)
+    with pytest.raises(ConfigError, match="node 1 a state that is not a bool"):
+        verify_trace(trace, cfg, schedule=forged)
+
+
 def test_in_run_verification_accepts_a_clean_run():
     cfg = ScenarioConfig(
         node_count=5, verify_each_interval=True,
@@ -731,8 +742,8 @@ def test_a_node_without_view_lines_never_matches_an_empty_system():
     viewless = [e for e in trace if e.kind != KIND_VIEW_CHANGE]
     report = verify_trace(viewless, cfg, schedule=schedule)
     assert [(m.interval, m.field, m.expected) for m in report.mismatches] == [
-        (0, "ose", "0"), (0, "ore", "0"), (0, "tre", "0"),
-        (1, "ose", "0"), (1, "ore", "0"), (1, "tre", "None"),
+        (0, "ose", "0"), (0, "ore", "0"), (0, "tre", "0"), (0, "joining", "False"),
+        (1, "ose", "0"), (1, "ore", "0"), (1, "tre", "None"), (1, "joining", "False"),
     ]
 
 
@@ -741,8 +752,8 @@ def test_diverging_toggles_are_a_structural_error():
     trace, _ = run_scenario(cfg)
     index = next(i for i, e in enumerate(trace) if e.kind == "Toggle")
     event = trace[index]
-    to_state, interval = event.value
-    flipped = AVAILABLE if to_state is UNAVAILABLE else UNAVAILABLE
+    available, interval = event.value
+    flipped = not available
     corrupted = list(trace)
     corrupted[index] = TraceEvent(event.time, event.kind, event.node, (flipped, interval))
     with pytest.raises(TraceError):
@@ -755,10 +766,10 @@ def test_backwards_toggle_intervals_are_a_structural_error():
     trace, _ = run_scenario(cfg, schedule=schedule)
     index = [i for i, e in enumerate(trace) if e.kind == "Toggle"][-1]
     event = trace[index]
-    to_state, interval = event.value
+    available, interval = event.value
     assert interval == 2
     corrupted = list(trace)
-    corrupted[index] = TraceEvent(event.time, event.kind, event.node, (to_state, 0))
+    corrupted[index] = TraceEvent(event.time, event.kind, event.node, (available, 0))
     with pytest.raises(TraceError, match="intervals must not go backwards"):
         verify_trace(corrupted, cfg, schedule=schedule)
 
@@ -801,8 +812,8 @@ def _joined_twice(trace):
 
 def _toggle_past_the_schedule(trace):
     last = max(i for i, e in enumerate(trace) if e.kind == "Toggle")
-    to_state, _interval = trace[last].value
-    return trace[:last] + [trace[last]._replace(value=(to_state, 8))] + trace[last + 1 :]
+    available, _interval = trace[last].value
+    return trace[:last] + [trace[last]._replace(value=(available, 8))] + trace[last + 1 :]
 
 
 def _cut_before_the_last_join(trace):
@@ -1032,8 +1043,8 @@ def test_trace_lines_keep_a_fixed_field_order():
 def test_trace_lines_hold_the_engine_values_as_written():
     """One line of each kind from a two-node run whose second interval takes
     both nodes down, as text: a node id is a bare integer, None is null
-    (MyBox's "nothing Available" and a view's empty `tre`), an OStUpdate is
-    its role and who, and a view holds the fields of traced_view_fields."""
+    (MyBox's "nothing Available" and a view's empty `tre`), availability is
+    a word, and a view holds the fields of traced_view_fields."""
     cfg = ScenarioConfig(node_count=2, workload=WorkloadConfig(intervals=2, seed=0))
     trace, _ = run_scenario(cfg, schedule=forced_schedule(2, set(), {0, 1}))
     lines = dumps_trace(trace).splitlines()
@@ -1042,7 +1053,7 @@ def test_trace_lines_hold_the_engine_values_as_written():
         1: '{"time":1,"kind":"Publish","node":0,"detail":{"key":{"topic":"Arrivals"},'
         '"payload":0,"seq":1}}',
         22: '{"time":2,"kind":"Publish","node":0,"detail":{"key":{"topic":"OSe","instance":0},'
-        '"payload":{"role":"new_ose","who":1},"seq":1}}',
+        '"payload":1,"seq":1}}',
         23: '{"time":2,"kind":"Unsubscribe","node":0,"detail":{"key":{"topic":"MyBox","instance":0}}}',
         24: '{"time":2,"kind":"Subscribe","node":0,"detail":{"key":{"topic":"MyBox","instance":1}}}',
         32: '{"time":5,"kind":"Toggle","node":0,"detail":{"to":"unavailable","interval":1}}',
@@ -1206,7 +1217,7 @@ def fold_trace(trace, intervals: int) -> Metrics:
         if event.kind == "Toggle":
             row = rows[event.detail["interval"]]
             row.toggles += 1
-            toggle = ToggleStats(row.interval, event.node, event.detail["to"])
+            toggle = ToggleStats(row.interval, event.node, event.detail["to"] == "available")
             toggles.append(toggle)
         elif event.kind == "Publish":
             topic = event.detail["key"]["topic"]

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from rfoverlay import workload
-from rfoverlay.protocol import Availability
 from rfoverlay.workload import (
     MAX_RATE,
     WorkloadConfig,
@@ -17,8 +16,6 @@ from rfoverlay.workload import (
 )
 
 scipy_stats = pytest.importorskip("scipy.stats")
-
-AVAILABLE = Availability.AVAILABLE
 
 
 # -- the distribution itself -----------------------------------------------------
@@ -166,7 +163,7 @@ def test_threshold_drives_availability():
         rng = random.Random(_substream_seed(cfg.seed, node))
         for interval in range(cfg.intervals):
             k = sample_k(rng, cfg.lam)
-            expected = AVAILABLE if k <= cfg.threshold else Availability.UNAVAILABLE
+            expected = k <= cfg.threshold
             assert schedule.state(node, interval) is expected
 
 
@@ -177,7 +174,7 @@ def test_higher_threshold_means_more_availability():
     def up_fraction(cfg):
         schedule = build_schedule(cfg, range(5))
         states = [s for seq in schedule.states.values() for s in seq]
-        return states.count(AVAILABLE) / len(states)
+        return states.count(True) / len(states)
 
     assert up_fraction(strict) < up_fraction(lax)
 
