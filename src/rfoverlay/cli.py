@@ -2,15 +2,21 @@
 
 Subcommands:
 
-  simulate   run a scenario from a config file; write trace and metrics
+  simulate   run a scenario from a config file; write trace and metrics, and
+             with --verify check each quiescent point as the run reaches it
   verify     check a previously written trace against the oracles
   oracle     print the all-seeing assignment for one availability vector
-  sweep      run and verify a scenario across a seed range, one seed at a time
+  sweep      run and check a scenario across a seed range, one seed at a time
   pmf        print the event-count distribution used by the workload
 
+`simulate --verify` and `sweep` check each run as it goes, so neither keeps
+a trace unless `simulate --trace` writes one; `verify` checks a written
+trace.
+
 Exit codes: 0 on success, 1 when verification finds mismatches, a trace is
-malformed or a run fails (in-run verification, a join, or quiescence), 2 for
-bad usage or configuration, 3 for I/O failures.
+malformed (or a checked run's availability leaves the schedule) or a run
+fails (a join, or quiescence), 2 for bad usage or configuration, 3 for I/O
+failures.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .oracle import RingModel, basic_tst, brf_tst, sbrf_tst
 from .scenario import (
     ConfigError,
     ScenarioConfig,
-    VerificationError,
+    VerifyReport,
     config_with_seed,
     load_config,
     run_scenario,
@@ -45,7 +51,7 @@ def _load_config_file(path: str) -> ScenarioConfig:
         return load_config(stream)
 
 
-def _print_report(report, out: IO[str]) -> int:
+def _print_report(report: VerifyReport, out: IO[str]) -> int:
     for miss in report.mismatches:
         print(
             f"mismatch interval={miss.interval} node=n{miss.node} field={miss.field} "
@@ -65,10 +71,12 @@ def _print_report(report, out: IO[str]) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
+    found = [] if args.verify else None
     trace, metrics = run_scenario(
         cfg,
         interleaved_toggles=args.interleaved_toggles,
-        record=args.trace is not None or args.verify,
+        record=args.trace is not None,
+        mismatches=found,
     )
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as stream:
@@ -81,8 +89,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"wrote metrics: {args.metrics}")
     else:
         print(table, end="")
-    if args.verify:
-        report = verify_trace(trace, cfg)
+    if found is not None:
+        report = VerifyReport(cfg.workload.intervals, tuple(found))
         return _print_report(report, sys.stdout)
     return EXIT_OK
 
@@ -159,13 +167,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     failures = 0
     for seed in seeds:
         seeded = config_with_seed(cfg, seed)
-        trace, _ = run_scenario(seeded)
-        report = verify_trace(trace, seeded)
-        mismatches = len(report.mismatches)
+        found = []
+        _, metrics = run_scenario(seeded, record=False, mismatches=found)
+        mismatches = len(found)
         status = "PASSED" if mismatches == 0 else f"FAILED ({mismatches} mismatches)"
         print(
-            f"seed={seed} events={len(trace)} intervals={report.intervals_checked} "
-            f"verification={status}"
+            f"seed={seed} deliveries={metrics.deliveries} "
+            f"intervals={seeded.workload.intervals} verification={status}"
         )
         if mismatches:
             failures += 1
@@ -194,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="scenario config (JSON)")
     p.add_argument("--trace", default=None, help="write the trace here (JSONL)")
     p.add_argument("--metrics", default=None, help="write the metrics table here")
-    p.add_argument("--verify", action="store_true", help="verify the trace after the run")
+    p.add_argument("--verify", action="store_true", help="check the run against the oracles")
     p.add_argument(
         "--interleaved-toggles",
         action="store_true",
@@ -243,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except TraceError as exc:
         print(f"malformed trace: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (VerificationError, JoinError, QuiescenceError) as exc:
+    except (JoinError, QuiescenceError) as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except OSError as exc:

@@ -5,11 +5,13 @@ interval by interval, applying each state change as a toggle driven to
 quiescence (ascending node order). Runs use the basic topology; the
 bidirectional and shortest-path variants exist only as oracles.
 
-Verification replays a trace against the oracles: at every interval's
-quiescent point, each node's sender and receiver must be its neighbours on
-the arrival-order ring, and its next-available knowledge and the last value
-on its status stream must match the all-seeing computation for that
-interval's availability vector.
+Verification checks every interval's quiescent point against the oracles:
+each node's availability must be the schedule's, its sender and receiver
+its neighbours on the arrival-order ring, and its next-available knowledge
+and the last value on its status stream the all-seeing computation's for
+that interval's availability vector. A run checks each point as it reaches
+it (`run_scenario(..., mismatches=[])`); `verify_trace` replays a written
+trace to the same points and reports the same mismatches.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ class ConfigError(ValueError):
     """A scenario configuration that does not validate."""
 
 
-class VerificationError(RuntimeError):
-    """Raised by in-run verification when a quiescent point disagrees."""
-
-
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     """One scenario: m nodes joined in order, then a workload's schedule.
@@ -61,12 +59,14 @@ class ScenarioConfig:
     `config_with_seed` and a sweep set, and in a config file it is the
     default of the workload seed; `parse_config` copies it there. So
     ScenarioConfig(node_count=4, seed=5) runs workload seed 0.
+
+    Whether a run is checked against the oracles is not part of the config:
+    a caller passes `mismatches` to run_scenario.
     """
 
     node_count: int
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     delivery_delay: int = 0
-    verify_each_interval: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -80,13 +80,7 @@ class ScenarioConfig:
 # Config file handling (a strict key/value tree)
 
 _WORKLOAD_KEYS = ("lambda", "threshold", "intervals", "seed")
-_TOP_KEYS = (
-    "node_count",
-    "workload",
-    "delivery_delay",
-    "verify_each_interval",
-    "seed",
-)
+_TOP_KEYS = ("node_count", "workload", "delivery_delay", "seed")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -127,14 +121,10 @@ def parse_config(obj: Any) -> ScenarioConfig:
     except OverflowError:  # float() of an integer beyond the float range
         raise ConfigError("lambda is too large") from None
 
-    verify_flag = obj.get("verify_each_interval", False)
-    _require(isinstance(verify_flag, bool), "verify_each_interval must be a boolean")
-
     return ScenarioConfig(
         node_count=node_count,
         workload=workload,
         delivery_delay=_as_int(obj.get("delivery_delay", 0), "delivery_delay"),
-        verify_each_interval=verify_flag,
         seed=seed,
     )
 
@@ -198,16 +188,38 @@ def _oracle_compare(
     ]
 
 
-def oracle_mismatches(net: Network) -> list[tuple[NodeId, str, str, str]]:
-    """Compare a quiescent network against the all-seeing computation."""
+def _observed(net: Network) -> dict[str, dict[NodeId, NextAvailable | bool]]:
+    """Every view's fields as _oracle_compare reads them."""
     views = net.views.items()
-    return _oracle_compare(ring_of(net), {
+    return {
         "ose": {node: view.ose for node, view in views},
         "ore": {node: view.ore for node, view in views},
         "tre": {node: view.tre for node, view in views},
         "mybox": {node: view.last_mybox for node, view in views},
         "joining": {node: view.joining for node, view in views},
-    })
+    }
+
+
+def oracle_mismatches(net: Network) -> list[tuple[NodeId, str, str, str]]:
+    """Compare a quiescent network against the all-seeing computation."""
+    return _oracle_compare(ring_of(net), _observed(net))
+
+
+def _check_quiescent(
+    interval: int,
+    schedule: AvailabilitySchedule,
+    avail: dict[NodeId, bool],
+    observed: Mapping[str, Mapping[NodeId, NextAvailable | bool]],
+    mismatches: list[Mismatch],
+) -> None:
+    """Append interval's oracle disagreements to `mismatches`. `avail` maps
+    every node, in arrival order, to its availability; TraceError if that is
+    not the schedule's."""
+    vector = schedule.vector(interval)
+    if avail != vector:
+        raise TraceError(f"interval {interval}: availability diverges from the schedule")
+    ring = RingModel.from_states(avail, vector)
+    mismatches.extend(Mismatch(interval, *found) for found in _oracle_compare(ring, observed))
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +288,18 @@ def run_scenario(
     schedule: AvailabilitySchedule | None = None,
     interleaved_toggles: bool = False,
     record: bool = True,
+    mismatches: list[Mismatch] | None = None,
 ) -> tuple[Trace, Metrics]:
     """Run one scenario to completion; returns its trace and metrics.
 
     `schedule` overrides the Poisson draw with an explicit availability
     pattern (used to force specific topologies). `interleaved_toggles` is the
     stress mode: all of an interval's toggles land before any dispatch, so
-    propagation waves race each other. The whole run, metrics included,
+    propagation waves race each other. Given a `mismatches` list, the run
+    checks each interval's quiescent point as it reaches it and appends what
+    `verify_trace` would report for that interval, with no trace needed; a
+    view whose availability is not the schedule's raises TraceError, as
+    `verify_trace` does on the run's trace. The whole run, metrics included,
     runs with the cyclic garbage collector paused for the whole process
     (see _collector_paused): do not call this alongside threaded code that
     relies on the collector.
@@ -317,12 +334,9 @@ def run_scenario(
             if interleaved_toggles:
                 net.dispatch_to_quiescence()
             ends.append(tally(net.bus))
-            if cfg.verify_each_interval:
-                mismatches = oracle_mismatches(net)
-                if mismatches:
-                    raise VerificationError(
-                        f"interval {interval} disagrees with the oracle: {mismatches}"
-                    )
+            if mismatches is not None:
+                avail = {node: view.available for node, view in views.items()}
+                _check_quiescent(interval, schedule, avail, _observed(net), mismatches)
         trace = recorder.events if recorder is not None else []
         return trace, compute_metrics(joined, marks, ends)
 
@@ -378,16 +392,6 @@ def verify_trace(
 
     # Interval k's quiescent point is right before the first toggle of any
     # later interval (or the end of the trace). Toggles carry their interval.
-    def check_interval(interval: int) -> None:
-        vector = schedule.vector(interval)
-        if avail != vector:
-            raise TraceError(
-                f"interval {interval}: trace availability diverges from the schedule"
-            )
-        ring = RingModel.from_states(avail, vector)
-        for found in _oracle_compare(ring, observed):
-            mismatches.append(Mismatch(interval, *found))
-
     last_time = 0
     current_interval = -1
     for event in trace:
@@ -427,13 +431,13 @@ def verify_trace(
             if available is avail[node]:
                 raise TraceError(f"toggle of {node} at interval {interval} changes nothing")
             for pending in range(max(current_interval, 0), interval):
-                check_interval(pending)
+                _check_quiescent(pending, schedule, avail, observed, mismatches)
             current_interval = interval
             avail[node] = available
     if len(avail) != cfg.node_count:
         raise TraceError(f"trace joined {len(avail)} nodes, config says {cfg.node_count}")
     for pending in range(max(current_interval, 0), schedule.intervals):
-        check_interval(pending)
+        _check_quiescent(pending, schedule, avail, observed, mismatches)
 
     return VerifyReport(
         intervals_checked=schedule.intervals, mismatches=tuple(mismatches)

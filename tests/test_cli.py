@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -74,12 +75,21 @@ def test_simulate_output_is_reproducible(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_simulate_trace_is_pinned_across_commits(tmp_path, capsys):
-    # The README demo config; the digest changes only when the trace does.
+@pytest.mark.parametrize("extra", [[], ["--verify"]], ids=["plain", "verify"])
+def test_simulate_trace_is_pinned_across_commits(tmp_path, capsys, extra):
+    """The README demo config; the digest changes only when the trace does.
+    `--verify` checks the run and changes neither the trace nor the metrics
+    table."""
     config = write_config(tmp_path)
+    assert main(["simulate", "--config", config]) == EXIT_OK
+    table = capsys.readouterr().out.splitlines()
     trace_path = tmp_path / "run.jsonl"
-    assert main(["simulate", "--config", config, "--trace", str(trace_path)]) == EXIT_OK
-    assert "wrote trace: " + str(trace_path) + " (359 events)" in capsys.readouterr().out
+    assert main(["simulate", "--config", config, "--trace", str(trace_path), *extra]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "wrote trace: " + str(trace_path) + " (359 events)"
+    if extra:
+        assert out.pop() == "verification: PASSED (12 intervals)"
+    assert out[1:] == table
     data = trace_path.read_bytes()
     assert data.count(b"\n") == 359
     assert hashlib.sha256(data).hexdigest() == (
@@ -502,23 +512,42 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def stale_view(view, msg):
+    """A node that ignores news on its receiver's status stream keeps a
+    stale next-available value."""
+    return protocol.Effects(view)
+
+
 def test_failed_in_run_verification_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch):
-    """A node that ignores news on its receiver's status stream keeps a stale
-    next-available value; with in-run verification that run fails, and the
-    CLI reports it on one line."""
-    monkeypatch.setattr(protocol, "on_mybox_from_ore", lambda view, msg: protocol.Effects(view))
-    config = write_config(
-        tmp_path,
-        node_count=6,
-        seed=5,
-        workload={"lambda": 3.0, "intervals": 20},
-        verify_each_interval=True,
-    )
-    assert main(["simulate", "--config", config]) == EXIT_MISMATCH
+    """`simulate --verify` checks the run as it goes: a run with stale views
+    prints its mismatch lines and the failed verdict, and exits 1."""
+    monkeypatch.setattr(protocol, "on_mybox_from_ore", stale_view)
+    config = write_config(tmp_path, seed=5, workload={"lambda": 3.0, "intervals": 20})
+    assert main(["simulate", "--config", config, "--verify"]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert out[-1].startswith("verification: FAILED (")
+    assert out[-1].endswith(" mismatches over 20 intervals)")
+    assert any(line.startswith("mismatch interval=") for line in out)
+    assert captured.err == ""
+
+
+def test_a_view_off_the_schedule_fails_verify_and_simulate_alike(tmp_path, capsys, flip_one_view):
+    """A handler that flips its node's availability: `simulate --verify`
+    stops the run with the one stderr line that `verify` gives for the
+    same run's trace."""
+    config = write_config(tmp_path, seed=5, workload={"lambda": 3.0, "intervals": 20})
+    run = ["simulate", "--config", config, "--interleaved-toggles"]
+    assert main([*run, "--verify"]) == EXIT_MISMATCH
     err = capsys.readouterr().err
-    assert err.startswith("run failed: VerificationError: interval ")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err.startswith("malformed trace: interval ") and err.count("\n") == 1
+    assert "availability diverges from the schedule" in err
+    flip_one_view.clear()
+    trace_path = str(tmp_path / "run.jsonl")
+    assert main([*run, "--trace", trace_path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--config", config, "--trace", trace_path]) == EXIT_MISMATCH
+    assert capsys.readouterr().err == err
 
 
 def test_help_exits_0(capsys):
@@ -538,6 +567,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
     for data, message in (
         (b'{"node_count": 3, "mystery": true}', "unknown config keys"),
         (b'{"node_count": 3, "topology": "basic"}', "unknown config keys"),
+        (b'{"node_count": 3, "verify_each_interval": true}', "unknown config keys"),
         (b'{"node_count": 3}\xff', "config is not UTF-8 text"),
         (b"[" * 200_000, "config is nested too deeply"),
         (b'{"node_count": ' + b"1" * 5000 + b"}", "config is not valid JSON"),
@@ -598,6 +628,40 @@ def test_sweep_reports_each_seed_in_order(tmp_path, capsys):
     ]
     assert all("verification=PASSED" in line for line in lines[:-1])
     assert lines[-1] == "sweep: 4/4 passed"
+
+
+def test_sweep_reports_failing_seeds(tmp_path, capsys, monkeypatch):
+    """With stale views a calm workload fails on some seeds (4 and 6) and
+    passes on the others; the sweep counts the passes and exits 1."""
+    monkeypatch.setattr(protocol, "on_mybox_from_ore", stale_view)
+    config = write_config(tmp_path, workload={"lambda": 0.5, "threshold": 2, "intervals": 6})
+    assert main(["sweep", "--config", config, "--seeds", "3:7"]) == EXIT_MISMATCH
+    *seeds, last = capsys.readouterr().out.splitlines()
+    line = re.compile(
+        r"seed=(\d+) deliveries=\d+ intervals=6 "
+        r"verification=(PASSED|FAILED \([1-9]\d* mismatches\))"
+    )
+    matches = [line.fullmatch(text) for text in seeds]
+    assert all(matches), seeds
+    assert [m[1] for m in matches] == ["3", "4", "5", "6"]
+    passed = sum(m[2] == "PASSED" for m in matches)
+    assert 0 < passed < 4
+    assert last == f"sweep: {passed}/4 passed"
+
+
+def test_checked_runs_keep_no_trace(tmp_path, capsys, monkeypatch):
+    """`sweep` and `simulate --verify` without `--trace` check each run as
+    it goes and never build a trace recorder."""
+    config = write_config(tmp_path)
+
+    def no_recorder():
+        raise AssertionError("a checked run recorded a trace it does not write")
+
+    monkeypatch.setattr(scenario, "TraceRecorder", no_recorder)
+    assert main(["simulate", "--config", config, "--verify"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("verification: PASSED (12 intervals)\n")
+    assert main(["sweep", "--config", config, "--seeds", "0:3"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("sweep: 3/3 passed\n")
 
 
 def test_sweep_rejects_bad_ranges(tmp_path, capsys):

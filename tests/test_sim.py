@@ -35,7 +35,6 @@ from rfoverlay.protocol import NodeView
 from rfoverlay.scenario import (
     ConfigError,
     ScenarioConfig,
-    VerificationError,
     load_config,
     oracle_mismatches,
     parse_config,
@@ -628,22 +627,31 @@ def test_scenario_is_deterministic():
     assert dumps_trace(first) == dumps_trace(second)
 
 
-def test_toggle_heavy_trace_is_pinned_across_commits():
-    """A 32-node, 100-interval run whose trace is mostly toggle-phase work:
-    its 2,979 Subscribe and 2,867 Unsubscribe lines pin the order in which
-    handlers list subscription changes. The digest changes only when the
-    trace does."""
+@pytest.mark.parametrize(
+    "interleaved, delay, lines, digest",
+    [
+        (False, 0, 21252, "8e3e2487e7c264a7b46fb178296112900ed6a602c325a02204864f42e3d3dd41"),
+        (True, 0, 21119, "da4ee868f99821d27c06f631eb56ac5122b6288ae82640c55a75b81f1eaa0962"),
+        (False, 3, 21276, "73dad74f56c43410d92156a91250842b8b3ea9fa2ece183975509d93a71549f0"),
+    ],
+    ids=["serialized", "interleaved", "delay3"],
+)
+def test_toggle_heavy_trace_is_pinned_across_commits(interleaved, delay, lines, digest):
+    """A 32-node, 100-interval run whose trace is mostly toggle-phase work,
+    in each run mode: serialized (its 2,979 Subscribe and 2,867 Unsubscribe
+    lines pin the order in which handlers list subscription changes),
+    interleaved toggles, and a delivery delay of 3. The digest changes only
+    when the trace does."""
     cfg = ScenarioConfig(
         node_count=32,
+        delivery_delay=delay,
         workload=WorkloadConfig(lam=3.0, threshold=2, intervals=100, seed=3),
         seed=3,
     )
-    trace, _ = run_scenario(cfg)
+    trace, _ = run_scenario(cfg, interleaved_toggles=interleaved)
     data = dumps_trace(trace).encode()
-    assert len(trace) == data.count(b"\n") == 21252
-    assert hashlib.sha256(data).hexdigest() == (
-        "8e3e2487e7c264a7b46fb178296112900ed6a602c325a02204864f42e3d3dd41"
-    )
+    assert len(trace) == data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_scenario_with_delivery_delay_still_verifies():
@@ -701,13 +709,64 @@ def test_a_schedule_state_that_is_not_a_bool_is_a_config_error(state):
         verify_trace(trace, cfg, schedule=forged)
 
 
-def test_in_run_verification_accepts_a_clean_run():
-    cfg = ScenarioConfig(
-        node_count=5, verify_each_interval=True,
-        workload=WorkloadConfig(intervals=12, seed=4), seed=4,
+@pytest.mark.parametrize("stale", [False, True], ids=["as-is", "stale-view"])
+def test_in_run_check_reports_what_verify_trace_reports(stale, monkeypatch):
+    """A run given a `mismatches` list runs as it would without one, and
+    fills it with exactly the report of verify_trace on its trace, recorded
+    or not: on clean runs, and on runs whose nodes keep stale views."""
+    if stale:
+        # A node that ignores its receiver's status stream keeps a stale view.
+        monkeypatch.setattr(protocol, "on_mybox_from_ore", lambda view, msg: protocol.Effects(view))
+    failed = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(1, 10),
+        delay=st.integers(0, 3),
+        interleaved=st.booleans(),
+        intervals=st.integers(0, 30),
+        lam=st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.0]),
+        seed=st.integers(0, 10_000),
     )
-    trace, _ = run_scenario(cfg)
-    assert verify_trace(trace, cfg).passed
+    def check(size, delay, interleaved, intervals, lam, seed):
+        cfg = ScenarioConfig(
+            node_count=size,
+            delivery_delay=delay,
+            workload=WorkloadConfig(lam=lam, intervals=intervals, seed=seed),
+            seed=seed,
+        )
+        found = []
+        trace, metrics = run_scenario(cfg, interleaved_toggles=interleaved, mismatches=found)
+        plain, plain_metrics = run_scenario(cfg, interleaved_toggles=interleaved)
+        assert dumps_trace(trace) == dumps_trace(plain)
+        assert metrics == plain_metrics
+        assert tuple(found) == verify_trace(trace, cfg).mismatches
+        unrecorded = []
+        assert run_scenario(
+            cfg, interleaved_toggles=interleaved, record=False, mismatches=unrecorded
+        ) == ([], metrics)
+        assert unrecorded == found
+        failed.append(bool(found))
+
+    check()
+    assert any(failed) is stale
+
+
+def test_in_run_check_refuses_a_view_that_leaves_the_schedule(flip_one_view):
+    """A handler that flips its node's availability leaves the view off the
+    schedule at that interval's quiescent point: the in-run check raises the
+    TraceError that verify_trace raises on the same run's trace. Toggles
+    are interleaved, so the flip cannot land on a node that a later toggle
+    of the same interval expects in its scheduled state."""
+    cfg = ScenarioConfig(node_count=6, workload=WorkloadConfig(lam=3.0, intervals=20, seed=5), seed=5)
+    with pytest.raises(TraceError, match=r"^interval \d+: availability diverges") as in_run:
+        run_scenario(cfg, interleaved_toggles=True, record=False, mismatches=[])
+    assert flip_one_view
+    flip_one_view.clear()
+    trace, _ = run_scenario(cfg, interleaved_toggles=True)
+    with pytest.raises(TraceError) as replayed:
+        verify_trace(trace, cfg)
+    assert str(replayed.value) == str(in_run.value)
 
 
 def test_unrecorded_runs_return_an_empty_trace():
@@ -871,21 +930,23 @@ def test_a_run_makes_no_reference_cycles(record, interleaved, delay):
 def test_run_scenario_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
     cfg = ScenarioConfig(
         node_count=6,
-        verify_each_interval=True,
         workload=WorkloadConfig(lam=3.0, intervals=20, seed=5),
         seed=5,
     )
     was = gc.isenabled()
     gc.enable() if enabled else gc.disable()
     try:
-        run_scenario(cfg)
+        run_scenario(cfg, mismatches=[])
         assert gc.isenabled() is enabled
         with pytest.raises(ConfigError):
             run_scenario(cfg, schedule=forced_schedule(5, set()))
         assert gc.isenabled() is enabled
-        # A node that ignores its receiver's status stream keeps a stale view.
-        monkeypatch.setattr(protocol, "on_mybox_from_ore", lambda view, msg: protocol.Effects(view))
-        with pytest.raises(VerificationError):
+        # A handler that fails in the middle of the toggle phase.
+        def refuse(view, msg):
+            raise protocol.ProtocolError(f"{view.me} refuses {msg}")
+
+        monkeypatch.setattr(protocol, "on_mybox_from_ore", refuse)
+        with pytest.raises(protocol.ProtocolError, match="refuses"):
             run_scenario(cfg)
         assert gc.isenabled() is enabled
     finally:
@@ -1379,8 +1440,8 @@ def test_config_rejects_bad_types_and_values():
         parse_config({"node_count": True})
     with pytest.raises(ConfigError):
         parse_config({"node_count": 0})
-    with pytest.raises(ConfigError):
-        parse_config({"node_count": 3, "verify_each_interval": 1})
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        parse_config({"node_count": 3, "verify_each_interval": True})
     with pytest.raises(ConfigError):
         parse_config({"node_count": 3, "workload": {"lambda": 0.0}})
     with pytest.raises(ConfigError):
