@@ -25,7 +25,7 @@ import argparse
 import sys
 from typing import IO
 
-from .oracle import RingModel, basic_tst, brf_tst, sbrf_tst
+from .oracle import RingError, RingModel, basic_tst, brf_tst, sbrf_tst
 from .scenario import (
     ConfigError,
     ScenarioConfig,
@@ -102,7 +102,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _print_report(report, sys.stdout)
 
 
-def _parse_down(raw: str, count: int) -> set[int]:
+def _parse_down(raw: str) -> set[int]:
     down: set[int] = set()
     if not raw:
         return down
@@ -114,8 +114,6 @@ def _parse_down(raw: str, count: int) -> set[int]:
             node = int(part)
         except ValueError:
             raise ConfigError(f"--down expects integers, got {part!r}") from None
-        if not 0 <= node < count:
-            raise ConfigError(f"--down node {node} outside 0..{count - 1}")
         down.add(node)
     return down
 
@@ -125,10 +123,7 @@ def _node_str(node: int | None) -> str:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise ConfigError("--count must be >= 1")
-    down = _parse_down(args.down, args.count)
-    ring = RingModel.of(args.count, down)
+    ring = RingModel.of(args.count, _parse_down(args.down))
     if args.topology == "basic":
         for node, entry in sorted(basic_tst(ring).items()):
             if entry is None:
@@ -245,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, RingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TraceError as exc:

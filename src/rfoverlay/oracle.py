@@ -5,11 +5,13 @@ vector, what every node's next-available knowledge must be once the event
 protocol settles. The event-driven machinery is verified against them, never
 the other way around.
 
-The tables that scenario verification reads at every interval, basic_tst and
-mybox_table, are O(m): one backward sweep over two laps of the ring finds the
-first Available node at or after every position. Their definitions as direct
-brute-force scans live in tests/test_oracle.py, which checks the sweeps
-against them.
+Every table is one read of a single O(m) sweep: one backward pass over two
+laps of the ring finds the first Available node at or after every position.
+mybox_table reads it as it stands and basic_tst one position on; brf_tst
+pairs basic_tst of the ring with basic_tst of its mirror, and sbrf_tst keeps
+the nearer of that pair for a node that is down. Their definitions as direct
+brute-force scans live in tests/test_oracle.py and tests/test_acceptance.py,
+which check the sweeps against them.
 
 Three structures are covered: the basic single-successor form that the event
 protocol realizes, and the two variants that keep a candidate in each ring
@@ -78,21 +80,8 @@ class RingModel:
         except KeyError:
             raise RingError(f"{node} is not on the ring") from None
 
-    def at(self, position: int) -> NodeId:
-        return self.nodes[position % self.size]
-
     def successor(self, node: NodeId) -> NodeId:
-        return self.at(self.position(node) + 1)
-
-    def predecessor(self, node: NodeId) -> NodeId:
-        return self.at(self.position(node) - 1)
-
-    def is_available(self, node: NodeId) -> bool:
-        return self.avail[self.position(node)]
-
-    @property
-    def available_count(self) -> int:
-        return sum(self.avail)
+        return self.nodes[(self.position(node) + 1) % self.size]
 
 
 def _first_available(ring: RingModel) -> list[NodeId | None]:
@@ -151,25 +140,11 @@ def brf_tst(ring: RingModel) -> dict[NodeId, tuple[NodeId | None, NodeId | None]
     scanning forward from the successor, and the nearest scanning backward
     from the predecessor. The node itself is permitted only on a full wrap,
     so exactly one Available node x collapses every pair to (x, x); with
-    nothing Available both entries are absent.
+    nothing Available both entries are absent. Clockwise is basic_tst of the
+    ring; counter-clockwise is basic_tst of its mirror.
     """
-    assignment: dict[NodeId, tuple[NodeId | None, NodeId | None]] = {}
-    for node in ring.nodes:
-        position = ring.position(node)
-        clockwise: NodeId | None = None
-        for step in range(1, ring.size + 1):
-            candidate = ring.at(position + step)
-            if ring.is_available(candidate):
-                clockwise = candidate
-                break
-        counter: NodeId | None = None
-        for step in range(1, ring.size + 1):
-            candidate = ring.at(position - step)
-            if ring.is_available(candidate):
-                counter = candidate
-                break
-        assignment[node] = (clockwise, counter)
-    return assignment
+    counter = basic_tst(RingModel(ring.nodes[::-1], ring.avail[::-1]))
+    return {node: (clockwise, counter[node]) for node, clockwise in basic_tst(ring).items()}
 
 
 def sbrf_tst(
@@ -183,21 +158,16 @@ def sbrf_tst(
     Available.
     """
     pairs = brf_tst(ring)
+    size = ring.size
     assignment: dict[NodeId, tuple[NodeId | None, NodeId | None] | NodeId | None] = {}
-    for node in ring.nodes:
-        if ring.is_available(node):
+    for position, (node, up) in enumerate(zip(ring.nodes, ring.avail)):
+        clockwise, counter = pairs[node]
+        if up:
             assignment[node] = pairs[node]
-            continue
-        position = ring.position(node)
-        nearest: NodeId | None = None
-        for distance in range(1, ring.size):
-            forward = ring.at(position + distance)
-            if ring.is_available(forward):
-                nearest = forward
-                break
-            backward = ring.at(position - distance)
-            if ring.is_available(backward):
-                nearest = backward
-                break
-        assignment[node] = nearest
+        elif clockwise is None:
+            assignment[node] = None
+        else:
+            ahead = (ring.position(clockwise) - position) % size
+            behind = (position - ring.position(counter)) % size
+            assignment[node] = clockwise if ahead <= behind else counter
     return assignment

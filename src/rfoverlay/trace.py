@@ -22,11 +22,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import IO, Any, Container, Iterable, Iterator, NamedTuple
 
-from .bus import BusError, NodeId, Payload, Sample, TopicKey, TopicName
+from .bus import BusError, NodeId, Sample, TopicKey, TopicName, check_payload
 from .protocol import NodeView
-
-# The one topic the decoder compares by identity, read once (see protocol).
-_MYBOX = TopicName.MYBOX
 
 # A line writes a node's availability as a word.
 _AVAILABILITY = {"available": True, "unavailable": False}
@@ -224,14 +221,6 @@ def _key(obj: object, joined: Container[NodeId]) -> TopicKey:
     return TopicKey(TopicName(topic), instance)
 
 
-def _payload(topic: TopicName, obj: object) -> Payload:
-    """A payload in the one form `topic` carries, the rule the bus enforces
-    on publish: a node id, or null on MyBox only."""
-    if obj is None and topic is _MYBOX:
-        return None
-    return _int(obj)
-
-
 def _detail_value(
     kind: str, node: NodeId, detail: object, joined: Container[NodeId]
 ) -> Any:
@@ -248,11 +237,13 @@ def _detail_value(
         if publisher not in joined:
             raise TraceError(f"a Deliver line names publisher {publisher} before its Join")
         key = _key(key, joined)
-        return Sample(key, _payload(key.topic, payload), publisher, _int(seq))
+        check_payload(key, payload)
+        return Sample(key, payload, publisher, _int(seq))
     if kind == KIND_PUBLISH:
         key, payload, seq = _fields(detail, "key", "payload", "seq")
         key = _key(key, joined)
-        return Sample(key, _payload(key.topic, payload), node, _int(seq))
+        check_payload(key, payload)
+        return Sample(key, payload, node, _int(seq))
     if kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
         return _key(_fields(detail, "key")[0], joined)
     if kind == KIND_TOGGLE:

@@ -24,6 +24,30 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+def _compact(event):
+    """One trace line as the encoder writes it: no spaces after separators."""
+    return json.dumps(event, separators=(",", ":"))
+
+
+def _simulated_events(tmp_path, capsys):
+    """Simulate the default config with a trace. Gives the config path, the
+    trace path and the trace's lines as JSON objects, after checking that
+    _write_events writes the unedited objects back byte for byte, so a
+    forged trace differs from the real one by its edit alone."""
+    config = write_config(tmp_path)
+    trace_path = tmp_path / "run.jsonl"
+    main(["simulate", "--config", config, "--trace", str(trace_path)])
+    capsys.readouterr()
+    text = trace_path.read_text()
+    events = [json.loads(line) for line in text.splitlines()]
+    assert "".join(_compact(e) + "\n" for e in events) == text
+    return config, trace_path, events
+
+
+def _write_events(trace_path, events):
+    trace_path.write_text("".join(_compact(e) + "\n" for e in events))
+
+
 # -- simulate / verify ---------------------------------------------------------
 
 
@@ -98,17 +122,10 @@ def test_simulate_trace_is_pinned_across_commits(tmp_path, capsys, extra):
 
 
 def test_verify_flags_a_corrupted_trace(tmp_path, capsys):
-    config = write_config(tmp_path)
-    trace_path = tmp_path / "run.jsonl"
-    main(["simulate", "--config", config, "--trace", str(trace_path)])
-    capsys.readouterr()
-
-    lines = trace_path.read_text().splitlines()
-    events = [json.loads(line) for line in lines]
+    config, trace_path, events = _simulated_events(tmp_path, capsys)
     index = max(i for i, e in enumerate(events) if e["kind"] == "ViewChange")
     events[index]["detail"]["tre"] = 777
-    lines[index] = json.dumps(events[index])
-    trace_path.write_text("\n".join(lines) + "\n")
+    _write_events(trace_path, events)
 
     code = main(["verify", "--config", config, "--trace", str(trace_path)])
     assert code == EXIT_MISMATCH
@@ -136,16 +153,11 @@ def test_verify_checks_each_view_against_the_ring(tmp_path, capsys, node, field,
     nothing else the line states. Before verify checked the ring links it
     passed the first two traces, and before it checked `joining` the
     third."""
-    config = write_config(tmp_path)
-    trace_path = tmp_path / "run.jsonl"
-    main(["simulate", "--config", config, "--trace", str(trace_path)])
-    capsys.readouterr()
-
-    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    config, trace_path, events = _simulated_events(tmp_path, capsys)
     view = [e for e in events if e["kind"] == "ViewChange" and e["node"] == node][-1]["detail"]
     assert view[field] == was
     view[field] = forged
-    trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
+    _write_events(trace_path, events)
 
     code = main(["verify", "--config", config, "--trace", str(trace_path)])
     assert code == EXIT_MISMATCH
@@ -333,14 +345,9 @@ def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
     # instance. A payload must be the one form its topic carries: a node id,
     # or null on MyBox only. Availability is the word "available" or
     # "unavailable".
-    config = write_config(tmp_path)
-    trace_path = tmp_path / "run.jsonl"
-    main(["simulate", "--config", config, "--trace", str(trace_path)])
-    capsys.readouterr()
-
-    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    config, trace_path, events = _simulated_events(tmp_path, capsys)
     edit(events)
-    trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
+    _write_events(trace_path, events)
 
     code = main(["verify", "--config", config, "--trace", str(trace_path)])
     assert code == EXIT_MISMATCH
@@ -427,14 +434,9 @@ def test_verify_rejects_a_seq_the_bus_never_gave(tmp_path, capsys, edit):
     # Each (publisher, key) numbers its samples 1, 2, 3, ...: a Publish line
     # takes the next number, and a Deliver line names a number already
     # published. Before these checks, verify passed all three edits.
-    config = write_config(tmp_path)
-    trace_path = tmp_path / "run.jsonl"
-    main(["simulate", "--config", config, "--trace", str(trace_path)])
-    capsys.readouterr()
-
-    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    config, trace_path, events = _simulated_events(tmp_path, capsys)
     edit(events)
-    trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
+    _write_events(trace_path, events)
 
     code = main(["verify", "--config", config, "--trace", str(trace_path)])
     assert code == EXIT_MISMATCH
@@ -582,24 +584,54 @@ def test_bad_config_exits_2(tmp_path, capsys):
 # -- oracle -------------------------------------------------------------------------
 
 
+REFERENCE_ORACLE = ["oracle", "--count", "10", "--down", "2,5,6"]
+
+
 def test_oracle_prints_the_reference_assignment(capsys):
-    assert main(["oracle", "--topology", "basic", "--count", "10", "--down", "2,5,6"]) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "n0: trust-ore"
-    assert lines[1] == "n1: hint n3"
-    assert lines[4] == "n4: hint n7"
-    assert lines[5] == "n5: hint n7"
-    assert len(lines) == 10
+    assert main([*REFERENCE_ORACLE, "--topology", "basic"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "n0: trust-ore",
+        "n1: hint n3",
+        "n2: trust-ore",
+        "n3: trust-ore",
+        "n4: hint n7",
+        "n5: hint n7",
+        "n6: trust-ore",
+        "n7: trust-ore",
+        "n8: trust-ore",
+        "n9: trust-ore",
+    ]
 
 
 def test_oracle_directional_output(capsys):
-    assert main(["oracle", "--topology", "brf", "--count", "10", "--down", "2,5,6"]) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[4] == "n4: cw=n7 ccw=n3"
-    assert main(["oracle", "--topology", "sbrf", "--count", "10", "--down", "2,5,6"]) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[5] == "n5: candidate=n4"
-    assert lines[0] == "n0: cw=n1 ccw=n9"
+    """Every line of both directional tables on the reference ring; sbrf
+    prints a pair for an Available node and one candidate for a down one."""
+    assert main([*REFERENCE_ORACLE, "--topology", "brf"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "n0: cw=n1 ccw=n9",
+        "n1: cw=n3 ccw=n0",
+        "n2: cw=n3 ccw=n1",
+        "n3: cw=n4 ccw=n1",
+        "n4: cw=n7 ccw=n3",
+        "n5: cw=n7 ccw=n4",
+        "n6: cw=n7 ccw=n4",
+        "n7: cw=n8 ccw=n4",
+        "n8: cw=n9 ccw=n7",
+        "n9: cw=n0 ccw=n8",
+    ]
+    assert main([*REFERENCE_ORACLE, "--topology", "sbrf"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "n0: cw=n1 ccw=n9",
+        "n1: cw=n3 ccw=n0",
+        "n2: candidate=n3",
+        "n3: cw=n4 ccw=n1",
+        "n4: cw=n7 ccw=n3",
+        "n5: candidate=n4",
+        "n6: candidate=n7",
+        "n7: cw=n8 ccw=n4",
+        "n8: cw=n9 ccw=n7",
+        "n9: cw=n0 ccw=n8",
+    ]
 
 
 def test_oracle_empty_system(capsys):
@@ -611,7 +643,7 @@ def test_oracle_empty_system(capsys):
 
 def test_oracle_rejects_bad_down_lists(capsys):
     assert main(["oracle", "--count", "3", "--down", "7"]) == EXIT_USAGE
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: down nodes [7] outside 0..2\n"
     assert main(["oracle", "--count", "3", "--down", "x"]) == EXIT_USAGE
     capsys.readouterr()
 

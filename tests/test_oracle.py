@@ -97,9 +97,6 @@ def test_sweeps_equal_the_brute_force_scans(rings):
 def test_ring_positions_wrap():
     ring = RingModel.of(4)
     assert ring.successor(3) == 0
-    assert ring.predecessor(0) == 3
-    assert ring.at(7) == 3
-    assert ring.at(-1) == 3
 
 
 def test_ring_rejects_bad_shapes():
@@ -126,8 +123,7 @@ def test_rings_compare_by_nodes_and_states_only():
 
 def test_down_set_builds_the_right_states():
     ring = RingModel.of(4, down={1, 3})
-    assert [ring.is_available(n) for n in range(4)] == [True, False, True, False]
-    assert ring.available_count == 2
+    assert ring.avail == (True, False, True, False)
 
 
 # -- frozen reference scenario: ten nodes, 2, 5 and 6 down ----------------------
@@ -255,18 +251,18 @@ def test_shortest_candidate_is_brute_force_optimal():
     for size in range(1, 8):
         for ring in every_vector(size):
             result = sbrf_tst(ring)
-            live = [n for n in ring.nodes if ring.is_available(n)]
-            for node in ring.nodes:
-                if ring.is_available(node):
+            nodes, avail = ring.nodes, ring.avail
+            live = [n for n, up in zip(nodes, avail) if up]
+            for position, node in enumerate(nodes):
+                if avail[position]:
                     assert result[node] == brf_tst(ring)[node]
                     continue
                 if not live:
                     assert result[node] is None
                     continue
-                position = ring.position(node)
 
                 def hops(target):
-                    gap = (ring.position(target) - position) % size
+                    gap = (nodes.index(target) - position) % size
                     return min(gap, size - gap)
 
                 best = min(hops(x) for x in live)
@@ -274,7 +270,7 @@ def test_shortest_candidate_is_brute_force_optimal():
                 choice = result[node]
                 assert choice in candidates
                 if len(candidates) > 1:
-                    assert (ring.position(choice) - position) % size == best
+                    assert (nodes.index(choice) - position) % size == best
 
 
 # -- symmetry ----------------------------------------------------------------------
