@@ -55,13 +55,12 @@ class RingModel:
     def of(cls, count: int, down: Iterable[NodeId] = ()) -> "RingModel":
         """Ring of nodes 0..count-1 in arrival order, `down` Unavailable."""
         down = set(down)
-        unknown = down - set(range(count))
+        # The ring is built first, so a bad size is reported before the down set.
+        ring = cls(nodes=tuple(range(count)), avail=tuple(n not in down for n in range(count)))
+        unknown = down - set(ring.nodes)
         if unknown:
             raise RingError(f"down nodes {sorted(unknown)} outside 0..{count - 1}")
-        return cls(
-            nodes=tuple(range(count)),
-            avail=tuple(n not in down for n in range(count)),
-        )
+        return ring
 
     @classmethod
     def from_states(

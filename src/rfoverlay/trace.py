@@ -11,8 +11,11 @@ JSON exists only in the codec. One encoder writes every line with a fixed
 field order (time, kind, node, detail), so equal runs produce byte-equal
 files: event_to_json, dumps_trace, dump_trace and TraceEvent.detail all run
 it, and dump_trace writes its lines in fixed-size chunks, one write each.
-event_from_json checks every field of a line and decodes it into the same
-values, so a line the engine could not have written is a TraceError.
+The encoder is also the format's one definition: event_from_json reads a
+line's values and accepts the line only if its event encodes back to that
+same line. So a line the engine could not have written is a TraceError, and
+so is one that holds the right values written another way (other spacing,
+field order or escapes, a repeated field, -0).
 """
 
 from __future__ import annotations
@@ -24,10 +27,6 @@ from typing import IO, Any, Container, Iterable, Iterator, NamedTuple
 
 from .bus import BusError, NodeId, Sample, TopicKey, TopicName, check_payload
 from .protocol import NodeView
-
-# A line writes a node's availability as a word.
-_AVAILABILITY = {"available": True, "unavailable": False}
-
 
 class TraceError(ValueError):
     """A trace line or event stream that does not parse or add up."""
@@ -187,11 +186,14 @@ def event_to_json(event: TraceEvent) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Decoding: JSON values are taken as they stand, never coerced, and each
-# object must hold exactly the fields the encoder writes. A bad value raises
-# KeyError, TypeError, ValueError or BusError, and a key or a Deliver
-# publisher naming a node not yet joined raises TraceError; event_from_json
-# turns each into one TraceError showing the line.
+# Decoding: the encoder is the format. event_from_json reads a line's values
+# by field name, then refuses the line unless its event encodes back to
+# that same line, so field sets, field order, spacing, escapes and spellings
+# such as -0 need no check of their own. Integers are taken as they stand
+# (_int), a payload must be its topic's kind, and a key or a Deliver
+# publisher naming a node not yet joined raises TraceError before the key is
+# built. A bad value raises KeyError, TypeError, ValueError or BusError;
+# event_from_json turns each into one TraceError showing the line.
 
 
 def _int(value: object) -> int:
@@ -201,56 +203,39 @@ def _int(value: object) -> int:
     raise TypeError("expected an integer")
 
 
-def _fields(obj: object, *names: str) -> list:
-    """The values of a JSON object that holds exactly `names`, in that order."""
-    if type(obj) is not dict or len(obj) != len(names):
-        raise TypeError(f"expected an object of {names}")
-    return [obj[name] for name in names]
-
-
-def _key(obj: object, joined: Container[NodeId]) -> TopicKey:
+def _key(obj: Any, joined: Container[NodeId]) -> TopicKey:
     """A topic key. Keys are interned for the life of the process, so a key
     instance must be a node in `joined` before the key is built: a trace
     cannot grow the intern table past the nodes it announced."""
-    if type(obj) is dict and len(obj) == 1:
-        return TopicKey(TopicName(_fields(obj, "topic")[0]))
-    topic, instance = _fields(obj, "topic", "instance")
-    instance = _int(instance)
+    if "instance" not in obj:
+        return TopicKey(TopicName(obj["topic"]))
+    instance = _int(obj["instance"])
     if instance not in joined:
         raise TraceError(f"a key names node {instance} before its Join")
-    return TopicKey(TopicName(topic), instance)
+    return TopicKey(TopicName(obj["topic"]), instance)
 
 
-def _detail_value(
-    kind: str, node: NodeId, detail: object, joined: Container[NodeId]
-) -> Any:
+def _detail_value(kind: str, node: NodeId, detail: Any, joined: Container[NodeId]) -> Any:
     """The value of a line of `kind` by `node` from its detail."""
     if kind == KIND_VIEW_CHANGE:
-        ose, ore, tre, state, joining = _fields(detail, "ose", "ore", "tre", "state", "joining")
-        if type(joining) is not bool:
-            raise TypeError("joining is a bool")
+        tre = detail["tre"]
         tre = None if tre is None else _int(tre)
-        return _int(ose), _int(ore), tre, _AVAILABILITY[state], joining
-    if kind == KIND_DELIVER:
-        key, payload, publisher, seq = _fields(detail, "key", "payload", "publisher", "seq")
-        publisher = _int(publisher)
-        if publisher not in joined:
-            raise TraceError(f"a Deliver line names publisher {publisher} before its Join")
-        key = _key(key, joined)
-        check_payload(key, payload)
-        return Sample(key, payload, publisher, _int(seq))
-    if kind == KIND_PUBLISH:
-        key, payload, seq = _fields(detail, "key", "payload", "seq")
-        key = _key(key, joined)
-        check_payload(key, payload)
-        return Sample(key, payload, node, _int(seq))
+        available = detail["state"] == "available"
+        return _int(detail["ose"]), _int(detail["ore"]), tre, available, detail["joining"]
+    if kind == KIND_DELIVER or kind == KIND_PUBLISH:
+        publisher = node
+        if kind == KIND_DELIVER:
+            publisher = _int(detail["publisher"])
+            if publisher not in joined:
+                raise TraceError(f"a Deliver line names publisher {publisher} before its Join")
+        key = _key(detail["key"], joined)
+        check_payload(key, detail["payload"])
+        return Sample(key, detail["payload"], publisher, _int(detail["seq"]))
     if kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
-        return _key(_fields(detail, "key")[0], joined)
+        return _key(detail["key"], joined)
     if kind == KIND_TOGGLE:
-        to, interval = _fields(detail, "to", "interval")
-        return _AVAILABILITY[to], _int(interval)
+        return detail["to"] == "available", _int(detail["interval"])
     if kind == KIND_JOIN:
-        _fields(detail)
         return None
     raise ValueError("unknown event kind")
 
@@ -264,7 +249,7 @@ def _bad_line(reason: str, line: str) -> TraceError:
 def event_from_json(line: str, joined: Container[NodeId]) -> TraceEvent:
     """Decode one trace line. `joined` holds the nodes whose Join lines came
     before it; a key or a Deliver publisher naming any other node is a
-    TraceError."""
+    TraceError, and so is a line that its event does not encode back to."""
     try:
         obj = json.loads(line)
     except RecursionError:
@@ -272,13 +257,15 @@ def event_from_json(line: str, joined: Container[NodeId]) -> TraceEvent:
     except ValueError:  # JSONDecodeError, or an integer too long to convert
         raise _bad_line("unparsable trace line", line) from None
     try:
-        time, kind, node, detail = _fields(obj, "time", "kind", "node", "detail")
-        node = _int(node)
-        return TraceEvent(_int(time), kind, node, _detail_value(kind, node, detail, joined))
+        time, kind, node = _int(obj["time"]), obj["kind"], _int(obj["node"])
+        event = TraceEvent(time, kind, node, _detail_value(kind, node, obj["detail"], joined))
     except TraceError as exc:
         raise _bad_line(str(exc), line) from None
     except (KeyError, TypeError, ValueError, BusError):
         raise _bad_line("not a valid trace event", line) from None
+    if next(_encode((event,))) != line + "\n":
+        raise _bad_line("not the line its event encodes to", line)
+    return event
 
 
 def dump_trace(events: Iterable[TraceEvent], stream: IO[str]) -> None:

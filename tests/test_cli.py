@@ -403,6 +403,50 @@ def test_verify_refuses_a_line_of_the_tagged_format(tmp_path, capsys, line, old)
     assert err.startswith("malformed trace:") and err.count("\n") == 1
 
 
+def _reorder_first_view(text):
+    """Write the first ViewChange line's `ore` before its `ose`."""
+    return re.sub(
+        r'("kind":"ViewChange".*?"detail":\{)("ose":\d+,)("ore":\d+,)', r"\1\3\2", text, count=1
+    )
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace(
+            '{"time":1,"kind":"Join","node":0,"detail":{}}',
+            '{"time":9,"kind":"Join","node":0,"detail":{},"time":1}',
+            1,
+        ),
+        lambda text: text.replace('"kind":"Join"', '"kind":"J\\u006fin"', 1),
+        lambda text: text.replace('"kind":"Join","node":0,', '"kind":"Join","node":-0,', 1),
+        _reorder_first_view,
+        lambda text: "".join(json.dumps(json.loads(line)) + "\n" for line in text.splitlines()),
+    ],
+    ids=["repeated-field", "escaped-kind", "minus-zero", "reordered-view", "spaced-separators"],
+)
+def test_verify_refuses_the_right_values_written_another_way(tmp_path, capsys, edit):
+    """A line loads only if its event encodes back to that same line, so a
+    line that json.loads reads as the engine's values but that the encoder
+    would not write is malformed. Before the decoder re-encoded each event,
+    verify passed each of these traces."""
+    config = write_config(tmp_path)
+    trace_path = tmp_path / "run.jsonl"
+    main(["simulate", "--config", config, "--trace", str(trace_path)])
+    capsys.readouterr()
+
+    text = trace_path.read_text()
+    forged = edit(text)
+    assert forged != text
+    assert [json.loads(line) for line in forged.splitlines()] == [
+        json.loads(line) for line in text.splitlines()
+    ]
+    trace_path.write_text(forged)
+    assert main(["verify", "--config", config, "--trace", str(trace_path)]) == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace:") and err.count("\n") == 1
+
+
 def _publish_of(deliver):
     """A match for the Publish line that `deliver` delivers."""
     detail = deliver["detail"]
@@ -646,6 +690,10 @@ def test_oracle_rejects_bad_down_lists(capsys):
     assert capsys.readouterr().err == "error: down nodes [7] outside 0..2\n"
     assert main(["oracle", "--count", "3", "--down", "x"]) == EXIT_USAGE
     capsys.readouterr()
+    # The ring's size is checked before its down set: before, this printed
+    # "down nodes [0] outside 0..-2".
+    assert main(["oracle", "--count", "-1", "--down", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: a ring has at least one node\n"
 
 
 # -- sweep ----------------------------------------------------------------------------
