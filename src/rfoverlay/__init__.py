@@ -6,153 +6,14 @@ the nearest available successor; availability changes propagate as status
 publications along the ring. Global-knowledge oracles compute the expected
 steady state for any availability vector, and the scenario runner checks
 live runs against them.
+
+The root exports only the names below; every other name is imported from
+its own module (`rfoverlay.trace`, `rfoverlay.bus`, ...).
 """
 
-from .bus import (
-    GLOBAL_TOPICS,
-    NodeId,
-    Payload,
-    Sample,
-    TopicKey,
-    TopicName,
-    VirtualBus,
-    arrivals_key,
-    mybox_key,
-    oneback_key,
-    ore_key,
-    ose_key,
-)
-from .metrics import (
-    IntervalStats,
-    Metrics,
-    SETUP_INTERVAL,
-    Tally,
-    ToggleMark,
-    ToggleStats,
-    compute_metrics,
-    render_metrics,
-    tally,
-)
-from .network import DISPATCH_BUDGET_FACTOR, JoinError, Network, QuiescenceError
-from .oracle import (
-    RingError,
-    RingModel,
-    basic_tst,
-    brf_tst,
-    mybox_fixpoint,
-    mybox_table,
-    sbrf_tst,
-)
-from .protocol import (
-    Effects,
-    NextAvailable,
-    NodeView,
-    ProtocolError,
-    handle_delivery,
-    join,
-    published_hint,
-    subscriptions,
-)
-from .scenario import (
-    ConfigError,
-    Mismatch,
-    ScenarioConfig,
-    VerifyReport,
-    config_with_seed,
-    load_config,
-    oracle_mismatches,
-    parse_config,
-    ring_of,
-    run_scenario,
-    verify_trace,
-)
-from .trace import (
-    Trace,
-    TraceError,
-    TraceEvent,
-    TraceRecorder,
-    dump_trace,
-    dumps_trace,
-    event_from_json,
-    event_to_json,
-    load_trace,
-)
-from .workload import (
-    AvailabilitySchedule,
-    MAX_RATE,
-    WorkloadConfig,
-    build_schedule,
-    poisson_pmf,
-    sample_k,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AvailabilitySchedule",
-    "ConfigError",
-    "DISPATCH_BUDGET_FACTOR",
-    "Effects",
-    "GLOBAL_TOPICS",
-    "IntervalStats",
-    "JoinError",
-    "MAX_RATE",
-    "Metrics",
-    "Mismatch",
-    "Network",
-    "NextAvailable",
-    "NodeId",
-    "NodeView",
-    "Payload",
-    "ProtocolError",
-    "QuiescenceError",
-    "RingError",
-    "RingModel",
-    "SETUP_INTERVAL",
-    "Sample",
-    "ScenarioConfig",
-    "Tally",
-    "ToggleMark",
-    "ToggleStats",
-    "TopicKey",
-    "TopicName",
-    "Trace",
-    "TraceError",
-    "TraceEvent",
-    "TraceRecorder",
-    "VerifyReport",
-    "VirtualBus",
-    "WorkloadConfig",
-    "arrivals_key",
-    "basic_tst",
-    "brf_tst",
-    "build_schedule",
-    "compute_metrics",
-    "config_with_seed",
-    "dump_trace",
-    "dumps_trace",
-    "event_from_json",
-    "event_to_json",
-    "handle_delivery",
-    "join",
-    "load_config",
-    "load_trace",
-    "mybox_fixpoint",
-    "mybox_key",
-    "mybox_table",
-    "oneback_key",
-    "oracle_mismatches",
-    "ore_key",
-    "ose_key",
-    "parse_config",
-    "poisson_pmf",
-    "published_hint",
-    "render_metrics",
-    "ring_of",
-    "run_scenario",
-    "sample_k",
-    "sbrf_tst",
-    "subscriptions",
-    "tally",
-    "verify_trace",
-]
+from .bus import VirtualBus
+from .network import JoinError, Network, QuiescenceError
+from .oracle import RingModel
+from .scenario import ScenarioConfig, oracle_mismatches, run_scenario, verify_trace
+from .trace import TraceError, TraceRecorder
+from .workload import WorkloadConfig

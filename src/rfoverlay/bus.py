@@ -124,14 +124,6 @@ ARRIVALS_KEY = TopicKey(TopicName.ARRIVALS)
 ONEBACK_KEY = TopicKey(TopicName.ONEBACK)
 
 
-def arrivals_key() -> TopicKey:
-    return ARRIVALS_KEY
-
-
-def oneback_key() -> TopicKey:
-    return ONEBACK_KEY
-
-
 def mybox_key(node: NodeId) -> TopicKey:
     key = _MYBOX_KEYS.get(node)
     return key if key is not None else TopicKey(TopicName.MYBOX, node)

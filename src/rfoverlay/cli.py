@@ -97,7 +97,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
-    with open(args.trace, "r", encoding="utf-8") as stream:
+    with open(args.trace, "r", encoding="utf-8", newline="\n") as stream:
         report = verify_trace(load_trace(stream), cfg)
     return _print_report(report, sys.stdout)
 

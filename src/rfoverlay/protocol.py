@@ -38,14 +38,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bus import (
+    ARRIVALS_KEY,
+    ONEBACK_KEY,
     NodeId,
     Payload,
     Sample,
     TopicKey,
     TopicName,
-    arrivals_key,
     mybox_key,
-    oneback_key,
     ore_key,
     ose_key,
 )
@@ -109,11 +109,11 @@ def _watched(view: NodeView) -> tuple[tuple[NodeId, ...], TopicKey | None]:
     global stream it holds, if any: the arrival log while joining, the
     wake-up channel iff nothing is Available."""
     if view.joining:
-        return (), arrivals_key()
+        return (), ARRIVALS_KEY
     ore = view.ore
     tre = view.tre
     if tre is None:
-        return (ore,), oneback_key()
+        return (ore,), ONEBACK_KEY
     if tre != ore and tre != view.me:
         return ((ore, tre) if ore < tre else (tre, ore)), None
     return (ore,), None
@@ -212,8 +212,8 @@ def join(me: NodeId) -> Effects:
     )
     return Effects(
         view=view,
-        publications=((arrivals_key(), me),),
-        subscribe=(arrivals_key(), ore_key(me), ose_key(me)),
+        publications=((ARRIVALS_KEY, me),),
+        subscribe=(ARRIVALS_KEY, ore_key(me), ose_key(me)),
     )
 
 
@@ -303,7 +303,7 @@ def set_available(view: NodeView) -> Effects:
     announce = (mybox_key(me), me)
     if view.tre is None:
         woken = _with_status(view, me, True, me)
-        return _effects(view, woken, ((oneback_key(), me), announce))
+        return _effects(view, woken, ((ONEBACK_KEY, me), announce))
     up = _with_status(view, view.tre, True, me)
     return _effects(view, up, (announce,))
 

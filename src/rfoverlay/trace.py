@@ -281,9 +281,12 @@ def dumps_trace(events: Iterable[TraceEvent]) -> str:
 
 def load_trace(stream: IO[str]) -> Iterator[TraceEvent]:
     """Decode a JSONL trace lazily, one event per line as the caller reads
-    it, so a consumer that folds the events never holds the trace. A bad
-    line raises TraceError when the reader reaches it, and so does a key
-    or a Deliver publisher that names a node before that node's Join line.
+    it, so a consumer that folds the events never holds the trace. Each
+    line must be exactly what the encoder writes, its newline included:
+    nothing is stripped or skipped, so open a file without newline
+    translation. A bad line raises TraceError when the reader reaches it,
+    and so does a key or a Deliver publisher that names a node before that
+    node's Join line.
 
     Sequence numbers follow the bus's rule: a Publish `seq` is one more than
     the last one of its (publisher, key), and a Deliver `seq` names a sample
@@ -293,9 +296,9 @@ def load_trace(stream: IO[str]) -> Iterator[TraceEvent]:
     last_seq: dict[tuple[NodeId, TopicKey], int] = {}
     try:
         for line in stream:
-            line = line.strip()
-            if not line:
-                continue
+            if line[-1:] != "\n":
+                raise _bad_line("trace line without a final newline", line)
+            line = line[:-1]
             event = event_from_json(line, joined)
             kind = event.kind
             if kind == KIND_JOIN:

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from rfoverlay.bus import TopicName, oneback_key
+from rfoverlay.bus import ONEBACK_KEY, TopicName
 from rfoverlay.network import Network
 from rfoverlay.oracle import RingModel, basic_tst, brf_tst, sbrf_tst
 from rfoverlay.scenario import ScenarioConfig, oracle_mismatches, run_scenario
@@ -181,7 +181,7 @@ def test_criterion_3_total_outage_recovery():
             if nth != 1:
                 problems.append(f"m={size}: {node} needed {nth} deliveries")
             key = sample.key
-            if key != oneback_key() and key.topic is not TopicName.MYBOX:
+            if key != ONEBACK_KEY and key.topic is not TopicName.MYBOX:
                 problems.append(f"m={size}: {node} woke on {key}")
         if oracle_mismatches(net):
             problems.append(f"m={size}: settled state disagrees with the oracle")

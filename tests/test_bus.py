@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 
 from rfoverlay import protocol
 from rfoverlay.bus import (
+    ARRIVALS_KEY,
+    ONEBACK_KEY,
     PayloadKindError,
     SubscriptionError,
     TopicKey,
     TopicName,
     VirtualBus,
-    arrivals_key,
     mybox_key,
-    oneback_key,
     ore_key,
     ose_key,
     BusError,
@@ -44,7 +44,7 @@ def drain(bus: VirtualBus) -> list:
 
 def replayed(bus: VirtualBus, key=None, subscriber: int = 99) -> list:
     """What a new subscriber to `key` (default: the arrival log) is sent."""
-    key = arrivals_key() if key is None else key
+    key = ARRIVALS_KEY if key is None else key
     drain(bus)
     bus.subscribe(subscriber, key)
     return [sample for _subscriber, sample in drain(bus)]
@@ -66,7 +66,7 @@ def test_keyed_topics_require_instances():
     with pytest.raises(BusError):
         TopicKey(TopicName.ORE, -1)
     assert str(mybox_key(3)) == "MyBox[3]"
-    assert str(arrivals_key()) == "Arrivals"
+    assert str(ARRIVALS_KEY) == "Arrivals"
 
 
 def test_keys_are_interned_by_construction():
@@ -76,8 +76,8 @@ def test_keys_are_interned_by_construction():
     assert TopicKey(TopicName.MYBOX, 3) is mybox_key(3)
     assert TopicKey(TopicName.ORE, 5) is ore_key(5)
     assert TopicKey(TopicName.OSE, 5) is ose_key(5)
-    assert TopicKey(TopicName.ARRIVALS) is arrivals_key()
-    assert TopicKey(TopicName.ONEBACK, None) is oneback_key()
+    assert TopicKey(TopicName.ARRIVALS) is ARRIVALS_KEY
+    assert TopicKey(TopicName.ONEBACK, None) is ONEBACK_KEY
     assert TopicKey(TopicName.MYBOX, 3) != mybox_key(4)
     assert copy.copy(mybox_key(3)) is copy.deepcopy(mybox_key(3)) is mybox_key(3)
     assert pickle.loads(pickle.dumps(mybox_key(3))) is mybox_key(3)
@@ -98,12 +98,12 @@ def test_only_the_arrival_log_replays():
     joiner's predecessor and itself); every other topic replays nothing."""
     bus = fresh_bus()
     for node in range(3):
-        bus.publish(node, arrivals_key(), node)
+        bus.publish(node, ARRIVALS_KEY, node)
         bus.publish(node, mybox_key(node), node)
-        bus.publish(node, oneback_key(), node)
+        bus.publish(node, ONEBACK_KEY, node)
         bus.publish(node, ore_key(node), node)
         bus.publish(node, ose_key(node), node)
-    for key in (mybox_key(2), oneback_key(), ore_key(2), ose_key(2)):
+    for key in (mybox_key(2), ONEBACK_KEY, ore_key(2), ose_key(2)):
         assert replayed(bus, key) == []
     assert [s.payload for s in replayed(bus)] == [1, 2]
 
@@ -113,7 +113,7 @@ def test_payload_kinds_are_checked():
     None on MyBox only. Types match exactly, so a bool is not a node id."""
     bus = fresh_bus()
     with pytest.raises(PayloadKindError):
-        bus.publish(0, arrivals_key(), {"role": "new_ore", "who": 0})
+        bus.publish(0, ARRIVALS_KEY, {"role": "new_ore", "who": 0})
     with pytest.raises(PayloadKindError):
         bus.publish(0, mybox_key(0), "0")
     with pytest.raises(PayloadKindError):
@@ -125,9 +125,9 @@ def test_payload_kinds_are_checked():
     with pytest.raises(PayloadKindError):
         bus.publish(0, mybox_key(0), True)
     with pytest.raises(PayloadKindError):
-        bus.publish(0, arrivals_key(), None)
+        bus.publish(0, ARRIVALS_KEY, None)
     with pytest.raises(PayloadKindError):
-        bus.publish(0, oneback_key(), None)
+        bus.publish(0, ONEBACK_KEY, None)
 
 
 # -- history -----------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_payload_kinds_are_checked():
 def test_keep_n_retains_the_last_n():
     bus = fresh_bus()
     for node in range(5):
-        bus.publish(node, arrivals_key(), node)
+        bus.publish(node, ARRIVALS_KEY, node)
     assert [s.payload for s in replayed(bus)] == [3, 4]
 
 
@@ -155,18 +155,18 @@ def test_durable_history_replays_to_late_joiners():
     bus = fresh_bus()
     for node in range(3):
         bus.advance()
-        bus.publish(node, arrivals_key(), node)
-    bus.subscribe(9, arrivals_key())
+        bus.publish(node, ARRIVALS_KEY, node)
+    bus.subscribe(9, ARRIVALS_KEY)
     got = [sample.payload for _subscriber, sample in drain(bus)]
     assert got == [1, 2]  # writer and reader keep the last two
 
 
 def test_replay_preserves_publication_order_across_publishers():
     bus = fresh_bus()
-    bus.publish(5, arrivals_key(), 5)
+    bus.publish(5, ARRIVALS_KEY, 5)
     bus.advance()
-    bus.publish(1, arrivals_key(), 1)
-    bus.subscribe(9, arrivals_key())
+    bus.publish(1, ARRIVALS_KEY, 1)
+    bus.subscribe(9, ARRIVALS_KEY)
     got = [sample.payload for _subscriber, sample in drain(bus)]
     assert got == [5, 1]
 
@@ -184,8 +184,8 @@ def test_volatile_topics_do_not_replay():
 def test_replay_length_is_min_of_history_and_depth(published):
     bus = fresh_bus()
     for node in range(published):
-        bus.publish(node, arrivals_key(), node)
-    bus.subscribe(99, arrivals_key())
+        bus.publish(node, ARRIVALS_KEY, node)
+    bus.subscribe(99, ARRIVALS_KEY)
     got = [sample.payload for _subscriber, sample in drain(bus)]
     # The arrival log keeps, and replays, its last two records.
     assert got == list(range(published))[-2:]
@@ -300,9 +300,9 @@ def test_cancel_purges_in_flight_deliveries():
 def test_subscriptions_of_reports_the_live_set():
     bus = fresh_bus()
     bus.subscribe(1, mybox_key(0))
-    bus.subscribe(1, oneback_key())
-    assert bus.subscriptions_of(1) == frozenset({mybox_key(0), oneback_key()})
-    bus.cancel_subscription(1, oneback_key())
+    bus.subscribe(1, ONEBACK_KEY)
+    assert bus.subscriptions_of(1) == frozenset({mybox_key(0), ONEBACK_KEY})
+    bus.cancel_subscription(1, ONEBACK_KEY)
     assert bus.subscriptions_of(1) == frozenset({mybox_key(0)})
 
 
@@ -333,7 +333,7 @@ def test_running_totals_count_every_operation():
     bus.subscribe(1, mybox_key(0))
     bus.subscribe(2, mybox_key(0))
     bus.publish(0, mybox_key(0), 0)
-    bus.publish(0, arrivals_key(), 0)
+    bus.publish(0, ARRIVALS_KEY, 0)
     bus.cancel_subscription(2, mybox_key(0))
     drain(bus)
     assert (bus.deliveries, bus.subscribes, bus.unsubscribes) == (1, 2, 1)
@@ -352,10 +352,10 @@ def _scripted_run() -> list[tuple]:
     bus.subscribe(3, mybox_key(0))
     bus.subscribe(1, mybox_key(0))
     for node in (2, 0, 1):
-        bus.publish(node, arrivals_key(), node)
+        bus.publish(node, ARRIVALS_KEY, node)
     bus.publish(0, mybox_key(0), 0)
     bus.advance()
-    bus.subscribe(4, arrivals_key())
+    bus.subscribe(4, ARRIVALS_KEY)
     bus.publish(0, mybox_key(0), None)
     run = []
     while (delivery := bus.dispatch_next()) is not None:
@@ -403,7 +403,7 @@ def test_clone_carries_state():
     bus.subscribe(1, mybox_key(0))
     bus.publish(0, mybox_key(0), 0)
     for node in range(3):
-        bus.publish(node, arrivals_key(), node)
+        bus.publish(node, ARRIVALS_KEY, node)
     drain(bus)
     twin = bus.clone()
     history = replayed(bus)
@@ -418,7 +418,7 @@ def test_clone_carries_state():
     sample = twin.publish(0, mybox_key(0), None)
     assert sample.seq == 2
     # and the original is untouched by the twin's activity
-    twin.publish(7, arrivals_key(), 7)
+    twin.publish(7, ARRIVALS_KEY, 7)
     assert [s.payload for s in replayed(twin, subscriber=97)] == [2, 7]
     assert [s.payload for s in replayed(bus, subscriber=97)] == [1, 2]
     assert bus.publish_counts[TopicName.MYBOX] == 1

@@ -422,14 +422,29 @@ def _reorder_first_view(text):
         lambda text: text.replace('"kind":"Join","node":0,', '"kind":"Join","node":-0,', 1),
         _reorder_first_view,
         lambda text: "".join(json.dumps(json.loads(line)) + "\n" for line in text.splitlines()),
+        lambda text: "  " + text,
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\n\n"),
+        lambda text: text[:-1],
     ],
-    ids=["repeated-field", "escaped-kind", "minus-zero", "reordered-view", "spaced-separators"],
+    ids=[
+        "repeated-field",
+        "escaped-kind",
+        "minus-zero",
+        "reordered-view",
+        "spaced-separators",
+        "leading-spaces",
+        "crlf",
+        "blank-lines",
+        "no-final-newline",
+    ],
 )
 def test_verify_refuses_the_right_values_written_another_way(tmp_path, capsys, edit):
-    """A line loads only if its event encodes back to that same line, so a
-    line that json.loads reads as the engine's values but that the encoder
-    would not write is malformed. Before the decoder re-encoded each event,
-    verify passed each of these traces."""
+    """A line loads only if its event encodes back to that same line, its
+    newline included, so a line that json.loads reads as the engine's values
+    but that the encoder would not write is malformed, and so is a blank
+    line. Before the decoder re-encoded each event, verify passed each of
+    these traces; before it kept each line as read, it passed the last four."""
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
     main(["simulate", "--config", config, "--trace", str(trace_path)])
@@ -438,7 +453,7 @@ def test_verify_refuses_the_right_values_written_another_way(tmp_path, capsys, e
     text = trace_path.read_text()
     forged = edit(text)
     assert forged != text
-    assert [json.loads(line) for line in forged.splitlines()] == [
+    assert [json.loads(line) for line in forged.splitlines() if line] == [
         json.loads(line) for line in text.splitlines()
     ]
     trace_path.write_text(forged)

@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfoverlay.bus import (
+    ARRIVALS_KEY,
+    ONEBACK_KEY,
     Sample,
-    arrivals_key,
     mybox_key,
-    oneback_key,
     ore_key,
     ose_key,
 )
@@ -41,7 +41,7 @@ def member(me, ose, ore, tre=..., available=True, last_mybox=None):
 
 
 def arrivals_sample(node, seq=1):
-    return Sample(key=arrivals_key(), payload=node, publisher=node, seq=seq)
+    return Sample(key=ARRIVALS_KEY, payload=node, publisher=node, seq=seq)
 
 
 # -- values --------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_status_values_are_shared():
 
 def test_joining_node_reads_the_arrival_log():
     view = join(3).view
-    assert subscriptions(view) == frozenset({arrivals_key(), ore_key(3), ose_key(3)})
+    assert subscriptions(view) == frozenset({ARRIVALS_KEY, ore_key(3), ose_key(3)})
 
 
 def test_settled_node_reads_its_receiver():
@@ -105,7 +105,7 @@ def test_hint_on_self_or_receiver_adds_nothing():
 
 def test_system_empty_adds_the_wakeup_channel():
     view = member(me=1, ose=0, ore=2, tre=None, available=False)
-    assert oneback_key() in subscriptions(view)
+    assert ONEBACK_KEY in subscriptions(view)
 
 
 # -- status value --------------------------------------------------------------
@@ -135,8 +135,8 @@ def test_published_hint_is_null_when_nothing_remains():
 
 def test_join_announces_then_reads_back():
     effects = join(3)
-    assert effects.publications == ((arrivals_key(), 3),)
-    assert set(effects.subscribe) == {arrivals_key(), ore_key(3), ose_key(3)}
+    assert effects.publications == ((ARRIVALS_KEY, 3),)
+    assert set(effects.subscribe) == {ARRIVALS_KEY, ore_key(3), ose_key(3)}
     assert effects.view.joining
 
 
@@ -146,7 +146,7 @@ def test_first_node_forms_a_ring_of_one():
     assert not view.joining
     assert (view.ose, view.ore) == (0, 0)
     assert effects.publications == ()
-    assert arrivals_key() in effects.unsubscribe
+    assert ARRIVALS_KEY in effects.unsubscribe
 
 
 def test_joiner_asks_the_last_arrival():
@@ -190,7 +190,7 @@ def test_ose_answer_completes_the_join():
     view = effects.view
     assert not view.joining
     assert (view.ose, view.ore) == (1, 0)
-    assert arrivals_key() in effects.unsubscribe
+    assert ARRIVALS_KEY in effects.unsubscribe
     assert mybox_key(0) in effects.subscribe
 
 
@@ -215,7 +215,7 @@ def test_last_node_leaving_empties_the_system():
     effects = set_unavailable(member(me=0, ose=0, ore=0))  # ring of one
     assert effects.publications == ((mybox_key(0), None),)
     assert effects.view.tre is None
-    assert oneback_key() in effects.subscribe
+    assert ONEBACK_KEY in effects.subscribe
 
     lone = member(me=1, ose=0, ore=2, tre=1, available=True)
     effects = set_unavailable(lone)
@@ -243,11 +243,11 @@ def test_first_return_wakes_the_empty_system():
     view = member(me=1, ose=0, ore=2, tre=None, available=False, last_mybox=None)
     effects = set_available(view)
     assert effects.publications == (
-        (oneback_key(), 1),
+        (ONEBACK_KEY, 1),
         (mybox_key(1), 1),
     )
     assert effects.view.tre == 1
-    assert oneback_key() in effects.unsubscribe
+    assert ONEBACK_KEY in effects.unsubscribe
 
 
 # -- propagation -----------------------------------------------------------------
@@ -314,7 +314,7 @@ def test_news_naming_me_is_never_forwarded():
     effects = on_mybox_from_ore(view, 1)
     assert effects.view.tre is None
     assert effects.publications == ((mybox_key(1), None),)
-    assert effects.subscribe == (oneback_key(),)
+    assert effects.subscribe == (ONEBACK_KEY,)
     # A None already published is not published again.
     quiet = member(me=1, ose=0, ore=2, available=False, last_mybox=None)
     effects = on_mybox_from_ore(quiet, 1)
@@ -327,7 +327,7 @@ def test_null_wave_marks_the_system_empty():
     effects = on_mybox_from_ore(view, None)
     assert effects.view.tre is None
     assert effects.publications == ((mybox_key(1), None),)
-    assert oneback_key() in effects.subscribe
+    assert ONEBACK_KEY in effects.subscribe
 
 
 def test_hint_news_retargets_without_republishing():
@@ -364,7 +364,7 @@ def test_wakeup_adopts_the_recoverer():
     effects = on_oneback(view, 5)
     assert effects.view.tre == 5
     assert effects.publications == ((mybox_key(1), 5),)
-    assert oneback_key() in effects.unsubscribe
+    assert ONEBACK_KEY in effects.unsubscribe
 
 
 def test_wakeup_ignores_the_own_echo():

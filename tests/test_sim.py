@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rfoverlay
 from rfoverlay import cli, network, protocol, scenario, workload
 from rfoverlay import trace as trace_module
 from rfoverlay.bus import Sample, TopicKey, TopicName, VirtualBus
@@ -1501,11 +1500,6 @@ def test_config_loads_from_a_stream():
 
 
 # -- package surface ----------------------------------------------------------------
-
-
-def test_every_exported_name_exists():
-    missing = [name for name in rfoverlay.__all__ if not hasattr(rfoverlay, name)]
-    assert not missing, missing
 
 
 def test_readme_python_examples_run():
