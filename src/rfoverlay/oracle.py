@@ -5,13 +5,14 @@ vector, what every node's next-available knowledge must be once the event
 protocol settles. The event-driven machinery is verified against them, never
 the other way around.
 
-Every table is one read of a single O(m) sweep: one backward pass over two
-laps of the ring finds the first Available node at or after every position.
-mybox_table reads it as it stands and basic_tst one position on; brf_tst
-pairs basic_tst of the ring with basic_tst of its mirror, and sbrf_tst keeps
-the nearer of that pair for a node that is down. Their definitions as direct
-brute-force scans live in tests/test_oracle.py and tests/test_acceptance.py,
-which check the sweeps against them.
+Every table is one read of a single O(m) sweep: one backward pass over the
+ring, seeded with its first Available node for the wrap-around, finds the
+first Available node at or after every position. basic_tst reads it one
+position on, and mybox_table reads basic_tst's table for a node that is
+down; brf_tst pairs basic_tst of the ring with basic_tst of its mirror, and
+sbrf_tst keeps the nearer of that pair for a node that is down. Their
+definitions as direct brute-force scans live in tests/test_oracle.py and
+tests/test_acceptance.py, which check the sweeps against them.
 
 Three structures are covered: the basic single-successor form that the event
 protocol realizes, and the two variants that keep a candidate in each ring
@@ -87,30 +88,32 @@ def _first_available(ring: RingModel) -> list[NodeId | None]:
     """For every position, the first Available node scanning ring-forward
     from it (itself included); None everywhere when nothing is Available.
 
-    One backward sweep over two laps: the second lap seeds the wrap-around,
-    the first records the answers.
+    One backward sweep over one lap, seeded with the ring's first Available
+    node: that is the answer past the last position, where the scan wraps.
     """
-    size = ring.size
     nodes = ring.nodes
     up = ring.avail
-    first: list[NodeId | None] = [None] * size
-    found: NodeId | None = None
-    for index in range(2 * size - 1, -1, -1):
-        position = index % size
+    first: list[NodeId | None] = [None] * len(nodes)
+    found = nodes[up.index(True)] if True in up else None
+    for position in range(len(nodes) - 1, -1, -1):
         if up[position]:
             found = nodes[position]
-        if index < size:
-            first[index] = found
+        first[position] = found
     return first
 
 
-def mybox_table(ring: RingModel) -> dict[NodeId, NextAvailable]:
-    """The settled value of every node's status stream.
+def mybox_table(
+    ring: RingModel, tst: Mapping[NodeId, NextAvailable]
+) -> dict[NodeId, NextAvailable]:
+    """The settled value of every node's status stream, from `tst`, the
+    ring's basic_tst table.
 
     The first Available node scanning ring-forward from the node itself
-    (self included), or None when nothing is Available.
+    (self included), or None when nothing is Available: the node itself
+    while it is Available, else the first Available node past it, which is
+    its basic_tst entry.
     """
-    return dict(zip(ring.nodes, _first_available(ring)))
+    return {node: node if up else tst[node] for node, up in zip(ring.nodes, ring.avail)}
 
 
 def mybox_fixpoint(ring: RingModel, node: NodeId) -> NextAvailable:

@@ -166,14 +166,16 @@ def _oracle_compare(
 
     `observed` maps each field, ose, ore, tre, mybox and joining, to every
     node's value. The tables are compared whole, and the nodes are walked
-    only when they differ.
+    only when they differ. One oracle sweep gives both next-available
+    tables: mybox_table reads basic_tst's.
     """
     nodes = ring.nodes
+    tre = basic_tst(ring)
     expected = {
         "ose": dict(zip(nodes, nodes[-1:] + nodes[:-1])),
         "ore": dict(zip(nodes, nodes[1:] + nodes[:1])),
-        "tre": basic_tst(ring),
-        "mybox": mybox_table(ring),
+        "tre": tre,
+        "mybox": mybox_table(ring, tre),
         "joining": dict.fromkeys(nodes, False),
     }
     if observed == expected:

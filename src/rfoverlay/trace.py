@@ -11,6 +11,11 @@ JSON exists only in the codec. One encoder writes every line with a fixed
 field order (time, kind, node, detail), so equal runs produce byte-equal
 files: event_to_json, dumps_trace, dump_trace and TraceEvent.detail all run
 it, and dump_trace writes its lines in fixed-size chunks, one write each.
+The encoder formats each tick's head once per run of equal times, and reads
+node ids' text from a fixed table built at import, which never grows. An id
+outside it (a negative one, or one past its end) is formatted: once per
+whole-trace write, into that write's own copy of the table, and on every
+one-line call. Every line is the same as if each id were formatted.
 The encoder is also the format's one definition: event_from_json reads a
 line's values and accepts the line only if its event encodes back to that
 same line. So a line the engine could not have written is a TraceError, and
@@ -60,7 +65,7 @@ class TraceEvent(NamedTuple):
     @property
     def detail(self) -> dict:
         """The line's detail as JSON values, decoded from its text."""
-        return json.loads(next(_encode((self,))))["detail"]
+        return json.loads(_line(self))["detail"]
 
 
 Trace = list[TraceEvent]
@@ -131,58 +136,94 @@ def _key_json(key: TopicKey) -> str:
 # dump_trace writes this many lines per write: about half a megabyte.
 _CHUNK = 4096
 
+# The text of None and of every node id below _ID_TEXT_SIZE, built once at
+# import: a dict subscript is cheaper than formatting the int on each line.
+# It is never written to, so no trace can grow it.
+_ID_TEXT_SIZE = 1024
+_ID_TEXT = {None: "null", **{n: str(n) for n in range(_ID_TEXT_SIZE)}}
 
-def _encode(events: Iterable[TraceEvent]) -> Iterator[str]:
+
+class _AnyIdText(dict):
+    """_ID_TEXT for every id: one outside it (a negative one, or one past its
+    end) is formatted when it is read, and never stored."""
+
+    __missing__ = str
+
+
+_ANY_ID_TEXT = _AnyIdText(_ID_TEXT)
+
+
+def _encode(events: Iterable[TraceEvent], ids: dict = _ID_TEXT) -> Iterator[str]:
     """Each event's line, newline included: the one encoder.
 
     One loop writes every kind, so a line costs one f-string and no call but
     a dict lookup for its key. Values are written as the engine holds them:
     a node id as a bare integer, None as null, and availability as the word
     "available" or "unavailable". The key's topic fixes what a payload
-    means, so a payload carries no tag of its own."""
+    means, so a payload carries no tag of its own. The `{"time":T,"kind":"`
+    head is built once per run of equal times, and node ids and None are
+    read from `ids`. Given _ID_TEXT, a call that meets an id outside it
+    copies the table once and adds each such id's text to its own copy, so
+    a run of any size formats each id at most once per call."""
     key_json = _KEY_JSON.get
-    for time, kind, node, value in events:
-        if kind == KIND_VIEW_CHANGE:
-            ose, ore, tre, available, joining = value
-            yield (
-                f'{{"time":{time},"kind":"ViewChange","node":{node},"detail":'
-                f'{{"ose":{ose},"ore":{ore},"tre":{"null" if tre is None else tre},'
-                f'"state":"{"available" if available else "unavailable"}",'
-                f'"joining":{"true" if joining else "false"}}}}}\n'
-            )
-        elif kind == KIND_DELIVER or kind == KIND_PUBLISH:
-            key, payload, publisher, seq = value
-            if payload is None:
-                payload = "null"
-            head = (
-                f'{{"time":{time},"kind":"{kind}","node":{node},"detail":{{"key":'
-                f'{key_json(key) or _key_json(key)},"payload":{payload},'
-            )
-            if kind == KIND_PUBLISH:
-                yield f'{head}"seq":{seq}}}}}\n'
+    last = head = None
+    for event in events:
+        time, kind, node, value = event
+        if time != last:
+            last = time
+            head = f'{{"time":{time},"kind":"'
+        try:
+            if kind == KIND_VIEW_CHANGE:
+                ose, ore, tre, available, joining = value
+                line = (
+                    f'{head}ViewChange","node":{ids[node]},"detail":'
+                    f'{{"ose":{ids[ose]},"ore":{ids[ore]},"tre":{ids[tre]},'
+                    f'"state":"{"available" if available else "unavailable"}",'
+                    f'"joining":{"true" if joining else "false"}}}}}\n'
+                )
+            elif kind == KIND_DELIVER or kind == KIND_PUBLISH:
+                key, payload, publisher, seq = value
+                line = (
+                    f'{head}{kind}","node":{ids[node]},"detail":{{"key":'
+                    f'{key_json(key) or _key_json(key)},"payload":{ids[payload]},'
+                )
+                if kind == KIND_PUBLISH:
+                    line = f'{line}"seq":{seq}}}}}\n'
+                else:
+                    line = f'{line}"publisher":{ids[publisher]},"seq":{seq}}}}}\n'
+            elif kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
+                line = (
+                    f'{head}{kind}","node":{ids[node]},'
+                    f'"detail":{{"key":{key_json(value) or _key_json(value)}}}}}\n'
+                )
+            elif kind == KIND_TOGGLE:
+                to, interval = value
+                line = (
+                    f'{head}Toggle","node":{ids[node]},"detail":'
+                    f'{{"to":"{"available" if to else "unavailable"}",'
+                    f'"interval":{interval}}}}}\n'
+                )
+            elif kind == KIND_JOIN:
+                line = f'{head}Join","node":{ids[node]},"detail":{{}}}}\n'
             else:
-                yield f'{head}"publisher":{publisher},"seq":{seq}}}}}\n'
-        elif kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
-            yield (
-                f'{{"time":{time},"kind":"{kind}","node":{node},'
-                f'"detail":{{"key":{key_json(value) or _key_json(value)}}}}}\n'
-            )
-        elif kind == KIND_TOGGLE:
-            to, interval = value
-            yield (
-                f'{{"time":{time},"kind":"Toggle","node":{node},"detail":'
-                f'{{"to":"{"available" if to else "unavailable"}",'
-                f'"interval":{interval}}}}}\n'
-            )
-        elif kind == KIND_JOIN:
-            yield f'{{"time":{time},"kind":"Join","node":{node},"detail":{{}}}}\n'
-        else:
-            raise TraceError(f"unknown event kind {kind!r}")
+                raise TraceError(f"unknown event kind {kind!r}")
+        except KeyError as missing:
+            if ids is _ID_TEXT:
+                ids = dict(ids)
+            ids[missing.args[0]] = str(missing.args[0])
+            line = next(_encode((event,), ids))
+        yield line
+
+
+def _line(event: TraceEvent) -> str:
+    """One event's line, newline included. A lone line has no later line to
+    spread the cost of copying the table over, so it reads _ANY_ID_TEXT."""
+    return next(_encode((event,), _ANY_ID_TEXT))
 
 
 def event_to_json(event: TraceEvent) -> str:
     """One event's line, without its newline."""
-    return next(_encode((event,)))[:-1]
+    return _line(event)[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +304,7 @@ def event_from_json(line: str, joined: Container[NodeId]) -> TraceEvent:
         raise _bad_line(str(exc), line) from None
     except (KeyError, TypeError, ValueError, BusError):
         raise _bad_line("not a valid trace event", line) from None
-    if next(_encode((event,))) != line + "\n":
+    if _line(event) != line + "\n":
         raise _bad_line("not the line its event encodes to", line)
     return event
 

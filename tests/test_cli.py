@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from rfoverlay import bus, protocol, scenario
+from rfoverlay import bus, protocol, scenario, trace
 from rfoverlay.bus import TopicName
 from rfoverlay.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
@@ -530,16 +530,20 @@ def test_verify_memory_does_not_grow_with_a_hostile_trace(tmp_path, capsys, text
     """Topic keys are interned for the life of the process: a trace whose
     keys name thousands of distinct nodes is refused at its first such line,
     before the key is built, so the intern table does not grow. A key of an
-    unjoined node is refused by the decoder, which shows the clipped line."""
+    unjoined node is refused by the decoder, which shows the clipped line.
+    The encoder's tables of id text stay as they were built, though every
+    hostile id passes through them when its line is encoded back."""
     config = write_config(tmp_path)
     trace_path = tmp_path / "hostile.jsonl"
     trace_path.write_text(text)
     keys = len(bus._KEYS[TopicName.MYBOX])
+    id_texts = len(trace._ID_TEXT), len(trace._ANY_ID_TEXT)
     assert main(["verify", "--config", config, "--trace", str(trace_path)]) == EXIT_MISMATCH
     err = capsys.readouterr().err
     assert err.startswith("malformed trace:") and err.count("\n") == 1
     assert f"node {HOSTILE[0]}" in err and shown in err
     assert len(bus._KEYS[TopicName.MYBOX]) == keys
+    assert (len(trace._ID_TEXT), len(trace._ANY_ID_TEXT)) == id_texts
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from rfoverlay import cli, network, protocol, scenario, workload
 from rfoverlay import trace as trace_module
-from rfoverlay.bus import Sample, TopicKey, TopicName, VirtualBus
+from rfoverlay.bus import ARRIVALS_KEY, Sample, TopicKey, TopicName, VirtualBus
 from rfoverlay.metrics import (
     SETUP_INTERVAL,
     IntervalStats,
@@ -43,8 +43,11 @@ from rfoverlay.scenario import (
 )
 from rfoverlay.trace import (
     KIND_DELIVER,
+    KIND_JOIN,
     KIND_PUBLISH,
     KIND_SUBSCRIBE,
+    KIND_TOGGLE,
+    KIND_UNSUBSCRIBE,
     KIND_VIEW_CHANGE,
     TraceError,
     TraceEvent,
@@ -654,6 +657,31 @@ def test_toggle_heavy_trace_is_pinned_across_commits(interleaved, delay, lines, 
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "delay, digest",
+    [
+        (0, "e69ecf51f5a8ed66e2d1f2c1708ef2d9ee49ee05a9fd2cefe1a833c18675e857"),
+        (2, "57715c3fdd7658f250174a6f2fd772e707b20dc5eb0bcea8b72fb4c11207448e"),
+    ],
+    ids=["delay0", "delay2"],
+)
+def test_a_trace_with_ids_above_255_is_pinned_across_commits(delay, digest):
+    """A 300-node run: its lines hold node ids past CPython's small-int
+    cache, which ends at 256, so the encoder's id text is pinned for ids
+    that are distinct objects on every line."""
+    cfg = ScenarioConfig(
+        node_count=300,
+        delivery_delay=delay,
+        workload=WorkloadConfig(lam=3.0, threshold=2, intervals=4, seed=3),
+        seed=3,
+    )
+    trace, _ = run_scenario(cfg)
+    data = dumps_trace(trace).encode()
+    assert len(trace) == data.count(b"\n") == 14933
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert verify_trace(trace, cfg).passed
+
+
 def test_scenario_with_delivery_delay_still_verifies():
     cfg = ScenarioConfig(
         node_count=6, delivery_delay=3,
@@ -1240,6 +1268,85 @@ def test_whole_trace_writers_agree_with_the_line_encoder():
     assert len(stream.writes) == -(-len(trace) // chunk)
     lines = reference.splitlines(keepends=True)
     assert stream.writes[0] == sum(map(len, lines[:chunk]))
+
+
+def _events_naming(node):
+    """An event of every kind, each id field holding `node`."""
+    sample = Sample(ARRIVALS_KEY, node, node, 1)
+    return [
+        TraceEvent(1, KIND_JOIN, node, None),
+        TraceEvent(1, KIND_TOGGLE, node, (True, 2)),
+        TraceEvent(2, KIND_PUBLISH, node, sample),
+        TraceEvent(2, KIND_DELIVER, node, sample),
+        TraceEvent(3, KIND_SUBSCRIBE, node, ARRIVALS_KEY),
+        TraceEvent(3, KIND_UNSUBSCRIBE, node, ARRIVALS_KEY),
+        TraceEvent(3, KIND_VIEW_CHANGE, node, (node, node, node, True, False)),
+        TraceEvent(4, KIND_VIEW_CHANGE, node, (node, node, None, False, True)),
+    ]
+
+
+_TABLE_SIZE = trace_module._ID_TEXT_SIZE
+
+
+@pytest.mark.parametrize(
+    "node",
+    [0, _TABLE_SIZE - 1, _TABLE_SIZE, 10**9, -1],
+    ids=["zero", "last-in-table", "first-past-table", "1e9", "negative"],
+)
+def test_every_writer_writes_an_id_at_the_tables_edges_as_json_does(node):
+    """Node ids are read from a fixed table of their text; an id at either
+    side of its end, far past it or below it is written as json.dumps
+    writes it, by every writer, and decodes back to its event."""
+    events = _events_naming(node)
+    lines = [event_to_json(event) for event in events]
+    for event, line in zip(events, lines):
+        obj = json.loads(line)
+        assert line == json.dumps(obj, separators=(",", ":"))
+        assert obj["node"] == node and event.detail == obj["detail"]
+        assert event_from_json(line, {node}) == event
+    # A Join line names no other node, so it decodes with any id, -1 included.
+    assert event_from_json(lines[0], ()) == events[0]
+    text = "".join(line + "\n" for line in lines)
+    assert dumps_trace(events) == text
+    stream = io.StringIO()
+    dump_trace(events, stream)
+    assert stream.getvalue() == text
+
+
+def test_a_write_formats_ids_past_the_table_into_its_own_copy():
+    """A whole-trace write that meets ids outside the table, several on one
+    line, writes each line as event_to_json and json.dumps do, and leaves
+    the shared tables as they were built."""
+    far = [10**9, -5, _TABLE_SIZE, 5000]
+    events = [
+        TraceEvent(time, KIND_VIEW_CHANGE, ids[0], (*ids[1:], True, False))
+        for time, ids in enumerate([far, far[::-1], [1, 2, -7, 3], far])
+    ]
+    sizes = len(trace_module._ID_TEXT), len(trace_module._ANY_ID_TEXT)
+    lines = dumps_trace(events).splitlines()
+    assert lines == [event_to_json(event) for event in events]
+    for event, line in zip(events, lines):
+        obj = json.loads(line)
+        assert line == json.dumps(obj, separators=(",", ":"))
+        detail = obj["detail"]
+        written = (obj["node"], detail["ose"], detail["ore"], detail["tre"])
+        assert written == (event.node, *event.value[:3])
+    assert (len(trace_module._ID_TEXT), len(trace_module._ANY_ID_TEXT)) == sizes
+
+
+def test_the_tick_head_follows_every_change_of_time():
+    """Times that go up, repeat as distinct int objects (as load_trace
+    yields them) and go back down: the whole-trace writers, which build a
+    line's head once per run of equal times, write each event's own line."""
+    times = [0, 1, 1, 1000, int("1000"), int("1000"), 7, 7, 1000, 0]
+    assert times[3] is not times[4] and times[4] is not times[5]
+    events = [
+        _events_naming(300 + index)[index % 8]._replace(time=time)
+        for index, time in enumerate(times)
+    ]
+    lines = [event_to_json(event) for event in events]
+    assert [json.loads(line)["time"] for line in lines] == times
+    assert dumps_trace(events) == "".join(line + "\n" for line in lines)
 
 
 def test_an_empty_trace_writes_nothing():
