@@ -25,7 +25,6 @@ from __future__ import annotations
 from .bus import NodeId, Sample, VirtualBus
 from . import protocol
 from .protocol import Effects, NodeView
-from .trace import traced_view_fields
 
 DISPATCH_BUDGET_FACTOR = 64
 
@@ -148,13 +147,14 @@ class Network:
         views = self.views
         old = views.get(node)
         views[node] = new
-        # A change to a field the trace does not write (last_mybox,
-        # predecessor) would give a line equal to the node's previous one.
-        # The traced fields are new[1:5] and joining (traced_view_fields).
-        if recorder is not None and (
-            old is None or (new is not old and (new[1:5] != old[1:5] or new.joining != old.joining))
-        ):
-            recorder.view_change(bus._now, node, traced_view_fields(new))
+        # A ViewChange line writes all of a view but me, last_mybox and
+        # predecessor: a change to those alone would repeat the node's
+        # previous line.
+        if recorder is not None and new is not old:
+            _me, ose, ore, tre, available, _last_mybox, joining, _predecessor = new
+            fields = (ose, ore, tre, available, joining)
+            if old is None or fields != (old.ose, old.ore, old.tre, old.available, old.joining):
+                recorder.view_change(bus._now, node, fields)
 
     # -- inspection -----------------------------------------------------------
 

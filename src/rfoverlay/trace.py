@@ -7,6 +7,13 @@ node view changes. Each TraceEvent holds the engine's own values for its kind
 values as they are. Publish and Deliver events hold the bus's own Sample:
 every Deliver of a publication holds the object its Publish holds.
 
+A recorded run keeps its trace flat: TraceRecorder extends one list by each
+event's four values, and the run returns that list as a RecordedTrace, a
+read-only sequence that builds each TraceEvent when it is read. The encoder
+and verify_trace read a RecordedTrace's rows, plain (time, kind, node,
+value) tuples, and build no TraceEvent at all; any other iterable of
+TraceEvents, such as load_trace's, they read as it is.
+
 JSON exists only in the codec. One encoder writes every line with a fixed
 field order (time, kind, node, detail), so equal runs produce byte-equal
 files: event_to_json, dumps_trace, dump_trace and TraceEvent.detail all run
@@ -26,12 +33,12 @@ field order or escapes, a repeated field, -0).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from functools import partial
 from itertools import islice
 from typing import IO, Any, Container, Iterable, Iterator, NamedTuple
 
 from .bus import BusError, NodeId, Sample, TopicKey, TopicName, check_payload
-from .protocol import NodeView
 
 class TraceError(ValueError):
     """A trace line or event stream that does not parse or add up."""
@@ -54,7 +61,8 @@ class TraceEvent(NamedTuple):
     - Publish, Deliver: the bus's Sample (key, payload, publisher, seq); a
       Publish line does not write the publisher, which is its node
     - Subscribe, Unsubscribe: the TopicKey
-    - ViewChange: traced_view_fields(view); the view's `me` is the node
+    - ViewChange: the view's (ose, ore, tre, available, joining); its `me`
+      is the node
     """
 
     time: int
@@ -68,52 +76,99 @@ class TraceEvent(NamedTuple):
         return json.loads(_line(self))["detail"]
 
 
-Trace = list[TraceEvent]
-
-
-def traced_view_fields(view: NodeView) -> tuple:
-    """The view fields a ViewChange line writes: all but `me`, which is the
-    line's node."""
-    return (view.ose, view.ore, view.tre, view.available, view.joining)
-
-
 # ---------------------------------------------------------------------------
 # Recorder
 
 
-# Calling TraceEvent(...) runs the named tuple's generated Python __new__.
-# tuple.__new__ builds the same tuple in one C call (what NamedTuple._make
-# does), in under half the time, and a run records one event per bus step.
-_tuple_new = tuple.__new__
+# A run records one event per bus step. Extending one flat list by the
+# event's four values costs about a third of building and appending a
+# TraceEvent, and keeps no tuple of its own per event, so a run keeps its
+# trace flat.
+# A TraceEvent is built only when one is read, with tuple.__new__: one C
+# call, where TraceEvent(...) runs the named tuple's generated Python
+# __new__.
+_event = partial(tuple.__new__, TraceEvent)
 
 
-@dataclass
+class RecordedTrace(Sequence):
+    """A recorded run's trace: a read-only sequence of TraceEvents over the
+    recorder's flat list, which holds four values (time, kind, node, value)
+    per event.
+
+    Length, iteration, indexing (an int, a negative int or a slice, which
+    gives a list) and == with a list or another RecordedTrace read exactly
+    the TraceEvents the run recorded; each is built when it is read.
+    rows() reads the same events as plain tuples, building none."""
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat: list) -> None:
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return len(self._flat) // 4
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        start = 4 * range(len(self))[index]  # IndexError past either end
+        return _event(self._flat[start : start + 4])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(_event, self.rows())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RecordedTrace):
+            return self._flat == other._flat
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def rows(self) -> Iterator[tuple]:
+        """Each event as a plain (time, kind, node, value) tuple, which
+        unpacks as its TraceEvent does."""
+        values = iter(self._flat)
+        return zip(values, values, values, values)
+
+
+def event_rows(events: Iterable[TraceEvent]) -> Iterable[tuple]:
+    """The events' rows: a RecordedTrace's own, or the events themselves."""
+    return events.rows() if isinstance(events, RecordedTrace) else events
+
+
 class TraceRecorder:
-    """Accumulates trace events as a run progresses, one per call."""
+    """Records a run's trace, one event per call, as four values on a flat
+    list; `events` reads that list as a RecordedTrace."""
 
-    events: Trace = field(default_factory=list)
+    __slots__ = ("_extend", "events")
+
+    def __init__(self) -> None:
+        flat: list = []
+        self._extend = flat.extend
+        self.events = RecordedTrace(flat)
 
     def join(self, time: int, node: NodeId) -> None:
-        self.events.append(_tuple_new(TraceEvent, (time, KIND_JOIN, node, None)))
+        self._extend((time, KIND_JOIN, node, None))
 
     def toggle(self, time: int, node: NodeId, to: bool, interval: int) -> None:
-        self.events.append(_tuple_new(TraceEvent, (time, KIND_TOGGLE, node, (to, interval))))
+        self._extend((time, KIND_TOGGLE, node, (to, interval)))
 
     def publish(self, time: int, sample: Sample) -> None:
-        self.events.append(_tuple_new(TraceEvent, (time, KIND_PUBLISH, sample.publisher, sample)))
+        self._extend((time, KIND_PUBLISH, sample.publisher, sample))
 
     def deliver(self, time: int, node: NodeId, sample: Sample) -> None:
-        self.events.append(_tuple_new(TraceEvent, (time, KIND_DELIVER, node, sample)))
+        self._extend((time, KIND_DELIVER, node, sample))
 
     def subscribe(self, time: int, node: NodeId, key: TopicKey) -> None:
-        self.events.append(_tuple_new(TraceEvent, (time, KIND_SUBSCRIBE, node, key)))
+        self._extend((time, KIND_SUBSCRIBE, node, key))
 
     def unsubscribe(self, time: int, node: NodeId, key: TopicKey) -> None:
-        self.events.append(_tuple_new(TraceEvent, (time, KIND_UNSUBSCRIBE, node, key)))
+        self._extend((time, KIND_UNSUBSCRIBE, node, key))
 
     def view_change(self, time: int, node: NodeId, fields: tuple) -> None:
-        """`fields` is traced_view_fields of the node's new view."""
-        self.events.append(_tuple_new(TraceEvent, (time, KIND_VIEW_CHANGE, node, fields)))
+        """`fields` is the node's new view's (ose, ore, tre, available,
+        joining)."""
+        self._extend((time, KIND_VIEW_CHANGE, node, fields))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +211,9 @@ _ANY_ID_TEXT = _AnyIdText(_ID_TEXT)
 def _encode(events: Iterable[TraceEvent], ids: dict = _ID_TEXT) -> Iterator[str]:
     """Each event's line, newline included: the one encoder.
 
-    One loop writes every kind, so a line costs one f-string and no call but
+    A RecordedTrace is read by its rows(), so no TraceEvent is built; any
+    other iterable is read as TraceEvents, which unpack as rows do. One
+    loop writes every kind, so a line costs one f-string and no call but
     a dict lookup for its key. Values are written as the engine holds them:
     a node id as a bare integer, None as null, and availability as the word
     "available" or "unavailable". The key's topic fixes what a payload
@@ -167,8 +224,7 @@ def _encode(events: Iterable[TraceEvent], ids: dict = _ID_TEXT) -> Iterator[str]
     a run of any size formats each id at most once per call."""
     key_json = _KEY_JSON.get
     last = head = None
-    for event in events:
-        time, kind, node, value = event
+    for time, kind, node, value in event_rows(events):
         if time != last:
             last = time
             head = f'{{"time":{time},"kind":"'
@@ -211,7 +267,7 @@ def _encode(events: Iterable[TraceEvent], ids: dict = _ID_TEXT) -> Iterator[str]
             if ids is _ID_TEXT:
                 ids = dict(ids)
             ids[missing.args[0]] = str(missing.args[0])
-            line = next(_encode((event,), ids))
+            line = next(_encode(((time, kind, node, value),), ids))
         yield line
 
 

@@ -512,7 +512,9 @@ def _subscribe_mybox(node, instance):
     return f'{{"time":1,"kind":"Subscribe","node":{node},"detail":{{"key":{key}}}}}\n'
 
 
-HOSTILE = range(10**9, 10**9 + 2000)
+# Ids that no other test names, so that no earlier test can have put them in
+# a table this test checks.
+HOSTILE = range(7 * 10**9, 7 * 10**9 + 2000)
 
 
 @pytest.mark.parametrize(

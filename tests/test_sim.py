@@ -49,6 +49,7 @@ from rfoverlay.trace import (
     KIND_TOGGLE,
     KIND_UNSUBSCRIBE,
     KIND_VIEW_CHANGE,
+    RecordedTrace,
     TraceError,
     TraceEvent,
     TraceRecorder,
@@ -800,7 +801,7 @@ def test_in_run_check_refuses_a_view_that_leaves_the_schedule(flip_one_view):
 def test_unrecorded_runs_return_an_empty_trace():
     cfg = ScenarioConfig(node_count=4, workload=WorkloadConfig(intervals=6, seed=2), seed=2)
     trace, metrics = run_scenario(cfg, record=False)
-    assert trace == []
+    assert type(trace) is RecordedTrace and trace == [] and [] == trace
     assert metrics == run_scenario(cfg)[1]
     assert metrics.deliveries > 0
 
@@ -1068,6 +1069,121 @@ def test_every_recorded_event_is_a_trace_event():
         assert event_from_json(event_to_json(event), range(cfg.node_count)) == event
 
 
+_RECORDER_METHODS = (
+    "join", "toggle", "publish", "deliver", "subscribe", "unsubscribe", "view_change"
+)
+
+
+def test_a_recorded_run_builds_no_trace_event(monkeypatch):
+    """A recorded run keeps its trace as flat rows: right after the run,
+    before anything reads the trace, no TraceEvent exists, and the trace
+    holds one event per call of a recorder method (each wrapped on the
+    class, as a profiler's probe is)."""
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(TraceRecorder, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in _RECORDER_METHODS:
+        monkeypatch.setattr(TraceRecorder, name, counted(name))
+    cfg = ScenarioConfig(
+        node_count=12, workload=WorkloadConfig(lam=3.0, intervals=30, seed=4), seed=4
+    )
+    trace, _ = run_scenario(cfg)
+    assert not any(type(obj) is TraceEvent for obj in gc.get_objects())
+    assert set(calls) == set(_RECORDER_METHODS)
+    assert len(trace) == sum(calls.values())
+    assert type(trace) is RecordedTrace and type(trace[0]) is TraceEvent
+
+
+def _outcome(check, *args):
+    """What `check` returns, or the TraceError it raises, as text."""
+    try:
+        return check(*args)
+    except TraceError as exc:
+        return f"TraceError: {exc}"
+
+
+def assert_rows_read_as_their_events(trace: RecordedTrace, cfg: ScenarioConfig) -> None:
+    """Every writer and verify_trace give from a recorded trace's rows what
+    they give from its TraceEvents, and the trace reads as the list of its
+    events: length, indexing, slicing and == (both ways)."""
+    events = list(trace)
+    text = dumps_trace(trace)
+    assert dumps_trace(events) == text
+    written = []
+    for source in (trace, events):
+        stream = io.StringIO()
+        dump_trace(source, stream)
+        written.append(stream.getvalue().encode())
+    assert written == [text.encode()] * 2
+    assert _outcome(verify_trace, trace, cfg) == _outcome(verify_trace, events, cfg)
+    loaded = [list(load_trace(io.StringIO(dumps_trace(source)))) for source in (trace, events)]
+    assert loaded == [events, events]
+
+    n = len(events)
+    assert len(trace) == n and all(type(event) is TraceEvent for event in events)
+    for index in {0, 1, n // 2, n - 1, -1, -n}:
+        if -n <= index < n:
+            assert trace[index] == events[index]
+    for index in (n, n + 7, -n - 1):
+        with pytest.raises(IndexError):
+            trace[index]
+    for cut in (
+        slice(None), slice(1, None), slice(None, -1), slice(None, None, -1),
+        slice(n // 3, n // 2), slice(None, None, 3), slice(-2, None), slice(n + 5, None),
+    ):
+        assert type(trace[cut]) is list and trace[cut] == events[cut]
+    assert trace == events and events == trace and not trace != events
+    assert (trace == []) is ([] == trace) is (n == 0)
+    assert trace != tuple(events)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(1, 10),
+    delay=st.integers(0, 3),
+    interleaved=st.booleans(),
+    lam=st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.0]),
+    intervals=st.integers(0, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_a_recorded_trace_reads_as_the_list_of_its_events(
+    size, delay, interleaved, lam, intervals, seed
+):
+    cfg = ScenarioConfig(
+        node_count=size,
+        delivery_delay=delay,
+        workload=WorkloadConfig(lam=lam, intervals=intervals, seed=seed),
+        seed=seed,
+    )
+    trace, _ = run_scenario(cfg, interleaved_toggles=interleaved)
+    assert_rows_read_as_their_events(trace, cfg)
+
+
+def test_rows_naming_ids_past_the_table_write_as_their_events():
+    """A run past the encoder's id table: its rows go through the path that
+    copies the table, and read as their events."""
+    def config(size):
+        return ScenarioConfig(node_count=size, workload=WorkloadConfig(intervals=1, seed=1), seed=1)
+
+    cfg = config(1030)
+    trace, _ = run_scenario(cfg)
+    assert any(node >= trace_module._ID_TEXT_SIZE for _time, _kind, node, _value in trace.rows())
+    sizes = len(trace_module._ID_TEXT), len(trace_module._ANY_ID_TEXT)
+    assert_rows_read_as_their_events(trace, cfg)
+    assert (len(trace_module._ID_TEXT), len(trace_module._ANY_ID_TEXT)) == sizes
+    again, _ = run_scenario(cfg)
+    assert again == trace and trace == again
+    assert again != run_scenario(config(1029))[0]
+
+
 def test_decoded_keys_are_the_engine_keys():
     """The decoder builds keys through the interning constructor, so a key
     read from a trace line is the very key the engine uses."""
@@ -1133,7 +1249,8 @@ def test_trace_lines_hold_the_engine_values_as_written():
     """One line of each kind from a two-node run whose second interval takes
     both nodes down, as text: a node id is a bare integer, None is null
     (MyBox's "nothing Available" and a view's empty `tre`), availability is
-    a word, and a view holds the fields of traced_view_fields."""
+    a word, and a view holds all its fields but me, last_mybox and
+    predecessor."""
     cfg = ScenarioConfig(node_count=2, workload=WorkloadConfig(intervals=2, seed=0))
     trace, _ = run_scenario(cfg, schedule=forced_schedule(2, set(), {0, 1}))
     lines = dumps_trace(trace).splitlines()
