@@ -66,8 +66,7 @@ class TopicKey:
     one key object for that pair, built and validated the first time it is
     asked for. Keys are immutable, and equal keys are the same object, so a
     key compares and hashes by identity (object's own __eq__ and __hash__,
-    which run in C), and a key decoded from a trace is the engine's own.
-    Keys have no order.
+    which run in C). Keys have no order.
     """
 
     __slots__ = ("topic", "instance")

@@ -10,8 +10,10 @@ each node's availability must be the schedule's, its sender and receiver
 its neighbours on the arrival-order ring, and its next-available knowledge
 and the last value on its status stream the all-seeing computation's for
 that interval's availability vector. A run checks each point as it reaches
-it (`run_scenario(..., mismatches=[])`); `verify_trace` replays a written
-trace to the same points and reports the same mismatches.
+it (`run_scenario(..., mismatches=[])`); `verify_trace` reads a recorded
+trace, or any list of events, to the same points and reports the same
+mismatches. A written file is never decoded: `rfoverlay verify` replays its
+config, compares the bytes, and runs `verify_trace` on the replay.
 """
 
 from __future__ import annotations

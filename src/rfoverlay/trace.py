@@ -12,22 +12,22 @@ event's four values, and the run returns that list as a RecordedTrace, a
 read-only sequence that builds each TraceEvent when it is read. The encoder
 and verify_trace read a RecordedTrace's rows, plain (time, kind, node,
 value) tuples, and build no TraceEvent at all; any other iterable of
-TraceEvents, such as load_trace's, they read as it is.
+TraceEvents they read as it is.
 
 JSON exists only in the codec. One encoder writes every line with a fixed
 field order (time, kind, node, detail), so equal runs produce byte-equal
-files: event_to_json, dumps_trace, dump_trace and TraceEvent.detail all run
-it, and dump_trace writes its lines in fixed-size chunks, one write each.
+files: event_to_json, dumps_trace, dump_trace and TraceEvent.detail (which
+json.loads its line back) all run it, and dump_trace writes its lines in
+fixed-size chunks, one write each.
 The encoder formats each tick's head once per run of equal times, and reads
 node ids' text from a fixed table built at import, which never grows. An id
 outside it (a negative one, or one past its end) is formatted: once per
 whole-trace write, into that write's own copy of the table, and on every
 one-line call. Every line is the same as if each id were formatted.
-The encoder is also the format's one definition: event_from_json reads a
-line's values and accepts the line only if its event encodes back to that
-same line. So a line the engine could not have written is a TraceError, and
-so is one that holds the right values written another way (other spacing,
-field order or escapes, a repeated field, -0).
+
+A trace file is never decoded. A config and a run mode fix every byte of
+its trace, so first_difference checks a file against the lines of a replay
+of its config, byte for byte, and names the first line that differs.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ import json
 from collections.abc import Sequence
 from functools import partial
 from itertools import islice
-from typing import IO, Any, Container, Iterable, Iterator, NamedTuple
+from typing import IO, Any, Iterable, Iterator, NamedTuple
 
-from .bus import BusError, NodeId, Sample, TopicKey, TopicName, check_payload
+from .bus import NodeId, Sample, TopicKey
 
 class TraceError(ValueError):
-    """A trace line or event stream that does not parse or add up."""
+    """A trace that is not the one its config writes, or does not add up."""
 
 
 KIND_JOIN = "Join"
@@ -282,89 +282,6 @@ def event_to_json(event: TraceEvent) -> str:
     return _line(event)[:-1]
 
 
-# ---------------------------------------------------------------------------
-# Decoding: the encoder is the format. event_from_json reads a line's values
-# by field name, then refuses the line unless its event encodes back to
-# that same line, so field sets, field order, spacing, escapes and spellings
-# such as -0 need no check of their own. Integers are taken as they stand
-# (_int), a payload must be its topic's kind, and a key or a Deliver
-# publisher naming a node not yet joined raises TraceError before the key is
-# built. A bad value raises KeyError, TypeError, ValueError or BusError;
-# event_from_json turns each into one TraceError showing the line.
-
-
-def _int(value: object) -> int:
-    """A JSON integer as it stands: no coercion of bools, floats or strings."""
-    if type(value) is int:
-        return value
-    raise TypeError("expected an integer")
-
-
-def _key(obj: Any, joined: Container[NodeId]) -> TopicKey:
-    """A topic key. Keys are interned for the life of the process, so a key
-    instance must be a node in `joined` before the key is built: a trace
-    cannot grow the intern table past the nodes it announced."""
-    if "instance" not in obj:
-        return TopicKey(TopicName(obj["topic"]))
-    instance = _int(obj["instance"])
-    if instance not in joined:
-        raise TraceError(f"a key names node {instance} before its Join")
-    return TopicKey(TopicName(obj["topic"]), instance)
-
-
-def _detail_value(kind: str, node: NodeId, detail: Any, joined: Container[NodeId]) -> Any:
-    """The value of a line of `kind` by `node` from its detail."""
-    if kind == KIND_VIEW_CHANGE:
-        tre = detail["tre"]
-        tre = None if tre is None else _int(tre)
-        available = detail["state"] == "available"
-        return _int(detail["ose"]), _int(detail["ore"]), tre, available, detail["joining"]
-    if kind == KIND_DELIVER or kind == KIND_PUBLISH:
-        publisher = node
-        if kind == KIND_DELIVER:
-            publisher = _int(detail["publisher"])
-            if publisher not in joined:
-                raise TraceError(f"a Deliver line names publisher {publisher} before its Join")
-        key = _key(detail["key"], joined)
-        check_payload(key, detail["payload"])
-        return Sample(key, detail["payload"], publisher, _int(detail["seq"]))
-    if kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
-        return _key(detail["key"], joined)
-    if kind == KIND_TOGGLE:
-        return detail["to"] == "available", _int(detail["interval"])
-    if kind == KIND_JOIN:
-        return None
-    raise ValueError("unknown event kind")
-
-
-def _bad_line(reason: str, line: str) -> TraceError:
-    """A TraceError that shows at most 80 characters of the line."""
-    clipped = repr(line[:80]) + ("..." if len(line) > 80 else "")
-    return TraceError(f"{reason}: {clipped}")
-
-
-def event_from_json(line: str, joined: Container[NodeId]) -> TraceEvent:
-    """Decode one trace line. `joined` holds the nodes whose Join lines came
-    before it; a key or a Deliver publisher naming any other node is a
-    TraceError, and so is a line that its event does not encode back to."""
-    try:
-        obj = json.loads(line)
-    except RecursionError:
-        raise _bad_line("trace line nested too deeply", line) from None
-    except ValueError:  # JSONDecodeError, or an integer too long to convert
-        raise _bad_line("unparsable trace line", line) from None
-    try:
-        time, kind, node = _int(obj["time"]), obj["kind"], _int(obj["node"])
-        event = TraceEvent(time, kind, node, _detail_value(kind, node, obj["detail"], joined))
-    except TraceError as exc:
-        raise _bad_line(str(exc), line) from None
-    except (KeyError, TypeError, ValueError, BusError):
-        raise _bad_line("not a valid trace event", line) from None
-    if _line(event) != line + "\n":
-        raise _bad_line("not the line its event encodes to", line)
-    return event
-
-
 def dump_trace(events: Iterable[TraceEvent], stream: IO[str]) -> None:
     """Write one line per event, in one write per _CHUNK lines."""
     lines = _encode(events)
@@ -376,39 +293,49 @@ def dumps_trace(events: Iterable[TraceEvent]) -> str:
     return "".join(_encode(events))
 
 
-def load_trace(stream: IO[str]) -> Iterator[TraceEvent]:
-    """Decode a JSONL trace lazily, one event per line as the caller reads
-    it, so a consumer that folds the events never holds the trace. Each
-    line must be exactly what the encoder writes, its newline included:
-    nothing is stripped or skipped, so open a file without newline
-    translation. A bad line raises TraceError when the reader reaches it,
-    and so does a key or a Deliver publisher that names a node before that
-    node's Join line.
+# ---------------------------------------------------------------------------
+# Comparing: a config and a run mode fix every byte of a trace, so a written
+# trace is checked against the lines of a replay, never decoded.
 
-    Sequence numbers follow the bus's rule: a Publish `seq` is one more than
-    the last one of its (publisher, key), and a Deliver `seq` names a sample
-    already published on its (publisher, key). Whether each delivery is owed
-    to its subscriber is not checked."""
-    joined: set[NodeId] = set()
-    last_seq: dict[tuple[NodeId, TopicKey], int] = {}
-    try:
-        for line in stream:
-            if line[-1:] != "\n":
-                raise _bad_line("trace line without a final newline", line)
-            line = line[:-1]
-            event = event_from_json(line, joined)
-            kind = event.kind
-            if kind == KIND_JOIN:
-                joined.add(event.node)
-            elif kind == KIND_PUBLISH or kind == KIND_DELIVER:
-                key, _payload, publisher, seq = event.value
-                last = last_seq.get((publisher, key), 0)
-                if kind == KIND_PUBLISH:
-                    if seq != last + 1:
-                        raise _bad_line(f"Publish seq {seq} after seq {last}", line)
-                    last_seq[(publisher, key)] = seq
-                elif not 1 <= seq <= last:
-                    raise _bad_line(f"Deliver seq {seq}, but {last} published", line)
-            yield event
-    except UnicodeDecodeError as exc:
-        raise TraceError(f"trace is not UTF-8 text: {exc}") from None
+# A differing line is shown up to _SHOWN characters. A character is at most
+# four bytes of UTF-8, and a byte that is not UTF-8 shows as four characters,
+# so _SHOWN_BYTES bytes show more than _SHOWN characters of a longer line.
+_SHOWN = 80
+_SHOWN_BYTES = 4 * (_SHOWN + 1)
+
+
+def _shown(line: bytes) -> str:
+    """A line without its newline, clipped to _SHOWN characters, as a repr."""
+    if not line:
+        return "the end of the file"
+    text = line.split(b"\n", 1)[0].decode("utf-8", "backslashreplace")
+    return repr(text[:_SHOWN]) + ("..." if len(text) > _SHOWN else "")
+
+
+def first_difference(events: Iterable[TraceEvent], stream: IO[bytes]) -> tuple[int, str] | None:
+    """Compare the events' lines with a binary stream's bytes, a chunk of
+    _CHUNK lines at a time, reading no more of the stream per chunk than the
+    chunk's length, so a line of any length is never read whole. None if
+    they are the same bytes; otherwise the number of the first line that
+    differs and a report naming it with its column, the events' line and
+    the stream's, each clipped. A stream that ends early or goes on past
+    the last line differs at the line after the last one they share."""
+    lines = _encode(events)
+    number = 0  # lines matched so far
+    while True:
+        want = "".join(islice(lines, _CHUNK)).encode()
+        got = stream.read(len(want) or 1)
+        if got != want:
+            break
+        if not want:
+            return None
+        number += want.count(b"\n")
+    # The first byte that differs; if none does, one is the other's start.
+    at = next((i for i, (a, b) in enumerate(zip(want, got)) if a != b), min(len(want), len(got)))
+    start = want.rfind(b"\n", 0, at) + 1
+    number += want.count(b"\n", 0, start) + 1
+    held = got[start:] + stream.read(_SHOWN_BYTES)
+    return number, (
+        f"line {number}, column {at - start + 1}: "
+        f"expected {_shown(want[start:])}, found {_shown(held)}"
+    )

@@ -2,14 +2,17 @@
 
 import copy
 import hashlib
+import io
 import json
 import re
+import tracemalloc
 
 import pytest
 
 from rfoverlay import bus, protocol, scenario, trace
 from rfoverlay.bus import TopicName
-from rfoverlay.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from rfoverlay.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _print_report, main
+from rfoverlay.trace import TraceError
 
 
 def write_config(tmp_path, **overrides):
@@ -45,7 +48,9 @@ def _simulated_events(tmp_path, capsys):
 
 
 def _write_events(trace_path, events):
-    trace_path.write_text("".join(_compact(e) + "\n" for e in events))
+    """Write the events over the trace; gives the number of the first line
+    that changed."""
+    return _forge(trace_path, "".join(_compact(e) + "\n" for e in events).encode())
 
 
 # -- simulate / verify ---------------------------------------------------------
@@ -121,17 +126,73 @@ def test_simulate_trace_is_pinned_across_commits(tmp_path, capsys, extra):
     )
 
 
-def test_verify_flags_a_corrupted_trace(tmp_path, capsys):
-    config, trace_path, events = _simulated_events(tmp_path, capsys)
-    index = max(i for i, e in enumerate(events) if e["kind"] == "ViewChange")
-    events[index]["detail"]["tre"] = 777
-    _write_events(trace_path, events)
+def _config_of(config):
+    with open(config, encoding="utf-8") as stream:
+        return scenario.load_config(stream)
 
-    code = main(["verify", "--config", config, "--trace", str(trace_path)])
+
+def _run_events(config):
+    """The config file's config, and the events of its run as a list to
+    edit."""
+    cfg = _config_of(config)
+    return cfg, list(scenario.run_scenario(cfg)[0])
+
+
+def _report(events, cfg):
+    """verify_trace's report on the events, as `verify` prints it, and the
+    exit code it gives."""
+    out = io.StringIO()
+    return _print_report(scenario.verify_trace(events, cfg), out), out.getvalue()
+
+
+def _first_changed_line(old, new):
+    """The number of the first line, newline included, where `new` differs
+    from `old`; one past the shorter if one is the other's start."""
+    old, new = old.splitlines(keepends=True), new.splitlines(keepends=True)
+    return next(
+        (number for number, (a, b) in enumerate(zip(old, new), 1) if a != b),
+        min(len(old), len(new)) + 1,
+    )
+
+
+def _forge(trace_path, forged):
+    """Write `forged` over the trace; gives the number of its first changed
+    line."""
+    line = _first_changed_line(trace_path.read_bytes(), forged)
+    trace_path.write_bytes(forged)
+    return line
+
+
+def verify_refuses(config, trace_path, capsys, line):
+    """`verify` exits 1 with one stderr line, which names `line` as the
+    first line of the file that the replay of the config does not write.
+    Gives that stderr line."""
+    assert main(["verify", "--config", config, "--trace", str(trace_path)]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"malformed trace: line {line}, column ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_verify_flags_a_corrupted_trace(tmp_path, capsys):
+    """verify_trace reports a settled view's forged next-available value as
+    a mismatch, and `verify` refuses the forged file at that line."""
+    config, trace_path, _ = _simulated_events(tmp_path, capsys)
+    cfg, events = _run_events(config)
+    index = max(i for i, e in enumerate(events) if e.kind == "ViewChange")
+    ose, ore, _tre, available, joining = events[index].value
+    events[index] = events[index]._replace(value=(ose, ore, 777, available, joining))
+
+    code, out = _report(events, cfg)
     assert code == EXIT_MISMATCH
-    out = capsys.readouterr().out
     assert "verification: FAILED" in out
     assert "mismatch" in out
+    trace_path.write_text(trace.dumps_trace(events))
+    verify_refuses(config, trace_path, capsys, index + 1)
+
+
+_VIEW_FIELDS = ("ose", "ore", "tre", "available", "joining")
 
 
 @pytest.mark.parametrize(
@@ -150,39 +211,196 @@ def test_verify_checks_each_view_against_the_ring(tmp_path, capsys, node, field,
     """A settled view's sender and receiver are its ring neighbours in
     arrival order, and no view is still joining. Node 4's last view names
     node 0 as next available, not its receiver, so a forged ore changes
-    nothing else the line states. Before verify checked the ring links it
-    passed the first two traces, and before it checked `joining` the
-    third."""
-    config, trace_path, events = _simulated_events(tmp_path, capsys)
-    view = [e for e in events if e["kind"] == "ViewChange" and e["node"] == node][-1]["detail"]
+    nothing else the line states. Before verify_trace checked the ring
+    links it passed the first two traces, and before it checked `joining`
+    the third. `verify` refuses each forged file at its forged line."""
+    config, trace_path, _ = _simulated_events(tmp_path, capsys)
+    cfg, events = _run_events(config)
+    index = [i for i, e in enumerate(events) if e.kind == "ViewChange" and e.node == node][-1]
+    view = dict(zip(_VIEW_FIELDS, events[index].value))
     assert view[field] == was
     view[field] = forged
-    _write_events(trace_path, events)
+    events[index] = events[index]._replace(value=tuple(view.values()))
 
-    code = main(["verify", "--config", config, "--trace", str(trace_path)])
+    code, out = _report(events, cfg)
     assert code == EXIT_MISMATCH
-    mismatches = [line for line in capsys.readouterr().out.splitlines() if line.startswith("mismatch")]
-    assert mismatches == [shown]
+    assert [line for line in out.splitlines() if line.startswith("mismatch")] == [shown]
+    trace_path.write_text(trace.dumps_trace(events))
+    verify_refuses(config, trace_path, capsys, index + 1)
 
 
 def test_verify_refuses_a_toggle_that_changes_nothing(tmp_path, capsys):
-    """The run toggles a node only when its view holds the other state, so a
-    Toggle line repeated right after itself is malformed. Before this check,
-    verify passed it."""
+    """The run toggles a node only when its view holds the other state, so
+    verify_trace refuses a Toggle repeated right after itself. Before this
+    check, verify passed it; `verify` refuses the file at the repeat."""
+    config, trace_path, _ = _simulated_events(tmp_path, capsys)
+    cfg, events = _run_events(config)
+    index = next(i for i, e in enumerate(events) if e.kind == "Toggle")
+    assert events[index][:3] == (9, "Toggle", 1)
+    events.insert(index, events[index])
+
+    with pytest.raises(TraceError, match=r"^toggle of 1 at interval \d+ changes nothing$"):
+        scenario.verify_trace(events, cfg)
+    trace_path.write_text(trace.dumps_trace(events))
+    verify_refuses(config, trace_path, capsys, index + 2)
+
+
+@pytest.mark.parametrize(
+    "config_overrides, extra",
+    [({}, []), ({}, ["--interleaved-toggles"]), ({"delivery_delay": 3}, [])],
+    ids=["serialized", "interleaved", "delay3"],
+)
+def test_verify_passes_an_untouched_trace_of_each_mode(tmp_path, capsys, config_overrides, extra):
+    """`verify` works out the toggle mode from the file, so a trace of
+    either mode, or of a delayed bus, verifies with no flag, and prints
+    the report it printed when it decoded the file."""
+    config = write_config(tmp_path, **config_overrides)
+    trace_path = str(tmp_path / "run.jsonl")
+    assert main(["simulate", "--config", config, "--trace", trace_path, *extra]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--config", config, "--trace", trace_path]) == EXIT_OK
+    assert capsys.readouterr() == ("verification: PASSED (12 intervals)\n", "")
+
+
+def test_verify_prints_the_report_of_a_run_that_fails(tmp_path, capsys, monkeypatch):
+    """With stale views in the engine, `verify` replays the same run, so the
+    file matches, and prints verify_trace's mismatches as `simulate
+    --verify` does."""
+    monkeypatch.setattr(protocol, "on_mybox_from_ore", stale_view)
+    config = write_config(tmp_path, seed=5, workload={"lambda": 3.0, "intervals": 20})
+    trace_path = str(tmp_path / "run.jsonl")
+    run = ["simulate", "--config", config, "--trace", trace_path, "--verify"]
+    assert main(run) == EXIT_MISMATCH
+    simulated = capsys.readouterr().out.splitlines()
+    assert main(["verify", "--config", config, "--trace", trace_path]) == EXIT_MISMATCH
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].startswith("verification: FAILED (")
+    assert len(out) > 1 and all(line.startswith("mismatch interval=") for line in out[:-1])
+    assert simulated[-len(out) :] == out
+
+
+def _lines_of(kind, lines):
+    return [i for i, line in enumerate(lines) if f'"kind":"{kind}"' in line]
+
+
+def _drop_last(kind):
+    def edit(lines):
+        del lines[_lines_of(kind, lines)[-1]]
+
+    return edit
+
+
+def _repeat_last(kind):
+    def edit(lines):
+        index = _lines_of(kind, lines)[-1]
+        lines.insert(index, lines[index])
+
+    return edit
+
+
+def _null_first_mybox_deliver(lines):
+    index = next(i for i in _lines_of("Deliver", lines) if '"MyBox"' in lines[i])
+    assert '"payload":null' not in lines[index]
+    lines[index] = re.sub(r'"payload":\d+', '"payload":null', lines[index])
+
+
+def _subscribe_before_the_last_line(lines):
+    """A Subscribe of node 1 to node 3's status stream, at the last line's
+    time, right before the last line."""
+    key = '{"topic":"MyBox","instance":3}'
+    lines.insert(-1, f'{{"time":42,"kind":"Subscribe","node":1,"detail":{{"key":{key}}}}}\n')
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop_last("Subscribe"),
+        _drop_last("Unsubscribe"),
+        _drop_last("Deliver"),
+        _repeat_last("Deliver"),
+        _null_first_mybox_deliver,
+        _subscribe_before_the_last_line,
+    ],
+    ids=[
+        "last-subscribe-dropped", "last-unsubscribe-dropped", "last-deliver-dropped",
+        "last-deliver-repeated", "deliver-payload-changed", "extra-mybox-subscribe",
+    ],
+)
+def test_verify_refuses_a_forged_bus_line(tmp_path, capsys, edit):
+    """Forged bus lines that the decoder passed, as the quiescent points
+    they leave agree with the oracles: each is refused at its line."""
+    config, trace_path, _ = _simulated_events(tmp_path, capsys)
+    lines = trace_path.read_text().splitlines(keepends=True)
+    edit(lines)
+    verify_refuses(config, trace_path, capsys, _forge(trace_path, "".join(lines).encode()))
+
+
+def _next_instance(key):
+    key.update(instance=(key["instance"] + 1) % 6)
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("Join", lambda e: e.update(time=e["time"] + 1)),
+        ("Toggle", lambda e: e["detail"].update(to="available")),
+        ("Publish", lambda e: e["detail"].update(seq=e["detail"]["seq"] + 1)),
+        ("Deliver", lambda e: e["detail"].update(publisher=(e["detail"]["publisher"] + 1) % 6)),
+        ("Subscribe", lambda e: _next_instance(e["detail"]["key"])),
+        ("Unsubscribe", lambda e: _next_instance(e["detail"]["key"])),
+        ("ViewChange", lambda e: e["detail"].update(state="unavailable")),
+    ],
+    ids=["join", "toggle", "publish", "deliver", "subscribe", "unsubscribe", "view-change"],
+)
+def test_verify_refuses_an_edit_of_each_line_kind(tmp_path, capsys, kind, edit):
+    """The last line of each kind, with one value changed, is refused at
+    its own line."""
+    config, trace_path, events = _simulated_events(tmp_path, capsys)
+    index = max(i for i, e in enumerate(events) if e["kind"] == kind)
+    before = copy.deepcopy(events[index])
+    edit(events[index])
+    assert events[index] != before
+    assert _write_events(trace_path, events) == index + 1
+    verify_refuses(config, trace_path, capsys, index + 1)
+
+
+@pytest.mark.parametrize(
+    "edit, line, column",
+    [
+        (lambda data: data[: data.rindex(b"\n", 0, -1) + 1], 359, 1),
+        (lambda data: data + data[data.rindex(b"\n", 0, -1) + 1 :], 360, 1),
+        (lambda data: data[:-1], 359, 112),
+        (lambda data: data.replace(b"\n", b"\r\n"), 1, 46),
+        (lambda data: data.replace(b'{"time":6,"kind":"Publish"', b'{"tim\xff":6,', 1), 100, 6),
+    ],
+    ids=["short", "long", "no-final-newline", "crlf", "not-utf8"],
+)
+def test_verify_refuses_a_file_changed_in_its_bytes(tmp_path, capsys, edit, line, column):
+    """The file is compared as bytes: a file that ends early or goes on,
+    and a line end or a byte the engine does not write, are refused at the
+    first line and column that differ."""
+    config, trace_path, _ = _simulated_events(tmp_path, capsys)
+    data = trace_path.read_bytes()
+    assert data.count(b"\n") == 359
+    assert _forge(trace_path, edit(data)) == line
+    err = verify_refuses(config, trace_path, capsys, line)
+    assert err.startswith(f"malformed trace: line {line}, column {column}: expected ")
+
+
+def test_verify_reports_a_difference_from_the_replay_that_matched_more(tmp_path, capsys):
+    """An interleaved trace differs from the serialized replay at its first
+    Toggle line, so an edit further on is reported at its own line, from the
+    interleaved replay."""
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
-    main(["simulate", "--config", config, "--trace", str(trace_path)])
+    run = ["simulate", "--config", config, "--trace", str(trace_path), "--interleaved-toggles"]
+    assert main(run) == EXIT_OK
     capsys.readouterr()
-
-    lines = trace_path.read_text().splitlines(keepends=True)
-    index = next(i for i, line in enumerate(lines) if '"kind":"Toggle"' in line)
-    assert lines[index].startswith('{"time":9,"kind":"Toggle","node":1,')
-    lines.insert(index, lines[index])
-    trace_path.write_text("".join(lines))
-
-    assert main(["verify", "--config", config, "--trace", str(trace_path)]) == EXIT_MISMATCH
-    err = capsys.readouterr().err
-    assert err.startswith("malformed trace: toggle of 1 at interval ") and err.count("\n") == 1
+    lines = trace_path.read_bytes().splitlines(keepends=True)
+    first_toggle = next(i for i, line in enumerate(lines) if b'"kind":"Toggle"' in line)
+    del lines[-2]
+    assert _forge(trace_path, b"".join(lines)) == len(lines) > first_toggle + 1
+    verify_refuses(config, trace_path, capsys, len(lines))
 
 
 @pytest.mark.parametrize(
@@ -207,10 +425,7 @@ def test_verify_rejects_garbage(tmp_path, capsys, line):
     config = write_config(tmp_path)
     trace_path = tmp_path / "junk.jsonl"
     trace_path.write_bytes(line + b"\n")
-    code = main(["verify", "--config", config, "--trace", str(trace_path)])
-    assert code == EXIT_MISMATCH
-    err = capsys.readouterr().err
-    assert err.startswith("malformed trace") and err.count("\n") == 1
+    verify_refuses(config, trace_path, capsys, 1)
 
 
 def _first(events, kind, match=lambda event: True):
@@ -339,20 +554,13 @@ def _oneback_null_publish(events):
     ],
 )
 def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
-    # A full trace with one field edited: JSON values are taken as they stand,
-    # never coerced, every line holds exactly the fields of its kind, keys are
-    # valid topic keys, and a MyBox publish is on its publisher's own
-    # instance. A payload must be the one form its topic carries: a node id,
-    # or null on MyBox only. Availability is the word "available" or
-    # "unavailable".
+    # A full trace with one field edited: a value of another JSON type, a
+    # field the kind does not have, an invalid topic key, a MyBox publish off
+    # its publisher's own instance, a payload its topic does not carry, a
+    # line about a node that never joined. Each is refused at its line.
     config, trace_path, events = _simulated_events(tmp_path, capsys)
     edit(events)
-    _write_events(trace_path, events)
-
-    code = main(["verify", "--config", config, "--trace", str(trace_path)])
-    assert code == EXIT_MISMATCH
-    err = capsys.readouterr().err
-    assert err.startswith("malformed trace:") and err.count("\n") == 1
+    verify_refuses(config, trace_path, capsys, _write_events(trace_path, events))
 
 
 @pytest.mark.parametrize(
@@ -387,9 +595,9 @@ def test_verify_rejects_mistyped_fields(tmp_path, capsys, edit):
 )
 def test_verify_refuses_a_line_of_the_tagged_format(tmp_path, capsys, line, old):
     """Traces once wrapped a view with its `me`, tagged payloads and `tre`
-    with type words, and wrote an ORe or OSe payload as a role and who.
-    There is one decoder, for bare values, so a line written an old way is
-    malformed."""
+    with type words, and wrote an ORe or OSe payload as a role and who. A
+    line written an old way is not the line the engine writes, and is
+    refused at its line."""
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
     main(["simulate", "--config", config, "--trace", str(trace_path)])
@@ -397,10 +605,8 @@ def test_verify_refuses_a_line_of_the_tagged_format(tmp_path, capsys, line, old)
 
     text = trace_path.read_text()
     assert text.count(line + "\n") == 1
-    trace_path.write_text(text.replace(line + "\n", old + "\n"))
-    assert main(["verify", "--config", config, "--trace", str(trace_path)]) == EXIT_MISMATCH
-    err = capsys.readouterr().err
-    assert err.startswith("malformed trace:") and err.count("\n") == 1
+    forged = text.replace(line + "\n", old + "\n").encode()
+    verify_refuses(config, trace_path, capsys, _forge(trace_path, forged))
 
 
 def _reorder_first_view(text):
@@ -440,11 +646,11 @@ def _reorder_first_view(text):
     ],
 )
 def test_verify_refuses_the_right_values_written_another_way(tmp_path, capsys, edit):
-    """A line loads only if its event encodes back to that same line, its
-    newline included, so a line that json.loads reads as the engine's values
-    but that the encoder would not write is malformed, and so is a blank
-    line. Before the decoder re-encoded each event, verify passed each of
-    these traces; before it kept each line as read, it passed the last four."""
+    """A line that json.loads reads as the engine's values, but that the
+    engine does not write byte for byte, is refused at its line, and so is
+    a blank line. Before the decoder re-encoded each event, verify passed
+    each of these traces; before it kept each line as read, it passed the
+    last four."""
     config = write_config(tmp_path)
     trace_path = tmp_path / "run.jsonl"
     main(["simulate", "--config", config, "--trace", str(trace_path)])
@@ -456,10 +662,7 @@ def test_verify_refuses_the_right_values_written_another_way(tmp_path, capsys, e
     assert [json.loads(line) for line in forged.splitlines() if line] == [
         json.loads(line) for line in text.splitlines()
     ]
-    trace_path.write_text(forged)
-    assert main(["verify", "--config", config, "--trace", str(trace_path)]) == EXIT_MISMATCH
-    err = capsys.readouterr().err
-    assert err.startswith("malformed trace:") and err.count("\n") == 1
+    verify_refuses(config, trace_path, capsys, _forge(trace_path, forged.encode()))
 
 
 def _publish_of(deliver):
@@ -492,15 +695,11 @@ def _deliver_before_its_publish(events):
 def test_verify_rejects_a_seq_the_bus_never_gave(tmp_path, capsys, edit):
     # Each (publisher, key) numbers its samples 1, 2, 3, ...: a Publish line
     # takes the next number, and a Deliver line names a number already
-    # published. Before these checks, verify passed all three edits.
+    # published. Before the decoder checked the numbers, verify passed all
+    # three edits; each is refused at its first changed line.
     config, trace_path, events = _simulated_events(tmp_path, capsys)
     edit(events)
-    _write_events(trace_path, events)
-
-    code = main(["verify", "--config", config, "--trace", str(trace_path)])
-    assert code == EXIT_MISMATCH
-    err = capsys.readouterr().err
-    assert err.startswith("malformed trace:") and " seq " in err and err.count("\n") == 1
+    verify_refuses(config, trace_path, capsys, _write_events(trace_path, events))
 
 
 def _join(node):
@@ -518,32 +717,25 @@ HOSTILE = range(7 * 10**9, 7 * 10**9 + 2000)
 
 
 @pytest.mark.parametrize(
-    "text, shown",
+    "text, line",
     [
-        (
-            _join(0) + "".join(_subscribe_mybox(0, n) for n in HOSTILE),
-            repr(_subscribe_mybox(0, HOSTILE[0]).strip()[:80]),
-        ),
-        ("".join(_join(n) + _subscribe_mybox(n, n) for n in HOSTILE), "config says 0.."),
+        (_join(0) + "".join(_subscribe_mybox(0, n) for n in HOSTILE), 2),
+        ("".join(_join(n) + _subscribe_mybox(n, n) for n in HOSTILE), 1),
     ],
     ids=["keys-of-unjoined-nodes", "joins-outside-the-config"],
 )
-def test_verify_memory_does_not_grow_with_a_hostile_trace(tmp_path, capsys, text, shown):
-    """Topic keys are interned for the life of the process: a trace whose
-    keys name thousands of distinct nodes is refused at its first such line,
-    before the key is built, so the intern table does not grow. A key of an
-    unjoined node is refused by the decoder, which shows the clipped line.
-    The encoder's tables of id text stay as they were built, though every
-    hostile id passes through them when its line is encoded back."""
+def test_verify_memory_does_not_grow_with_a_hostile_trace(tmp_path, capsys, text, line):
+    """Topic keys are interned for the life of the process, and the
+    encoder's tables of id text are built once: a trace whose keys name
+    thousands of distinct nodes grows neither. `verify` builds nothing from
+    the file's values; it refuses the file at its first line that the
+    replay of the config does not write."""
     config = write_config(tmp_path)
     trace_path = tmp_path / "hostile.jsonl"
     trace_path.write_text(text)
     keys = len(bus._KEYS[TopicName.MYBOX])
     id_texts = len(trace._ID_TEXT), len(trace._ANY_ID_TEXT)
-    assert main(["verify", "--config", config, "--trace", str(trace_path)]) == EXIT_MISMATCH
-    err = capsys.readouterr().err
-    assert err.startswith("malformed trace:") and err.count("\n") == 1
-    assert f"node {HOSTILE[0]}" in err and shown in err
+    verify_refuses(config, trace_path, capsys, line)
     assert len(bus._KEYS[TopicName.MYBOX]) == keys
     assert (len(trace._ID_TEXT), len(trace._ANY_ID_TEXT)) == id_texts
 
@@ -565,6 +757,23 @@ def test_trace_errors_show_a_clipped_line(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith("malformed trace") and err.count("\n") == 1
     assert len(err.encode()) < 200
+
+
+def test_verify_reads_a_huge_line_in_bounded_memory(tmp_path, capsys):
+    """A first line of 20 MB with no newline: `verify` reads the file a
+    chunk of the replay's length at a time, so it refuses the line without
+    ever holding it. The decoder before it read the line whole."""
+    config = write_config(tmp_path)
+    trace_path = tmp_path / "huge.jsonl"
+    trace_path.write_bytes(b"x" * 20_000_000)
+    tracemalloc.start()
+    try:
+        err = verify_refuses(config, trace_path, capsys, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert err.endswith(", found '" + "x" * 80 + "'...\n")
 
 
 # -- exit codes -------------------------------------------------------------------
@@ -601,8 +810,8 @@ def test_failed_in_run_verification_exits_1_without_a_traceback(tmp_path, capsys
 
 def test_a_view_off_the_schedule_fails_verify_and_simulate_alike(tmp_path, capsys, flip_one_view):
     """A handler that flips its node's availability: `simulate --verify`
-    stops the run with the one stderr line that `verify` gives for the
-    same run's trace."""
+    stops the run with the one stderr line of the TraceError that
+    verify_trace raises on the same run's trace."""
     config = write_config(tmp_path, seed=5, workload={"lambda": 3.0, "intervals": 20})
     run = ["simulate", "--config", config, "--interleaved-toggles"]
     assert main([*run, "--verify"]) == EXIT_MISMATCH
@@ -610,11 +819,11 @@ def test_a_view_off_the_schedule_fails_verify_and_simulate_alike(tmp_path, capsy
     assert err.startswith("malformed trace: interval ") and err.count("\n") == 1
     assert "availability diverges from the schedule" in err
     flip_one_view.clear()
-    trace_path = str(tmp_path / "run.jsonl")
-    assert main([*run, "--trace", trace_path]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["verify", "--config", config, "--trace", trace_path]) == EXIT_MISMATCH
-    assert capsys.readouterr().err == err
+    cfg = _config_of(config)
+    events, _ = scenario.run_scenario(cfg, interleaved_toggles=True)
+    with pytest.raises(TraceError) as raised:
+        scenario.verify_trace(events, cfg)
+    assert f"malformed trace: {raised.value}\n" == err
 
 
 def test_help_exits_0(capsys):

@@ -55,9 +55,8 @@ from rfoverlay.trace import (
     TraceRecorder,
     dump_trace,
     dumps_trace,
-    event_from_json,
     event_to_json,
-    load_trace,
+    first_difference,
 )
 from rfoverlay.workload import AvailabilitySchedule, WorkloadConfig, sample_k
 
@@ -1024,19 +1023,9 @@ def test_a_recorded_run_starts_no_collection(monkeypatch):
 # -- trace serialization -----------------------------------------------------------
 
 
-def test_trace_roundtrips_through_jsonl():
-    cfg = ScenarioConfig(node_count=5, workload=WorkloadConfig(intervals=8, seed=17), seed=17)
-    trace, _ = run_scenario(cfg)
-    buffer = io.StringIO()
-    dump_trace(trace, buffer)
-    buffer.seek(0)
-    assert list(load_trace(buffer)) == trace
-
-
 def test_a_recorded_trace_holds_one_status_value_per_node():
     """A status payload is the bare node id it names, or None on MyBox when
-    nothing is Available, and the trace still round-trips through the
-    codec."""
+    nothing is Available."""
     cfg = ScenarioConfig(node_count=8, workload=WorkloadConfig(intervals=30, seed=3), seed=3)
     trace, _ = run_scenario(cfg)
     status = [
@@ -1051,14 +1040,12 @@ def test_a_recorded_trace_holds_one_status_value_per_node():
             assert key.topic is TopicName.MYBOX
         else:
             assert type(payload) is int and 0 <= payload < cfg.node_count
-    nodes = range(cfg.node_count)
-    assert [event_from_json(event_to_json(event), nodes) for event in trace] == trace
 
 
 def test_every_recorded_event_is_a_trace_event():
     """The recorder builds its tuples in C, bypassing TraceEvent's own
     constructor: each event must still be exactly a TraceEvent, equal to
-    its decoded line."""
+    the one that constructor builds from its fields, with a line."""
     cfg = ScenarioConfig(node_count=6, workload=WorkloadConfig(intervals=12, seed=9), seed=9)
     trace, _ = run_scenario(cfg)
     assert {event.kind for event in trace} == {
@@ -1066,7 +1053,8 @@ def test_every_recorded_event_is_a_trace_event():
     }
     for event in trace:
         assert type(event) is TraceEvent
-        assert event_from_json(event_to_json(event), range(cfg.node_count)) == event
+        assert TraceEvent(*event) == event
+        assert json.loads(event_to_json(event))["kind"] == event.kind
 
 
 _RECORDER_METHODS = (
@@ -1124,8 +1112,6 @@ def assert_rows_read_as_their_events(trace: RecordedTrace, cfg: ScenarioConfig) 
         written.append(stream.getvalue().encode())
     assert written == [text.encode()] * 2
     assert _outcome(verify_trace, trace, cfg) == _outcome(verify_trace, events, cfg)
-    loaded = [list(load_trace(io.StringIO(dumps_trace(source)))) for source in (trace, events)]
-    assert loaded == [events, events]
 
     n = len(events)
     assert len(trace) == n and all(type(event) is TraceEvent for event in events)
@@ -1184,29 +1170,10 @@ def test_rows_naming_ids_past_the_table_write_as_their_events():
     assert again != run_scenario(config(1029))[0]
 
 
-def test_decoded_keys_are_the_engine_keys():
-    """The decoder builds keys through the interning constructor, so a key
-    read from a trace line is the very key the engine uses."""
-    cfg = ScenarioConfig(node_count=5, workload=WorkloadConfig(intervals=8, seed=17), seed=17)
-    trace, _ = run_scenario(cfg)
-    seen = set()
-    for event in trace:
-        if event.kind in (KIND_PUBLISH, KIND_DELIVER):
-            key = event.value.key
-        elif event.kind == KIND_SUBSCRIBE:
-            key = event.value
-        else:
-            continue
-        decoded = event_from_json(event_to_json(event), range(cfg.node_count)).value
-        assert (decoded if event.kind == KIND_SUBSCRIBE else decoded.key) is key
-        seen.add(event.kind)
-    assert seen == {KIND_PUBLISH, KIND_DELIVER, KIND_SUBSCRIBE}
-
-
 def test_every_delivery_of_a_publication_holds_its_published_sample():
     """A publication is one Sample from publish to trace: each Deliver event's
     value is the very object of the Publish event it delivers, fan-out and
-    arrival-log replay included, and the decoder gives Samples back."""
+    arrival-log replay included."""
     cfg = ScenarioConfig(node_count=6, workload=WorkloadConfig(intervals=6, seed=5), seed=5)
     trace, _ = run_scenario(cfg)
     published = {
@@ -1220,19 +1187,6 @@ def test_every_delivery_of_a_publication_holds_its_published_sample():
             assert sample is published[sample.publisher, sample.key, sample.seq]
             fanout[id(sample)] += 1
     assert max(fanout.values()) > 1
-    for line_event in load_trace(io.StringIO(dumps_trace(trace))):
-        if line_event.kind in (KIND_PUBLISH, KIND_DELIVER):
-            assert type(line_event.value) is Sample
-
-
-def test_load_trace_yields_each_event_before_reading_the_next_line():
-    cfg = ScenarioConfig(node_count=2, workload=WorkloadConfig(intervals=1, seed=3), seed=3)
-    trace, _ = run_scenario(cfg)
-    stream = io.StringIO(event_to_json(trace[0]) + "\n{not json\n")
-    events = load_trace(stream)
-    assert next(events) == trace[0]
-    with pytest.raises(TraceError):
-        next(events)
 
 
 def test_trace_lines_keep_a_fixed_field_order():
@@ -1242,7 +1196,6 @@ def test_trace_lines_keep_a_fixed_field_order():
         line = event_to_json(event)
         keys = [k for k, _ in json.loads(line, object_pairs_hook=lambda pairs: pairs)]
         assert keys == ["time", "kind", "node", "detail"]
-        assert event_from_json(line, range(3)) == event
 
 
 def test_trace_lines_hold_the_engine_values_as_written():
@@ -1271,17 +1224,27 @@ def test_trace_lines_hold_the_engine_values_as_written():
         '"state":"unavailable","joining":false}}',
     }
     assert {index: lines[index] for index in golden} == golden
-    for index, line in golden.items():
-        assert event_from_json(line, range(2)) == trace[index]
 
 
 def test_malformed_trace_lines_are_rejected():
-    with pytest.raises(TraceError):
-        event_from_json("not json at all", ())
-    with pytest.raises(TraceError):
-        event_from_json('{"time": 1, "kind": "Nonsense", "node": 0, "detail": {}}', ())
-    with pytest.raises(TraceError):
-        event_from_json('{"time": 1, "kind": "Join"}', ())
+    """A line that is not the trace's own is reported at its number and
+    first differing column, with the trace's line and the file's, each
+    clipped to 80 characters."""
+    trace = _demo_trace()
+    head = dumps_trace(trace[:2])
+    third = (
+        "'{\"time\":1,\"kind\":\"Subscribe\",\"node\":0,\"detail\":"
+        "{\"key\":{\"topic\":\"Arrivals\"}}}'"
+    )
+    for line, column in [
+        ("not json at all", 1),
+        ('{"time":1,"kind":"Nonsense","node":0,"detail":{}}', 19),
+        ('{"time":1,"kind":"Join"}', 19),
+        ('{"time":1,"kind":"Subscribe","node":0,"detail":{"key":{"topic":"Arrivals"}}} ', 77),
+    ]:
+        assert first_difference(trace, io.BytesIO(f"{head}{line}\n".encode())) == (
+            3, f"line 3, column {column}: expected {third}, found {line!r}"
+        )
 
 
 @settings(max_examples=40, deadline=None)
@@ -1294,9 +1257,8 @@ def test_malformed_trace_lines_are_rejected():
     seed=st.integers(0, 2**16),
 )
 def test_codec_agrees_with_the_standard_encoder(size, delay, interleaved, lam, intervals, seed):
-    """Each line is what json.dumps writes for it, and decodes back into the
-    recorded event; `detail` is the line's detail, and the whole trace
-    loads back."""
+    """Each line is what json.dumps writes for it, and `detail` is the
+    line's detail."""
     cfg = ScenarioConfig(
         node_count=size,
         delivery_delay=delay,
@@ -1308,18 +1270,15 @@ def test_codec_agrees_with_the_standard_encoder(size, delay, interleaved, lam, i
         line = event_to_json(event)
         obj = json.loads(line)
         assert line == json.dumps(obj, separators=(",", ":"))
-        assert event_from_json(line, range(size)) == event
         assert event.detail == obj["detail"]
     assert dumps_trace(trace) == "".join(event_to_json(e) + "\n" for e in trace)
-    assert list(load_trace(io.StringIO(dumps_trace(trace)))) == trace
 
 
 @functools.cache
-def _demo_lines() -> list[str]:
-    """The README demo's trace lines (6 nodes, seed 9, 359 lines)."""
+def _demo_trace() -> RecordedTrace:
+    """The README demo's trace (6 nodes, seed 9, 359 lines)."""
     cfg = ScenarioConfig(node_count=6, workload=WorkloadConfig(intervals=12, seed=9), seed=9)
-    trace, _ = run_scenario(cfg)
-    return dumps_trace(trace).splitlines()
+    return run_scenario(cfg)[0]
 
 
 # A character edit: what to do, where (taken modulo the line's length), and
@@ -1333,12 +1292,13 @@ _EDIT = st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(index=st.integers(0, 358), edits=st.lists(_EDIT, min_size=1, max_size=2))
-def test_a_line_decodes_only_to_an_event_that_encodes_back_to_it(index, edits):
-    """One or two character edits of a real trace line: the decoder refuses
-    the edited line with a TraceError, or gives the event whose line it is.
-    Before the decoder re-encoded each event, it also accepted a line with
-    a space after a separator, or `-0` for `0`."""
-    line = list(_demo_lines()[index])
+def test_an_edited_line_is_the_first_difference(index, edits):
+    """One or two character edits of a real trace line: a file holding the
+    edited line differs from the trace at that line and at the first
+    column the edits changed, or the edits changed nothing."""
+    trace = _demo_trace()
+    lines = dumps_trace(trace).splitlines(keepends=True)
+    line = list(lines[index][:-1])
     for op, position, char in edits:
         position %= len(line) + (op == "insert")
         if op == "insert":
@@ -1347,12 +1307,68 @@ def test_a_line_decodes_only_to_an_event_that_encodes_back_to_it(index, edits):
             del line[position]
         else:
             line[position] = char
-    edited = "".join(line)
-    try:
-        event = event_from_json(edited, range(6))
-    except TraceError:
+    original, lines[index] = lines[index], "".join(line) + "\n"
+    found = first_difference(trace, io.BytesIO("".join(lines).encode()))
+    if lines[index] == original:
+        assert found is None
         return
-    assert event_to_json(event) == edited
+    column = next(n for n, (a, b) in enumerate(zip(original, lines[index]), 1) if a != b)
+    assert found[0] == index + 1
+    assert found[1].startswith(f"line {index + 1}, column {column}: ")
+
+
+def test_first_difference_reads_past_the_first_chunk():
+    """A trace of several chunks: the same bytes compare equal, and a
+    change, a cut or an extra line in a later chunk is found at its line."""
+    cfg = ScenarioConfig(
+        node_count=16, workload=WorkloadConfig(lam=3.0, intervals=40, seed=4), seed=4
+    )
+    trace, _ = run_scenario(cfg)
+    data = dumps_trace(trace).encode()
+    lines = data.splitlines(keepends=True)
+    n = len(lines)
+    late = trace_module._CHUNK + 5
+    assert n > late + 1
+    assert first_difference(trace, io.BytesIO(data)) is None
+    changed = lines[:late] + [lines[late].replace(b'"kind"', b'"kinds"')] + lines[late + 1 :]
+    for forged, line in [
+        (b"".join(changed), late + 1),
+        (b"".join(lines[:-1]), n),
+        (data + lines[-1], n + 1),
+        (data[:-1], n),
+    ]:
+        found = first_difference(trace, io.BytesIO(forged))
+        assert found is not None and found[0] == line
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    size=st.integers(1, 10),
+    delay=st.integers(0, 3),
+    lam=st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.0]),
+    intervals=st.integers(0, 20),
+    seed=st.integers(0, 2**16),
+)
+def test_the_toggle_modes_first_differ_at_the_first_toggle_line(size, delay, lam, intervals, seed):
+    """`verify` works out a file's toggle mode from this rule: a config's
+    serialized and interleaved traces are the same lines before the
+    serialized trace's first Toggle line, and differ on it; with no Toggle
+    line, they are the same trace."""
+    cfg = ScenarioConfig(
+        node_count=size,
+        delivery_delay=delay,
+        workload=WorkloadConfig(lam=lam, intervals=intervals, seed=seed),
+        seed=seed,
+    )
+    serialized = dumps_trace(run_scenario(cfg)[0]).splitlines()
+    interleaved = dumps_trace(run_scenario(cfg, interleaved_toggles=True)[0]).splitlines()
+    toggles = [i for i, line in enumerate(serialized) if '"kind":"Toggle"' in line]
+    if not toggles:
+        assert interleaved == serialized
+        return
+    first = toggles[0]
+    assert interleaved[:first] == serialized[:first]
+    assert interleaved[first] != serialized[first]
 
 
 class _WriteLog(io.StringIO):
@@ -1413,16 +1429,13 @@ _TABLE_SIZE = trace_module._ID_TEXT_SIZE
 def test_every_writer_writes_an_id_at_the_tables_edges_as_json_does(node):
     """Node ids are read from a fixed table of their text; an id at either
     side of its end, far past it or below it is written as json.dumps
-    writes it, by every writer, and decodes back to its event."""
+    writes it, by every writer."""
     events = _events_naming(node)
     lines = [event_to_json(event) for event in events]
     for event, line in zip(events, lines):
         obj = json.loads(line)
         assert line == json.dumps(obj, separators=(",", ":"))
         assert obj["node"] == node and event.detail == obj["detail"]
-        assert event_from_json(line, {node}) == event
-    # A Join line names no other node, so it decodes with any id, -1 included.
-    assert event_from_json(lines[0], ()) == events[0]
     text = "".join(line + "\n" for line in lines)
     assert dumps_trace(events) == text
     stream = io.StringIO()
@@ -1452,8 +1465,8 @@ def test_a_write_formats_ids_past_the_table_into_its_own_copy():
 
 
 def test_the_tick_head_follows_every_change_of_time():
-    """Times that go up, repeat as distinct int objects (as load_trace
-    yields them) and go back down: the whole-trace writers, which build a
+    """Times that go up, repeat as distinct int objects (as ints parsed from
+    text are) and go back down: the whole-trace writers, which build a
     line's head once per run of equal times, write each event's own line."""
     times = [0, 1, 1, 1000, int("1000"), int("1000"), 7, 7, 1000, 0]
     assert times[3] is not times[4] and times[4] is not times[5]
