@@ -4,18 +4,19 @@ Subcommands:
 
   simulate   run a scenario from a config file; write trace and metrics, and
              with --verify check each quiescent point as the run reaches it
-  verify     check a written trace: replay its config and compare the bytes,
-             then check the replay against the oracles
+  verify     check a written trace: replay its config, checking the replay
+             against the oracles as it runs, and compare the bytes
   oracle     print the all-seeing assignment for one availability vector
   sweep      run and check a scenario across a seed range, one seed at a time
   pmf        print the event-count distribution used by the workload
 
-`simulate --verify` and `sweep` check each run as it goes, so neither keeps
-a trace unless `simulate --trace` writes one. `verify` accepts exactly the
-trace the engine writes for the config, in either toggle mode, which it
-works out from the file: it replays the config, holding the replay's trace
-as a recorded run does, and compares the file with the replay's lines, a
-chunk at a time. A file that matches gets the replay's oracle report; any
+`simulate --verify`, `sweep` and `verify` check each run as it goes, so
+the first two keep no trace unless `simulate --trace` writes one. `verify`
+accepts exactly the trace the engine writes for the config, in either
+toggle mode, which it works out from the file: it replays the config,
+holding the replay's trace as a recorded run does, and compares the file
+with the replay's lines, a chunk at a time, reading the file once, so it
+may be a pipe. A file that matches gets the replay's in-run check; any
 other is malformed, reported at the first line that differs.
 
 Exit codes: 0 on success, 1 when verification finds mismatches, a trace is
@@ -38,7 +39,6 @@ from .scenario import (
     config_with_seed,
     load_config,
     run_scenario,
-    verify_trace,
 )
 from .metrics import render_metrics
 from .network import JoinError, QuiescenceError
@@ -102,27 +102,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Replay the config and compare the file with the replay's lines. The
-    two toggle modes write the same lines up to the first Toggle line, and
-    differ on it, so a file that differs there is compared with an
-    interleaved replay too. A file that matches is the replay's trace, and
-    the replay's verify_trace report is printed; one that matches neither
-    is malformed, reported at the first line that differs from the replay
-    that matched more lines."""
+    two toggle modes write the same lines before the first Toggle line, and
+    differ on it, so a file that differs there is compared from there on
+    with an interleaved replay too, starting with the bytes already read:
+    the file is read once, and may be a pipe. A file that matches is the
+    replay's trace, and the replay's own in-run check is printed; one that
+    matches neither is malformed, reported at the first line that differs
+    from the replay that matched more lines."""
     cfg = _load_config_file(args.config)
+    found: list = []
     with open(args.trace, "rb") as stream:
-        trace, _ = run_scenario(cfg)
+        trace, _ = run_scenario(cfg, mismatches=found)
         differs = first_difference(trace, stream)
         toggle = next((n for n, row in enumerate(trace.rows(), 1) if row[1] == KIND_TOGGLE), None)
-        if differs is not None and differs[0] == toggle:
+        if differs is not None and differs.line == toggle:
             del trace  # hold one replay at a time
-            stream.seek(0)
-            trace, _ = run_scenario(cfg, interleaved_toggles=True)
-            again = first_difference(trace, stream)
-            if again is None or again[0] > differs[0]:
+            found = []
+            trace, _ = run_scenario(cfg, interleaved_toggles=True, mismatches=found)
+            again = first_difference(trace, stream, toggle - 1, differs.rest)
+            if again is None or again.line > differs.line:
                 differs = again
     if differs is not None:
-        raise TraceError(differs[1])
-    return _print_report(verify_trace(trace, cfg), sys.stdout)
+        raise TraceError(differs.report)
+    return _print_report(VerifyReport(cfg.workload.intervals, tuple(found)), sys.stdout)
 
 
 def _parse_down(raw: str) -> set[int]:

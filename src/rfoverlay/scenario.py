@@ -381,8 +381,8 @@ def verify_trace(
 ) -> VerifyReport:
     """Check a trace's quiescent points against the oracles.
 
-    The events are read once, in order, so a lazily loaded trace is never
-    held whole. Structural problems (wrong node set, inconsistent
+    The events are read once, in order, and a RecordedTrace by its rows, so
+    no TraceEvent is built for it. Structural problems (wrong node set, inconsistent
     availability, broken records) raise TraceError; oracle disagreement lands
     in the report.
     """

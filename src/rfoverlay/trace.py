@@ -20,10 +20,10 @@ files: event_to_json, dumps_trace, dump_trace and TraceEvent.detail (which
 json.loads its line back) all run it, and dump_trace writes its lines in
 fixed-size chunks, one write each.
 The encoder formats each tick's head once per run of equal times, and reads
-node ids' text from a fixed table built at import, which never grows. An id
-outside it (a negative one, or one past its end) is formatted: once per
-whole-trace write, into that write's own copy of the table, and on every
-one-line call. Every line is the same as if each id were formatted.
+the text of every node id, None and topic key from one table, _TEXT. It
+starts with None and ids 0-1023; an int or a key that a line names and the
+table lacks is formatted once and added, for the life of the process. Every
+line is the same as if each value were formatted.
 
 A trace file is never decoded. A config and a run mode fix every byte of
 its trace, so first_difference checks a file against the lines of a replay
@@ -176,53 +176,32 @@ class TraceRecorder:
 # lines are written as text with nothing to escape. json.dumps with
 # separators (",", ":") is the reference (tests/test_sim.py checks it).
 
-# A key's fragment is written once: a run names the same few keys per node.
-_KEY_JSON: dict[TopicKey, str] = {}
-
-
-def _key_json(key: TopicKey) -> str:
-    text = _KEY_JSON.get(key)
-    if text is None:
-        instance = "" if key.instance is None else f',"instance":{key.instance}'
-        text = _KEY_JSON[key] = f'{{"topic":"{key.topic.value}"{instance}}}'
-    return text
-
-
 # dump_trace writes this many lines per write: about half a megabyte.
 _CHUNK = 4096
 
-# The text of None and of every node id below _ID_TEXT_SIZE, built once at
-# import: a dict subscript is cheaper than formatting the int on each line.
-# It is never written to, so no trace can grow it.
-_ID_TEXT_SIZE = 1024
-_ID_TEXT = {None: "null", **{n: str(n) for n in range(_ID_TEXT_SIZE)}}
+# The text of every node id, None and TopicKey a line writes, read with one
+# dict subscript: cheaper than formatting the value on each line. It starts
+# with None and ids 0-1023, so a run of up to 1,024 nodes meets no id it
+# lacks, and _encode adds any other int or key when a line first names it.
+# An exact dict: Python specializes a subscript only on one.
+_TEXT: dict = {None: "null", **{n: str(n) for n in range(1024)}}
 
 
-class _AnyIdText(dict):
-    """_ID_TEXT for every id: one outside it (a negative one, or one past its
-    end) is formatted when it is read, and never stored."""
-
-    __missing__ = str
-
-
-_ANY_ID_TEXT = _AnyIdText(_ID_TEXT)
-
-
-def _encode(events: Iterable[TraceEvent], ids: dict = _ID_TEXT) -> Iterator[str]:
+def _encode(events: Iterable[TraceEvent]) -> Iterator[str]:
     """Each event's line, newline included: the one encoder.
 
     A RecordedTrace is read by its rows(), so no TraceEvent is built; any
     other iterable is read as TraceEvents, which unpack as rows do. One
     loop writes every kind, so a line costs one f-string and no call but
-    a dict lookup for its key. Values are written as the engine holds them:
-    a node id as a bare integer, None as null, and availability as the word
-    "available" or "unavailable". The key's topic fixes what a payload
+    the dict subscripts of _TEXT. Values are written as the engine holds
+    them: a node id as a bare integer, None as null, and availability as the
+    word "available" or "unavailable". The key's topic fixes what a payload
     means, so a payload carries no tag of its own. The `{"time":T,"kind":"`
-    head is built once per run of equal times, and node ids and None are
-    read from `ids`. Given _ID_TEXT, a call that meets an id outside it
-    copies the table once and adds each such id's text to its own copy, so
-    a run of any size formats each id at most once per call."""
-    key_json = _KEY_JSON.get
+    head is built once per run of equal times. A value _TEXT lacks gets its
+    text there, and its row is written again: an exact int is formatted, a
+    TopicKey gets its `{"topic":...}` fragment, and any other value is
+    refused, so that no value equal to an int (2000.0, say) can change how
+    that int is written."""
     last = head = None
     for time, kind, node, value in event_rows(events):
         if time != last:
@@ -232,49 +211,50 @@ def _encode(events: Iterable[TraceEvent], ids: dict = _ID_TEXT) -> Iterator[str]
             if kind == KIND_VIEW_CHANGE:
                 ose, ore, tre, available, joining = value
                 line = (
-                    f'{head}ViewChange","node":{ids[node]},"detail":'
-                    f'{{"ose":{ids[ose]},"ore":{ids[ore]},"tre":{ids[tre]},'
+                    f'{head}ViewChange","node":{_TEXT[node]},"detail":'
+                    f'{{"ose":{_TEXT[ose]},"ore":{_TEXT[ore]},"tre":{_TEXT[tre]},'
                     f'"state":"{"available" if available else "unavailable"}",'
                     f'"joining":{"true" if joining else "false"}}}}}\n'
                 )
             elif kind == KIND_DELIVER or kind == KIND_PUBLISH:
                 key, payload, publisher, seq = value
                 line = (
-                    f'{head}{kind}","node":{ids[node]},"detail":{{"key":'
-                    f'{key_json(key) or _key_json(key)},"payload":{ids[payload]},'
+                    f'{head}{kind}","node":{_TEXT[node]},"detail":{{"key":'
+                    f'{_TEXT[key]},"payload":{_TEXT[payload]},'
                 )
                 if kind == KIND_PUBLISH:
                     line = f'{line}"seq":{seq}}}}}\n'
                 else:
-                    line = f'{line}"publisher":{ids[publisher]},"seq":{seq}}}}}\n'
+                    line = f'{line}"publisher":{_TEXT[publisher]},"seq":{seq}}}}}\n'
             elif kind == KIND_SUBSCRIBE or kind == KIND_UNSUBSCRIBE:
-                line = (
-                    f'{head}{kind}","node":{ids[node]},'
-                    f'"detail":{{"key":{key_json(value) or _key_json(value)}}}}}\n'
-                )
+                line = f'{head}{kind}","node":{_TEXT[node]},"detail":{{"key":{_TEXT[value]}}}}}\n'
             elif kind == KIND_TOGGLE:
                 to, interval = value
                 line = (
-                    f'{head}Toggle","node":{ids[node]},"detail":'
+                    f'{head}Toggle","node":{_TEXT[node]},"detail":'
                     f'{{"to":"{"available" if to else "unavailable"}",'
                     f'"interval":{interval}}}}}\n'
                 )
             elif kind == KIND_JOIN:
-                line = f'{head}Join","node":{ids[node]},"detail":{{}}}}\n'
+                line = f'{head}Join","node":{_TEXT[node]},"detail":{{}}}}\n'
             else:
                 raise TraceError(f"unknown event kind {kind!r}")
         except KeyError as missing:
-            if ids is _ID_TEXT:
-                ids = dict(ids)
-            ids[missing.args[0]] = str(missing.args[0])
-            line = next(_encode(((time, kind, node, value),), ids))
+            new = missing.args[0]
+            if type(new) is int:
+                _TEXT[new] = str(new)
+            elif type(new) is TopicKey:
+                instance = "" if new.instance is None else f',"instance":{new.instance}'
+                _TEXT[new] = f'{{"topic":"{new.topic.value}"{instance}}}'
+            else:
+                raise TraceError(f"{new!r} is not a node id, null or a topic key") from None
+            line = next(_encode(((time, kind, node, value),)))
         yield line
 
 
 def _line(event: TraceEvent) -> str:
-    """One event's line, newline included. A lone line has no later line to
-    spread the cost of copying the table over, so it reads _ANY_ID_TEXT."""
-    return next(_encode((event,), _ANY_ID_TEXT))
+    """One event's line, newline included, from the one encoder."""
+    return next(_encode((event,)))
 
 
 def event_to_json(event: TraceEvent) -> str:
@@ -312,19 +292,36 @@ def _shown(line: bytes) -> str:
     return repr(text[:_SHOWN]) + ("..." if len(text) > _SHOWN else "")
 
 
-def first_difference(events: Iterable[TraceEvent], stream: IO[bytes]) -> tuple[int, str] | None:
+class Difference(NamedTuple):
+    """Where a stream first differs from the events' lines: the line's
+    number, a report naming it, and the stream's bytes read from that
+    line's start on, so that the stream can be compared again from there."""
+
+    line: int
+    report: str
+    rest: bytes
+
+
+def first_difference(
+    events: Iterable[TraceEvent], stream: IO[bytes], before: int = 0, read: bytes = b""
+) -> Difference | None:
     """Compare the events' lines with a binary stream's bytes, a chunk of
     _CHUNK lines at a time, reading no more of the stream per chunk than the
-    chunk's length, so a line of any length is never read whole. None if
-    they are the same bytes; otherwise the number of the first line that
-    differs and a report naming it with its column, the events' line and
-    the stream's, each clipped. A stream that ends early or goes on past
-    the last line differs at the line after the last one they share."""
-    lines = _encode(events)
-    number = 0  # lines matched so far
+    chunk's length, so a line of any length is never read whole. The
+    events' lines are compared from line `before` + 1 on, and the stream's
+    bytes from that line's start on are `read`, bytes already read from
+    it, then its unread ones. None if they are the same bytes; otherwise
+    the Difference at the first line that differs, reported with its
+    column, the events' line and the stream's, each clipped. A stream that
+    ends early or goes on past the last line differs at the line after the
+    last one they share."""
+    lines = _encode(islice(event_rows(events), before, None))
+    number = before  # lines matched so far
     while True:
         want = "".join(islice(lines, _CHUNK)).encode()
-        got = stream.read(len(want) or 1)
+        size = len(want) or 1
+        got, read = read[:size], read[size:]
+        got += stream.read(size - len(got))
         if got != want:
             break
         if not want:
@@ -334,8 +331,10 @@ def first_difference(events: Iterable[TraceEvent], stream: IO[bytes]) -> tuple[i
     at = next((i for i, (a, b) in enumerate(zip(want, got)) if a != b), min(len(want), len(got)))
     start = want.rfind(b"\n", 0, at) + 1
     number += want.count(b"\n", 0, start) + 1
-    held = got[start:] + stream.read(_SHOWN_BYTES)
-    return number, (
+    rest = got[start:] + read
+    rest += stream.read(max(0, _SHOWN_BYTES - len(rest)))
+    report = (
         f"line {number}, column {at - start + 1}: "
-        f"expected {_shown(want[start:])}, found {_shown(held)}"
+        f"expected {_shown(want[start:])}, found {_shown(rest)}"
     )
+    return Difference(number, report, rest)

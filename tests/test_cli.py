@@ -4,7 +4,9 @@ import copy
 import hashlib
 import io
 import json
+import os
 import re
+import threading
 import tracemalloc
 
 import pytest
@@ -403,6 +405,62 @@ def test_verify_reports_a_difference_from_the_replay_that_matched_more(tmp_path,
     verify_refuses(config, trace_path, capsys, len(lines))
 
 
+def _verify_through_a_pipe(config, data):
+    """`verify` of `data`, which a thread writes into a pipe that `verify`
+    reads as its trace file. Gives the exit code and the peak of memory
+    traced during the call."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        try:
+            with open(write_end, "wb") as sink:
+                sink.write(data)
+        except BrokenPipeError:  # verify stopped reading
+            pass
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--config", config, "--trace", f"/dev/fd/{read_end}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        os.close(read_end)
+        feeder.join(timeout=30)
+    assert not feeder.is_alive()
+    return code, peak
+
+
+@pytest.mark.parametrize("mode", ["serialized", "interleaved"])
+def test_verify_reads_a_piped_trace_as_it_reads_the_file(tmp_path, capsys, mode):
+    """A pipe is read once: an interleaved trace, which first differs from
+    the serialized replay at its first Toggle line, is compared with the
+    interleaved replay from that line on, starting with the bytes already
+    read. Piped, an untouched trace, one edited after that line and one
+    with 20 MB more after the edit get the file's exit code and output, in
+    bounded memory."""
+    config = write_config(tmp_path)
+    trace_path = tmp_path / "run.jsonl"
+    extra = ["--interleaved-toggles"] if mode == "interleaved" else []
+    assert main(["simulate", "--config", config, "--trace", str(trace_path), *extra]) == EXIT_OK
+    capsys.readouterr()
+    data = trace_path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    first_toggle = next(n for n, line in enumerate(lines, 1) if b'"kind":"Toggle"' in line)
+    edited = b"".join(lines[:-2] + lines[-1:])
+    assert _first_changed_line(data, edited) == len(lines) - 1 > first_toggle
+    junk = b"".join(lines[: first_toggle + 1]) + b"x" * 20_000_000
+    for forged, code in [(data, EXIT_OK), (edited, EXIT_MISMATCH), (junk, EXIT_MISMATCH)]:
+        trace_path.write_bytes(forged)
+        assert main(["verify", "--config", config, "--trace", str(trace_path)]) == code
+        from_file = capsys.readouterr()
+        piped, peak = _verify_through_a_pipe(config, forged)
+        assert piped == code and capsys.readouterr() == from_file
+        assert peak < 2_000_000
+    assert from_file.err.startswith(f"malformed trace: line {first_toggle + 2}, column 1: ")
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -725,19 +783,19 @@ HOSTILE = range(7 * 10**9, 7 * 10**9 + 2000)
     ids=["keys-of-unjoined-nodes", "joins-outside-the-config"],
 )
 def test_verify_memory_does_not_grow_with_a_hostile_trace(tmp_path, capsys, text, line):
-    """Topic keys are interned for the life of the process, and the
-    encoder's tables of id text are built once: a trace whose keys name
-    thousands of distinct nodes grows neither. `verify` builds nothing from
-    the file's values; it refuses the file at its first line that the
-    replay of the config does not write."""
+    """Topic keys are interned, and the encoder's table of text keeps each
+    id and key it writes, for the life of the process: a trace whose keys
+    name thousands of distinct nodes puts none of them in either. `verify`
+    builds nothing from the file's values; it refuses the file at its first
+    line that the replay of the config does not write."""
     config = write_config(tmp_path)
     trace_path = tmp_path / "hostile.jsonl"
     trace_path.write_text(text)
     keys = len(bus._KEYS[TopicName.MYBOX])
-    id_texts = len(trace._ID_TEXT), len(trace._ANY_ID_TEXT)
     verify_refuses(config, trace_path, capsys, line)
     assert len(bus._KEYS[TopicName.MYBOX]) == keys
-    assert (len(trace._ID_TEXT), len(trace._ANY_ID_TEXT)) == id_texts
+    assert not any(node in trace._TEXT for node in HOSTILE)
+    assert not any(getattr(value, "instance", None) in HOSTILE for value in trace._TEXT)
 
 
 @pytest.mark.parametrize(

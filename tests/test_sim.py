@@ -4,6 +4,7 @@ import functools
 import gc
 import hashlib
 import io
+import itertools
 import json
 import re
 import shlex
@@ -1129,6 +1130,9 @@ def assert_rows_read_as_their_events(trace: RecordedTrace, cfg: ScenarioConfig) 
     assert trace == events and events == trace and not trace != events
     assert (trace == []) is ([] == trace) is (n == 0)
     assert trace != tuple(events)
+    flat = [value for event in events for value in event]
+    assert trace == RecordedTrace(flat) and RecordedTrace(flat) == trace
+    assert (trace != RecordedTrace(flat[:-4])) is (n > 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1151,23 +1155,6 @@ def test_a_recorded_trace_reads_as_the_list_of_its_events(
     )
     trace, _ = run_scenario(cfg, interleaved_toggles=interleaved)
     assert_rows_read_as_their_events(trace, cfg)
-
-
-def test_rows_naming_ids_past_the_table_write_as_their_events():
-    """A run past the encoder's id table: its rows go through the path that
-    copies the table, and read as their events."""
-    def config(size):
-        return ScenarioConfig(node_count=size, workload=WorkloadConfig(intervals=1, seed=1), seed=1)
-
-    cfg = config(1030)
-    trace, _ = run_scenario(cfg)
-    assert any(node >= trace_module._ID_TEXT_SIZE for _time, _kind, node, _value in trace.rows())
-    sizes = len(trace_module._ID_TEXT), len(trace_module._ANY_ID_TEXT)
-    assert_rows_read_as_their_events(trace, cfg)
-    assert (len(trace_module._ID_TEXT), len(trace_module._ANY_ID_TEXT)) == sizes
-    again, _ = run_scenario(cfg)
-    assert again == trace and trace == again
-    assert again != run_scenario(config(1029))[0]
 
 
 def test_every_delivery_of_a_publication_holds_its_published_sample():
@@ -1229,7 +1216,7 @@ def test_trace_lines_hold_the_engine_values_as_written():
 def test_malformed_trace_lines_are_rejected():
     """A line that is not the trace's own is reported at its number and
     first differing column, with the trace's line and the file's, each
-    clipped to 80 characters."""
+    clipped to 80 characters, and the file's bytes from that line on."""
     trace = _demo_trace()
     head = dumps_trace(trace[:2])
     third = (
@@ -1243,7 +1230,7 @@ def test_malformed_trace_lines_are_rejected():
         ('{"time":1,"kind":"Subscribe","node":0,"detail":{"key":{"topic":"Arrivals"}}} ', 77),
     ]:
         assert first_difference(trace, io.BytesIO(f"{head}{line}\n".encode())) == (
-            3, f"line 3, column {column}: expected {third}, found {line!r}"
+            3, f"line 3, column {column}: expected {third}, found {line!r}", f"{line}\n".encode()
         )
 
 
@@ -1319,7 +1306,8 @@ def test_an_edited_line_is_the_first_difference(index, edits):
 
 def test_first_difference_reads_past_the_first_chunk():
     """A trace of several chunks: the same bytes compare equal, and a
-    change, a cut or an extra line in a later chunk is found at its line."""
+    change, a cut or an extra line in a later chunk is found at its line,
+    also when the compare starts at a later line."""
     cfg = ScenarioConfig(
         node_count=16, workload=WorkloadConfig(lam=3.0, intervals=40, seed=4), seed=4
     )
@@ -1339,6 +1327,22 @@ def test_first_difference_reads_past_the_first_chunk():
     ]:
         found = first_difference(trace, io.BytesIO(forged))
         assert found is not None and found[0] == line
+    # Compared from line `late` + 1 on, with some or all of the stream's
+    # bytes from that line's start already read. A Difference holds the
+    # stream's bytes from its line's start on, enough to show that line.
+    start = len(b"".join(lines[:late]))
+    for forged, line in [
+        (data, None), (b"".join(changed), late + 1), (data[:-1], n), (data + b"more\n", n + 1)
+    ]:
+        for cut in (100, len(forged)):
+            read, unread = forged[start : start + cut], io.BytesIO(forged[start + cut :])
+            found = first_difference(trace, unread, late, read)
+            assert (found and found.line) == line
+            if found:
+                tail = forged[len(b"".join(lines[: line - 1])) :]
+                assert tail.startswith(found.rest)
+                assert len(found.rest) >= min(len(tail), trace_module._SHOWN_BYTES)
+    assert found.report.endswith("found 'more'")
 
 
 @settings(max_examples=100, deadline=None)
@@ -1418,50 +1422,82 @@ def _events_naming(node):
     ]
 
 
-_TABLE_SIZE = trace_module._ID_TEXT_SIZE
+def _new_ids(start, count):
+    """`count` ids, counting up from `start`, that the encoder's table of
+    text does not hold yet."""
+    fresh = (n for n in itertools.count(start) if n not in trace_module._TEXT)
+    return list(itertools.islice(fresh, count))
+
+
+_WRITERS = ["event_to_json", "dumps_trace", "dump_trace", "dumps_trace-rows", "dump_trace-rows"]
+
+
+def _write(writer, events):
+    """The events' text from one writer: event_to_json line by line, or
+    dumps_trace or dump_trace, given the TraceEvents or, with "-rows", a
+    RecordedTrace of them, which they read by its rows."""
+    if writer == "event_to_json":
+        return "".join(event_to_json(event) + "\n" for event in events)
+    name, _, rows = writer.partition("-")
+    if rows:
+        events = RecordedTrace([value for event in events for value in event])
+    if name == "dumps_trace":
+        return dumps_trace(events)
+    stream = io.StringIO()
+    dump_trace(events, stream)
+    return stream.getvalue()
 
 
 @pytest.mark.parametrize(
     "node",
-    [0, _TABLE_SIZE - 1, _TABLE_SIZE, 10**9, -1],
-    ids=["zero", "last-in-table", "first-past-table", "1e9", "negative"],
+    [0, 1023, 1024, 5000, 10**9, -1, -7],
+    ids=["zero", "last-in-table", "first-past-table", "5000", "1e9", "negative", "minus-7"],
 )
 def test_every_writer_writes_an_id_at_the_tables_edges_as_json_does(node):
-    """Node ids are read from a fixed table of their text; an id at either
-    side of its end, far past it or below it is written as json.dumps
-    writes it, by every writer."""
-    events = _events_naming(node)
-    lines = [event_to_json(event) for event in events]
-    for event, line in zip(events, lines):
-        obj = json.loads(line)
-        assert line == json.dumps(obj, separators=(",", ":"))
-        assert obj["node"] == node and event.detail == obj["detail"]
-    text = "".join(line + "\n" for line in lines)
-    assert dumps_trace(events) == text
-    stream = io.StringIO()
-    dump_trace(events, stream)
-    assert stream.getvalue() == text
+    """Node ids and keys are read from one table of their text, built with
+    ids 0-1023 and filled as lines name others. An id at either side of
+    the built end, far past it or below it, and a line naming several ids
+    the table does not hold, followed by a key of one of them, are written
+    as json.dumps writes them, by every writer; the table then holds the
+    new ids and the new key."""
+    for writer in _WRITERS:
+        new = _new_ids(10**10, 2) + _new_ids(-(10**10), 1)
+        key = TopicKey(TopicName.MYBOX, new[0])
+        events = _events_naming(node) + [
+            TraceEvent(5, KIND_VIEW_CHANGE, new[0], (new[1], node, new[2], True, False)),
+            TraceEvent(5, KIND_SUBSCRIBE, node, key),
+        ]
+        assert not any(value in trace_module._TEXT for value in (*new, key))
+        text = _write(writer, events)
+        assert all(value in trace_module._TEXT for value in (*new, key))
+        lines = text.splitlines()
+        assert len(lines) == len(events) and text.endswith("\n")
+        for event, line in zip(events, lines):
+            obj = json.loads(line)
+            assert line == json.dumps(obj, separators=(",", ":"))
+            assert obj["node"] == event.node and event.detail == obj["detail"]
+        detail = json.loads(lines[-2])["detail"]
+        assert (detail["ose"], detail["ore"], detail["tre"]) == (new[1], node, new[2])
+        assert json.loads(lines[-1])["detail"]["key"] == {"topic": "MyBox", "instance": new[0]}
+        assert text == _write("event_to_json", events)
 
 
-def test_a_write_formats_ids_past_the_table_into_its_own_copy():
-    """A whole-trace write that meets ids outside the table, several on one
-    line, writes each line as event_to_json and json.dumps do, and leaves
-    the shared tables as they were built."""
-    far = [10**9, -5, _TABLE_SIZE, 5000]
-    events = [
-        TraceEvent(time, KIND_VIEW_CHANGE, ids[0], (*ids[1:], True, False))
-        for time, ids in enumerate([far, far[::-1], [1, 2, -7, 3], far])
-    ]
-    sizes = len(trace_module._ID_TEXT), len(trace_module._ANY_ID_TEXT)
-    lines = dumps_trace(events).splitlines()
-    assert lines == [event_to_json(event) for event in events]
-    for event, line in zip(events, lines):
-        obj = json.loads(line)
-        assert line == json.dumps(obj, separators=(",", ":"))
-        detail = obj["detail"]
-        written = (obj["node"], detail["ose"], detail["ore"], detail["tre"])
-        assert written == (event.node, *event.value[:3])
-    assert (len(trace_module._ID_TEXT), len(trace_module._ANY_ID_TEXT)) == sizes
+def test_a_value_that_only_equals_an_id_is_refused():
+    """A value the table lacks that is not an exact int, None or a key is
+    refused by every writer, and not added: 2000.0 cannot set how id 2000
+    is written. No other test names id 2000."""
+    assert 2000 not in trace_module._TEXT
+    for writer in _WRITERS:
+        with pytest.raises(TraceError, match="2000.0"):
+            _write(writer, [TraceEvent(1, KIND_JOIN, 2000.0, None)])
+    assert 2000 not in trace_module._TEXT
+    events = _events_naming(2000)
+    for writer in _WRITERS:
+        assert _write(writer, events) == _write("event_to_json", events)
+    assert event_to_json(TraceEvent(1, KIND_JOIN, 2000, None)) == (
+        '{"time":1,"kind":"Join","node":2000,"detail":{}}'
+    )
+    assert trace_module._TEXT[2000] == "2000"
 
 
 def test_the_tick_head_follows_every_change_of_time():
