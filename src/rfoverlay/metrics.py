@@ -1,20 +1,18 @@
 """Metrics of a run: publication counts, churn, latency.
 
-A run tallies the bus's running totals after the join phase, before each
-toggle and at each interval's end; the metrics are differences of those
-tallies. A toggle owns everything up to the next toggle of its interval or
-the interval's end, so in interleaved mode the last toggle of an interval
-owns the whole drain. The rendered form is a fixed-width table with one row
-per interval, a setup row for the join phase, and a totals row.
+A run tallies the bus's running totals after the join phase and at each
+interval's end; the metrics are differences of those tallies. The rendered
+form is a fixed-width table with one row per interval, a setup row for the
+join phase, and a totals row.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .bus import NodeId, TopicName, VirtualBus
+from .bus import TopicName, VirtualBus
 
 SETUP_INTERVAL = -1  # join phase, before the first interval
 
@@ -23,35 +21,12 @@ _TOPIC_ORDER = tuple(name.value for name in TopicName)
 # A bus's running totals at one instant: publications per topic, in TopicName
 # order, then deliveries, subscribes and unsubscribes.
 Tally = tuple[int, ...]
-_MYBOX = list(TopicName).index(TopicName.MYBOX)  # positions in a tally
-_DELIVERIES = len(TopicName)
 
 
 def tally(bus: VirtualBus) -> Tally:
     """The bus's running totals now."""
     # publish_counts is built in TopicName order and never re-keyed.
     return (*bus.publish_counts.values(), bus.deliveries, bus.subscribes, bus.unsubscribes)
-
-
-class ToggleMark(NamedTuple):
-    """One applied toggle and the tally taken just before it."""
-
-    interval: int
-    node: NodeId
-    available: bool
-    before: Tally
-
-
-@dataclass(slots=True)
-class ToggleStats:
-    """Propagation cost of one availability transition."""
-
-    interval: int
-    node: int
-    available: bool
-    mybox_publications: int = 0
-    publications: int = 0
-    deliveries: int = 0
 
 
 @dataclass(slots=True)
@@ -65,10 +40,6 @@ class IntervalStats:
     subscribes: int = 0
     unsubscribes: int = 0
 
-    @property
-    def publications(self) -> int:
-        return sum(self.publications_per_topic.values())
-
 
 @dataclass(slots=True)
 class Metrics:
@@ -78,49 +49,25 @@ class Metrics:
     deliveries: int
     setup: IntervalStats
     intervals: tuple[IntervalStats, ...]
-    toggles: tuple[ToggleStats, ...]
-
-    @property
-    def publications(self) -> int:
-        return sum(self.publications_per_topic.values())
 
 
-def _work(interval: int, start: Tally, end: Tally) -> IntervalStats:
-    """The work between two tallies, as an interval row without toggles."""
+def _work(interval: int, start: Tally, end: Tally, toggles: int = 0) -> IntervalStats:
+    """The work between two tallies, as an interval row."""
     *published, delivered, subscribed, unsubscribed = map(operator.sub, end, start)
     return IntervalStats(
-        interval, 0, dict(zip(_TOPIC_ORDER, published)), delivered, subscribed, unsubscribed
+        interval, toggles, dict(zip(_TOPIC_ORDER, published)), delivered, subscribed, unsubscribed
     )
 
 
-def compute_metrics(
-    joined: Tally, toggles: Sequence[ToggleMark], ends: Sequence[Tally]
-) -> Metrics:
-    """Per-interval and per-toggle statistics of a run on a fresh bus.
+def compute_metrics(joined: Tally, toggles: Sequence[int], ends: Sequence[Tally]) -> Metrics:
+    """Per-interval statistics of a run on a fresh bus.
 
-    `joined` is the tally after the join phase, `toggles` the toggles in the
-    order applied and `ends` the tally at each interval's end.
+    `joined` is the tally after the join phase, `toggles` the number of
+    toggles applied in each interval and `ends` the tally at each interval's
+    end.
     """
     starts = (joined, *ends)
-    rows = [_work(interval, starts[interval], end) for interval, end in enumerate(ends)]
-    stats: list[ToggleStats] = []
-    for i, (interval, node, available, before) in enumerate(toggles):
-        following = toggles[i + 1] if i + 1 < len(toggles) else None
-        if following is not None and following.interval == interval:
-            after = following.before
-        else:
-            after = ends[interval]
-        rows[interval].toggles += 1
-        stats.append(
-            ToggleStats(
-                interval,
-                node,
-                available,
-                after[_MYBOX] - before[_MYBOX],
-                sum(after[:_DELIVERIES]) - sum(before[:_DELIVERIES]),
-                after[_DELIVERIES] - before[_DELIVERIES],
-            )
-        )
+    rows = tuple(map(_work, range(len(ends)), starts, ends, toggles))
     fresh = (0,) * len(joined)
     total = _work(SETUP_INTERVAL, fresh, starts[-1])
     return Metrics(
@@ -129,8 +76,7 @@ def compute_metrics(
         unsubscribes=total.unsubscribes,
         deliveries=total.deliveries,
         setup=_work(SETUP_INTERVAL, fresh, joined),
-        intervals=tuple(rows),
-        toggles=tuple(stats),
+        intervals=rows,
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Any, Iterable, Iterator, Mapping
 
 from .bus import NodeId, TopicName
-from .metrics import Metrics, Tally, ToggleMark, compute_metrics, tally
+from .metrics import Metrics, Tally, compute_metrics, tally
 from .network import Network
 # mybox_fixpoint is not called here: _oracle_compare reads the whole table at
 # once. The name stays bound in this module because perfbench/probes.py wraps
@@ -322,7 +322,7 @@ def run_scenario(
             net.add_node(node)
 
         joined = tally(net.bus)
-        marks: list[ToggleMark] = []
+        toggles: list[int] = []
         ends: list[Tally] = []
         for interval in range(schedule.intervals):
             net.bus.advance()
@@ -335,7 +335,6 @@ def run_scenario(
             for node, available in changes:
                 if not interleaved_toggles:
                     net.bus.advance()
-                marks.append(ToggleMark(interval, node, available, tally(net.bus)))
                 if recorder is not None:
                     recorder.toggle(net.bus.now, node, available, interval)
                 net.toggle(node, available)
@@ -343,12 +342,13 @@ def run_scenario(
                     net.dispatch_to_quiescence()
             if interleaved_toggles:
                 net.dispatch_to_quiescence()
+            toggles.append(len(changes))
             ends.append(tally(net.bus))
             if mismatches is not None:
                 avail = {node: view.available for node, view in views.items()}
                 _check_quiescent(interval, schedule, avail, _observed(net), mismatches)
         trace = recorder.events if recorder is not None else RecordedTrace([])
-        return trace, compute_metrics(joined, marks, ends)
+        return trace, compute_metrics(joined, toggles, ends)
 
 
 # ---------------------------------------------------------------------------

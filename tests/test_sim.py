@@ -25,13 +25,12 @@ from rfoverlay.metrics import (
     SETUP_INTERVAL,
     IntervalStats,
     Metrics,
-    ToggleStats,
     compute_metrics,
     render_metrics,
     tally,
 )
 from rfoverlay.network import DISPATCH_BUDGET_FACTOR, JoinError, Network, QuiescenceError
-from rfoverlay.oracle import RingModel
+from rfoverlay.oracle import RingModel, basic_tst, mybox_table
 from rfoverlay.protocol import NodeView
 from rfoverlay.scenario import (
     ConfigError,
@@ -39,6 +38,7 @@ from rfoverlay.scenario import (
     load_config,
     oracle_mismatches,
     parse_config,
+    ring_of,
     run_scenario,
     verify_trace,
 )
@@ -59,7 +59,7 @@ from rfoverlay.trace import (
     event_to_json,
     first_difference,
 )
-from rfoverlay.workload import AvailabilitySchedule, WorkloadConfig, sample_k
+from rfoverlay.workload import AvailabilitySchedule, WorkloadConfig, build_schedule, sample_k
 
 
 def joined_network(count: int, recorder=None, delivery_delay: int = 0) -> Network:
@@ -606,7 +606,7 @@ def test_scenario_traces_verify():
     report = verify_trace(trace, cfg)
     assert report.passed
     assert report.intervals_checked == 30
-    assert metrics.publications == sum(metrics.publications_per_topic.values())
+    assert sum(metrics.publications_per_topic.values()) > 0
 
 
 def test_verification_reuses_the_run_schedule():
@@ -1585,27 +1585,18 @@ def test_recorded_events_hold_the_engine_values():
 
 def fold_trace(trace, intervals: int) -> Metrics:
     """Reference metrics: Publish lines by topic, plus Deliver, Subscribe
-    and Unsubscribe lines, per interval and per toggle. A toggle owns every
-    line up to the next toggle."""
+    and Unsubscribe lines, per interval. Lines before the first Toggle line
+    are the setup row's; each Toggle line starts its interval's row."""
     rows = {i: IntervalStats(i) for i in range(SETUP_INTERVAL, intervals)}
-    row, toggle = rows[SETUP_INTERVAL], None
-    toggles = []
+    row = rows[SETUP_INTERVAL]
     for event in trace:
         if event.kind == "Toggle":
             row = rows[event.detail["interval"]]
             row.toggles += 1
-            toggle = ToggleStats(row.interval, event.node, event.detail["to"] == "available")
-            toggles.append(toggle)
         elif event.kind == "Publish":
-            topic = event.detail["key"]["topic"]
-            row.publications_per_topic[topic] += 1
-            if toggle is not None:
-                toggle.publications += 1
-                toggle.mybox_publications += topic == TopicName.MYBOX.value
+            row.publications_per_topic[event.detail["key"]["topic"]] += 1
         elif event.kind == "Deliver":
             row.deliveries += 1
-            if toggle is not None:
-                toggle.deliveries += 1
         elif event.kind == "Subscribe":
             row.subscribes += 1
         elif event.kind == "Unsubscribe":
@@ -1621,7 +1612,6 @@ def fold_trace(trace, intervals: int) -> Metrics:
         deliveries=sum(r.deliveries for r in everything),
         setup=everything[0],
         intervals=everything[1:],
-        toggles=tuple(toggles),
     )
 
 
@@ -1668,10 +1658,9 @@ def test_counters_equal_the_fold_on_reference_configs(cfg):
 
 def test_metrics_of_an_empty_run():
     metrics = compute_metrics(tally(VirtualBus()), (), ())
-    assert metrics.publications == 0
+    assert sum(metrics.publications_per_topic.values()) == 0
     assert metrics.deliveries == 0
     assert metrics.intervals == ()
-    assert metrics.toggles == ()
 
 
 def test_metrics_count_join_costs():
@@ -1694,9 +1683,68 @@ def test_metrics_attribute_toggles_to_intervals():
     assert metrics.intervals[0].toggles == 1   # 1 goes down
     assert metrics.intervals[1].toggles == 0   # nothing changes
     assert metrics.intervals[2].toggles == 1   # 2 goes down
-    first = metrics.toggles[0]
-    assert (first.interval, first.node) == (0, 1)
-    assert first.mybox_publications == 1  # lone toggle, live neighbours
+    # lone toggle, live neighbours
+    assert metrics.intervals[0].publications_per_topic[TopicName.MYBOX.value] == 1
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["serialized", "interleaved"])
+def test_a_run_tallies_after_the_joins_and_at_each_intervals_end(monkeypatch, interleaved):
+    """The metrics are per interval, so a run tallies the bus once after the
+    joins and once per interval, however many toggles it applies."""
+    calls = []
+
+    def counted(bus):
+        calls.append(bus.now)
+        return tally(bus)
+
+    monkeypatch.setattr(scenario, "tally", counted)
+    cfg = ScenarioConfig(node_count=6, workload=WorkloadConfig(intervals=12, seed=9), seed=9)
+    _, metrics = run_scenario(cfg, interleaved_toggles=interleaved)
+    assert sum(row.toggles for row in metrics.intervals) > cfg.workload.intervals
+    assert len(calls) == cfg.workload.intervals + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(1, 12),
+    delay=st.integers(0, 3),
+    lam=st.sampled_from([1.0, 2.0, 3.0, 4.0]),
+    intervals=st.integers(1, 20),
+    seed=st.integers(0, 2**16),
+)
+def test_a_serialized_toggle_publishes_once_per_changed_status_value(
+    size, delay, lam, intervals, seed
+):
+    """Message complexity of a serialized toggle: its MyBox Publish lines
+    come from exactly the nodes whose settled status value (mybox_table)
+    differs between the availability vectors before and after it, one line
+    per node. The network is driven as run_scenario drives it."""
+    schedule = build_schedule(WorkloadConfig(lam=lam, intervals=intervals, seed=seed), range(size))
+    recorder = TraceRecorder()
+    net = joined_network(size, recorder, delay)
+
+    def settled():
+        ring = ring_of(net)
+        return mybox_table(ring, basic_tst(ring))
+
+    for interval in range(intervals):
+        net.bus.advance()
+        for node in range(size):
+            available = schedule.state(node, interval)
+            if available is net.views[node].available:
+                continue
+            before, start = settled(), len(recorder.events)
+            net.bus.advance()
+            recorder.toggle(net.bus.now, node, available, interval)
+            net.toggle(node, available)
+            net.dispatch_to_quiescence()
+            after = settled()
+            publishers = [
+                event.node
+                for event in recorder.events[start:]
+                if event.kind == KIND_PUBLISH and event.value.key.topic is TopicName.MYBOX
+            ]
+            assert sorted(publishers) == [n for n in after if after[n] != before[n]]
 
 
 def test_metrics_table_shape():
