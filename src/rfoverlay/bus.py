@@ -17,7 +17,10 @@ queue in place so that the list stays the queue.
 A publication is the bus's hot path: publish builds its Sample with
 tuple.__new__, one C call, where Sample(...) would run the named tuple's
 generated Python __new__, and it enqueues inline. tuple.__new__ applies no
-defaults, so it is given every field.
+defaults, so it is given every field. publish tests the payload's type
+inline and calls check_payload only to raise, and it enqueues the
+subscribers in set order: dispatch orders them by id. A cancel on an empty
+queue returns without building a filtered copy of it.
 """
 
 from __future__ import annotations
@@ -232,20 +235,25 @@ class VirtualBus:
     # -- publish --------------------------------------------------------------
 
     def publish(self, publisher: NodeId, key: TopicKey, payload: Payload) -> Sample:
-        check_payload(key, payload)
-        seq = self._seq.get((publisher, key), 0) + 1
-        self._seq[(publisher, key)] = seq
-        sample = _new(Sample, (key, payload, publisher, seq))
         topic = key.topic
+        if type(payload) not in _ALLOWED_PAYLOADS[topic]:
+            check_payload(key, payload)  # raises, before any state changes
+        seqs = self._seq
+        stream = (publisher, key)
+        seq = seqs.get(stream, 0) + 1
+        seqs[stream] = seq
+        sample = _new(Sample, (key, payload, publisher, seq))
         if topic is _ARRIVALS:
             self._arrivals.append((self._now, sample))
         subscribers = self._subs.get(key)
         if subscribers:
             # _enqueue, inlined: a status-wave hop publishes once per hop.
+            # The entries of one sample differ in subscriber, which the heap
+            # orders before the enqueue index, so they need no sorting here.
             due = self._now + self.delivery_delay
             pending = self._pending
             enq = self._enq
-            for subscriber in sorted(subscribers):
+            for subscriber in subscribers:
                 enq += 1
                 heappush(pending, (due, publisher, seq, subscriber, enq, sample))
             self._enq = enq
@@ -255,8 +263,10 @@ class VirtualBus:
     # -- subscriptions --------------------------------------------------------
 
     def subscribe(self, subscriber: NodeId, key: TopicKey) -> None:
-        subscribers = self._subs.setdefault(key, set())
-        if subscriber in subscribers:
+        subscribers = self._subs.get(key)
+        if subscribers is None:
+            subscribers = self._subs[key] = set()
+        elif subscriber in subscribers:
             raise SubscriptionError(f"{subscriber} already subscribed to {key}")
         subscribers.add(subscriber)
         self.subscribes += 1
@@ -277,6 +287,8 @@ class VirtualBus:
         # subscription is cancelled first: drop anything still in flight.
         # The queue is filtered in place: a drain holds on to the list.
         pending = self._pending
+        if not pending:
+            return
         survivors = [e for e in pending if e[3] != subscriber or e[5].key != key]
         if len(survivors) != len(pending):
             heapify(survivors)

@@ -27,10 +27,12 @@ the last one published is never republished.
 A node's subscriptions are its own ORe/OSe streams, which never change, plus
 what _watched() names: the status streams it reads and the one global
 stream it holds (the arrival log while joining, the wake-up channel while
-nothing is Available). Every handler's subscription changes are the
-difference of _watched() before and after, so each transition costs O(1),
-joins and status-wave hops alike. subscriptions() stays the reference
-definition of the full set.
+nothing is Available). A status handler changes only tre, availability and
+the last published value, so _status() works out its subscription changes
+from the old and new tre alone; a join handler's are the difference of
+_watched() before and after, from _effects(). Either way each transition
+costs O(1), joins and status-wave hops alike. subscriptions() stays the
+reference definition of the full set.
 """
 
 from __future__ import annotations
@@ -155,21 +157,14 @@ def _down_hint(me: NodeId, tre: NextAvailable) -> NextAvailable:
 _new = tuple.__new__
 
 
-def _with_status(
-    view: NodeView, tre: NextAvailable, available: bool, last_mybox: NextAvailable
-) -> NodeView:
-    return _new(NodeView, (
-        view.me, view.ose, view.ore, tre, available, last_mybox, view.joining, view.predecessor,
-    ))
-
-
 def _effects(
     old: NodeView,
     new: NodeView,
     publications: tuple[tuple[TopicKey, Payload], ...] = (),
 ) -> Effects:
-    """The Effects of moving from `old` to `new`. A handler that publishes on
-    its own status stream sets `new.last_mybox` to that value itself."""
+    """The Effects of a join handler moving from `old` to `new`: the
+    subscription changes are the difference of _watched() before and after.
+    Status handlers go through _status() instead."""
     if old.joining == new.joining and old.ore == new.ore and old.tre == new.tre:
         # _watched() reads only these fields and `me`, which never changes.
         return _new(Effects, (new, publications, (), ()))
@@ -185,6 +180,38 @@ def _effects(
         if old_channel is not None:
             unsubscribe.append(old_channel)
     return _new(Effects, (new, publications, tuple(subscribe), tuple(unsubscribe)))
+
+
+def _status(
+    view: NodeView,
+    tre: NextAvailable,
+    available: bool,
+    last_mybox: NextAvailable,
+    publications: tuple[tuple[TopicKey, Payload], ...] = (),
+) -> Effects:
+    """The Effects of a status handler: the settled `view` with a new tre,
+    availability and last published value. joining and ore stay, so of
+    _watched() only the hint's status stream and the wake-up channel can
+    change, and they follow from the old and new tre alone. A handler that
+    publishes on its own status stream passes that value as `last_mybox`."""
+    me, ose, ore, old, _available, _last_mybox, joining, predecessor = view
+    new = _new(NodeView, (me, ose, ore, tre, available, last_mybox, joining, predecessor))
+    if tre == old:
+        return _new(Effects, (new, publications, (), ()))
+    # Trace order: at most one status stream, then the global stream.
+    if tre is None:
+        subscribe = (ONEBACK_KEY,)
+    elif tre == ore or tre == me:
+        subscribe = ()
+    else:
+        subscribe = (mybox_key(tre),)
+    if old is None:
+        unsubscribe = (ONEBACK_KEY,)
+    elif old == ore or old == me:
+        unsubscribe = ()
+    else:
+        unsubscribe = (mybox_key(old),)
+    return _new(Effects, (new, publications, subscribe, unsubscribe))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +316,7 @@ def set_unavailable(view: NodeView) -> Effects:
     # If we were the last Available node the system goes empty, and the
     # value published for an empty system is None.
     tre = _down_hint(me, view.tre)
-    down = _with_status(view, tre, False, tre)
-    return _effects(view, down, ((mybox_key(me), tre),))
+    return _status(view, tre, False, tre, ((mybox_key(me), tre),))
 
 
 def set_available(view: NodeView) -> Effects:
@@ -302,10 +328,8 @@ def set_available(view: NodeView) -> Effects:
     me = view.me
     announce = (mybox_key(me), me)
     if view.tre is None:
-        woken = _with_status(view, me, True, me)
-        return _effects(view, woken, ((ONEBACK_KEY, me), announce))
-    up = _with_status(view, view.tre, True, me)
-    return _effects(view, up, (announce,))
+        return _status(view, me, True, me, ((ONEBACK_KEY, me), announce))
+    return _status(view, view.tre, True, me, (announce,))
 
 
 def on_mybox_from_ore(view: NodeView, msg: NextAvailable) -> Effects:
@@ -322,12 +346,12 @@ def on_mybox_from_ore(view: NodeView, msg: NextAvailable) -> Effects:
             # News we already hold: the same view, and nothing to do. About
             # one delivery in ten on a churning ring.
             return _new(Effects, (view, (), (), ()))
-        return _effects(view, _with_status(view, msg, True, view.last_mybox))
+        return _status(view, msg, True, view.last_mybox)
     me = view.me
     tre = _down_hint(me, msg)
     if tre == view.last_mybox:
-        return _effects(view, _with_status(view, tre, False, view.last_mybox))
-    return _effects(view, _with_status(view, tre, False, tre), ((mybox_key(me), tre),))
+        return _status(view, tre, False, view.last_mybox)
+    return _status(view, tre, False, tre, ((mybox_key(me), tre),))
 
 
 def on_mybox_from_hint(view: NodeView, msg: NextAvailable) -> Effects:
@@ -346,8 +370,7 @@ def on_mybox_from_hint(view: NodeView, msg: NextAvailable) -> Effects:
     """
     if view.tre is None or view.tre == view.ore:
         raise ProtocolError("no hint subscription in this view")
-    new = _with_status(view, msg, view.available, view.last_mybox)
-    return _effects(view, new)
+    return _status(view, msg, view.available, view.last_mybox)
 
 
 def on_oneback(view: NodeView, msg: NodeId) -> Effects:
@@ -358,7 +381,7 @@ def on_oneback(view: NodeView, msg: NodeId) -> Effects:
         raise ProtocolError("the wake-up channel carries node ids")
     if msg == view.me:
         # Own echo; the system-empty wait continues.
-        return _effects(view, view)
+        return _new(Effects, (view, (), (), ()))
     # Adopting the recoverer, and republishing while down, follow the rule
     # for news on the receiver's stream.
     return on_mybox_from_ore(view, msg)

@@ -130,6 +130,23 @@ def test_payload_kinds_are_checked():
         bus.publish(0, ONEBACK_KEY, None)
 
 
+def test_a_refused_publish_changes_nothing():
+    """The payload is checked before any state changes: no sequence number
+    is taken, nothing is counted, queued or logged."""
+    bus = fresh_bus()
+    bus.subscribe(1, mybox_key(0))
+    bus.subscribe(1, ARRIVALS_KEY)
+    counts = dict(bus.publish_counts)
+    for key, payload in ((mybox_key(0), "0"), (ARRIVALS_KEY, None)):
+        with pytest.raises(PayloadKindError):
+            bus.publish(0, key, payload)
+    assert bus._seq == {}
+    assert bus.publish_counts == counts
+    assert bus.quiescent
+    assert replayed(bus) == []
+    assert bus.publish(0, mybox_key(0), 0).seq == 1
+
+
 # -- history -----------------------------------------------------------------
 
 
@@ -214,12 +231,14 @@ def test_per_publisher_order_is_fifo():
 
 
 def test_fanout_orders_subscribers_by_id():
-    bus = fresh_bus()
-    bus.subscribe(5, mybox_key(0))
-    bus.subscribe(2, mybox_key(0))
-    bus.publish(0, mybox_key(0), 0)
-    subscribers = [subscriber for subscriber, _sample in drain(bus)]
-    assert subscribers == [2, 5]
+    # A set of small ints iterates in slot order: {2, 9} gives 9 first.
+    for order in ((5,), (5, 2), (5, 1, 3), (2, 9)):
+        bus = fresh_bus()
+        for subscriber in order:
+            bus.subscribe(subscriber, mybox_key(0))
+        bus.publish(0, mybox_key(0), 0)
+        subscribers = [subscriber for subscriber, _sample in drain(bus)]
+        assert subscribers == sorted(order)
 
 
 def test_each_subscriber_sees_each_sample_once():
@@ -293,6 +312,16 @@ def test_cancel_purges_in_flight_deliveries():
     bus.cancel_subscription(1, mybox_key(0))
     delivered = [(subscriber, sample.key) for subscriber, sample in drain(bus)]
     assert delivered == [(2, mybox_key(0)), (1, mybox_key(3))]
+    with pytest.raises(SubscriptionError):
+        bus.cancel_subscription(1, mybox_key(0))
+
+
+def test_cancel_on_an_empty_queue_still_cancels():
+    bus = fresh_bus()
+    bus.subscribe(1, mybox_key(0))
+    bus.cancel_subscription(1, mybox_key(0))
+    assert bus.unsubscribes == 1
+    assert bus.subscriptions_of(1) == frozenset()
     with pytest.raises(SubscriptionError):
         bus.cancel_subscription(1, mybox_key(0))
 

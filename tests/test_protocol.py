@@ -467,6 +467,27 @@ def test_effects_diff_is_the_subscription_set_difference(data, me):
     assert joined.subscribe == trace_order(subscriptions(joined.view))
 
 
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), view=settled_views())
+def test_status_diff_is_the_subscription_set_difference(data, view):
+    """A status change of a settled view, to any tre (nothing Available, the
+    node itself and its receiver included) and either availability, changes
+    exactly the set differences of subscriptions(), in trace order, which
+    is also what the generic _effects() diff gives."""
+    tre = data.draw(st.one_of(tres(view.ore), st.just(view.me)))
+    available = data.draw(availability)
+    last_mybox = data.draw(mybox_values)
+    publications = ((mybox_key(view.me), last_mybox),)
+    effects = protocol._status(view, tre, available, last_mybox, publications)
+    new = view._replace(tre=tre, available=available, last_mybox=last_mybox)
+    assert effects.view == new
+    assert effects.publications == publications
+    before, after = subscriptions(view), subscriptions(new)
+    assert effects.subscribe == trace_order(after - before)
+    assert effects.unsubscribe == trace_order(before - after)
+    assert effects == protocol._effects(view, new, publications)
+
+
 @settings(max_examples=300, deadline=None)
 @given(view=settled_views(), msg=messages)
 def test_receiver_news_is_idempotent(view, msg):

@@ -306,8 +306,9 @@ def trace_order(key: TopicKey) -> tuple[str, int]:
 def test_subscription_changes_are_the_exact_diff(size, delay, batches):
     """Every handler's subscribe/unsubscribe lists are exactly the difference
     of the derived subscription sets, in trace order (MyBox by ascending
-    instance, then OneBack), also where _effects skips or narrows the diff;
-    joins, serialized and interleaved toggle batches, with delivery delays."""
+    instance, then OneBack), also where _status or _effects skips or narrows
+    the diff; joins, serialized and interleaved toggle batches, with delivery
+    delays."""
 
     def exact(handler):
         def checked(view, *args):
