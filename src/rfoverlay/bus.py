@@ -194,7 +194,7 @@ class VirtualBus:
     publication order. Dispatch removes the earliest pending delivery; ties
     at one tick resolve by (publisher, seq, subscriber), with the enqueue
     index as a final total tie-break. The clock advances to each delivery as
-    it dispatches and via advance(); it never moves backwards.
+    it dispatches and by one tick per advance(); it never moves backwards.
 
     The bus keeps the run's running totals: publications per topic,
     deliveries, subscribes and unsubscribes.
@@ -226,11 +226,8 @@ class VirtualBus:
     def now(self) -> int:
         return self._now
 
-    def advance(self, ticks: int = 1) -> int:
-        if ticks < 0:
-            raise BusError("cannot advance backwards")
-        self._now += ticks
-        return self._now
+    def advance(self) -> None:
+        self._now += 1
 
     # -- publish --------------------------------------------------------------
 
@@ -294,16 +291,7 @@ class VirtualBus:
             heapify(survivors)
             pending[:] = survivors
 
-    def subscriptions_of(self, subscriber: NodeId) -> frozenset[TopicKey]:
-        return frozenset(
-            key for key, subscribers in self._subs.items() if subscriber in subscribers
-        )
-
     # -- dispatch -------------------------------------------------------------
-
-    @property
-    def quiescent(self) -> bool:
-        return not self._pending
 
     @property
     def pending_count(self) -> int:

@@ -156,19 +156,6 @@ class Network:
             if old is None or fields != (old.ose, old.ore, old.tre, old.available, old.joining):
                 recorder.view_change(bus._now, node, fields)
 
-    # -- inspection -----------------------------------------------------------
-
-    def check_subscription_invariant(self) -> None:
-        """Bus-side subscriptions must equal each view's derived set."""
-        for node, view in self.views.items():
-            actual = self.bus.subscriptions_of(node)
-            expected = protocol.subscriptions(view)
-            if actual != expected:
-                raise AssertionError(
-                    f"subscriptions of {node} diverged: bus={sorted(map(str, actual))} "
-                    f"view={sorted(map(str, expected))}"
-                )
-
     # -- duplication -----------------------------------------------------------
 
     def clone(self) -> "Network":

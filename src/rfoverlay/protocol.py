@@ -25,14 +25,13 @@ publishes None. One stop rule keeps the ring quiescent: a value equal to
 the last one published is never republished.
 
 A node's subscriptions are its own ORe/OSe streams, which never change, plus
-what _watched() names: the status streams it reads and the one global
-stream it holds (the arrival log while joining, the wake-up channel while
-nothing is Available). A status handler changes only tre, availability and
-the last published value, so _status() works out its subscription changes
-from the old and new tre alone; a join handler's are the difference of
-_watched() before and after, from _effects(). Either way each transition
-costs O(1), joins and status-wave hops alike. subscriptions() stays the
-reference definition of the full set.
+the status streams it reads and the one global stream it holds (the arrival
+log while joining, the wake-up channel while nothing is Available), as
+subscriptions() defines them. No handler computes that set: a status
+handler changes only tre, availability and the last published value, so
+_status() works out its subscription changes from the old and new tre
+alone, and each join-handler branch names its own fixed change. Either way
+each transition costs O(1), joins and status-wave hops alike.
 """
 
 from __future__ import annotations
@@ -106,21 +105,6 @@ class Effects(NamedTuple):
     unsubscribe: tuple[TopicKey, ...] = ()
 
 
-def _watched(view: NodeView) -> tuple[tuple[NodeId, ...], TopicKey | None]:
-    """The nodes whose status streams the view reads, ascending, and the one
-    global stream it holds, if any: the arrival log while joining, the
-    wake-up channel iff nothing is Available."""
-    if view.joining:
-        return (), ARRIVALS_KEY
-    ore = view.ore
-    tre = view.tre
-    if tre is None:
-        return (ore,), ONEBACK_KEY
-    if tre != ore and tre != view.me:
-        return ((ore, tre) if ore < tre else (tre, ore)), None
-    return (ore,), None
-
-
 def subscriptions(view: NodeView) -> frozenset[TopicKey]:
     """The exact subscription set a node holds in a given view.
 
@@ -130,10 +114,17 @@ def subscriptions(view: NodeView) -> frozenset[TopicKey]:
     which is already covered), and the wake-up channel iff nothing is
     Available.
     """
-    boxes, channel = _watched(view)
-    keys = {ore_key(view.me), ose_key(view.me), *map(mybox_key, boxes)}
-    if channel is not None:
-        keys.add(channel)
+    me = view.me
+    keys = {ore_key(me), ose_key(me)}
+    if view.joining:
+        keys.add(ARRIVALS_KEY)
+        return frozenset(keys)
+    keys.add(mybox_key(view.ore))
+    tre = view.tre
+    if tre is None:
+        keys.add(ONEBACK_KEY)
+    elif tre != me:
+        keys.add(mybox_key(tre))
     return frozenset(keys)
 
 
@@ -157,31 +148,6 @@ def _down_hint(me: NodeId, tre: NextAvailable) -> NextAvailable:
 _new = tuple.__new__
 
 
-def _effects(
-    old: NodeView,
-    new: NodeView,
-    publications: tuple[tuple[TopicKey, Payload], ...] = (),
-) -> Effects:
-    """The Effects of a join handler moving from `old` to `new`: the
-    subscription changes are the difference of _watched() before and after.
-    Status handlers go through _status() instead."""
-    if old.joining == new.joining and old.ore == new.ore and old.tre == new.tre:
-        # _watched() reads only these fields and `me`, which never changes.
-        return _new(Effects, (new, publications, (), ()))
-    # Trace order: status streams by ascending instance, then the global
-    # stream. Keys have no order, so the diff runs over node ids (in C).
-    old_boxes, old_channel = _watched(old)
-    new_boxes, new_channel = _watched(new)
-    subscribe = [mybox_key(n) for n in new_boxes if n not in old_boxes]
-    unsubscribe = [mybox_key(n) for n in old_boxes if n not in new_boxes]
-    if new_channel is not old_channel:
-        if new_channel is not None:
-            subscribe.append(new_channel)
-        if old_channel is not None:
-            unsubscribe.append(old_channel)
-    return _new(Effects, (new, publications, tuple(subscribe), tuple(unsubscribe)))
-
-
 def _status(
     view: NodeView,
     tre: NextAvailable,
@@ -191,9 +157,10 @@ def _status(
 ) -> Effects:
     """The Effects of a status handler: the settled `view` with a new tre,
     availability and last published value. joining and ore stay, so of
-    _watched() only the hint's status stream and the wake-up channel can
-    change, and they follow from the old and new tre alone. A handler that
-    publishes on its own status stream passes that value as `last_mybox`."""
+    subscriptions() only the hint's status stream and the wake-up channel
+    can change, and they follow from the old and new tre alone. A handler
+    that publishes on its own status stream passes that value as
+    `last_mybox`."""
     me, ose, ore, old, _available, _last_mybox, joining, predecessor = view
     new = _new(NodeView, (me, ose, ore, tre, available, last_mybox, joining, predecessor))
     if tre == old:
@@ -246,7 +213,7 @@ def join(me: NodeId) -> Effects:
 
 def _on_arrivals(view: NodeView, who: NodeId) -> Effects:
     if not view.joining:
-        return _effects(view, view)
+        return _new(Effects, (view, (), (), ()))
     me = view.me
     if who != me:
         # A record before our own only moves the insertion point. The bus
@@ -255,34 +222,41 @@ def _on_arrivals(view: NodeView, who: NodeId) -> Effects:
         new = _new(NodeView, (
             me, view.ose, view.ore, view.tre, view.available, view.last_mybox, True, who,
         ))
-        return _effects(view, new)
+        return _new(Effects, (new, (), (), ()))
     predecessor = view.predecessor
     if predecessor is None:
-        # First node in: a ring of one.
+        # First node in: a ring of one, reading its own status stream.
         new = _new(NodeView, (me, me, me, view.tre, view.available, view.last_mybox, False, None))
-        return _effects(view, new)
+        return _new(Effects, (new, (), (mybox_key(me),), (ARRIVALS_KEY,)))
     # The predecessor is our sender; its answer on OSe_me completes the join.
     new = _new(NodeView, (
         me, predecessor, view.ore, view.tre, view.available, view.last_mybox, True, predecessor,
     ))
-    return _effects(view, new, ((ore_key(predecessor), me),))
+    return _new(Effects, (new, ((ore_key(predecessor), me),), (), ()))
 
 
 def handle_new_ore(view: NodeView, joiner: NodeId) -> Effects:
     """A joiner asks to become our receiver: splice it in after us.
 
     We tell the joiner who its receiver is (our old one) and tell the old
-    receiver who its sender now is (the joiner), then repoint ourselves.
+    receiver who its sender now is (the joiner), then repoint ourselves. The
+    view is settled, and the joiner is not on the ring (Network.add_node
+    refuses a known node), so it is never our hint.
     """
-    if joiner == view.me or joiner == view.ore:
-        return _effects(view, view)
-    old_ore = view.ore
+    me, ose, old_ore, tre, available, last_mybox, joining, predecessor = view
+    if joiner == me or joiner == old_ore:
+        return _new(Effects, (view, (), (), ()))
     publications = ((ose_key(joiner), old_ore), (ose_key(old_ore), joiner))
-    new = _new(NodeView, (
-        view.me, view.ose, joiner, joiner, view.available, view.last_mybox, view.joining,
-        view.predecessor,
-    ))
-    return _effects(view, new, publications)
+    new = _new(NodeView, (me, ose, joiner, joiner, available, last_mybox, joining, predecessor))
+    # We now trust the joiner and drop every status stream and channel we
+    # read; trace order: status streams by ascending instance, then OneBack.
+    if tre is None:
+        unsubscribe = (mybox_key(old_ore), ONEBACK_KEY)
+    elif tre == old_ore or tre == me:
+        unsubscribe = (mybox_key(old_ore),)
+    else:
+        unsubscribe = tuple(map(mybox_key, sorted((old_ore, tre))))
+    return _new(Effects, (new, publications, (mybox_key(joiner),), unsubscribe))
 
 
 def handle_ose_update(view: NodeView, who: NodeId) -> Effects:
@@ -294,12 +268,12 @@ def handle_ose_update(view: NodeView, who: NodeId) -> Effects:
         new = _new(NodeView, (
             view.me, view.ose, who, who, view.available, view.last_mybox, False, None,
         ))
-        return _effects(view, new)
+        return _new(Effects, (new, (), (mybox_key(who),), (ARRIVALS_KEY,)))
     new = _new(NodeView, (
         view.me, who, view.ore, view.tre, view.available, view.last_mybox, False,
         view.predecessor,
     ))
-    return _effects(view, new)
+    return _new(Effects, (new, (), (), ()))
 
 
 # ---------------------------------------------------------------------------

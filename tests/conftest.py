@@ -1,4 +1,4 @@
-"""Fixtures that more than one test module uses."""
+"""Fixtures and helpers that more than one test module uses."""
 
 import pytest
 
@@ -23,3 +23,19 @@ def flip_one_view(monkeypatch):
 
     monkeypatch.setattr(protocol, "on_mybox_from_ore", flip_once)
     return flipped
+
+
+def subscriptions_of(bus, subscriber):
+    """The keys `subscriber` holds on `bus`: its live subscription set."""
+    return frozenset(key for key, subscribers in bus._subs.items() if subscriber in subscribers)
+
+
+def check_subscription_invariant(net):
+    """Bus-side subscriptions must equal each view's derived set."""
+    for node, view in net.views.items():
+        actual = subscriptions_of(net.bus, node)
+        expected = protocol.subscriptions(view)
+        assert actual == expected, (
+            f"subscriptions of {node} diverged: bus={sorted(map(str, actual))} "
+            f"view={sorted(map(str, expected))}"
+        )

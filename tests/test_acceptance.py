@@ -153,7 +153,7 @@ def test_criterion_3_total_outage_recovery():
 
         net.bus.advance()
         net.toggle(recoverer, True)
-        while not net.bus.quiescent:
+        while net.bus.pending_count > 0:
             node, sample = net.step()
             if node in sleepers and node not in woke_by:
                 seen[node] += 1

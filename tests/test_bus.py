@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import subscriptions_of
 from rfoverlay import protocol
 from rfoverlay.bus import (
     ARRIVALS_KEY,
@@ -142,7 +143,7 @@ def test_a_refused_publish_changes_nothing():
             bus.publish(0, key, payload)
     assert bus._seq == {}
     assert bus.publish_counts == counts
-    assert bus.quiescent
+    assert bus.pending_count == 0
     assert replayed(bus) == []
     assert bus.publish(0, mybox_key(0), 0).seq == 1
 
@@ -192,7 +193,7 @@ def test_volatile_topics_do_not_replay():
     bus = fresh_bus()
     bus.publish(0, mybox_key(0), 0)
     bus.subscribe(1, mybox_key(0))
-    assert bus.quiescent
+    assert bus.pending_count == 0
     assert drain(bus) == []
 
 
@@ -259,7 +260,8 @@ def test_dispatch_returns_the_subscriber_and_the_published_sample():
     bus = fresh_bus(delay=1)
     bus.subscribe(2, mybox_key(0))
     bus.subscribe(1, mybox_key(0))
-    bus.advance(3)
+    for _ in range(3):
+        bus.advance()
     sample = bus.publish(0, mybox_key(0), 0)
     first = bus.dispatch_next()
     assert first == (1, sample) and first[1] is sample
@@ -273,7 +275,8 @@ def test_dispatch_returns_the_subscriber_and_the_published_sample():
 def test_delivery_delay_shifts_due_time():
     bus = fresh_bus(delay=2)
     bus.subscribe(1, mybox_key(0))
-    bus.advance(3)
+    for _ in range(3):
+        bus.advance()
     sample = bus.publish(0, mybox_key(0), 0)
     assert bus.now == 3
     assert bus.dispatch_next() == (1, sample)
@@ -283,11 +286,10 @@ def test_delivery_delay_shifts_due_time():
 
 def test_clock_never_moves_backwards():
     bus = fresh_bus()
-    with pytest.raises(BusError):
-        bus.advance(-1)
     bus.subscribe(1, mybox_key(0))
     sample = bus.publish(0, mybox_key(0), 0)
-    bus.advance(10)
+    for _ in range(10):
+        bus.advance()
     assert drain(bus) == [(1, sample)]
     assert bus.now == 10  # dispatch at now, the due tick already passed
 
@@ -321,7 +323,7 @@ def test_cancel_on_an_empty_queue_still_cancels():
     bus.subscribe(1, mybox_key(0))
     bus.cancel_subscription(1, mybox_key(0))
     assert bus.unsubscribes == 1
-    assert bus.subscriptions_of(1) == frozenset()
+    assert subscriptions_of(bus, 1) == frozenset()
     with pytest.raises(SubscriptionError):
         bus.cancel_subscription(1, mybox_key(0))
 
@@ -330,9 +332,9 @@ def test_subscriptions_of_reports_the_live_set():
     bus = fresh_bus()
     bus.subscribe(1, mybox_key(0))
     bus.subscribe(1, ONEBACK_KEY)
-    assert bus.subscriptions_of(1) == frozenset({mybox_key(0), ONEBACK_KEY})
+    assert subscriptions_of(bus, 1) == frozenset({mybox_key(0), ONEBACK_KEY})
     bus.cancel_subscription(1, ONEBACK_KEY)
-    assert bus.subscriptions_of(1) == frozenset({mybox_key(0)})
+    assert subscriptions_of(bus, 1) == frozenset({mybox_key(0)})
 
 
 def test_handlers_run_on_dispatch():
@@ -353,7 +355,7 @@ def test_handlers_run_on_dispatch():
     assert delivered[0].value is sample
     while net.step() is not None:
         pass
-    assert net.bus.quiescent and net.views[0].tre == 2
+    assert net.bus.pending_count == 0 and net.views[0].tre == 2
     assert net.step() is None
 
 
@@ -409,7 +411,7 @@ def test_clone_works_in_flight():
         net.toggle(node, False)
     net.step()
     net.step()
-    assert not net.bus.quiescent
+    assert net.bus.pending_count > 0
     twin = net.clone()
     assert twin.recorder is None
     recorded = len(recorder.events)
@@ -438,11 +440,11 @@ def test_clone_carries_state():
     history = replayed(bus)
     assert [s.payload for s in history] == [1, 2]
     assert replayed(twin) == history
-    assert twin.subscriptions_of(1) == bus.subscriptions_of(1)
+    assert subscriptions_of(twin, 1) == subscriptions_of(bus, 1)
     # the twin's subscriber sets are its own
     twin.cancel_subscription(1, mybox_key(0))
-    assert twin.subscriptions_of(1) == frozenset()
-    assert bus.subscriptions_of(1) == frozenset({mybox_key(0)})
+    assert subscriptions_of(twin, 1) == frozenset()
+    assert subscriptions_of(bus, 1) == frozenset({mybox_key(0)})
     # sequence numbering continues rather than restarting
     sample = twin.publish(0, mybox_key(0), None)
     assert sample.seq == 2

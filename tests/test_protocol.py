@@ -431,15 +431,13 @@ def settled_views(draw):
 
 
 @st.composite
-def views_of(draw, me):
-    """Any view of node `me`: joining or settled, any receiver, any
-    next-available value (a hint on itself or its receiver included), any
-    state."""
-    ore = draw(node_ids)
-    tre = draw(st.one_of(tres(ore), st.just(me)))
+def joining_views(draw, me):
+    """A joining view of node `me` as the engine hands one to a join
+    handler: join() trusts `me` itself, and the replayed arrival records
+    may have set a sender and an insertion point."""
     return NodeView(
-        me=me, ose=draw(node_ids), ore=ore, tre=tre, available=draw(availability),
-        last_mybox=draw(mybox_values), joining=draw(st.booleans()),
+        me=me, ose=draw(node_ids), ore=me, tre=me, available=True, last_mybox=me,
+        joining=True, predecessor=draw(st.one_of(st.none(), node_ids)),
     )
 
 
@@ -451,18 +449,33 @@ def trace_order(keys):
     )
 
 
-@settings(max_examples=500, deadline=None)
-@given(data=st.data(), me=node_ids)
-def test_effects_diff_is_the_subscription_set_difference(data, me):
-    """For any two views of one node, the subscription changes are exactly
-    the set differences of subscriptions(), in trace order; a join
-    subscribes to exactly its joining view's set."""
-    old = data.draw(views_of(me))
-    new = data.draw(views_of(me))
-    effects = protocol._effects(old, new)
-    before, after = subscriptions(old), subscriptions(new)
+def assert_exact_change(old, effects):
+    """The subscription changes from `old` to effects.view are exactly the
+    set differences of subscriptions(), in trace order."""
+    before, after = subscriptions(old), subscriptions(effects.view)
     assert effects.subscribe == trace_order(after - before)
     assert effects.unsubscribe == trace_order(before - after)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), me=node_ids)
+def test_join_handlers_change_exactly_the_subscription_set_difference(data, me):
+    """Each join handler's subscription changes are the set differences of
+    subscriptions(), in trace order, on the inputs an engine can give it:
+    arrival records and the splice answer reach a joining view; a splice
+    request and a new sender reach a settled view of any tre, and the
+    joiner is never our hint (it is not on the ring). A join subscribes to
+    exactly its joining view's set."""
+    joining = data.draw(joining_views(me))
+    who = data.draw(st.one_of(st.just(me), node_ids))
+    assert_exact_change(joining, protocol._on_arrivals(joining, who))
+    assert_exact_change(joining, handle_ose_update(joining, who))
+    settled = data.draw(settled_views())
+    joiner = data.draw(node_ids.filter(
+        lambda n: n == settled.me or n == settled.ore or n != settled.tre
+    ))
+    assert_exact_change(settled, handle_new_ore(settled, joiner))
+    assert_exact_change(settled, handle_ose_update(settled, who))
     joined = join(me)
     assert joined.subscribe == trace_order(subscriptions(joined.view))
 
@@ -472,8 +485,7 @@ def test_effects_diff_is_the_subscription_set_difference(data, me):
 def test_status_diff_is_the_subscription_set_difference(data, view):
     """A status change of a settled view, to any tre (nothing Available, the
     node itself and its receiver included) and either availability, changes
-    exactly the set differences of subscriptions(), in trace order, which
-    is also what the generic _effects() diff gives."""
+    exactly the set differences of subscriptions(), in trace order."""
     tre = data.draw(st.one_of(tres(view.ore), st.just(view.me)))
     available = data.draw(availability)
     last_mybox = data.draw(mybox_values)
@@ -482,10 +494,7 @@ def test_status_diff_is_the_subscription_set_difference(data, view):
     new = view._replace(tre=tre, available=available, last_mybox=last_mybox)
     assert effects.view == new
     assert effects.publications == publications
-    before, after = subscriptions(view), subscriptions(new)
-    assert effects.subscribe == trace_order(after - before)
-    assert effects.unsubscribe == trace_order(before - after)
-    assert effects == protocol._effects(view, new, publications)
+    assert_exact_change(view, effects)
 
 
 @settings(max_examples=300, deadline=None)

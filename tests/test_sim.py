@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import check_subscription_invariant
 from rfoverlay import cli, network, protocol, scenario, workload
 from rfoverlay import trace as trace_module
 from rfoverlay.bus import ARRIVALS_KEY, Sample, TopicKey, TopicName, VirtualBus
@@ -130,7 +131,7 @@ def test_a_refused_join_leaves_the_network_unchanged():
     assert (net.views, net.bus.now, recorder.events) == ({}, 0, [])
     net.add_node(0)
     assert not net.views[0].joining
-    net.check_subscription_invariant()
+    check_subscription_invariant(net)
     views, now, recorded = dict(net.views), net.bus.now, list(recorder.events)
     with pytest.raises(JoinError, match="already joined"):
         net.add_node(0)
@@ -144,7 +145,7 @@ def test_a_join_whose_handshake_cannot_finish_is_an_error():
     with mock.patch.object(protocol, "handle_new_ore", lambda view, msg: protocol.Effects(view)):
         with pytest.raises(JoinError, match="1 never completed its join"):
             net.add_node(1)
-    assert net.bus.quiescent and net.views[1].joining
+    assert net.bus.pending_count == 0 and net.views[1].joining
 
 
 def test_oracle_judges_the_arrival_order_ring():
@@ -180,7 +181,7 @@ def test_serialized_joins_in_any_order_build_the_arrival_ring(order, batches):
     net = Network(recorder=recorder)
     for node in order:
         net.add_node(node)
-        net.check_subscription_invariant()
+        check_subscription_invariant(net)
     assert [net.views[node].ore for node in order] == [*order[1:], order[0]]
     assert [net.views[node].ose for node in order] == [order[-1], *order[:-1]]
     arrivals = [
@@ -195,7 +196,7 @@ def test_serialized_joins_in_any_order_build_the_arrival_ring(order, batches):
             node = order[index]
             flipped = not net.views[node].available
             toggle_settled(net, node, flipped)
-            net.check_subscription_invariant()
+            check_subscription_invariant(net)
         assert oracle_mismatches(net) == []
 
     last_line = {}
@@ -207,7 +208,7 @@ def test_serialized_joins_in_any_order_build_the_arrival_ring(order, batches):
 
 
 def test_subscription_invariant_after_joins():
-    joined_network(7).check_subscription_invariant()
+    check_subscription_invariant(joined_network(7))
 
 
 def test_join_phase_work_is_linear_in_the_node_count():
@@ -277,7 +278,7 @@ def test_toggle_phase_work_is_constant_per_delivery():
                 toggle_settled(net, node, flip)
     assert calls["deliveries"] > 10 * size
     assert calls["subscriptions"] == 0
-    net.check_subscription_invariant()
+    check_subscription_invariant(net)
     assert oracle_mismatches(net) == []
 
     cfg = ScenarioConfig(
@@ -306,9 +307,10 @@ def trace_order(key: TopicKey) -> tuple[str, int]:
 def test_subscription_changes_are_the_exact_diff(size, delay, batches):
     """Every handler's subscribe/unsubscribe lists are exactly the difference
     of the derived subscription sets, in trace order (MyBox by ascending
-    instance, then OneBack), also where _status or _effects skips or narrows
-    the diff; joins, serialized and interleaved toggle batches, with delivery
-    delays."""
+    instance, then OneBack), on every join and toggle an engine reaches:
+    joins, serialized and interleaved toggle batches, with delivery delays.
+    Neither _status nor a join handler computes a set difference, so this
+    compares each change it names against subscriptions()."""
 
     def exact(handler):
         def checked(view, *args):
@@ -329,7 +331,7 @@ def test_subscription_changes_are_the_exact_diff(size, delay, batches):
         net = Network(delivery_delay=delay)
         for node in range(size):
             net.add_node(node)
-            net.check_subscription_invariant()
+            check_subscription_invariant(net)
         for serialized, flips in batches:
             net.bus.advance()
             for node in sorted(n for n in flips if n < size):
@@ -339,9 +341,9 @@ def test_subscription_changes_are_the_exact_diff(size, delay, batches):
                 net.toggle(node, flip)
                 if serialized:
                     net.dispatch_to_quiescence()
-                    net.check_subscription_invariant()
+                    check_subscription_invariant(net)
             net.dispatch_to_quiescence()
-            net.check_subscription_invariant()
+            check_subscription_invariant(net)
 
 
 # -- serialized toggles ------------------------------------------------------------
@@ -356,7 +358,7 @@ def test_reference_pattern_settles_to_the_oracle():
     assert net.views[4].tre == 7
     assert net.views[5].tre == 7
     assert net.views[5].last_mybox == 7
-    net.check_subscription_invariant()
+    check_subscription_invariant(net)
 
 
 def test_recovery_from_the_reference_pattern():
@@ -367,7 +369,7 @@ def test_recovery_from_the_reference_pattern():
     assert oracle_mismatches(net) == []
     assert net.views[4].tre == net.views[4].ore  # its own receiver came back
     assert net.views[5].tre == 7                 # 6 is still down
-    net.check_subscription_invariant()
+    check_subscription_invariant(net)
 
 
 def test_single_node_toggles():
@@ -411,7 +413,7 @@ def test_total_outage_and_first_recovery():
     assert net.bus.publish_counts[TopicName.ONEBACK] - before[TopicName.ONEBACK] == 1
     # the recoverer plus each of the three sleepers updates its status once
     assert net.bus.publish_counts[TopicName.MYBOX] - before[TopicName.MYBOX] == 4
-    net.check_subscription_invariant()
+    check_subscription_invariant(net)
 
 
 def test_wave_length_is_bounded_by_the_dead_run():
@@ -444,7 +446,7 @@ def test_exhaustive_small_rings_settle_to_the_oracle():
 def test_quiescence_budget_is_enforced():
     net = joined_network(3)
     net.toggle(0, False)
-    assert not net.bus.quiescent
+    assert net.bus.pending_count > 0
     with mock.patch.object(network, "DISPATCH_BUDGET_FACTOR", 0):
         with pytest.raises(QuiescenceError):
             net.dispatch_to_quiescence()
@@ -573,7 +575,7 @@ def test_interleaved_batches_always_terminate():
                     net.toggle(node, flip)
                     current[node] = flip
             net.dispatch_to_quiescence()  # budget turns loops into failures
-            net.check_subscription_invariant()
+            check_subscription_invariant(net)
 
 
 def test_interleaved_runs_with_a_survivor_still_settle():
