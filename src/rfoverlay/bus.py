@@ -19,8 +19,10 @@ tuple.__new__, one C call, where Sample(...) would run the named tuple's
 generated Python __new__, and it enqueues inline. tuple.__new__ applies no
 defaults, so it is given every field. publish tests the payload's type
 inline and calls check_payload only to raise, and it enqueues the
-subscribers in set order: dispatch orders them by id. A cancel on an empty
-queue returns without building a filtered copy of it.
+subscribers in set order: dispatch orders them by id. A cancel scans the
+queue for an entry of the cancelled subscription and returns if it finds
+none, as nearly every cancel does; only a cancel that drops an entry builds
+a filtered copy and heapifies it.
 """
 
 from __future__ import annotations
@@ -284,12 +286,14 @@ class VirtualBus:
         # subscription is cancelled first: drop anything still in flight.
         # The queue is filtered in place: a drain holds on to the list.
         pending = self._pending
-        if not pending:
+        for entry in pending:
+            if entry[3] == subscriber and entry[5].key is key:
+                break
+        else:
             return
-        survivors = [e for e in pending if e[3] != subscriber or e[5].key != key]
-        if len(survivors) != len(pending):
-            heapify(survivors)
-            pending[:] = survivors
+        survivors = [e for e in pending if e[3] != subscriber or e[5].key is not key]
+        heapify(survivors)
+        pending[:] = survivors
 
     # -- dispatch -------------------------------------------------------------
 

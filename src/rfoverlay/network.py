@@ -17,7 +17,9 @@ module or on Network (a profiler's probe, a test's patch) still sees every
 call. The network is its bus's one owner and reads the bus's clock and
 queue (`_now`, `_pending`) directly; the bus filters its queue in place, so
 the list a drain holds stays the queue. Views, effects and samples are
-built with tuple.__new__ (see protocol and bus).
+built with tuple.__new__ (see protocol and bus). An unrecorded _apply only
+stores the new view; a recorded one tests the five fields a ViewChange line
+writes one at a time and builds the line's tuple only when it writes one.
 """
 
 from __future__ import annotations
@@ -145,16 +147,24 @@ class Network:
             if recorder is not None:
                 recorder.subscribe(bus._now, node, key)
         views = self.views
+        if recorder is None:
+            views[node] = new
+            return
         old = views.get(node)
         views[node] = new
         # A ViewChange line writes all of a view but me, last_mybox and
         # predecessor: a change to those alone would repeat the node's
-        # previous line.
-        if recorder is not None and new is not old:
-            _me, ose, ore, tre, available, _last_mybox, joining, _predecessor = new
-            fields = (ose, ore, tre, available, joining)
-            if old is None or fields != (old.ose, old.ore, old.tre, old.available, old.joining):
-                recorder.view_change(bus._now, node, fields)
+        # previous line. The fields are compared one at a time, tre first,
+        # as a status handler changes little else.
+        if new is not old and (
+            old is None
+            or new[3] != old[3]
+            or new[4] != old[4]
+            or new[1] != old[1]
+            or new[2] != old[2]
+            or new[6] != old[6]
+        ):
+            recorder.view_change(bus._now, node, (new[1], new[2], new[3], new[4], new[6]))
 
     # -- duplication -----------------------------------------------------------
 

@@ -324,13 +324,17 @@ def run_scenario(
         joined = tally(net.bus)
         toggles: list[int] = []
         ends: list[Tally] = []
-        for interval in range(schedule.intervals):
+        # Each interval's states as one column, in node order whatever the
+        # order of the schedule's mapping.
+        states = schedule.states
+        columns = zip(*(states[node] for node in range(cfg.node_count)))
+        for interval, column in enumerate(columns):
             net.bus.advance()
             views = net.views
             changes = [
                 (node, available)
-                for node in range(cfg.node_count)
-                if (available := schedule.state(node, interval)) is not views[node].available
+                for node, available in enumerate(column)
+                if available is not views[node].available
             ]
             for node, available in changes:
                 if not interleaved_toggles:

@@ -328,6 +328,63 @@ def test_cancel_on_an_empty_queue_still_cancels():
         bus.cancel_subscription(1, mybox_key(0))
 
 
+_PROPERTY_STREAMS = [
+    (node, key)
+    for node in range(3)
+    for key in (mybox_key(0), mybox_key(1), ore_key(0), ARRIVALS_KEY)
+]
+
+# Subscribes and publications outweigh the rest, so cancels find entries
+# of other subscribers and other keys in flight beside their own.
+_bus_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["subscribe"] * 3 + ["publish"] * 3 + ["cancel"] * 2 + ["dispatch", "advance"]
+        ),
+        st.integers(0, len(_PROPERTY_STREAMS) - 1),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delay=st.integers(0, 2), ops=_bus_ops)
+def test_a_cancel_drops_exactly_its_own_entries_in_place(delay, ops):
+    """After a cancel the queue holds what it held before but the cancelled
+    (subscriber, key)'s entries, in the same list object, which a drain
+    holds on to; every dispatch, then and after, takes the least entry in
+    the documented order (due, publisher, seq, subscriber, enq)."""
+    bus = fresh_bus(delay)
+    pending = bus._pending
+    live: list[tuple] = []
+
+    def dispatch_checked() -> None:
+        least = min(pending)
+        assert bus.dispatch_next() == (least[3], least[5])
+
+    for op, index in ops:
+        node, key = _PROPERTY_STREAMS[index]
+        if op == "subscribe" and (node, key) not in live:
+            bus.subscribe(node, key)
+            live.append((node, key))
+        elif op == "publish":
+            bus.publish(node, key, node)
+        elif op == "cancel" and live:
+            node, key = live.pop(index % len(live))
+            before = sorted(pending)
+            bus.cancel_subscription(node, key)
+            assert bus._pending is pending
+            assert sorted(pending) == [
+                e for e in before if not (e[3] == node and e[5].key is key)
+            ]
+        elif op == "dispatch" and pending:
+            dispatch_checked()
+        elif op == "advance":
+            bus.advance()
+    while pending:
+        dispatch_checked()
+
+
 def test_subscriptions_of_reports_the_live_set():
     bus = fresh_bus()
     bus.subscribe(1, mybox_key(0))

@@ -396,6 +396,42 @@ def test_a_ring_of_one_writes_one_view_change_on_recovery():
     assert views == [(0, 0, 0, True, False)]
 
 
+_SETTLED = NodeView(
+    me=5, ose=1, ore=2, tre=3, available=True, last_mybox=5, joining=False, predecessor=None
+)
+
+
+@pytest.mark.parametrize(
+    "change, written",
+    [
+        ({"ose": 7}, True),
+        ({"ore": 7}, True),
+        ({"tre": 7}, True),
+        ({"available": False}, True),
+        ({"joining": True}, True),
+        ({"last_mybox": 7}, False),
+        ({"predecessor": 7}, False),
+        ({}, False),
+    ],
+)
+def test_a_view_change_line_follows_the_five_fields_it_writes(change, written):
+    """A node's first view writes one ViewChange line. After that a line is
+    written iff one of ose, ore, tre, available or joining changed, and it
+    holds the five new values; me, last_mybox and predecessor are not
+    written, so a change to them alone writes nothing."""
+    recorder = TraceRecorder()
+    net = Network(recorder=recorder)
+    net._apply(5, protocol.Effects(_SETTLED))
+    net._apply(5, protocol.Effects(_SETTLED))  # the same view object
+    new = _SETTLED._replace(**change)
+    net._apply(5, protocol.Effects(new))
+    assert net.views[5] is new
+    views = [(1, 2, 3, True, False)]
+    if written:
+        views.append((new.ose, new.ore, new.tre, new.available, new.joining))
+    assert list(recorder.events.rows()) == [(0, KIND_VIEW_CHANGE, 5, view) for view in views]
+
+
 def test_total_outage_and_first_recovery():
     net = joined_network(4)
     for node in range(4):
@@ -700,6 +736,26 @@ def test_scenario_under_forced_schedule():
     schedule = forced_schedule(10, {2, 5, 6}, {2, 6})
     trace, _ = run_scenario(cfg, schedule=schedule)
     assert verify_trace(trace, cfg, schedule=schedule).passed
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["serialized", "interleaved"])
+def test_a_schedule_runs_in_node_order_whatever_its_mapping_order(interleaved):
+    """A run reads each interval's states node by node: the same states
+    listed in reverse give the same trace and metrics."""
+    cfg = ScenarioConfig(node_count=6, workload=WorkloadConfig(intervals=5, seed=0))
+    ordered = forced_schedule(6, {0}, {0, 1, 4}, {5}, set(), {1, 2, 3})
+    states = ordered.states
+    reverse = AvailabilitySchedule(
+        intervals=ordered.intervals, states={node: states[node] for node in reversed(states)}
+    )
+    assert list(reverse.states) == [5, 4, 3, 2, 1, 0]
+    runs = [
+        run_scenario(cfg, schedule=schedule, interleaved_toggles=interleaved)
+        for schedule in (ordered, reverse)
+    ]
+    (ordered_trace, ordered_metrics), (reverse_trace, reverse_metrics) = runs
+    assert dumps_trace(reverse_trace) == dumps_trace(ordered_trace)
+    assert reverse_metrics == ordered_metrics
 
 
 def test_a_schedule_for_other_nodes_is_a_config_error():
