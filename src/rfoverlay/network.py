@@ -154,16 +154,18 @@ class Network:
         views[node] = new
         # A ViewChange line writes all of a view but me, last_mybox and
         # predecessor: a change to those alone would repeat the node's
-        # previous line. The fields are compared one at a time, tre first,
-        # as a status handler changes little else.
+        # previous line. The fields are compared one at a time by their
+        # place in NodeView, tre first, as a status handler changes little
+        # else.
         if new is not old and (
             old is None
-            or new[3] != old[3]
-            or new[4] != old[4]
-            or new[1] != old[1]
-            or new[2] != old[2]
-            or new[6] != old[6]
+            or new[3] != old[3]  # tre
+            or new[4] != old[4]  # available
+            or new[1] != old[1]  # ose
+            or new[2] != old[2]  # ore
+            or new[6] != old[6]  # joining
         ):
+            # (ose, ore, tre, available, joining)
             recorder.view_change(bus._now, node, (new[1], new[2], new[3], new[4], new[6]))
 
     # -- duplication -----------------------------------------------------------

@@ -31,9 +31,7 @@ subscriptions() defines them. No handler computes that set: a status
 handler changes only tre, availability and the last published value, so
 _status() works out its subscription changes from the old and new tre
 alone, and each join-handler branch names its own fixed change. Either way
-each transition costs O(1), joins and status-wave hops alike. The status
-handlers read a status stream's key straight from the bus's intern table,
-and call mybox_key only for an id that no run has interned yet.
+each transition costs O(1), joins and status-wave hops alike.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from .bus import (
     Sample,
     TopicKey,
     TopicName,
-    _MYBOX_KEYS,
     mybox_key,
     ore_key,
     ose_key,
@@ -86,7 +83,8 @@ class NodeView(NamedTuple):
     is None before the first such record and once the join completes.
 
     Views are immutable named tuples, so the engine and its clones share
-    them; handlers build a new view for every change.
+    them; handlers build a new view for every change. Network._apply reads
+    the fields by position, so their order is part of that contract.
     """
 
     me: NodeId
@@ -174,13 +172,13 @@ def _status(
     elif tre == ore or tre == me:
         subscribe = ()
     else:
-        subscribe = (_MYBOX_KEYS.get(tre) or mybox_key(tre),)
+        subscribe = (mybox_key(tre),)
     if old is None:
         unsubscribe = (ONEBACK_KEY,)
     elif old == ore or old == me:
         unsubscribe = ()
     else:
-        unsubscribe = (_MYBOX_KEYS.get(old) or mybox_key(old),)
+        unsubscribe = (mybox_key(old),)
     return _new(Effects, (new, publications, subscribe, unsubscribe))
 
 
@@ -293,7 +291,7 @@ def set_unavailable(view: NodeView) -> Effects:
     # If we were the last Available node the system goes empty, and the
     # value published for an empty system is None.
     tre = _down_hint(me, view.tre)
-    return _status(view, tre, False, tre, ((_MYBOX_KEYS.get(me) or mybox_key(me), tre),))
+    return _status(view, tre, False, tre, ((mybox_key(me), tre),))
 
 
 def set_available(view: NodeView) -> Effects:
@@ -303,7 +301,7 @@ def set_available(view: NodeView) -> Effects:
     if view.available:
         raise ProtocolError(f"{view.me} is already available")
     me = view.me
-    announce = (_MYBOX_KEYS.get(me) or mybox_key(me), me)
+    announce = (mybox_key(me), me)
     if view.tre is None:
         return _status(view, me, True, me, ((ONEBACK_KEY, me), announce))
     return _status(view, view.tre, True, me, (announce,))
@@ -328,7 +326,7 @@ def on_mybox_from_ore(view: NodeView, msg: NextAvailable) -> Effects:
     tre = _down_hint(me, msg)
     if tre == view.last_mybox:
         return _status(view, tre, False, view.last_mybox)
-    return _status(view, tre, False, tre, ((_MYBOX_KEYS.get(me) or mybox_key(me), tre),))
+    return _status(view, tre, False, tre, ((mybox_key(me), tre),))
 
 
 def on_mybox_from_hint(view: NodeView, msg: NextAvailable) -> Effects:
