@@ -45,7 +45,7 @@ class RingModel:
     def __post_init__(self) -> None:
         if not self.nodes:
             raise RingError("a ring has at least one node")
-        positions = {node: index for index, node in enumerate(self.nodes)}
+        positions = dict(zip(self.nodes, range(len(self.nodes))))
         if len(positions) != len(self.nodes):
             raise RingError("node ids must be distinct")
         if len(self.avail) != len(self.nodes):
@@ -131,8 +131,7 @@ def basic_tst(ring: RingModel) -> dict[NodeId, NextAvailable]:
     itself.
     """
     first = _first_available(ring)
-    size = ring.size
-    return {node: first[(position + 1) % size] for position, node in enumerate(ring.nodes)}
+    return dict(zip(ring.nodes, first[1:] + first[:1]))
 
 
 def brf_tst(ring: RingModel) -> dict[NodeId, tuple[NodeId | None, NodeId | None]]:

@@ -13,7 +13,8 @@ that interval's availability vector. A run checks each point as it reaches
 it (`run_scenario(..., mismatches=[])`); `verify_trace` reads a recorded
 trace, or any list of events, to the same points and reports the same
 mismatches. A written file is never decoded: `rfoverlay verify` replays its
-config, compares the bytes, and runs `verify_trace` on the replay.
+config with the in-run check, compares the bytes, and prints that check
+(see cli.cmd_verify).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import gc
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import IO, Any, Iterable, Iterator, Mapping
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping
 
 from .bus import NodeId, TopicName
 from .metrics import Metrics, Tally, compute_metrics, tally
@@ -159,8 +160,22 @@ def ring_of(net: Network) -> RingModel:
     return RingModel.from_states(nodes, {n: net.views[n].available for n in nodes})
 
 
+# Per field (ose, ore, tre, mybox, joining), every node's value.
+_Tables = Mapping[str, Mapping[NodeId, NextAvailable | bool]]
+
+
+def _ring_tables(nodes: tuple[NodeId, ...]) -> dict[str, dict[NodeId, NodeId | bool]]:
+    """The expected tables that depend on the ring order alone: each node's
+    sender and receiver are its ring neighbours, and no node is joining."""
+    return {
+        "ose": dict(zip(nodes, nodes[-1:] + nodes[:-1])),
+        "ore": dict(zip(nodes, nodes[1:] + nodes[:1])),
+        "joining": dict.fromkeys(nodes, False),
+    }
+
+
 def _oracle_compare(
-    ring: RingModel, observed: Mapping[str, Mapping[NodeId, NextAvailable | bool]]
+    ring: RingModel, observed: _Tables, fixed: _Tables | None = None
 ) -> list[tuple[NodeId, str, str, str]]:
     """Every (node, field, expected, observed) where observed state on `ring`
     disagrees with the all-seeing computation: each node's sender and
@@ -168,18 +183,23 @@ def _oracle_compare(
     value on its status stream are the oracles', and no node is joining.
 
     `observed` maps each field, ose, ore, tre, mybox and joining, to every
-    node's value. The tables are compared whole, and the nodes are walked
-    only when they differ. One oracle sweep gives both next-available
-    tables: mybox_table reads basic_tst's.
+    node's value. `fixed` is `_ring_tables(ring.nodes)`, built here when not
+    given: a quiescent check passes the tables it keeps while the ring order
+    holds, so only the availability-dependent tables are built per call.
+    The tables are compared whole, and the nodes are walked only when they
+    differ. One oracle sweep gives both next-available tables: mybox_table
+    reads basic_tst's.
     """
     nodes = ring.nodes
+    if fixed is None:
+        fixed = _ring_tables(nodes)
     tre = basic_tst(ring)
     expected = {
-        "ose": dict(zip(nodes, nodes[-1:] + nodes[:-1])),
-        "ore": dict(zip(nodes, nodes[1:] + nodes[:1])),
+        "ose": fixed["ose"],
+        "ore": fixed["ore"],
         "tre": tre,
         "mybox": mybox_table(ring, tre),
-        "joining": dict.fromkeys(nodes, False),
+        "joining": fixed["joining"],
     }
     if observed == expected:
         return []
@@ -210,21 +230,37 @@ def oracle_mismatches(net: Network) -> list[tuple[NodeId, str, str, str]]:
     return _oracle_compare(ring_of(net), _observed(net))
 
 
-def _check_quiescent(
-    interval: int,
-    schedule: AvailabilitySchedule,
-    avail: dict[NodeId, bool],
-    observed: Mapping[str, Mapping[NodeId, NextAvailable | bool]],
-    mismatches: list[Mismatch],
-) -> None:
-    """Append interval's oracle disagreements to `mismatches`. `avail` maps
-    every node, in arrival order, to its availability; TraceError if that is
-    not the schedule's."""
-    vector = schedule.vector(interval)
-    if avail != vector:
-        raise TraceError(f"interval {interval}: availability diverges from the schedule")
-    ring = RingModel.from_states(avail, vector)
-    mismatches.extend(Mismatch(interval, *found) for found in _oracle_compare(ring, observed))
+def _quiescent_check(
+    schedule: AvailabilitySchedule, mismatches: list[Mismatch]
+) -> Callable[[int, dict[NodeId, bool], _Tables], None]:
+    """A check of one run's quiescent points: `check(interval, avail,
+    observed)` appends interval's oracle disagreements to `mismatches`.
+    `avail` maps every node, in arrival order, to its availability;
+    TraceError if that is not the schedule's.
+
+    The ose, ore and joining tables depend on the ring order alone, which
+    the joins fix before the first quiescent point, so the check builds them
+    at its first call and again only when the order of `avail` changes.
+    Each call builds the interval's availability tuple, one oracle sweep and
+    the comparison.
+    """
+    ring_nodes: tuple[NodeId, ...] = ()
+    fixed: _Tables = {}
+
+    def check(interval: int, avail: dict[NodeId, bool], observed: _Tables) -> None:
+        nonlocal ring_nodes, fixed
+        if avail != schedule.vector(interval):
+            raise TraceError(f"interval {interval}: availability diverges from the schedule")
+        nodes = tuple(avail)
+        if nodes != ring_nodes:
+            ring_nodes, fixed = nodes, _ring_tables(nodes)
+        # The values are the schedule's: avail equals its vector.
+        ring = RingModel(ring_nodes, tuple(avail.values()))
+        mismatches.extend(
+            Mismatch(interval, *found) for found in _oracle_compare(ring, observed, fixed)
+        )
+
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +314,11 @@ def _collector_paused() -> Iterator[None]:
 
     The collector is deferred, not skipped: the first allocation after the
     pause starts one young-generation pass over the samples and value
-    tuples the run kept (0.05-0.07 s host time on that run on a 2-core
-    x86_64 box; a trace of TraceEvents took 0.12-0.13 s). That allocation
-    comes as this context manager exits, so the pass is still part of the
-    run's time.
+    tuples the run kept. On a recorded churn128 seed 1 run (m=128, lambda
+    3, 500 intervals) that pass took 0.038, 0.038 and 0.043 s host time in
+    three runs on a 2-core x86_64 box, timed from its start to its stop
+    callback in `gc.callbacks`. That allocation comes as this context
+    manager exits, so the pass is still part of the run's time.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -321,6 +358,7 @@ def run_scenario(
         for node in range(cfg.node_count):
             net.add_node(node)
 
+        check = _quiescent_check(schedule, mismatches) if mismatches is not None else None
         joined = tally(net.bus)
         toggles: list[int] = []
         ends: list[Tally] = []
@@ -348,9 +386,9 @@ def run_scenario(
                 net.dispatch_to_quiescence()
             toggles.append(len(changes))
             ends.append(tally(net.bus))
-            if mismatches is not None:
+            if check is not None:
                 avail = {node: view.available for node, view in views.items()}
-                _check_quiescent(interval, schedule, avail, _observed(net), mismatches)
+                check(interval, avail, _observed(net))
         trace = recorder.events if recorder is not None else RecordedTrace([])
         return trace, compute_metrics(joined, toggles, ends)
 
@@ -403,6 +441,7 @@ def verify_trace(
     joining: dict[NodeId, bool] = {}
     observed = {"ose": ose, "ore": ore, "tre": tre, "mybox": mybox, "joining": joining}
     mismatches: list[Mismatch] = []
+    check = _quiescent_check(schedule, mismatches)
 
     # Interval k's quiescent point is right before the first toggle of any
     # later interval (or the end of the trace). Toggles carry their interval.
@@ -444,13 +483,13 @@ def verify_trace(
             if available is avail[node]:
                 raise TraceError(f"toggle of {node} at interval {interval} changes nothing")
             for pending in range(max(current_interval, 0), interval):
-                _check_quiescent(pending, schedule, avail, observed, mismatches)
+                check(pending, avail, observed)
             current_interval = interval
             avail[node] = available
     if len(avail) != cfg.node_count:
         raise TraceError(f"trace joined {len(avail)} nodes, config says {cfg.node_count}")
     for pending in range(max(current_interval, 0), schedule.intervals):
-        _check_quiescent(pending, schedule, avail, observed, mismatches)
+        check(pending, avail, observed)
 
     return VerifyReport(
         intervals_checked=schedule.intervals, mismatches=tuple(mismatches)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import check_subscription_invariant
 from rfoverlay import cli, network, protocol, scenario, workload
 from rfoverlay import trace as trace_module
-from rfoverlay.bus import ARRIVALS_KEY, Sample, TopicKey, TopicName, VirtualBus
+from rfoverlay.bus import ARRIVALS_KEY, Sample, TopicKey, TopicName, VirtualBus, mybox_key
 from rfoverlay.metrics import (
     SETUP_INTERVAL,
     IntervalStats,
@@ -35,6 +35,7 @@ from rfoverlay.oracle import RingModel, basic_tst, mybox_table
 from rfoverlay.protocol import NodeView
 from rfoverlay.scenario import (
     ConfigError,
+    Mismatch,
     ScenarioConfig,
     load_config,
     oracle_mismatches,
@@ -855,6 +856,156 @@ def test_in_run_check_refuses_a_view_that_leaves_the_schedule(flip_one_view):
     with pytest.raises(TraceError) as replayed:
         verify_trace(trace, cfg)
     assert str(replayed.value) == str(in_run.value)
+
+
+@st.composite
+def hand_built_traces(draw):
+    """A schedule and an event list that verify_trace reads without a
+    TraceError: joins in any order, some of them after interval 0's first
+    toggles. At the end of interval 0, and of some later intervals, each
+    node writes its settled view and status value, a forged one, or
+    nothing."""
+    size = draw(st.integers(1, 5))
+    intervals = draw(st.integers(1, 4))
+    bools = st.lists(st.booleans(), min_size=intervals, max_size=intervals)
+    states = {node: tuple(draw(bools)) for node in range(size)}
+    schedule = AvailabilitySchedule(intervals=intervals, states=states)
+    order = draw(st.permutations(range(size)))
+    early = draw(st.integers(1, size))
+    ids = st.sampled_from([*range(size), None])
+    avail: dict = {}
+    events: list[TraceEvent] = []
+
+    def line(kind, node, value):
+        events.append(TraceEvent(len(events), kind, node, value))
+
+    def toggle(nodes, interval):
+        for node in nodes:
+            if states[node][interval] is not avail[node]:
+                line(KIND_TOGGLE, node, (states[node][interval], interval))
+                avail[node] = states[node][interval]
+
+    def settle():
+        ring = RingModel.from_states(tuple(avail), avail)
+        tre = basic_tst(ring)
+        mybox = mybox_table(ring, tre)
+        for node in ring.nodes:
+            how = draw(st.sampled_from(["settled", "forged", "silent"]))
+            if how == "settled":
+                neighbours = (ring.nodes[ring.position(node) - 1], ring.successor(node))
+                line(KIND_VIEW_CHANGE, node, (*neighbours, tre[node], avail[node], False))
+                line(KIND_PUBLISH, node, Sample(mybox_key(node), mybox[node], node, 0))
+            elif how == "forged":
+                view = (draw(ids), draw(ids), draw(ids), avail[node], draw(st.booleans()))
+                line(KIND_VIEW_CHANGE, node, view)
+                line(KIND_PUBLISH, node, Sample(mybox_key(node), draw(ids), node, 0))
+
+    for node in order[:early]:
+        line(KIND_JOIN, node, None)
+        avail[node] = True
+    toggle(order[:early], 0)
+    for node in order[early:]:
+        line(KIND_JOIN, node, None)
+        avail[node] = True
+    toggle(order[early:], 0)
+    settle()
+    for interval in range(1, intervals):
+        toggle(order, interval)
+        if draw(st.booleans()):
+            settle()
+    return schedule, events
+
+
+def fresh_reports(events, intervals):
+    """What one fresh `_oracle_compare` call gives at each interval's
+    quiescent point: the state right before the first toggle of a later
+    interval, or at the trace's end."""
+    avail: dict = {}
+    observed = {name: {} for name in ("ose", "ore", "tre", "mybox", "joining")}
+    reports = []
+
+    def close(upto):
+        while len(reports) < upto:
+            ring = RingModel.from_states(tuple(avail), avail)
+            snapshot = {name: dict(table) for name, table in observed.items()}
+            reports.append(scenario._oracle_compare(ring, snapshot))
+
+    for _time, kind, node, value in events:
+        if kind == KIND_JOIN:
+            avail[node] = True
+            observed["mybox"][node] = node
+        elif kind == KIND_VIEW_CHANGE:
+            for name, field in zip(("ose", "ore", "tre"), value):
+                observed[name][node] = field
+            avail[node], observed["joining"][node] = value[3], value[4]
+        elif kind == KIND_PUBLISH:
+            observed["mybox"][node] = value.payload
+        else:
+            available, interval = value
+            close(interval)
+            avail[node] = available
+    close(intervals)
+    return [(interval, *found) for interval, report in enumerate(reports) for found in report]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hand_built_traces())
+def test_verify_trace_reports_what_a_fresh_oracle_compare_gives(built):
+    """verify_trace keeps the ring-order tables across intervals, and its
+    report is still, interval by interval and in order, what a fresh
+    `_oracle_compare` of that quiescent point gives: joins in any order,
+    joins after the first toggle, and nodes with no view line."""
+    schedule, events = built
+    cfg = ScenarioConfig(
+        node_count=len(schedule.states), workload=WorkloadConfig(intervals=schedule.intervals)
+    )
+    report = verify_trace(events, cfg, schedule=schedule)
+    assert [
+        (m.interval, m.node, m.field, m.expected, m.observed) for m in report.mismatches
+    ] == fresh_reports(events, schedule.intervals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    orders=st.lists(st.permutations(range(4)), min_size=1, max_size=4),
+    ids=st.lists(st.sampled_from([0, 1, 2, 3, None]), min_size=20, max_size=20),
+    up=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_the_quiescent_check_rebuilds_its_ring_tables_when_the_order_changes(orders, ids, up):
+    """No caller changes the node order between two checks of one run, yet
+    a check handed another order compares against that order's ring."""
+    schedule = AvailabilitySchedule(intervals=1, states={node: (up[node],) for node in range(4)})
+    names = ("ose", "ore", "tre", "mybox", "joining")
+    observed = {name: dict(zip(range(4), ids[5 * i : 5 * i + 4])) for i, name in enumerate(names)}
+    found: list = []
+    check = scenario._quiescent_check(schedule, found)
+    expected = []
+    for order in orders:
+        avail = {node: up[node] for node in order}
+        check(0, avail, observed)
+        ring = RingModel.from_states(order, avail)
+        expected += [Mismatch(0, *miss) for miss in scenario._oracle_compare(ring, observed)]
+    assert found == expected
+
+
+def test_each_checked_interval_sweeps_the_oracle_once(monkeypatch):
+    """A checked run and verify_trace call scenario.basic_tst once per
+    interval, and an unchecked run never: perfbench's
+    oracle.basic_tst.calls counts these calls."""
+    calls = []
+    sweep = scenario.basic_tst
+    monkeypatch.setattr(scenario, "basic_tst", lambda ring: calls.append(ring) or sweep(ring))
+    cfg = ScenarioConfig(node_count=6, workload=WorkloadConfig(lam=3.0, intervals=9, seed=4), seed=4)
+    for interleaved in (False, True):
+        trace, _ = run_scenario(cfg, interleaved_toggles=interleaved)
+        run_scenario(cfg, interleaved_toggles=interleaved, record=False)
+        assert calls == []
+        run_scenario(cfg, interleaved_toggles=interleaved, record=False, mismatches=[])
+        assert len(calls) == 9
+        calls.clear()
+        assert verify_trace(trace, cfg).passed
+        assert len(calls) == 9
+        calls.clear()
 
 
 def test_unrecorded_runs_return_an_empty_trace():
