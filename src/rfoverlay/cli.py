@@ -150,10 +150,11 @@ def _node_str(node: int | None) -> str:
 def cmd_oracle(args: argparse.Namespace) -> int:
     ring = RingModel.of(args.count, _parse_down(args.down))
     if args.topology == "basic":
+        successor = dict(zip(ring.nodes, ring.nodes[1:] + ring.nodes[:1]))
         for node, entry in sorted(basic_tst(ring).items()):
             if entry is None:
                 text = "system-empty"
-            elif entry == ring.successor(node):
+            elif entry == successor[node]:
                 text = "trust-ore"
             else:
                 text = f"hint {_node_str(entry)}"

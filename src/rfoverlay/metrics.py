@@ -9,8 +9,7 @@ join phase, and a totals row.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bus import TopicName, VirtualBus
 
@@ -29,20 +28,18 @@ def tally(bus: VirtualBus) -> Tally:
     return (*bus.publish_counts.values(), bus.deliveries, bus.subscribes, bus.unsubscribes)
 
 
-@dataclass(slots=True)
-class IntervalStats:
+class IntervalStats(NamedTuple):
     """One interval's totals; deliveries double as quiescence latency."""
 
     interval: int
-    toggles: int = 0
-    publications_per_topic: dict = field(default_factory=lambda: {t: 0 for t in _TOPIC_ORDER})
-    deliveries: int = 0
-    subscribes: int = 0
-    unsubscribes: int = 0
+    toggles: int
+    publications_per_topic: dict
+    deliveries: int
+    subscribes: int
+    unsubscribes: int
 
 
-@dataclass(slots=True)
-class Metrics:
+class Metrics(NamedTuple):
     publications_per_topic: dict
     subscribes: int
     unsubscribes: int

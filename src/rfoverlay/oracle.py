@@ -22,8 +22,7 @@ that are down).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .bus import NodeId
 from .protocol import NextAvailable
@@ -33,24 +32,30 @@ class RingError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class RingModel:
+class _RingFields(NamedTuple):
+    nodes: tuple[NodeId, ...]
+    avail: tuple[bool, ...]
+
+
+class RingModel(_RingFields):
     """Arrival-ordered ring plus an availability vector aligned with it:
     avail[i] is True iff nodes[i] is Available."""
 
-    nodes: tuple[NodeId, ...]
-    avail: tuple[bool, ...]
-    _positions: dict[NodeId, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.nodes:
+    def __new__(cls, nodes: tuple[NodeId, ...], avail: tuple[bool, ...]) -> "RingModel":
+        if not nodes:
             raise RingError("a ring has at least one node")
-        positions = dict(zip(self.nodes, range(len(self.nodes))))
-        if len(positions) != len(self.nodes):
+        if len(set(nodes)) != len(nodes):
             raise RingError("node ids must be distinct")
-        if len(self.avail) != len(self.nodes):
+        if len(avail) != len(nodes):
             raise RingError("availability vector must align with the nodes")
-        object.__setattr__(self, "_positions", positions)
+        return super().__new__(cls, nodes, avail)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "RingModel":
+        # Through __new__, so _replace validates too.
+        return cls(*iterable)
 
     @classmethod
     def of(cls, count: int, down: Iterable[NodeId] = ()) -> "RingModel":
@@ -75,9 +80,11 @@ class RingModel:
         return len(self.nodes)
 
     def position(self, node: NodeId) -> int:
+        """The node's index in arrival order: an O(m) scan, so a caller that
+        needs every node's position builds its own table."""
         try:
-            return self._positions[node]
-        except KeyError:
+            return self.nodes.index(node)
+        except ValueError:
             raise RingError(f"{node} is not on the ring") from None
 
     def successor(self, node: NodeId) -> NodeId:
@@ -160,6 +167,7 @@ def sbrf_tst(
     """
     pairs = brf_tst(ring)
     size = ring.size
+    positions = dict(zip(ring.nodes, range(size)))
     assignment: dict[NodeId, tuple[NodeId | None, NodeId | None] | NodeId | None] = {}
     for position, (node, up) in enumerate(zip(ring.nodes, ring.avail)):
         clockwise, counter = pairs[node]
@@ -168,7 +176,7 @@ def sbrf_tst(
         elif clockwise is None:
             assignment[node] = None
         else:
-            ahead = (ring.position(clockwise) - position) % size
-            behind = (position - ring.position(counter)) % size
+            ahead = (positions[clockwise] - position) % size
+            behind = (position - positions[counter]) % size
             assignment[node] = clockwise if ahead <= behind else counter
     return assignment

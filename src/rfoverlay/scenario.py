@@ -22,8 +22,7 @@ from __future__ import annotations
 import gc
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .bus import NodeId, TopicName
 from .metrics import Metrics, Tally, compute_metrics, tally
@@ -55,8 +54,14 @@ class ConfigError(ValueError):
     """A scenario configuration that does not validate."""
 
 
-@dataclass(frozen=True, slots=True)
-class ScenarioConfig:
+class _ScenarioFields(NamedTuple):
+    node_count: int
+    workload: WorkloadConfig = WorkloadConfig()
+    delivery_delay: int = 0
+    seed: int = 0
+
+
+class ScenarioConfig(_ScenarioFields):
     """One scenario: m nodes joined in order, then a workload's schedule.
 
     The run draws its schedule from `workload.seed`. `seed` is a label that
@@ -68,16 +73,20 @@ class ScenarioConfig:
     a caller passes `mismatches` to run_scenario.
     """
 
-    node_count: int
-    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    delivery_delay: int = 0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "ScenarioConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.node_count < 1:
             raise ConfigError("node_count must be >= 1")
         if self.delivery_delay < 0:
             raise ConfigError("delivery_delay must be >= 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "ScenarioConfig":
+        # Through __new__, so _replace validates too.
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +156,7 @@ def load_config(stream: IO[str]) -> ScenarioConfig:
 
 def config_with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
     """The same scenario re-rooted on another seed (workload included)."""
-    return replace(cfg, seed=seed, workload=replace(cfg.workload, seed=seed))
+    return cfg._replace(seed=seed, workload=cfg.workload._replace(seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +247,32 @@ def _quiescent_check(
     `avail` maps every node, in arrival order, to its availability;
     TraceError if that is not the schedule's.
 
-    The ose, ore and joining tables depend on the ring order alone, which
-    the joins fix before the first quiescent point, so the check builds them
+    The ose, ore and joining tables, and the schedule's states as one
+    column per interval in ring order, depend on the ring order alone, which
+    the joins fix before the first quiescent point. So the check builds them
     at its first call and again only when the order of `avail` changes.
     Each call builds the interval's availability tuple, one oracle sweep and
     the comparison.
     """
+    states = schedule.states
     ring_nodes: tuple[NodeId, ...] = ()
     fixed: _Tables = {}
+    columns: list[tuple[bool, ...]] = []
 
     def check(interval: int, avail: dict[NodeId, bool], observed: _Tables) -> None:
-        nonlocal ring_nodes, fixed
-        if avail != schedule.vector(interval):
-            raise TraceError(f"interval {interval}: availability diverges from the schedule")
+        nonlocal ring_nodes, fixed, columns
         nodes = tuple(avail)
         if nodes != ring_nodes:
             ring_nodes, fixed = nodes, _ring_tables(nodes)
-        # The values are the schedule's: avail equals its vector.
-        ring = RingModel(ring_nodes, tuple(avail.values()))
+            # No columns when the ring's nodes are not the schedule's: every
+            # interval then diverges.
+            columns = []
+            if states.keys() == set(nodes):
+                columns = list(zip(*(states[node] for node in nodes)))
+        column = tuple(avail.values())
+        if interval >= len(columns) or column != columns[interval]:
+            raise TraceError(f"interval {interval}: availability diverges from the schedule")
+        ring = RingModel(ring_nodes, column)
         mismatches.extend(
             Mismatch(interval, *found) for found in _oracle_compare(ring, observed, fixed)
         )
@@ -397,8 +414,7 @@ def run_scenario(
 # Verification
 
 
-@dataclass(frozen=True, slots=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     interval: int
     node: NodeId
     field: str  # "ose" | "ore" | "tre" | "mybox" | "joining"
@@ -406,8 +422,7 @@ class Mismatch:
     observed: str
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     intervals_checked: int
     mismatches: tuple[Mismatch, ...]
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .bus import NodeId
 
@@ -22,26 +21,35 @@ from .bus import NodeId
 MAX_RATE = 30.0
 
 
-@dataclass(frozen=True, slots=True)
-class WorkloadConfig:
-    """Poisson rate, busyness threshold, interval count, master seed."""
-
+class _WorkloadFields(NamedTuple):
     lam: float = 2.0
     threshold: int = 2
     intervals: int = 100
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class WorkloadConfig(_WorkloadFields):
+    """Poisson rate, busyness threshold, interval count, master seed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "WorkloadConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.lam <= MAX_RATE):
             raise ValueError(f"rate must be in (0, {MAX_RATE}], got {self.lam}")
         if self.threshold < 0:
             raise ValueError("threshold must be >= 0")
         if self.intervals < 0:
             raise ValueError("interval count must be >= 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "WorkloadConfig":
+        # Through __new__, so _replace validates too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True, slots=True)
-class AvailabilitySchedule:
+class AvailabilitySchedule(NamedTuple):
     """Per-node availability, one state per interval: True iff Available."""
 
     intervals: int

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfoverlay.cli import main
 from rfoverlay.oracle import (
     RingError,
     RingModel,
@@ -114,7 +115,7 @@ def test_ring_rejects_bad_shapes():
 
 
 def test_rings_compare_by_nodes_and_states_only():
-    """The position index is derived, so it takes no part in equality."""
+    """A ring is its nodes and states: it keeps no position index."""
     ring = RingModel.of(4, down={1})
     twin = RingModel.from_states(ring.nodes, dict(zip(ring.nodes, ring.avail)))
     assert ring == twin and hash(ring) == hash(twin)
@@ -272,6 +273,42 @@ def test_shortest_candidate_is_brute_force_optimal():
                 assert choice in candidates
                 if len(candidates) > 1:
                     assert (nodes.index(choice) - position) % size == best
+
+
+def test_whole_ring_oracles_make_no_position_calls(monkeypatch, capsys):
+    """sbrf_tst and `rfoverlay oracle --topology basic` build one table per
+    call, not one O(m) position lookup per node, and print what the
+    brute-force definitions give."""
+    size = 64
+    down = {n for n in range(size) if n * 37 % size < size // 2}  # half, uneven gaps
+    ring = RingModel.of(size, down)
+    live = [n for n in ring.nodes if n not in down]
+
+    def nearest(node):
+        """Minimal hops over both directions, clockwise winning ties."""
+
+        def key(target):
+            ahead, behind = (target - node) % size, (node - target) % size
+            return min(ahead, behind), ahead > behind
+
+        return min(live, key=key)
+
+    pairs = brf_tst(ring)
+    expected = {n: nearest(n) if n in down else pairs[n] for n in ring.nodes}
+    lines = [
+        f"n{node}: " + ("trust-ore" if entry == (node + 1) % size else f"hint n{entry}")
+        for node, entry in sorted(reference_basic_tst(ring).items())
+    ]
+    calls = []
+    position = RingModel.position
+    monkeypatch.setattr(
+        RingModel, "position", lambda self, node: calls.append(node) or position(self, node)
+    )
+    assert sbrf_tst(ring) == expected
+    down_list = ",".join(map(str, sorted(down)))
+    assert main(["oracle", "--count", str(size), "--down", down_list, "--topology", "basic"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    assert calls == []
 
 
 # -- symmetry ----------------------------------------------------------------------

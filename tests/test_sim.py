@@ -8,6 +8,8 @@ import itertools
 import json
 import re
 import shlex
+import subprocess
+import sys
 from collections import Counter
 from collections.abc import Sized
 from dataclasses import fields, is_dataclass
@@ -31,7 +33,7 @@ from rfoverlay.metrics import (
     tally,
 )
 from rfoverlay.network import DISPATCH_BUDGET_FACTOR, JoinError, Network, QuiescenceError
-from rfoverlay.oracle import RingModel, basic_tst, mybox_table
+from rfoverlay.oracle import RingError, RingModel, basic_tst, mybox_table
 from rfoverlay.protocol import NodeView
 from rfoverlay.scenario import (
     ConfigError,
@@ -1797,21 +1799,31 @@ def fold_trace(trace, intervals: int) -> Metrics:
     """Reference metrics: Publish lines by topic, plus Deliver, Subscribe
     and Unsubscribe lines, per interval. Lines before the first Toggle line
     are the setup row's; each Toggle line starts its interval's row."""
-    rows = {i: IntervalStats(i) for i in range(SETUP_INTERVAL, intervals)}
-    row = rows[SETUP_INTERVAL]
+    keys = range(SETUP_INTERVAL, intervals)
+    toggles = dict.fromkeys(keys, 0)
+    published = {i: dict.fromkeys((t.value for t in TopicName), 0) for i in keys}
+    deliveries = dict.fromkeys(keys, 0)
+    subscribes = dict.fromkeys(keys, 0)
+    unsubscribes = dict.fromkeys(keys, 0)
+    interval = SETUP_INTERVAL
     for event in trace:
         if event.kind == "Toggle":
-            row = rows[event.detail["interval"]]
-            row.toggles += 1
+            interval = event.detail["interval"]
+            toggles[interval] += 1
         elif event.kind == "Publish":
-            row.publications_per_topic[event.detail["key"]["topic"]] += 1
+            published[interval][event.detail["key"]["topic"]] += 1
         elif event.kind == "Deliver":
-            row.deliveries += 1
+            deliveries[interval] += 1
         elif event.kind == "Subscribe":
-            row.subscribes += 1
+            subscribes[interval] += 1
         elif event.kind == "Unsubscribe":
-            row.unsubscribes += 1
-    everything = tuple(rows.values())
+            unsubscribes[interval] += 1
+    everything = tuple(
+        IntervalStats(
+            i, toggles[i], published[i], deliveries[i], subscribes[i], unsubscribes[i]
+        )
+        for i in keys
+    )
     return Metrics(
         publications_per_topic={
             topic: sum(r.publications_per_topic[topic] for r in everything)
@@ -2064,3 +2076,107 @@ def test_readme_command_examples_match_the_cli(tmp_path, monkeypatch, capsys):
         printed = capsys.readouterr().out.splitlines()
         missing = [line for line in shown if line != "..." and line not in printed]
         assert not missing, (command, missing)
+
+
+# -- records --------------------------------------------------------------------------
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    """The records are named tuples, so a fresh import generates no
+    dataclass methods and loads neither module."""
+    src = Path(scenario.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import rfoverlay; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_records_print_as_fields_and_refuse_assignment():
+    cfg = ScenarioConfig(node_count=3)
+    stats = IntervalStats(0, 1, {"MyBox": 1}, 1, 0, 0)
+    metrics = Metrics({"MyBox": 1}, 0, 0, 1, stats._replace(interval=SETUP_INTERVAL), (stats,))
+    mismatch = Mismatch(0, 1, "tre", "2", "None")
+    printed = [
+        (
+            cfg,
+            "ScenarioConfig(node_count=3, workload=WorkloadConfig(lam=2.0, threshold=2, "
+            "intervals=100, seed=0), delivery_delay=0, seed=0)",
+        ),
+        (
+            WorkloadConfig(lam=3.0, threshold=1, intervals=2, seed=7),
+            "WorkloadConfig(lam=3.0, threshold=1, intervals=2, seed=7)",
+        ),
+        (RingModel.of(3, down={1}), "RingModel(nodes=(0, 1, 2), avail=(True, False, True))"),
+        (
+            workload.build_schedule(WorkloadConfig(intervals=2, seed=1), range(2)),
+            "AvailabilitySchedule(intervals=2, states=mappingproxy({0: (True, True), "
+            "1: (True, True)}))",
+        ),
+        (
+            stats,
+            "IntervalStats(interval=0, toggles=1, publications_per_topic={'MyBox': 1}, "
+            "deliveries=1, subscribes=0, unsubscribes=0)",
+        ),
+        (
+            metrics,
+            "Metrics(publications_per_topic={'MyBox': 1}, subscribes=0, unsubscribes=0, "
+            "deliveries=1, setup=IntervalStats(interval=-1, toggles=1, "
+            "publications_per_topic={'MyBox': 1}, deliveries=1, subscribes=0, unsubscribes=0), "
+            "intervals=(IntervalStats(interval=0, toggles=1, publications_per_topic={'MyBox': 1}, "
+            "deliveries=1, subscribes=0, unsubscribes=0),))",
+        ),
+        (mismatch, "Mismatch(interval=0, node=1, field='tre', expected='2', observed='None')"),
+        (
+            scenario.VerifyReport(1, (mismatch,)),
+            "VerifyReport(intervals_checked=1, mismatches=(Mismatch(interval=0, node=1, "
+            "field='tre', expected='2', observed='None'),))",
+        ),
+    ]
+    for record, text in printed:
+        assert repr(record) == text
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+    twin = parse_config({"node_count": 3})
+    assert twin == cfg and hash(twin) == hash(cfg)
+
+
+def test_every_way_to_build_a_validated_record_validates():
+    """_replace and _make go through the same checks as the constructor."""
+    cfg = ScenarioConfig(node_count=3)
+    for build in (
+        lambda: cfg._replace(node_count=0),
+        lambda: ScenarioConfig._make((3, WorkloadConfig(), -1, 0)),
+    ):
+        with pytest.raises(ConfigError):
+            build()
+    for build in (
+        lambda: WorkloadConfig()._replace(lam=0.0),
+        lambda: WorkloadConfig._make((2.0, -1, 100, 0)),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    for build in (
+        lambda: RingModel.of(3)._replace(avail=(True,)),
+        lambda: RingModel._make(((0, 0), (True, True))),
+    ):
+        with pytest.raises(RingError):
+            build()
+    assert cfg._replace(node_count=4) == ScenarioConfig(node_count=4)
+
+
+def test_a_run_and_its_verify_share_one_schedule(monkeypatch):
+    drawn = []
+
+    def spy(*args):
+        drawn.append(workload.build_schedule(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(scenario, "build_schedule", spy)
+    cfg = ScenarioConfig(node_count=5, workload=WorkloadConfig(intervals=6, seed=11), seed=11)
+    trace, _ = run_scenario(cfg)
+    assert verify_trace(trace, ScenarioConfig(**cfg._asdict())).passed
+    assert len(drawn) == 2 and drawn[0] is drawn[1]
